@@ -224,6 +224,12 @@ def centralized_gn_solve(
     return x, stationarity_residual(sites, x) <= tol
 
 
+def _spectral_bound(d: np.ndarray) -> float:
+    """||d^T d||_F^(1/2), an upper bound on ||d||_2 that costs one product
+    (Golub & Van Loan, Matrix Computations, sec. 2.3)."""
+    return float(np.sqrt(np.linalg.norm(d.T @ d)))
+
+
 def estimate_constants(
     sites: list[SiteModel],
     box: BoxSet,
@@ -241,6 +247,14 @@ def estimate_constants(
     to the sample set so callers can pin trajectory iterates into the
     estimate. A rank-deficient sampled Jacobian is reported as sigma_min = 0
     with a warning flag rather than an error.
+
+    omega comes from an exact pruned sweep over all pairs of points rather
+    than one SVD per pair. Since ||D||_2 <= ||D^T D||_F^(1/2) for D = J_i - J_j,
+    pairs are visited by that bound (over ||x_i - x_j||), largest first, and
+    the sweep stops at the first pair whose bound is below the running
+    maximum: no later pair can exceed it. The visited ratios use the same
+    expression as a brute-force sweep, so omega is bit-identical to the
+    brute-force maximum.
     """
     if n_samples < 2:
         raise InvalidArgumentError("need at least 2 samples")
@@ -283,14 +297,22 @@ def estimate_constants(
             stacklevel=2,
         )
 
+    # Pruned omega sweep (see the docstring). The slack absorbs rounding when
+    # D has rank one and the bound is tight; coincident points keep a -inf
+    # bound and are never visited.
+    pair_i, pair_j = np.triu_indices(len(points), k=1)
+    dxs = np.empty(pair_i.size)
+    bounds = np.full(pair_i.size, -np.inf)
+    for k, (i, j) in enumerate(zip(pair_i.tolist(), pair_j.tolist())):
+        dxs[k] = float(np.linalg.norm(points[i] - points[j]))
+        if dxs[k] != 0.0:
+            bounds[k] = _spectral_bound(jacobians[i] - jacobians[j]) / dxs[k]
     omega = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            dx = float(np.linalg.norm(points[i] - points[j]))
-            if dx == 0.0:
-                continue
-            dj = float(np.linalg.norm(jacobians[i] - jacobians[j], 2))
-            omega = max(omega, dj / dx)
+    for k in np.argsort(-bounds, kind="stable").tolist():
+        if bounds[k] * (1.0 + 1e-9) < omega:
+            break
+        dj = float(np.linalg.norm(jacobians[pair_i[k]] - jacobians[pair_j[k]], 2))
+        omega = max(omega, dj / dxs[k])
 
     if reference_x is not None:
         ref = np.asarray(reference_x, dtype=float)

@@ -94,6 +94,8 @@ class GridModel:
             # drop the oldest half; insertion order is iteration order
             for old in list(self._cache.keys())[: cap // 2]:
                 del self._cache[old]
+        # read-only, so a caller writing into a result cannot corrupt later hits
+        value.setflags(write=False)
         self._cache[key] = value
 
 
@@ -115,12 +117,16 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
 
     gen_v = np.full(n, np.nan)
     gen_p = np.zeros(n)
-    for row in case.gen:
+    for row_no, row in enumerate(case.gen):
         if row.shape[0] > mp.GEN_STATUS and row[mp.GEN_STATUS] <= 0:
             continue
         b = int(row[mp.GEN_BUS])
         if b not in index_of:
             raise CaseParseError(f"generator references unknown bus {b}")
+        if row[mp.GEN_VG] <= 0:
+            raise CaseParseError(
+                f"generator row {row_no + 1}: voltage setpoint Vg must be positive"
+            )
         i = index_of[b]
         gen_v[i] = row[mp.GEN_VG]
         gen_p[i] += row[mp.GEN_PG] / case.base_mva

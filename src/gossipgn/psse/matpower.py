@@ -9,6 +9,7 @@ by the grid builder, not silently dropped.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -53,7 +54,7 @@ class MatpowerCase:
 
 
 _HEADER_RE = re.compile(r"function\s+mpc\s*=\s*(\w+)")
-_SCALAR_RE = re.compile(r"mpc\.baseMVA\s*=\s*([0-9eE+.\-]+)\s*;?")
+_SCALAR_RE = re.compile(r"mpc\.baseMVA\s*=\s*([^;\s]+)\s*;?")
 _TABLE_RE = re.compile(r"mpc\.(bus|gen|branch)\s*=\s*\[")
 
 
@@ -85,6 +86,8 @@ def parse_matpower_text(text: str) -> MatpowerCase:
                     row = [float(p) for p in parts]
                 except ValueError as exc:
                     raise CaseParseError(f"bad number in {current} row: {exc}", line_no)
+                if not all(map(math.isfinite, row)):
+                    raise CaseParseError(f"non-finite number in {current} row", line_no)
                 rows = tables[current]
                 if rows and len(rows[0]) != len(row):
                     raise CaseParseError(
@@ -102,7 +105,12 @@ def parse_matpower_text(text: str) -> MatpowerCase:
             continue
         m = _SCALAR_RE.search(line)
         if m:
-            base_mva = float(m.group(1))
+            try:
+                base_mva = float(m.group(1))
+            except ValueError as exc:
+                raise CaseParseError(f"bad baseMVA: {exc}", line_no)
+            if not math.isfinite(base_mva):
+                raise CaseParseError("baseMVA must be finite", line_no)
             continue
         m = _TABLE_RE.search(line)
         if m:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gossipgn.core import (
     BoxSet,
+    _spectral_bound,
     centralized_gn_solve,
     centralized_gn_step,
     estimate_constants,
@@ -16,6 +18,12 @@ from gossipgn.core import (
     stationarity_residual,
 )
 from gossipgn.errors import InvalidArgumentError, SingularSystemError
+from gossipgn.psse.grid import make_box, state_to_vector
+from gossipgn.psse.measurements import (
+    build_nlls_sites,
+    generate_measurements,
+    partition_sites,
+)
 
 from conftest import make_toy_sites
 
@@ -172,3 +180,84 @@ def test_estimate_constants_omega_majorizes_observed_pairs(toy_sites, toy_box):
                 continue
             slope = np.linalg.norm(stacked[i] - stacked[j], 2) / denom
             assert slope <= 3.0 * pc.omega
+
+
+def brute_force_omega(sites, points):
+    """Lipschitz oracle: one spectral norm for every pair of points."""
+    jacobians = [
+        np.vstack([np.asarray(s.eval_jacobian(x), dtype=float) for s in sites]) for x in points
+    ]
+    omega = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            dx = float(np.linalg.norm(points[i] - points[j]))
+            if dx == 0.0:
+                continue
+            dj = float(np.linalg.norm(jacobians[i] - jacobians[j], 2))
+            omega = max(omega, dj / dx)
+    return omega
+
+
+def sample_points(box, n_samples, rng_seed, extra_points=()):
+    rng = np.random.default_rng(rng_seed)
+    return list(rng.uniform(box.lower, box.upper, size=(n_samples, box.dim))) + list(extra_points)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_estimate_constants_omega_equals_brute_force_on_toy(toy_sites, toy_box, seed):
+    pc = estimate_constants(toy_sites, toy_box, n_samples=20, rng_seed=seed)
+    assert pc.omega == brute_force_omega(toy_sites, sample_points(toy_box, 20, seed))
+
+
+def test_estimate_constants_omega_equals_brute_force_on_case30(grid30, true30):
+    plan = partition_sites(grid30, 3)
+    sites = build_nlls_sites(grid30, plan, generate_measurements(grid30, true30, plan, 1e-4, 0))
+    n, slack = grid30.n_buses, grid30.slack_bus
+    box = make_box(n)
+    degree = np.bincount(
+        [end for br in grid30.branches for end in (br.from_bus, br.to_bus)], minlength=n
+    )
+    leaf = next(k for k in range(n) if degree[k] == 1 and k != slack)
+
+    def leaf_only(theta_leaf):
+        # only the leaf bus is energized, so the Jacobian depends on the
+        # leaf angle through its neighbour's magnitude column alone
+        x = np.zeros(2 * n - 1)
+        x[n - 1 + leaf] = 6.0
+        x[leaf - (leaf > slack)] = theta_leaf
+        return x
+
+    x_ref = state_to_vector(true30, slack)
+    tight_a, tight_b = leaf_only(0.0), leaf_only(0.7)
+
+    def stacked_jacobian(x):
+        return np.vstack([s.eval_jacobian(x) for s in sites])
+
+    diff = stacked_jacobian(tight_a) - stacked_jacobian(tight_b)
+    assert np.linalg.matrix_rank(diff) == 1
+    tight_ratio = float(np.linalg.norm(diff, 2)) / float(np.linalg.norm(tight_a - tight_b))
+
+    extra = [x_ref, x_ref.copy(), tight_a, tight_b]
+    with pytest.warns(UserWarning, match="rank deficient"):
+        pc = estimate_constants(sites, box, n_samples=10, rng_seed=3, extra_points=extra)
+    oracle = brute_force_omega(sites, sample_points(box, 10, 3, extra))
+    assert pc.omega == oracle
+    # the rank-one pair, where the pruning bound is tight, sets omega
+    assert oracle == tight_ratio
+
+
+_entries = st.integers(-10**6, 10**6).map(lambda k: k / 1000.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 12)), elements=_entries))
+def test_spectral_bound_majorizes_norm(d):
+    assert np.linalg.norm(d, 2) <= _spectral_bound(d) * (1.0 + 1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrays(np.float64, st.integers(1, 30), elements=_entries),
+       arrays(np.float64, st.integers(1, 12), elements=_entries))
+def test_spectral_bound_majorizes_norm_rank_one(u, v):
+    d = np.outer(u, v)
+    assert np.linalg.norm(d, 2) <= _spectral_bound(d) * (1.0 + 1e-9)

@@ -275,6 +275,28 @@ def test_cli_exit_case_error(tmp_path, capsys):
     assert "case error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("0.01 0.1 0.02", "0.01 nan 0.02"),
+        ("0.01 0.1 0.02", "0.01 inf 0.02"),
+        ("2 1 21.7", "2 1 nan"),
+        ("50 -40 1.0 100", "50 -40 0 100"),
+    ],
+    ids=["x_nan", "x_inf", "pd_nan", "vg_zero"],
+)
+def test_cli_exit_case_error_on_bad_numbers(tmp_path, capsys, old, new):
+    assert old in CASE2_TEXT
+    case_path = tmp_path / "bad.m"
+    case_path.write_text(CASE2_TEXT.replace(old, new))
+    path = write_config(
+        tmp_path / "c.yaml",
+        tiny_mapping(case_path=str(case_path), output_dir=str(tmp_path / "o")),
+    )
+    assert main(["run", path]) == 3
+    assert "case error" in capsys.readouterr().err
+
+
 def test_cli_exit_unsupported(tmp_path, capsys):
     shifted = CASE2_TEXT.replace("130 0 0 1 -360", "130 0 30 1 -360")
     assert shifted != CASE2_TEXT

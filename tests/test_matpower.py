@@ -108,6 +108,33 @@ def test_parse_error_carries_line_number():
     assert "line 12:" in str(exc.value)
 
 
+NON_FINITE_EDITS = {
+    "x_nan": (("0.01 0.1 0.02", "0.01 nan 0.02"), 12),
+    "x_inf": (("0.01 0.1 0.02", "0.01 inf 0.02"), 12),
+    "pd_nan": (("2 1 21.7", "2 1 nan"), 6),
+    "base_mva_inf": (("mpc.baseMVA = 100;", "mpc.baseMVA = inf;"), 3),
+}
+
+
+@pytest.mark.parametrize("edit", NON_FINITE_EDITS.values(), ids=list(NON_FINITE_EDITS))
+def test_non_finite_numbers_rejected_with_line(edit):
+    (old, new), line_no = edit
+    with pytest.raises(CaseParseError, match="finite") as exc:
+        parse_matpower_text(_edited(old, new))
+    assert exc.value.line_no == line_no
+
+
+def test_unparseable_base_mva_rejected():
+    with pytest.raises(CaseParseError, match="bad baseMVA") as exc:
+        parse_matpower_text(_edited("mpc.baseMVA = 100;", "mpc.baseMVA = 1..0;"))
+    assert exc.value.line_no == 3
+
+
+def test_nonpositive_generator_setpoint_rejected():
+    with pytest.raises(CaseParseError, match="Vg must be positive"):
+        parse_matpower_case(_edited("50 -40 1.0 100", "50 -40 0 100"))
+
+
 def test_ragged_row_rejected():
     text = _edited("12.7 0 0 1 1.0", "12.7 0 0 1 1.0 7 7")
     with pytest.raises(CaseParseError, match="columns"):

@@ -52,6 +52,15 @@ def test_flows_match_complex_oracle(which, grid30, grid2):
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
+def test_cached_model_results_are_read_only(grid30, true30):
+    for evaluate in (full_measurement_vector, full_measurement_jacobian):
+        first = evaluate(grid30, true30)
+        original = first.copy()
+        with pytest.raises(ValueError):
+            first[0] = 1e6
+        assert np.array_equal(evaluate(grid30, true30), original)
+
+
 def test_full_vector_is_injections_then_flows(grid30, true30):
     full = full_measurement_vector(grid30, true30)
     n, n_br = grid30.n_buses, grid30.n_branches
