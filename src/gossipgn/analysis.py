@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemConstants, SiteModel, normal_system
+from .core import ProblemConstants, SiteModel, normal_system, site_terms
 from .errors import InvalidArgumentError
 from .ggn import AgentState, GgnTrajectory
 from .gossip import lambda_eta
@@ -302,8 +302,7 @@ def surrogate_mismatch(
     h_own = []
     hm_own = []
     for site, x in zip(sites, xs):
-        jac = np.asarray(site.eval_jacobian(x), dtype=float)
-        res = np.asarray(site.eval_residual(x), dtype=float)
+        res, jac = site_terms(site, x)
         h_own.append(jac.T @ res)
         hm_own.append(jac.T @ jac)
     h_bar = np.mean(h_own, axis=0)

@@ -130,6 +130,14 @@ def _check_state(sites: list[SiteModel], x: np.ndarray) -> np.ndarray:
     return x
 
 
+def site_terms(site: SiteModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The site's residual g_i(x) and Jacobian G_i(x) as float arrays."""
+    return (
+        np.asarray(site.eval_residual(x), dtype=float),
+        np.asarray(site.eval_jacobian(x), dtype=float),
+    )
+
+
 def normal_system(sites: list[SiteModel], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Assemble A = sum_i G_i^T G_i and b = sum_i G_i^T g_i at x."""
     x = _check_state(sites, x)
@@ -137,8 +145,7 @@ def normal_system(sites: list[SiteModel], x: np.ndarray) -> tuple[np.ndarray, np
     a = np.zeros((n, n))
     b = np.zeros(n)
     for site in sites:
-        jac = np.asarray(site.eval_jacobian(x), dtype=float)
-        res = np.asarray(site.eval_residual(x), dtype=float)
+        res, jac = site_terms(site, x)
         a += jac.T @ jac
         b += jac.T @ res
     return a, b
@@ -177,15 +184,14 @@ def centralized_gn_step(
     return project(x - alpha * d, box)
 
 
+def objective(sites: list[SiteModel], x: np.ndarray) -> float:
+    """sum_i ||g_i(x)||^2, summed over the sites in order."""
+    return float(sum(float(res @ res) for res, _ in (site_terms(s, x) for s in sites)))
+
+
 def stationarity_residual(sites: list[SiteModel], x: np.ndarray) -> float:
     """||G^T(x) g(x)||; zero exactly at first-order stationary points."""
-    x = _check_state(sites, x)
-    acc = np.zeros(x.size)
-    for site in sites:
-        jac = np.asarray(site.eval_jacobian(x), dtype=float)
-        res = np.asarray(site.eval_residual(x), dtype=float)
-        acc += jac.T @ res
-    return float(np.linalg.norm(acc))
+    return float(np.linalg.norm(normal_system(sites, x)[1]))
 
 
 def finite_diff_jacobian(site: SiteModel, x: np.ndarray, h: float) -> np.ndarray:
@@ -273,9 +279,9 @@ def estimate_constants(
         res_norm_sq = 0.0
         blocks = []
         for site in sites:
-            res = np.asarray(site.eval_residual(x), dtype=float)
+            res, jac = site_terms(site, x)
             res_norm_sq += float(res @ res)
-            blocks.append(np.asarray(site.eval_jacobian(x), dtype=float))
+            blocks.append(jac)
         g_norm = float(np.sqrt(res_norm_sq))
         eps_max = max(eps_max, g_norm)
         eps_min_seen = min(eps_min_seen, g_norm)
@@ -315,15 +321,7 @@ def estimate_constants(
         omega = max(omega, dj / dxs[k])
 
     if reference_x is not None:
-        ref = np.asarray(reference_x, dtype=float)
-        eps_min = float(
-            np.sqrt(
-                sum(
-                    float(np.dot(r, r))
-                    for r in (np.asarray(s.eval_residual(ref), dtype=float) for s in sites)
-                )
-            )
-        )
+        eps_min = float(np.sqrt(objective(sites, np.asarray(reference_x, dtype=float))))
     else:
         eps_min = float(eps_min_seen)
 

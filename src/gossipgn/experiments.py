@@ -25,6 +25,7 @@ from .core import (
     centralized_gn_solve,
     centralized_gn_step,
     estimate_constants,
+    objective,
     stationarity_residual,
 )
 from .errors import GossipGnError, InvalidArgumentError
@@ -116,18 +117,6 @@ def _ggn_config(config: ExperimentConfig) -> GgnConfig:
     )
 
 
-def _site_metrics(sites: list[SiteModel], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-agent objective value and gradient-contribution norm at x[i]."""
-    vals = np.empty(len(sites))
-    grads = np.empty(len(sites))
-    for i, site in enumerate(sites):
-        res = np.asarray(site.eval_residual(x[i]), dtype=float)
-        jac = np.asarray(site.eval_jacobian(x[i]), dtype=float)
-        vals[i] = float(res @ res)
-        grads[i] = float(np.linalg.norm(jac.T @ res))
-    return vals, grads
-
-
 def _max_pairwise(stack: np.ndarray) -> float:
     n = stack.shape[0]
     if n < 2:
@@ -143,20 +132,20 @@ def _max_pairwise(stack: np.ndarray) -> float:
 def _rows_from_stacks(
     run_id: str,
     snapshot: int,
-    sites: list[SiteModel],
     iterates: np.ndarray,
+    vals: np.ndarray,
+    grads: np.ndarray,
     exchange_marks: np.ndarray,
     discrepancies: np.ndarray | None,
     true_state: PowerState,
     slack_bus: int,
     x_ref: np.ndarray,
 ) -> list[list]:
-    """One row per (update, agent) from an (K+1, I, N_u) iterate history."""
+    """One row per (update, agent) from (K+1, I, N_u) iterates and (K+1, I) vals/grads."""
     rows = []
     n_steps = iterates.shape[0]
     for k in range(n_steps):
         stack = iterates[k]
-        vals, grads = _site_metrics(sites, stack)
         mse_v, mse_th, _, _ = mse_metrics(stack, true_state, slack_bus)
         disagreement = _max_pairwise(stack)
         err_ref = np.linalg.norm(stack - x_ref, axis=1)
@@ -167,7 +156,7 @@ def _rows_from_stacks(
             rows.append(
                 [
                     run_id, snapshot, k, int(exchange_marks[k]), i,
-                    float(vals[i]), float(grads[i]), float(mse_v[i]), float(mse_th[i]),
+                    float(vals[k][i]), float(grads[k][i]), float(mse_v[i]), float(mse_th[i]),
                     disagreement, disc, float(err_ref[i]),
                 ]
             )
@@ -177,16 +166,25 @@ def _rows_from_stacks(
 def _centralized_trajectory(
     sites: list[SiteModel], box: BoxSet, x0: np.ndarray, alpha: float,
     max_updates: int, stop_tol: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K+1, 1, N_u) iterates, with network totals of val and grad at each."""
+    iterates, vals, grads = [], [], []
+
+    def record(x):
+        # evaluated before the step at x, which then reuses the sites' memo
+        iterates.append(x.copy())
+        vals.append([objective(sites, x)])
+        grads.append([stationarity_residual(sites, x)])
+
     x = np.asarray(x0, dtype=float)
-    iterates = [x.copy()]
+    record(x)
     for _ in range(max_updates):
         x_new = centralized_gn_step(sites, x, alpha, box)
-        iterates.append(x_new.copy())
+        record(x_new)
         if float(np.linalg.norm(x_new - x)) <= stop_tol:
             break
         x = x_new
-    return np.stack(iterates)[:, None, :]  # (K+1, 1, N_u)
+    return np.stack(iterates)[:, None, :], np.asarray(vals), np.asarray(grads)
 
 
 @dataclass
@@ -250,13 +248,13 @@ def _run_one_repetition(
         stationarities.append(stat)
 
         if config.algorithm == "centralized":
-            iterates = _centralized_trajectory(
+            iterates, vals, grads = _centralized_trajectory(
                 sites, problem.box, x_start,
                 config.alpha, config.max_updates, config.stop_tol,
             )
             marks = exchange_offset + np.zeros(iterates.shape[0], dtype=int)
             rows += _rows_from_stacks(
-                run_id, t, sites, iterates, marks, None,
+                run_id, t, iterates, vals, grads, marks, None,
                 problem.true_state, slack, x_ref,
             )
             trajectories.append(iterates)
@@ -271,7 +269,7 @@ def _run_one_repetition(
                 [[0], np.cumsum(traj.exchange_counts)]
             )
             rows += _rows_from_stacks(
-                run_id, t, sites, traj.iterates, marks, traj.discrepancies,
+                run_id, t, traj.iterates, traj.vals, traj.grads, marks, traj.discrepancies,
                 problem.true_state, slack, x_ref,
             )
             trajectories.append(traj)
@@ -291,7 +289,7 @@ def _run_one_repetition(
             )
             marks = exchange_offset + np.arange(traj.iterates.shape[0])
             rows += _rows_from_stacks(
-                run_id, t, sites, traj.iterates, marks, None,
+                run_id, t, traj.iterates, traj.vals, traj.grads, marks, None,
                 problem.true_state, slack, x_ref,
             )
             trajectories.append(traj)

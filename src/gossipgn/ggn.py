@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoxSet, SiteModel, exact_descent, project, solve_normal
+from .core import BoxSet, SiteModel, exact_descent, project, site_terms, solve_normal
 from .errors import InvalidArgumentError, SingularSystemError
 from .gossip import (
     GossipConfig,
@@ -135,11 +135,10 @@ def _start_stack(x0: np.ndarray, n_agents: int, box: BoxSet) -> np.ndarray:
     return np.stack([project(row, box) for row in x0])
 
 
-def local_init_info(site: SiteModel, x: np.ndarray) -> InfoVector:
-    """Initial info pair at the agent's own iterate."""
-    jac = np.asarray(site.eval_jacobian(x), dtype=float)
-    res = np.asarray(site.eval_residual(x), dtype=float)
-    return InfoVector(h=jac.T @ res, H=jac.T @ jac)
+def local_init_info(site: SiteModel, x: np.ndarray) -> tuple[InfoVector, float]:
+    """Initial info pair at the agent's own iterate, and its value ||g_i||^2."""
+    res, jac = site_terms(site, x)
+    return InfoVector(h=jac.T @ res, H=jac.T @ jac), float(res @ res)
 
 
 def _effective_ridge(hm: np.ndarray, ridge: float) -> float:
@@ -215,7 +214,8 @@ class GgnTrajectory:
     """Everything a run produced, indexed by update k.
 
     iterates[k] is the (I x N_u) stack BEFORE update k; iterates[-1] is the
-    final stack. gossip_err_vec[k][l] is the stacked deviation norm of the
+    final stack; vals and grads hold ||g_i||^2 and ||G_i^T g_i|| at each
+    iterates[k][i]. gossip_err_vec[k][l] is the stacked deviation norm of the
     h-parts from their conserved mean after l exchanges (index 0 = before
     any exchange); gossip_err_mat likewise for the H-parts in Frobenius
     norm. mean_drift_max certifies conservation: the largest deviation of
@@ -225,6 +225,8 @@ class GgnTrajectory:
     alpha: float
     ridge: float
     iterates: np.ndarray
+    vals: np.ndarray
+    grads: np.ndarray
     descents: np.ndarray
     step_norms: np.ndarray
     discrepancies: np.ndarray | None
@@ -292,6 +294,7 @@ def ggn_run(
 
     agents = [AgentState(agent_id=i, x=x0_stack[i].copy()) for i in range(n_agents)]
     iterates = [x0_stack.copy()]
+    vals, grads = [], []
     descents = []
     step_norms = []
     discrepancies = [] if ggn_config.track_discrepancy else None
@@ -301,12 +304,18 @@ def ggn_run(
     union_connected = []
     mean_drift_max = 0.0
     eta_observed = np.inf
+    early_stopped = False
+
+    def init_infos() -> tuple[InfoVector, ...]:
+        # records val and grad at the agents' current iterates
+        infos, vals_now = zip(*(local_init_info(s, a.x) for s, a in zip(sites, agents)))
+        vals.append(vals_now)
+        grads.append([float(np.linalg.norm(info.h)) for info in infos])
+        return infos
 
     for k in range(ggn_config.max_updates):
         ell_k = ggn_config.schedule.exchanges_at(k)
-        payloads = np.stack(
-            [local_init_info(site, agent.x).to_payload() for site, agent in zip(sites, agents)]
-        )
+        payloads = np.stack([info.to_payload() for info in init_infos()])
         ev0, em0, mean0 = _stacked_errors(payloads, n_u)
         err_vec_k = [ev0]
         err_mat_k = [em0]
@@ -358,29 +367,16 @@ def ggn_run(
         gossip_err_mat.append(np.array(err_mat_k))
 
         if float(steps.max()) <= ggn_config.stop_tol:
-            early = k + 1 < ggn_config.max_updates
-            return _finish(
-                ggn_config, iterates, descents, step_norms, discrepancies,
-                exchange_counts, gossip_err_vec, gossip_err_mat, mean_drift_max,
-                eta_observed, union_connected, early,
-            )
+            early_stopped = k + 1 < ggn_config.max_updates
+            break
 
-    return _finish(
-        ggn_config, iterates, descents, step_norms, discrepancies, exchange_counts,
-        gossip_err_vec, gossip_err_mat, mean_drift_max, eta_observed,
-        union_connected, False,
-    )
-
-
-def _finish(
-    ggn_config, iterates, descents, step_norms, discrepancies, exchange_counts,
-    gossip_err_vec, gossip_err_mat, mean_drift_max, eta_observed, union_connected,
-    early_stopped,
-) -> GgnTrajectory:
+    init_infos()
     return GgnTrajectory(
         alpha=ggn_config.alpha,
         ridge=ggn_config.ridge,
         iterates=np.stack(iterates),
+        vals=np.asarray(vals),
+        grads=np.asarray(grads),
         descents=np.stack(descents),
         step_norms=np.stack(step_norms),
         discrepancies=np.stack(discrepancies) if discrepancies is not None else None,
@@ -396,9 +392,11 @@ def _finish(
 
 @dataclass
 class DiffusionTrajectory:
-    """Per-exchange iterate history of the diffusion baseline."""
+    """Per-exchange iterates of the diffusion baseline; vals/grads as in GgnTrajectory."""
 
     iterates: np.ndarray
+    vals: np.ndarray
+    grads: np.ndarray
     step_sizes: np.ndarray
     eta_observed: float
 
@@ -453,8 +451,18 @@ def diffusion_baseline_run(
 
     x = _start_stack(x0, n_agents, box)
     iterates = [x.copy()]
+    vals, grads = [], []
     steps = []
     eta_observed = np.inf
+
+    def gradients(x: np.ndarray) -> np.ndarray:
+        # G_i^T(x_i) g_i(x_i) per agent; records val and grad at x
+        terms = [site_terms(site, x[i]) for i, site in enumerate(sites)]
+        stack = np.stack([jac.T @ res for res, jac in terms])
+        vals.append([float(res @ res) for res, _ in terms])
+        grads.append([float(np.linalg.norm(g)) for g in stack])
+        return stack
+
     for ell in range(1, total_exchanges + 1):
         alpha_ell = float(step_schedule(ell))
         if alpha_ell < 0.0:
@@ -464,19 +472,15 @@ def diffusion_baseline_run(
         )
         eta_observed = min(eta_observed, weights.eta)
         mixed = weights.entries @ x
-        grads = np.stack(
-            [
-                np.asarray(site.eval_jacobian(x[i]), dtype=float).T
-                @ np.asarray(site.eval_residual(x[i]), dtype=float)
-                for i, site in enumerate(sites)
-            ]
-        )
-        x = np.clip(mixed - alpha_ell * grads, box.lower, box.upper)
+        x = np.clip(mixed - alpha_ell * gradients(x), box.lower, box.upper)
         iterates.append(x.copy())
         steps.append(alpha_ell)
 
+    gradients(x)
     return DiffusionTrajectory(
         iterates=np.stack(iterates),
+        vals=np.asarray(vals),
+        grads=np.asarray(grads),
         step_sizes=np.asarray(steps),
         eta_observed=float(eta_observed),
     )

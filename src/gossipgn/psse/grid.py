@@ -47,7 +47,6 @@ class GridModel:
     gen_v_setpoint: np.ndarray   # nan where no generator
     gen_p: np.ndarray        # per-unit active injection from generators
     ybus: np.ndarray = field(repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.n_buses < 2:
@@ -85,18 +84,6 @@ class GridModel:
     @property
     def n_unknowns(self) -> int:
         return 2 * self.n_buses - 1
-
-    def cache_lookup(self, key):
-        return self._cache.get(key)
-
-    def cache_store(self, key, value, cap: int = 64):
-        if len(self._cache) >= cap:
-            # drop the oldest half; insertion order is iteration order
-            for old in list(self._cache.keys())[: cap // 2]:
-                del self._cache[old]
-        # read-only, so a caller writing into a result cannot corrupt later hits
-        value.setflags(write=False)
-        self._cache[key] = value
 
 
 def build_grid_model(case: MatpowerCase) -> GridModel:
@@ -314,16 +301,22 @@ def load_true_state(path: str | Path, n_buses: int) -> PowerState:
     v = np.full(n_buses, np.nan)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    for row in rows:
+    for line_no, row in enumerate(rows, start=1):
         if not row or row[0].strip().lower() == "bus":
             continue
         if len(row) < 3:
             raise InvalidArgumentError(f"true-state row needs 3 fields: {row!r}")
-        idx = int(float(row[0])) - 1
+        try:
+            fields = [float(f) for f in row[:3]]
+        except ValueError:
+            fields = [np.nan]  # reported as not finite below
+        if not np.all(np.isfinite(fields)):
+            msg = f"true-state line {line_no}: bus, theta and v must be finite numbers"
+            raise InvalidArgumentError(f"{msg}, got {row[:3]!r}")
+        idx = int(fields[0]) - 1
         if not 0 <= idx < n_buses:
             raise InvalidArgumentError(f"true-state bus id {row[0]} out of range")
-        theta[idx] = float(row[1])
-        v[idx] = float(row[2])
+        theta[idx], v[idx] = fields[1], fields[2]
     if np.any(np.isnan(theta)) or np.any(np.isnan(v)):
         raise InvalidArgumentError("true-state file does not cover every bus")
     return PowerState(theta=theta, v=v)

@@ -87,13 +87,8 @@ def line_flows(grid: GridModel, state: PowerState) -> np.ndarray:
 
 
 def full_measurement_vector(grid: GridModel, state: PowerState) -> np.ndarray:
-    key = ("f", state.theta.tobytes(), state.v.tobytes())
-    hit = grid.cache_lookup(key)
-    if hit is not None:
-        return hit
-    value = np.concatenate([power_injections(grid, state), line_flows(grid, state)])
-    grid.cache_store(key, value)
-    return value
+    """f for the full measurement vector: injections, then flows."""
+    return np.concatenate([power_injections(grid, state), line_flows(grid, state)])
 
 
 def _branch_flow_derivatives(grid: GridModel, state: PowerState):
@@ -131,10 +126,6 @@ def _branch_flow_derivatives(grid: GridModel, state: PowerState):
 
 def full_measurement_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
     """d(f)/d(unknowns) for the full measurement vector, M x (2N - 1)."""
-    key = ("J", state.theta.tobytes(), state.v.tobytes())
-    hit = grid.cache_lookup(key)
-    if hit is not None:
-        return hit
     n, n_br = grid.n_buses, grid.n_branches
     v_c = state.complex_voltages()
     ds_dva, ds_dvm = complex_injection_derivatives(
@@ -163,9 +154,7 @@ def full_measurement_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
         dvm[base + 1 : base + 2 * n_br : 2] = dst_dvm.imag
 
     keep = np.arange(n) != grid.slack_bus
-    jac = np.concatenate([dva[:, keep], dvm], axis=1)
-    grid.cache_store(key, jac)
-    return jac
+    return np.concatenate([dva[:, keep], dvm], axis=1)
 
 
 @dataclass(frozen=True)
@@ -319,10 +308,26 @@ def streaming_snapshots(
 def build_nlls_sites(
     grid: GridModel, plan: MeasurementPlan, measurements: MeasurementSet
 ) -> list[SiteModel]:
-    """Wrap each site's residual z_i - f_i(x) and Jacobian as a SiteModel."""
+    """Wrap each site's residual z_i - f_i(x) and Jacobian as a SiteModel.
+
+    The sites share a memo of f and J at the last x, so every site at one x
+    costs one model evaluation; only row-sliced copies leave the memo."""
     if len(measurements.site_values) != plan.n_sites:
         raise InvalidArgumentError("measurement set does not match the plan")
     n, slack = grid.n_buses, grid.slack_bus
+    memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+    def model_at(x):
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in memo:
+            state = vector_to_state(x, n, slack)
+            memo.clear()
+            memo[key] = (
+                full_measurement_vector(grid, state),
+                full_measurement_jacobian(grid, state),
+            )
+        return memo[key]
+
     sites = []
     for i in range(plan.n_sites):
         z_i = measurements.site_values[i]
@@ -331,12 +336,10 @@ def build_nlls_sites(
             raise InvalidArgumentError(f"site {i}: {z_i.size} values for {rows.size} rows")
 
         def residual(x, z_i=z_i, rows=rows):
-            state = vector_to_state(x, n, slack)
-            return z_i - full_measurement_vector(grid, state)[rows]
+            return z_i - model_at(x)[0][rows]
 
         def jacobian(x, rows=rows):
-            state = vector_to_state(x, n, slack)
-            return -full_measurement_jacobian(grid, state)[rows]
+            return -model_at(x)[1][rows]
 
         sites.append(
             SiteModel(

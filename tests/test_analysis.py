@@ -218,7 +218,7 @@ def test_surrogate_mismatch_identical_iterates():
     sites, _ = _linear_sites()
     x = np.array([0.3, -0.2])
     agents = [
-        AgentState(agent_id=i, x=x.copy(), info=local_init_info(s, x))
+        AgentState(agent_id=i, x=x.copy(), info=local_init_info(s, x)[0])
         for i, s in enumerate(sites)
     ]
     sm = surrogate_mismatch(sites, agents)
@@ -231,8 +231,8 @@ def test_surrogate_mismatch_linear_closed_form():
     x1 = np.array([0.5, 0.0])
     x2 = np.array([-0.5, 1.0])
     agents = [
-        AgentState(agent_id=0, x=x1, info=local_init_info(sites[0], x1)),
-        AgentState(agent_id=1, x=x2, info=local_init_info(sites[1], x2)),
+        AgentState(agent_id=0, x=x1, info=local_init_info(sites[0], x1)[0]),
+        AgentState(agent_id=1, x=x2, info=local_init_info(sites[1], x2)[0]),
     ]
     sm = surrogate_mismatch(sites, agents)
     a2 = sites[1].eval_jacobian(x1)
@@ -260,7 +260,7 @@ def test_surrogate_mismatch_bounds_hold_on_run(toy_sites, toy_box):
     for k in (0, traj.n_updates - 1):
         stack = traj.iterates[k]
         agents = [
-            AgentState(agent_id=i, x=stack[i], info=local_init_info(s, stack[i]))
+            AgentState(agent_id=i, x=stack[i], info=local_init_info(s, stack[i])[0])
             for i, s in enumerate(toy_sites)
         ]
         sm = surrogate_mismatch(toy_sites, agents, pc=pc)

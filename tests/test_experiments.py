@@ -184,6 +184,34 @@ def test_centralized_algorithm_runs(tmp_path):
     assert agents == {"0"}
 
 
+def test_centralized_rows_carry_network_totals(tmp_path):
+    cfg = config_from_mapping(
+        tiny_mapping(
+            case_path="case30", algorithm="centralized", sites=3, repetitions=1,
+            max_updates=4, output_dir=str(tmp_path / "c"),
+        )
+    )
+    result = run_experiment(cfg, with_certificate=False)
+    rep = result.repetitions[0]
+    sites = rep.sites_per_snapshot[0]
+    iterates = rep.trajectories[0]
+    with open(result.rep_csv_paths[0], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["update"]) for r in rows] == list(range(iterates.shape[0]))
+    assert {r["agent"] for r in rows} == {"0"}
+    for row, stack in zip(rows, iterates):
+        x = stack[0]
+        val = 0.0
+        grad = np.zeros(x.size)
+        for site in sites:
+            res = np.asarray(site.eval_residual(x), dtype=float)
+            jac = np.asarray(site.eval_jacobian(x), dtype=float)
+            val += float(res @ res)
+            grad += jac.T @ res
+        assert float(row["val"]) == val
+        assert float(row["grad_contrib"]) == float(np.linalg.norm(grad))
+
+
 # --- failure sweep and comparison ---------------------------------------------
 
 
@@ -295,6 +323,20 @@ def test_cli_exit_case_error_on_bad_numbers(tmp_path, capsys, old, new):
     )
     assert main(["run", path]) == 3
     assert "case error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+def test_cli_exit_bad_true_state(tmp_path, capsys, bad):
+    truth = tmp_path / "truth.csv"
+    truth.write_text(f"bus,theta,v\n1,0.0,1.0\n2,{bad},0.98\n")
+    path = write_config(
+        tmp_path / "c.yaml",
+        tiny_mapping(true_state_path=str(truth), output_dir=str(tmp_path / "o")),
+    )
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert "true-state line 3" in err
+    assert "Traceback" not in err
 
 
 def test_cli_exit_unsupported(tmp_path, capsys):

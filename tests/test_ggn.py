@@ -19,6 +19,14 @@ from gossipgn.ggn import (
 )
 from gossipgn.gossip import GossipConfig, Topology
 
+from gossipgn.psse import (
+    build_nlls_sites,
+    flat_start_vector,
+    generate_measurements,
+    make_box,
+    partition_sites,
+)
+
 from conftest import make_toy_sites
 
 
@@ -26,6 +34,32 @@ def _toy_setup(n_sites=3, seed=0):
     sites = make_toy_sites(n_sites=n_sites, seed=seed)
     box = BoxSet.cube(3, 10.0)
     return sites, box, np.zeros(3)
+
+
+def _psse_setup(grid, true_state, n_sites=3):
+    plan = partition_sites(grid, n_sites)
+    meas = generate_measurements(grid, true_state, plan, sigma2=1e-4, rng_seed=2)
+    return build_nlls_sites(grid, plan, meas), make_box(grid.n_buses), flat_start_vector(grid)
+
+
+def _site_metrics(sites, x):
+    """Oracle: per-agent objective value and gradient norm, evaluated fresh at x[i]."""
+    vals = np.empty(len(sites))
+    grads = np.empty(len(sites))
+    for i, site in enumerate(sites):
+        res = np.asarray(site.eval_residual(x[i]), dtype=float)
+        jac = np.asarray(site.eval_jacobian(x[i]), dtype=float)
+        vals[i] = float(res @ res)
+        grads[i] = float(np.linalg.norm(jac.T @ res))
+    return vals, grads
+
+
+def _assert_recorded_metrics(sites, traj):
+    assert traj.vals.shape == traj.grads.shape == traj.iterates.shape[:2]
+    for k, stack in enumerate(traj.iterates):
+        vals, grads = _site_metrics(sites, stack)
+        assert np.array_equal(traj.vals[k], vals)
+        assert np.array_equal(traj.grads[k], grads)
 
 
 def test_info_vector_payload_roundtrip():
@@ -61,11 +95,12 @@ def test_exchange_schedule():
 def test_local_init_info_matches_normal_blocks():
     sites, _, _ = _toy_setup()
     x = np.array([0.4, -0.1, 0.2])
-    info = local_init_info(sites[0], x)
+    info, val = local_init_info(sites[0], x)
     j = sites[0].eval_jacobian(x)
     r = sites[0].eval_residual(x)
     assert np.allclose(info.h, j.T @ r, atol=1e-14)
     assert np.allclose(info.H, j.T @ j, atol=1e-14)
+    assert val == float(r @ r)
 
 
 def test_surrogate_descent_ridge_scaling():
@@ -88,7 +123,7 @@ def test_surrogate_descent_zero_information_stays_put():
 def test_local_update_projects():
     sites, _, _ = _toy_setup()
     x = np.zeros(3)
-    info = local_init_info(sites[0], x)
+    info, _ = local_init_info(sites[0], x)
     # site Jacobian is 4x3 full column rank, so the descent is well posed
     tight = BoxSet.cube(3, 1e-3)
     agent = AgentState(agent_id=0, x=x, info=info)
@@ -100,7 +135,7 @@ def test_local_update_projects():
 def test_perfect_mixing_discrepancy_vanishes():
     sites, box, x0 = _toy_setup(n_sites=4)
     agents = []
-    infos = [local_init_info(s, x0) for s in sites]
+    infos = [local_init_info(s, x0)[0] for s in sites]
     mean_h = np.mean([i.h for i in infos], axis=0)
     mean_hm = np.mean([i.H for i in infos], axis=0)
     for i in range(4):
@@ -145,6 +180,28 @@ def test_ggn_run_early_stop():
     assert traj.early_stopped
     assert traj.n_updates < 50
     assert float(np.max(traj.step_norms[-1])) <= 1e-10
+
+
+@pytest.mark.parametrize("stop_tol", [1e-15, 1e-6], ids=["full", "early_stopped"])
+def test_ggn_run_records_site_metrics(grid30, true30, stop_tol):
+    sites, box, x0 = _psse_setup(grid30, true30)
+    gc = GossipConfig(protocol="cse", n_agents=3, beta=0.4, topology=Topology.full(3))
+    cfg = GgnConfig(
+        alpha=1.0, schedule=ExchangeSchedule(kind="incrementing", base=3),
+        max_updates=12, stop_tol=stop_tol, ridge=0.0,
+    )
+    traj = ggn_run(sites, box, gc, cfg, x0)
+    assert traj.early_stopped == (stop_tol == 1e-6)
+    _assert_recorded_metrics(sites, traj)
+
+
+def test_diffusion_run_records_site_metrics(grid30, true30):
+    sites, box, x0 = _psse_setup(grid30, true30)
+    gc = GossipConfig(protocol="ure", n_agents=3, beta=0.5, topology=Topology.full(3))
+    traj = diffusion_baseline_run(
+        sites, box, gc, diminishing_steps(0.3), 25, x0, rng=np.random.default_rng(4)
+    )
+    _assert_recorded_metrics(sites, traj)
 
 
 def test_single_agent_reduces_to_centralized():
