@@ -175,38 +175,23 @@ def local_update(agent: AgentState, alpha: float, box: BoxSet, ridge: float) -> 
     return AgentState(agent_id=agent.agent_id, x=x_new, info=agent.info, last_descent=d)
 
 
-def descent_discrepancy(
-    sites: list[SiteModel],
-    agents: list[AgentState],
-    box: BoxSet,
-    ridge: float,
-    strict: bool = True,
-) -> np.ndarray:
-    """Per-agent ||d_i(gossiped) - d_i(exact at x_i)||.
+def descent_discrepancy(mixed: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """Per-agent ||d_i(gossiped) - d_i(exact at x_i)|| from two (I, N_u) stacks.
 
     The exact direction re-solves the full normal equations at that agent's
-    own iterate, so the result isolates the gossip-induced error. With
-    strict=False a singular full system at some agent's iterate (possible at
-    degenerate box corners) yields NaN for that agent instead of raising;
-    the run trackers use this so instrumentation cannot kill a run the
-    algorithm itself survives.
+    own iterate, so the result isolates the gossip-induced error. A NaN row
+    of `exact` (the full system was singular at that iterate, possible at
+    degenerate box corners) yields NaN for that agent, so instrumentation
+    cannot kill a run the algorithm itself survives.
     """
-    out = np.empty(len(agents))
-    for idx, agent in enumerate(agents):
-        if agent.info is None:
-            raise InvalidArgumentError(f"agent {agent.agent_id} has no info vector")
-        if not box.contains(agent.x, tol=1e-9):
-            raise InvalidArgumentError(f"agent {agent.agent_id} iterate left the box")
-        try:
-            d_mixed = surrogate_descent(agent.info, ridge, context=f"agent {agent.agent_id}")
-            d_exact = exact_descent(sites, agent.x)
-        except SingularSystemError:
-            if strict:
-                raise
-            out[idx] = np.nan
-            continue
-        out[idx] = float(np.linalg.norm(d_mixed - d_exact))
-    return out
+    return np.array([float(np.linalg.norm(dm - de)) for dm, de in zip(mixed, exact)])
+
+
+def _exact_or_nan(sites: list[SiteModel], x: np.ndarray) -> np.ndarray:
+    try:
+        return exact_descent(sites, x)
+    except SingularSystemError:
+        return np.full(x.size, np.nan)
 
 
 @dataclass
@@ -216,10 +201,11 @@ class GgnTrajectory:
     iterates[k] is the (I x N_u) stack BEFORE update k; iterates[-1] is the
     final stack; vals and grads hold ||g_i||^2 and ||G_i^T g_i|| at each
     iterates[k][i]. gossip_err_vec[k][l] is the stacked deviation norm of the
-    h-parts from their conserved mean after l exchanges (index 0 = before
-    any exchange); gossip_err_mat likewise for the H-parts in Frobenius
-    norm. mean_drift_max certifies conservation: the largest deviation of
-    the payload mean from its initial value seen at any exchange.
+    h-parts after l exchanges (index 0 = before any exchange), measured from
+    mean0, their mean at the start of update k, which mixing conserves;
+    gossip_err_mat likewise for the H-parts in Frobenius norm.
+    mean_drift_max certifies conservation: the largest deviation of the
+    payload mean from mean0 seen at any exchange.
     """
 
     alpha: float
@@ -251,13 +237,11 @@ class GgnTrajectory:
         return np.cumsum(self.exchange_counts)
 
 
-def _stacked_errors(payloads: np.ndarray, n_u: int) -> tuple[float, float, np.ndarray]:
-    """Deviation norms of h and H parts from the across-agent mean."""
-    mean = payloads.mean(axis=0)
-    dev = payloads - mean
-    err_vec = float(np.linalg.norm(dev[:, :n_u]))
-    err_mat = float(np.linalg.norm(dev[:, n_u:]))
-    return err_vec, err_mat, mean
+def _squared_deviations(payloads: np.ndarray, mean0: np.ndarray, n_u: int) -> np.ndarray:
+    """Per-row squared deviation norms from mean0 of the h-part and H-part, (rows, 2)."""
+    dev = payloads - mean0
+    dev *= dev
+    return np.stack([dev[:, :n_u].sum(axis=1), dev[:, n_u:].sum(axis=1)], axis=1)
 
 
 def ggn_run(
@@ -306,38 +290,49 @@ def ggn_run(
     eta_observed = np.inf
     early_stopped = False
 
-    def init_infos() -> tuple[InfoVector, ...]:
-        # records val and grad at the agents' current iterates
-        infos, vals_now = zip(*(local_init_info(s, a.x) for s, a in zip(sites, agents)))
+    def init_step(with_exact: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        # Payload stack at the agents' current iterates; records val and grad
+        # there. Each exact direction is solved right after the agent's info
+        # pair, while the sites' one-iterate memo still holds x_i.
+        infos, vals_now, exact = [], [], []
+        for site, agent in zip(sites, agents):
+            info, val = local_init_info(site, agent.x)
+            infos.append(info)
+            vals_now.append(val)
+            if with_exact:
+                exact.append(_exact_or_nan(sites, agent.x))
         vals.append(vals_now)
         grads.append([float(np.linalg.norm(info.h)) for info in infos])
-        return infos
+        payloads = np.stack([info.to_payload() for info in infos])
+        return payloads, np.stack(exact) if with_exact else None
 
     for k in range(ggn_config.max_updates):
         ell_k = ggn_config.schedule.exchanges_at(k)
-        payloads = np.stack([info.to_payload() for info in init_infos()])
-        ev0, em0, mean0 = _stacked_errors(payloads, n_u)
-        err_vec_k = [ev0]
-        err_mat_k = [em0]
+        payloads, exact = init_step(discrepancies is not None)
+        mean0 = payloads.mean(axis=0)
+        # per-agent squared deviations from mean0 and the running change of
+        # the payload sum; a round updates only the rows it changed
+        sq_dev = _squared_deviations(payloads, mean0, n_u)
+        sum_shift = np.zeros_like(mean0)
+        errs_k = [np.sqrt(sq_dev.sum(axis=0))]
 
         used_edges: set[tuple[int, int]] = set()
         for _ in range(ell_k):
-            if static_weights is not None:
-                weights = static_weights
-            else:
-                weights = sample_ure_round(gossip_config, rng)
-                off = weights.entries - np.diag(np.diag(weights.entries))
-                for i, j in np.argwhere(off > 0.0):
-                    if i < j:
-                        used_edges.add((int(i), int(j)))
+            weights = static_weights if static_weights is not None else sample_ure_round(
+                gossip_config, rng
+            )
             eta_observed = min(eta_observed, weights.eta)
+            rows = slice(None) if weights.pair is None else list(weights.pair)
+            if weights.pair:
+                used_edges.add((min(rows), max(rows)))
+            before = payloads[rows].sum(axis=0)
             payloads = gossip_round(payloads, weights)
-            ev, em, mean_now = _stacked_errors(payloads, n_u)
-            err_vec_k.append(ev)
-            err_mat_k.append(em)
-            mean_drift_max = max(mean_drift_max, float(np.max(np.abs(mean_now - mean0))))
+            mixed = payloads[rows]
+            sum_shift += mixed.sum(axis=0) - before
+            sq_dev[rows] = _squared_deviations(mixed, mean0, n_u)
+            errs_k.append(np.sqrt(sq_dev.sum(axis=0)))
+            mean_drift_max = max(mean_drift_max, float(np.max(np.abs(sum_shift))) / n_agents)
         if static_weights is not None:
-            eta_observed = min(eta_observed, static_weights.eta)
             union_connected.append(topo_connected)
         else:
             union_connected.append(
@@ -346,31 +341,29 @@ def ggn_run(
 
         for i, agent in enumerate(agents):
             agent.info = InfoVector.from_payload(payloads[i], n_u)
-
-        if discrepancies is not None:
-            discrepancies.append(
-                descent_discrepancy(sites, agents, box, ggn_config.ridge, strict=False)
-            )
-
         new_agents = [
             local_update(agent, ggn_config.alpha, box, ggn_config.ridge) for agent in agents
         ]
+        descent_stack = np.stack([a.last_descent for a in new_agents])
+        if discrepancies is not None:
+            discrepancies.append(descent_discrepancy(descent_stack, exact))
         steps = np.array(
             [float(np.linalg.norm(na.x - a.x)) for na, a in zip(new_agents, agents)]
         )
         agents = new_agents
         iterates.append(np.stack([a.x for a in agents]))
-        descents.append(np.stack([a.last_descent for a in agents]))
+        descents.append(descent_stack)
         step_norms.append(steps)
         exchange_counts.append(ell_k)
-        gossip_err_vec.append(np.array(err_vec_k))
-        gossip_err_mat.append(np.array(err_mat_k))
+        errs_k = np.array(errs_k)
+        gossip_err_vec.append(errs_k[:, 0])
+        gossip_err_mat.append(errs_k[:, 1])
 
         if float(steps.max()) <= ggn_config.stop_tol:
             early_stopped = k + 1 < ggn_config.max_updates
             break
 
-    init_infos()
+    init_step(False)
     return GgnTrajectory(
         alpha=ggn_config.alpha,
         ridge=ggn_config.ridge,
@@ -471,7 +464,7 @@ def diffusion_baseline_run(
             gossip_config, rng
         )
         eta_observed = min(eta_observed, weights.eta)
-        mixed = weights.entries @ x
+        mixed = gossip_round(x, weights)
         x = np.clip(mixed - alpha_ell * gradients(x), box.lower, box.upper)
         iterates.append(x.copy())
         steps.append(alpha_ell)

@@ -91,16 +91,24 @@ class WeightMatrix:
     """Symmetric doubly stochastic mixing matrix for one exchange round.
 
     eta is the smallest nonzero entry; it feeds the geometric consensus-rate
-    bound (lambda_eta below).
+    bound (lambda_eta below). pair lists the agents whose rows differ from
+    the identity: the two agents of a pairwise round, or () for a round that
+    mixes no one (a failed link). It is None for a matrix that gossip_round
+    applies densely (CSE).
     """
 
     entries: np.ndarray
     eta: float
+    pair: tuple[int, ...] | None = None
 
     def __post_init__(self):
         w = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", w)
         check_weight_matrix(w)
+        if self.pair is not None:
+            mixing = np.flatnonzero(np.any(w != np.eye(w.shape[0]), axis=1)).tolist()
+            if len(self.pair) > 2 or sorted(set(self.pair)) != mixing:
+                raise InvalidArgumentError(f"pair {self.pair} is not the set of rows that mix")
 
     @property
     def n_agents(self) -> int:
@@ -213,7 +221,7 @@ def pairwise_weights(n_agents: int, i: int, j: int, beta: float) -> WeightMatrix
     entries = np.eye(n_agents)
     entries[i, i] = entries[j, j] = 1.0 - beta
     entries[i, j] = entries[j, i] = beta
-    return WeightMatrix(entries=entries, eta=min_nonzero_entry(entries))
+    return WeightMatrix(entries=entries, eta=min_nonzero_entry(entries), pair=(i, j))
 
 
 def sample_ure_round(config: GossipConfig, rng: np.random.Generator) -> WeightMatrix:
@@ -225,7 +233,7 @@ def sample_ure_round(config: GossipConfig, rng: np.random.Generator) -> WeightMa
     wake = int(rng.integers(n))
     partner = int(rng.choice(n, p=config.ure_pick_probs[wake]))
     if config.link_failure_prob > 0.0 and rng.random() < config.link_failure_prob:
-        return WeightMatrix(entries=np.eye(n), eta=1.0)
+        return WeightMatrix(entries=np.eye(n), eta=1.0, pair=())
     return pairwise_weights(n, wake, partner, config.beta)
 
 
@@ -233,14 +241,24 @@ def gossip_round(payloads: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     """Apply one exchange: row i of the result is sum_j W_ij payload_j.
 
     payloads is an (I x N_H) array (one row per agent). The arithmetic mean
-    across agents is preserved because the columns of W sum to one.
+    across agents is preserved because the columns of W sum to one. A
+    pairwise round (Boyd et al., "Randomized Gossip Algorithms", 2006)
+    recomputes only its two rows, and every other row is copied.
     """
     p = np.asarray(payloads, dtype=float)
     if p.ndim != 2 or p.shape[0] != weights.n_agents:
         raise InvalidArgumentError(
             f"payload stack shape {p.shape} does not match {weights.n_agents} agents"
         )
-    return weights.entries @ p
+    if weights.pair is None:
+        return weights.entries @ p
+    out = p.copy()
+    if weights.pair:
+        i, j = weights.pair
+        w = weights.entries
+        out[i] = w[i, i] * p[i] + w[i, j] * p[j]
+        out[j] = w[j, i] * p[i] + w[j, j] * p[j]
+    return out
 
 
 def lambda_eta(eta: float, n_agents: int, comm_interval: int) -> float:

@@ -138,11 +138,17 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
         tau = row[mp.BR_TAP] if row.shape[0] > mp.BR_TAP else 0.0
         if tau == 0.0:
             tau = 1.0
-        ys = 1.0 / (r + 1j * x)
-        y_eff = ys / tau
-        total = ys + 0.5j * b_chg
-        shunt_f = total / tau**2 - y_eff
-        shunt_t = total - y_eff
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = 1.0 / (r + 1j * x)
+            y_eff = ys / tau
+            total = ys + 0.5j * b_chg
+            shunt_f = total / tau**2 - y_eff
+            shunt_t = total - y_eff
+        if not np.isfinite([y_eff, shunt_f, shunt_t]).all():
+            raise CaseParseError(
+                f"branch row {row_no + 1}: admittance is not finite "
+                "(impedance or tap ratio too small)"
+            )
         branches.append(Branch(f, t, y_eff, shunt_f, shunt_t))
         ybus[f, f] += y_eff + shunt_f
         ybus[t, t] += y_eff + shunt_t

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gossipgn.core import BoxSet, centralized_gn_step, exact_descent
-from gossipgn.errors import InvalidArgumentError
+from gossipgn import ggn
+from gossipgn.core import BoxSet, SiteModel, centralized_gn_step, exact_descent
+from gossipgn.errors import InvalidArgumentError, SingularSystemError
 from gossipgn.ggn import (
     AgentState,
     ExchangeSchedule,
@@ -24,6 +25,7 @@ from gossipgn.psse import (
     flat_start_vector,
     generate_measurements,
     make_box,
+    measurements,
     partition_sites,
 )
 
@@ -133,16 +135,15 @@ def test_local_update_projects():
 
 
 def test_perfect_mixing_discrepancy_vanishes():
-    sites, box, x0 = _toy_setup(n_sites=4)
-    agents = []
+    sites, _, x0 = _toy_setup(n_sites=4)
     infos = [local_init_info(s, x0)[0] for s in sites]
     mean_h = np.mean([i.h for i in infos], axis=0)
     mean_hm = np.mean([i.H for i in infos], axis=0)
-    for i in range(4):
-        agents.append(
-            AgentState(agent_id=i, x=x0.copy(), info=InfoVector(h=mean_h, H=mean_hm))
-        )
-    disc = descent_discrepancy(sites, agents, box, ridge=0.0)
+    mixed = np.stack(
+        [surrogate_descent(InfoVector(h=mean_h, H=mean_hm), 0.0, context="t")] * 4
+    )
+    exact = np.stack([exact_descent(sites, x0)] * 4)
+    disc = descent_discrepancy(mixed, exact)
     assert np.all(disc <= 1e-10)
 
 
@@ -295,3 +296,133 @@ def test_per_agent_warm_start_stack():
     assert np.array_equal(traj.iterates[0], starts)
     with pytest.raises(InvalidArgumentError):
         ggn_run(sites, box, gc, cfg, starts[:2])
+
+
+def _discrepancies_before(sites, agents, ridge):
+    """Oracle: the per-agent discrepancy as computed before exact directions
+    moved into the init step, with its own surrogate and exact solves."""
+    out = np.empty(len(agents))
+    for idx, agent in enumerate(agents):
+        try:
+            d_mixed = surrogate_descent(agent.info, ridge, context=f"agent {agent.agent_id}")
+            d_exact = exact_descent(sites, agent.x)
+        except SingularSystemError:
+            out[idx] = np.nan
+            continue
+        out[idx] = float(np.linalg.norm(d_mixed - d_exact))
+    return out
+
+
+INSTRUMENTED_RUNS = {
+    "ure_lossy": dict(
+        n_sites=6, protocol="ure", beta=0.5, link_failure_prob=0.3, exchanges=8, updates=5
+    ),
+    "cse": dict(n_sites=3, protocol="cse", beta=0.4, link_failure_prob=0.0, exchanges=3, updates=6),
+}
+
+
+@pytest.fixture(params=list(INSTRUMENTED_RUNS), scope="module")
+def instrumented_run(request, grid30, true30):
+    """A case30 run with every gossip round, model evaluation and surrogate
+    solve recorded."""
+    spec = INSTRUMENTED_RUNS[request.param]
+    sites, box, x0 = _psse_setup(grid30, true30, n_sites=spec["n_sites"])
+    gc = GossipConfig(
+        protocol=spec["protocol"], n_agents=spec["n_sites"], beta=spec["beta"],
+        link_failure_prob=spec["link_failure_prob"],
+    )
+    cfg = GgnConfig(
+        alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=spec["exchanges"]),
+        max_updates=spec["updates"], stop_tol=1e-15, ridge=1e-4,
+    )
+    rounds, counts = [], {"model": 0, "surrogate": 0}
+
+    def recording_round(payloads, weights):
+        out = gossip_round_orig(payloads, weights)
+        rounds.append((payloads.copy(), out.copy()))
+        return out
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    gossip_round_orig = ggn.gossip_round
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ggn, "gossip_round", recording_round)
+        mp.setattr(ggn, "surrogate_descent", counting("surrogate", ggn.surrogate_descent))
+        mp.setattr(
+            measurements, "full_measurement_jacobian",
+            counting("model", measurements.full_measurement_jacobian),
+        )
+        traj = ggn_run(sites, box, gc, cfg, x0, rng=np.random.default_rng(5))
+    return sites, cfg, traj, rounds, counts
+
+
+def _rounds_by_update(traj, rounds):
+    ends = np.cumsum(traj.exchange_counts)
+    assert ends[-1] == len(rounds)
+    return [rounds[end - count:end] for end, count in zip(ends, traj.exchange_counts)]
+
+
+def test_recorded_discrepancies_equal_separate_solves(instrumented_run):
+    sites, cfg, traj, rounds, _ = instrumented_run
+    n_u = traj.iterates.shape[2]
+    for k, update_rounds in enumerate(_rounds_by_update(traj, rounds)):
+        mixed = update_rounds[-1][1]
+        agents = [
+            AgentState(agent_id=i, x=traj.iterates[k][i], info=InfoVector.from_payload(row, n_u))
+            for i, row in enumerate(mixed)
+        ]
+        oracle = _discrepancies_before(sites, agents, cfg.ridge)
+        assert np.array_equal(traj.discrepancies[k], oracle, equal_nan=True)
+
+
+def test_gossip_errors_equal_full_recompute(instrumented_run):
+    _, _, traj, rounds, _ = instrumented_run
+    n_u = traj.iterates.shape[2]
+    drift = 0.0
+    scale = max(float(np.abs(p).max()) for p, _ in rounds)
+    for k, update_rounds in enumerate(_rounds_by_update(traj, rounds)):
+        stacks = [update_rounds[0][0]] + [out for _, out in update_rounds]
+        mean0 = stacks[0].mean(axis=0)
+        err_vec = [np.linalg.norm((s - mean0)[:, :n_u]) for s in stacks]
+        err_mat = [np.linalg.norm((s - mean0)[:, n_u:]) for s in stacks]
+        np.testing.assert_allclose(traj.gossip_err_vec[k], err_vec, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(traj.gossip_err_mat[k], err_mat, rtol=1e-12, atol=0)
+        drift = max([drift] + [float(np.max(np.abs(s.mean(axis=0) - mean0))) for s in stacks])
+    # both drifts are rounding noise, so they agree relative to the payload scale
+    assert abs(traj.mean_drift_max - drift) <= 1e-12 * scale
+    assert traj.mean_drift_max <= 1e-12 * scale
+
+
+def test_one_model_evaluation_and_one_surrogate_solve_per_agent_update(instrumented_run):
+    _, _, traj, _, counts = instrumented_run
+    n_agents, n_updates = traj.n_agents, traj.n_updates
+    assert counts["model"] <= n_agents * (n_updates + 1)
+    assert counts["surrogate"] == n_agents * n_updates
+
+
+def test_singular_full_system_records_nan_discrepancy():
+    # every site sees only x[0], so the full normal matrix is singular while
+    # the ridged surrogates stay solvable: the run goes on, the metric is NaN
+    a = np.array([[1.0, 0.0]])
+    sites = [
+        SiteModel(
+            site_id=i, n_unknowns=2, residual_dim=1,
+            eval_residual=lambda x, i=i: a @ x - float(i), eval_jacobian=lambda x: a,
+        )
+        for i in range(2)
+    ]
+    gc = GossipConfig(protocol="cse", n_agents=2, beta=0.5, topology=Topology.full(2))
+    cfg = GgnConfig(
+        alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),
+        max_updates=2, stop_tol=1e-15, ridge=1e-3,
+    )
+    with pytest.raises(SingularSystemError):
+        exact_descent(sites, np.zeros(2))
+    traj = ggn_run(sites, BoxSet.cube(2, 5.0), gc, cfg, np.zeros(2))
+    assert traj.n_updates == 2
+    assert np.all(np.isnan(traj.discrepancies))
+    assert np.all(np.isfinite(traj.descents))

@@ -159,3 +159,57 @@ def test_gossip_config_validation():
             protocol="ure", n_agents=3, beta=0.5, topology=Topology.full(3),
             link_failure_prob=1.0,
         )
+
+
+def _pairwise_vs_dense(beta):
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        i, j = (int(a) for a in rng.choice(n, size=2, replace=False))
+        payloads = rng.normal(size=(n, 11)) * 10.0 ** rng.uniform(-3, 3)
+        w = pairwise_weights(n, i, j, beta)
+        yield payloads, w, gossip_round(payloads, w), w.entries @ payloads
+
+
+def test_pairwise_round_equals_dense_at_half():
+    # products by 0.5 are exact, so BLAS and FMA cannot change the sum
+    for _, _, pairwise, dense in _pairwise_vs_dense(0.5):
+        assert np.array_equal(pairwise, dense)
+
+
+def test_pairwise_round_near_dense_at_other_beta():
+    eps = np.finfo(float).eps
+    for payloads, w, pairwise, dense in _pairwise_vs_dense(0.3):
+        pair = list(w.pair)
+        rest = [r for r in range(payloads.shape[0]) if r not in pair]
+        assert np.array_equal(pairwise[rest], payloads[rest])
+        scale = np.abs(payloads[pair]).max(axis=0)
+        assert np.all(np.abs(pairwise[pair] - dense[pair]) <= 4 * eps * scale)
+
+
+def test_rounds_carry_their_pair():
+    assert pairwise_weights(5, 3, 1, beta=0.5).pair == (3, 1)
+    assert build_cse_weights(Topology.full(4), beta=0.5).pair is None
+    cfg = GossipConfig(protocol="ure", n_agents=6, beta=0.5, link_failure_prob=0.5)
+    rng = np.random.default_rng(8)
+    rounds = [sample_ure_round(cfg, rng) for _ in range(50)]
+    failed = [w for w in rounds if w.pair == ()]
+    assert 0 < len(failed) < 50
+    for w in rounds:
+        if w.pair:
+            i, j = w.pair
+            off = w.entries - np.diag(np.diag(w.entries))
+            assert set(zip(*np.nonzero(off))) == {(i, j), (j, i)}
+        else:
+            assert np.array_equal(w.entries, np.eye(6))
+
+
+def test_weight_matrix_rejects_wrong_pair():
+    entries = pairwise_weights(4, 0, 2, beta=0.5).entries
+    with pytest.raises(InvalidArgumentError):
+        WeightMatrix(entries=entries, eta=0.5, pair=(0, 1))
+    with pytest.raises(InvalidArgumentError):
+        WeightMatrix(entries=entries, eta=0.5, pair=())
+    for bad in [(2, 2), (1, 4), (-1, 2), (0, 1, 2), (3,)]:
+        with pytest.raises(InvalidArgumentError):
+            WeightMatrix(entries=np.eye(4), eta=1.0, pair=bad)

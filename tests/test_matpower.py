@@ -124,6 +124,14 @@ def test_non_finite_numbers_rejected_with_line(edit):
     assert exc.value.line_no == line_no
 
 
+@pytest.mark.parametrize(
+    "impedance", ["5e-324 0 0.02", "1e-310 1e-310 0.02"], ids=["r_subnormal", "rx_subnormal"]
+)
+def test_overflowing_admittance_rejected(impedance):
+    with pytest.raises(CaseParseError, match="admittance is not finite"):
+        parse_matpower_case(_edited("0.01 0.1 0.02", impedance))
+
+
 def test_unparseable_base_mva_rejected():
     with pytest.raises(CaseParseError, match="bad baseMVA") as exc:
         parse_matpower_text(_edited("mpc.baseMVA = 100;", "mpc.baseMVA = 1..0;"))
