@@ -3,181 +3,8 @@
 Simulates a network of agents that solve a shared NLLS problem by
 gossiping local normal-equation payloads, applies the method to power
 system state estimation on MATPOWER-style cases, and checks the
-convergence certificates empirically.
+convergence certificates empirically. Import from the submodules
+(``gossipgn.core``, ``gossipgn.ggn``, ``gossipgn.experiments``, ...).
 """
 
-from .analysis import (
-    BoundReport,
-    ContractionReport,
-    ConvergenceCertificate,
-    EquilibriumRadii,
-    ExchangePlan,
-    SurrogateMismatch,
-    admissible_alpha,
-    build_certificate,
-    equilibrium_radii,
-    gossip_error_scale,
-    min_exchanges_plan,
-    perturbation_bound,
-    recursion_constants,
-    surrogate_mismatch,
-    verify_contraction_to_ball,
-    verify_disagreement_envelope,
-    verify_gossip_error_envelope,
-)
-from .config import (
-    CertificateConfig,
-    ConfigError,
-    DiffusionConfig,
-    ExperimentConfig,
-    ProtocolConfig,
-    ScheduleConfig,
-    config_from_mapping,
-    load_config,
-)
-from .core import (
-    BoxSet,
-    ProblemConstants,
-    SiteModel,
-    centralized_gn_solve,
-    centralized_gn_step,
-    estimate_constants,
-    exact_descent,
-    finite_diff_jacobian,
-    normal_system,
-    project,
-    solve_normal,
-    stationarity_residual,
-)
-from .errors import (
-    CaseParseError,
-    GossipGnError,
-    InvalidArgumentError,
-    PowerFlowError,
-    SingularSystemError,
-    UnsupportedFeatureError,
-)
-from .experiments import (
-    ComparisonResult,
-    ExperimentResult,
-    ProblemSetup,
-    SweepResult,
-    build_problem,
-    certificate_for_run,
-    compare_algorithms,
-    run_experiment,
-    run_failure_sweep,
-)
-from .ggn import (
-    AgentState,
-    DiffusionTrajectory,
-    ExchangeSchedule,
-    GgnConfig,
-    GgnTrajectory,
-    InfoVector,
-    constant_steps,
-    descent_discrepancy,
-    diffusion_baseline_run,
-    diminishing_steps,
-    ggn_run,
-    local_init_info,
-    local_update,
-    surrogate_descent,
-)
-from .gossip import (
-    ConsensusContractionReport,
-    GossipConfig,
-    Topology,
-    WeightMatrix,
-    build_cse_weights,
-    check_connectivity,
-    gossip_round,
-    lambda_eta,
-    min_nonzero_entry,
-    pairwise_weights,
-    sample_ure_round,
-    verify_consensus_contraction,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgentState",
-    "BoundReport",
-    "BoxSet",
-    "CaseParseError",
-    "CertificateConfig",
-    "ComparisonResult",
-    "ConfigError",
-    "ConsensusContractionReport",
-    "ContractionReport",
-    "ConvergenceCertificate",
-    "DiffusionConfig",
-    "DiffusionTrajectory",
-    "EquilibriumRadii",
-    "ExchangePlan",
-    "ExchangeSchedule",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "GgnConfig",
-    "GgnTrajectory",
-    "GossipConfig",
-    "GossipGnError",
-    "InfoVector",
-    "InvalidArgumentError",
-    "PowerFlowError",
-    "ProblemConstants",
-    "ProblemSetup",
-    "ProtocolConfig",
-    "ScheduleConfig",
-    "SingularSystemError",
-    "SiteModel",
-    "SurrogateMismatch",
-    "SweepResult",
-    "Topology",
-    "UnsupportedFeatureError",
-    "WeightMatrix",
-    "admissible_alpha",
-    "build_certificate",
-    "build_cse_weights",
-    "build_problem",
-    "centralized_gn_solve",
-    "centralized_gn_step",
-    "certificate_for_run",
-    "check_connectivity",
-    "compare_algorithms",
-    "config_from_mapping",
-    "constant_steps",
-    "descent_discrepancy",
-    "diffusion_baseline_run",
-    "diminishing_steps",
-    "equilibrium_radii",
-    "estimate_constants",
-    "exact_descent",
-    "finite_diff_jacobian",
-    "ggn_run",
-    "gossip_error_scale",
-    "gossip_round",
-    "lambda_eta",
-    "load_config",
-    "local_init_info",
-    "local_update",
-    "min_exchanges_plan",
-    "min_nonzero_entry",
-    "normal_system",
-    "pairwise_weights",
-    "perturbation_bound",
-    "project",
-    "recursion_constants",
-    "run_experiment",
-    "run_failure_sweep",
-    "sample_ure_round",
-    "solve_normal",
-    "stationarity_residual",
-    "surrogate_descent",
-    "surrogate_mismatch",
-    "verify_consensus_contraction",
-    "verify_contraction_to_ball",
-    "verify_disagreement_envelope",
-    "verify_gossip_error_envelope",
-]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from .core import (
 )
 from .errors import GossipGnError, InvalidArgumentError
 from .ggn import (
-    DiffusionTrajectory,
     ExchangeSchedule,
     GgnConfig,
     GgnTrajectory,
@@ -54,15 +54,21 @@ from .psse import (
     newton_power_flow,
     partition_sites,
     scale_loads,
-    state_to_vector,
     streaming_snapshots,
 )
 
-CSV_COLUMNS = [
-    "run_id", "snapshot", "update", "exchange", "agent", "val", "grad_contrib",
-    "mse_v", "mse_theta", "max_disagreement", "descent_discrepancy",
-    "error_to_reference",
+# The metric row layout. metrics_<run_id>.csv rows are laid out as CSV_COLUMNS;
+# metrics_mean.csv rows, averaged over repetitions, as MEAN_COLUMNS.
+_KEY_COLUMNS = ["snapshot", "update", "exchange", "agent"]
+_METRIC_COLUMNS = [
+    "val", "grad_contrib", "mse_v", "mse_theta", "max_disagreement",
+    "descent_discrepancy", "error_to_reference",
 ]
+MEAN_COLUMNS = _KEY_COLUMNS + _METRIC_COLUMNS
+CSV_COLUMNS = ["run_id"] + MEAN_COLUMNS
+
+# certificate_for_run samples at most this many recorded points (reference included)
+CERTIFICATE_MAX_POINTS = 48
 
 
 @dataclass(frozen=True)
@@ -132,42 +138,66 @@ def _max_pairwise(stack: np.ndarray) -> float:
 def _rows_from_stacks(
     run_id: str,
     snapshot: int,
-    iterates: np.ndarray,
-    vals: np.ndarray,
-    grads: np.ndarray,
+    traj,
     exchange_marks: np.ndarray,
-    discrepancies: np.ndarray | None,
     true_state: PowerState,
     slack_bus: int,
     x_ref: np.ndarray,
 ) -> list[list]:
-    """One row per (update, agent) from (K+1, I, N_u) iterates and (K+1, I) vals/grads."""
+    """One row per (update, agent), laid out as CSV_COLUMNS, from a trajectory's
+    (K+1, I, N_u) iterates and (K+1, I) vals/grads."""
+    # only GGN has a surrogate direction to set against the exact one
+    discrepancies = traj.discrepancies if isinstance(traj, GgnTrajectory) else None
     rows = []
-    n_steps = iterates.shape[0]
-    for k in range(n_steps):
-        stack = iterates[k]
+    for k, stack in enumerate(traj.iterates):
         mse_v, mse_th, _, _ = mse_metrics(stack, true_state, slack_bus)
         disagreement = _max_pairwise(stack)
         err_ref = np.linalg.norm(stack - x_ref, axis=1)
         for i in range(stack.shape[0]):
-            disc = 0.0
-            if discrepancies is not None and k >= 1:
-                disc = float(discrepancies[k - 1][i])
-            rows.append(
-                [
-                    run_id, snapshot, k, int(exchange_marks[k]), i,
-                    float(vals[k][i]), float(grads[k][i]), float(mse_v[i]), float(mse_th[i]),
-                    disagreement, disc, float(err_ref[i]),
-                ]
-            )
+            cells = {
+                "run_id": run_id, "snapshot": snapshot, "update": k,
+                "exchange": int(exchange_marks[k]), "agent": i,
+                "val": float(traj.vals[k][i]), "grad_contrib": float(traj.grads[k][i]),
+                "mse_v": float(mse_v[i]), "mse_theta": float(mse_th[i]),
+                "max_disagreement": disagreement,
+                "descent_discrepancy": (
+                    float(discrepancies[k - 1][i]) if discrepancies is not None and k >= 1 else 0.0
+                ),
+                "error_to_reference": float(err_ref[i]),
+            }
+            rows.append([cells[name] for name in CSV_COLUMNS])
     return rows
+
+
+def _column(rows: list[list], name: str, columns: list[str] = CSV_COLUMNS) -> np.ndarray:
+    """The named column of rows laid out as `columns`."""
+    i = columns.index(name)
+    return np.array([row[i] for row in rows])
+
+
+def _final_rows(rows: list[list], snapshot: int) -> list[list]:
+    """The rows of one snapshot's last update."""
+    rows = [r for r, s in zip(rows, _column(rows, "snapshot")) if s == snapshot]
+    updates = _column(rows, "update")
+    last = updates.max()
+    return [r for r, k in zip(rows, updates) if k == last]
+
+
+@dataclass
+class CentralizedTrajectory:
+    """Iterates (K+1, 1, N_u) of centralized Gauss-Newton; vals/grads (K+1, 1)
+    hold the network totals sum_i ||g_i||^2 and ||sum_i G_i^T g_i|| at each."""
+
+    iterates: np.ndarray
+    vals: np.ndarray
+    grads: np.ndarray
 
 
 def _centralized_trajectory(
     sites: list[SiteModel], box: BoxSet, x0: np.ndarray, alpha: float,
     max_updates: int, stop_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(K+1, 1, N_u) iterates, with network totals of val and grad at each."""
+) -> CentralizedTrajectory:
+    """x0 is one vector, or the (1, N_u) final stack of the previous snapshot."""
     iterates, vals, grads = [], [], []
 
     def record(x):
@@ -176,7 +206,7 @@ def _centralized_trajectory(
         vals.append([objective(sites, x)])
         grads.append([stationarity_residual(sites, x)])
 
-    x = np.asarray(x0, dtype=float)
+    x = np.asarray(x0, dtype=float).reshape(-1)
     record(x)
     for _ in range(max_updates):
         x_new = centralized_gn_step(sites, x, alpha, box)
@@ -184,7 +214,7 @@ def _centralized_trajectory(
         if float(np.linalg.norm(x_new - x)) <= stop_tol:
             break
         x = x_new
-    return np.stack(iterates)[:, None, :], np.asarray(vals), np.asarray(grads)
+    return CentralizedTrajectory(np.stack(iterates)[:, None, :], np.asarray(vals), np.asarray(grads))
 
 
 @dataclass
@@ -193,7 +223,7 @@ class RepetitionData:
 
     run_id: str
     seed: int
-    trajectories: list  # one GgnTrajectory/DiffusionTrajectory/array per snapshot
+    trajectories: list  # one Ggn/Diffusion/CentralizedTrajectory per snapshot
     references: list[np.ndarray]
     reference_stationarities: list[float]
     sites_per_snapshot: list[list[SiteModel]]
@@ -207,6 +237,7 @@ class ExperimentResult:
     repetitions: list[RepetitionData]
     output_dir: Path
     rep_csv_paths: list[Path]
+    mean_rows: list[list]  # laid out as MEAN_COLUMNS
     mean_csv_path: Path
     summary_path: Path
     summary: dict
@@ -247,36 +278,20 @@ def _run_one_repetition(
         references.append(x_ref)
         stationarities.append(stat)
 
+        rng = np.random.default_rng(seed_r * 1000003 + t)
         if config.algorithm == "centralized":
-            iterates, vals, grads = _centralized_trajectory(
+            traj = _centralized_trajectory(
                 sites, problem.box, x_start,
                 config.alpha, config.max_updates, config.stop_tol,
             )
-            marks = exchange_offset + np.zeros(iterates.shape[0], dtype=int)
-            rows += _rows_from_stacks(
-                run_id, t, iterates, vals, grads, marks, None,
-                problem.true_state, slack, x_ref,
-            )
-            trajectories.append(iterates)
-            x_start = iterates[-1, 0]
+            marks = np.zeros(traj.iterates.shape[0], dtype=int)
         elif config.algorithm == "ggn":
-            rng = np.random.default_rng(seed_r * 1000003 + t)
             traj = ggn_run(
                 sites, problem.box, _gossip_config(config), _ggn_config(config),
                 x_start, rng=rng,
             )
-            marks = exchange_offset + np.concatenate(
-                [[0], np.cumsum(traj.exchange_counts)]
-            )
-            rows += _rows_from_stacks(
-                run_id, t, traj.iterates, traj.vals, traj.grads, marks, traj.discrepancies,
-                problem.true_state, slack, x_ref,
-            )
-            trajectories.append(traj)
-            exchange_offset = int(marks[-1])
-            x_start = traj.iterates[-1]
+            marks = np.concatenate([[0], np.cumsum(traj.exchange_counts)])
         elif config.algorithm == "diffusion":
-            rng = np.random.default_rng(seed_r * 1000003 + t)
             diff = config.diffusion
             schedule = (
                 diminishing_steps(diff.step_scale)
@@ -287,16 +302,14 @@ def _run_one_repetition(
                 sites, problem.box, _gossip_config(config), schedule,
                 diff.total_exchanges, x_start, rng=rng,
             )
-            marks = exchange_offset + np.arange(traj.iterates.shape[0])
-            rows += _rows_from_stacks(
-                run_id, t, traj.iterates, traj.vals, traj.grads, marks, None,
-                problem.true_state, slack, x_ref,
-            )
-            trajectories.append(traj)
-            exchange_offset = int(marks[-1])
-            x_start = traj.iterates[-1]
+            marks = np.arange(traj.iterates.shape[0])
         else:
             raise InvalidArgumentError(f"unknown algorithm {config.algorithm!r}")
+        marks = exchange_offset + marks
+        rows += _rows_from_stacks(run_id, t, traj, marks, problem.true_state, slack, x_ref)
+        trajectories.append(traj)
+        exchange_offset = int(marks[-1])
+        x_start = traj.iterates[-1]
 
     return RepetitionData(
         run_id=run_id, seed=seed_r, trajectories=trajectories,
@@ -322,16 +335,16 @@ def write_metrics_csv(path: Path, rows: list[list], columns: list[str] = CSV_COL
 
 
 def mean_rows(all_rows: list[list]) -> list[list]:
-    """Average metric columns over repetitions, grouped by row key."""
-    groups: dict[tuple, list[np.ndarray]] = {}
+    """Average the metric columns over repetitions, grouped by row key.
+
+    Takes rows laid out as CSV_COLUMNS; returns rows laid out as MEAN_COLUMNS.
+    """
+    key_of = itemgetter(*map(CSV_COLUMNS.index, _KEY_COLUMNS))
+    metrics_of = itemgetter(*map(CSV_COLUMNS.index, _METRIC_COLUMNS))
+    groups: dict[tuple, list[tuple]] = {}
     for row in all_rows:
-        key = tuple(row[1:5])
-        groups.setdefault(key, []).append(np.asarray(row[5:], dtype=float))
-    out = []
-    for key, vals in groups.items():
-        mean = np.mean(vals, axis=0)
-        out.append(list(key) + [float(v) for v in mean])
-    return out
+        groups.setdefault(key_of(row), []).append(metrics_of(row))
+    return [list(key) + np.mean(vals, axis=0).tolist() for key, vals in groups.items()]
 
 
 def certificate_for_run(
@@ -346,7 +359,6 @@ def certificate_for_run(
     xi: float = 0.25,
     n_samples: int = 24,
     rng_seed: int = 0,
-    max_extra_points: int = 48,
 ) -> tuple[ProblemConstants, ConvergenceCertificate]:
     """Estimate constants over an envelope of the observed iterates.
 
@@ -358,11 +370,10 @@ def certificate_for_run(
     """
     points = [np.asarray(x_ref, dtype=float)]
     for traj in trajectories:
-        iterates = traj.iterates if hasattr(traj, "iterates") else np.asarray(traj)
-        points.extend(iterates.reshape(-1, iterates.shape[-1]))
+        points.extend(traj.iterates.reshape(-1, traj.iterates.shape[-1]))
     pts = np.stack(points)
-    if pts.shape[0] > max_extra_points:
-        pick = np.linspace(0, pts.shape[0] - 1, max_extra_points).astype(int)
+    if pts.shape[0] > CERTIFICATE_MAX_POINTS:
+        pick = np.linspace(0, pts.shape[0] - 1, CERTIFICATE_MAX_POINTS).astype(int)
         pick[0] = 0  # always keep the reference
         pts = pts[np.unique(pick)]
     midpoints = 0.5 * (pts + pts[0])
@@ -389,22 +400,9 @@ def _summary_trailer(
     config: ExperimentConfig, problem: ProblemSetup, reps: list[RepetitionData],
 ) -> dict:
     last = reps[-1]
-    final_stack = None
-    traj = last.trajectories[-1]
-    iterates = traj.iterates if hasattr(traj, "iterates") else np.asarray(traj)
-    final_stack = iterates[-1]
-
-    last_key_rows = [r for r in last.rows if r[1] == config.snapshots - 1]
-    final_update = max(r[2] for r in last_key_rows)
-    final_rows_all = []
-    for rep in reps:
-        rows_t = [r for r in rep.rows if r[1] == config.snapshots - 1]
-        k_max = max(r[2] for r in rows_t)
-        final_rows_all += [r for r in rows_t if r[2] == k_max]
-    arr = np.asarray([r[5:] for r in final_rows_all], dtype=float)
-
+    finals = [r for rep in reps for r in _final_rows(rep.rows, config.snapshots - 1)]
     sites = last.sites_per_snapshot[-1]
-    mean_final = final_stack.mean(axis=0)
+    mean_final = last.trajectories[-1].iterates[-1].mean(axis=0)
     summary = {
         "algorithm": config.algorithm,
         "case": config.case_path,
@@ -418,15 +416,14 @@ def _summary_trailer(
         "snapshots": config.snapshots,
         "alpha": config.alpha,
         "sigma2": config.sigma2,
-        "final_update": final_update,
-        "final_val_global_mean": float(
-            arr[:, 0].sum() / len(reps)
-        ),
-        "final_grad_global_mean": float(arr[:, 1].sum() / len(reps)),
-        "final_mse_v_mean": float(arr[:, 2].mean()),
-        "final_mse_theta_mean": float(arr[:, 3].mean()),
-        "final_max_disagreement_mean": float(arr[:, 4].mean()),
-        "final_error_to_reference_mean": float(arr[:, 6].mean()),
+        # the last repetition's final rows come last
+        "final_update": int(_column(finals, "update")[-1]),
+        "final_val_global_mean": float(_column(finals, "val").sum() / len(reps)),
+        "final_grad_global_mean": float(_column(finals, "grad_contrib").sum() / len(reps)),
+        "final_mse_v_mean": float(_column(finals, "mse_v").mean()),
+        "final_mse_theta_mean": float(_column(finals, "mse_theta").mean()),
+        "final_max_disagreement_mean": float(_column(finals, "max_disagreement").mean()),
+        "final_error_to_reference_mean": float(_column(finals, "error_to_reference").mean()),
         "reference_stationarity_max": float(
             max(max(rep.reference_stationarities) for rep in reps)
         ),
@@ -507,9 +504,9 @@ def run_experiment(
         write_metrics_csv(path, rep.rows)
         rep_paths.append(path)
 
-    all_rows = [row for rep in reps for row in rep.rows]
+    means = mean_rows([row for rep in reps for row in rep.rows])
     mean_path = out_dir / "metrics_mean.csv"
-    write_metrics_csv(mean_path, mean_rows(all_rows), columns=CSV_COLUMNS[1:])
+    write_metrics_csv(mean_path, means, columns=MEAN_COLUMNS)
 
     summary = _summary_trailer(config, problem, reps)
     if with_certificate:
@@ -520,7 +517,7 @@ def run_experiment(
 
     return ExperimentResult(
         config=config, problem=problem, repetitions=reps, output_dir=out_dir,
-        rep_csv_paths=rep_paths, mean_csv_path=mean_path,
+        rep_csv_paths=rep_paths, mean_rows=means, mean_csv_path=mean_path,
         summary_path=summary_path, summary=summary,
     )
 
@@ -555,13 +552,9 @@ def run_failure_sweep(
         runs.append(result)
 
         floor = result.problem.noise_floor
-        last = result.repetitions[-1]
-        final_rows = [r for r in last.rows if r[1] == config.snapshots - 1]
-        k_max = max(r[2] for r in final_rows)
-        finals = [r for r in final_rows if r[2] == k_max]
-        vals = np.asarray([r[5] for r in finals], dtype=float)
-        mses = np.asarray([r[7] for r in finals], dtype=float)
-        disagreement = max(r[9] for r in finals)
+        finals = _final_rows(result.repetitions[-1].rows, config.snapshots - 1)
+        vals = _column(finals, "val")
+        mses = _column(finals, "mse_v")
         table.append(
             {
                 "p": float(p),
@@ -571,19 +564,16 @@ def run_failure_sweep(
                 "final_mse_v_max": float(mses.max()),
                 "agents_below_100x_floor": int(np.sum(vals < 100.0 * floor)),
                 "n_agents": int(vals.size),
-                "max_disagreement_final": float(disagreement),
+                "max_disagreement_final": float(_column(finals, "max_disagreement").max()),
                 "all_finite": bool(np.all(np.isfinite(vals))),
             }
         )
 
     base_dir.mkdir(parents=True, exist_ok=True)
     table_path = base_dir / "degradation.csv"
-    cols = list(table[0].keys()) if table else []
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in table:
-            writer.writerow([_format_cell(row[c]) for c in cols])
+    write_metrics_csv(
+        table_path, [list(row.values()) for row in table], list(table[0]) if table else []
+    )
     return SweepResult(
         p_values=[float(p) for p in p_values], runs=runs,
         table_path=table_path, table_rows=table,
@@ -598,17 +588,18 @@ class ComparisonResult:
     table_rows: list[dict]
 
 
-def _global_curves(result: ExperimentResult) -> dict[tuple[int, int], tuple[float, float]]:
-    """(snapshot, exchange) -> (sum of val over agents, sum of grad)."""
-    rows = mean_rows([row for rep in result.repetitions for row in rep.rows])
+def _global_curves(means: list[list]) -> list[tuple[int, float, float]]:
+    """(exchange, sum of val over agents, sum of grad) of MEAN_COLUMNS rows,
+    one per (snapshot, exchange) in that order."""
     curves: dict[tuple[int, int], list[float]] = {}
-    for row in rows:
-        snapshot, update, exchange, agent = row[0], row[1], row[2], row[3]
-        val, grad = row[4], row[5]
-        slot = curves.setdefault((int(snapshot), int(exchange)), [0.0, 0.0])
+    columns = ("snapshot", "exchange", "val", "grad_contrib")
+    for snapshot, exchange, val, grad in zip(
+        *(_column(means, name, MEAN_COLUMNS).tolist() for name in columns)
+    ):
+        slot = curves.setdefault((snapshot, exchange), [0.0, 0.0])
         slot[0] += val
         slot[1] += grad
-    return {k: (v[0], v[1]) for k, v in sorted(curves.items())}
+    return [(exchange, val, grad) for (_, exchange), (val, grad) in sorted(curves.items())]
 
 
 def compare_algorithms(
@@ -616,7 +607,10 @@ def compare_algorithms(
     env_output_dir: str | None = None,
 ) -> ComparisonResult:
     """Run both algorithms on the identical instance; tabulate by exchanges."""
-    for field_name in ("case_path", "sigma2", "seed", "sites", "load_scale", "snapshots"):
+    for field_name in (
+        "case_path", "sigma2", "seed", "sites", "load_scale", "snapshots",
+        "true_state_path", "theta_max", "v_max", "partition",
+    ):
         a, b = getattr(config_ggn, field_name), getattr(config_diffusion, field_name)
         if a != b:
             raise InvalidArgumentError(
@@ -631,23 +625,17 @@ def compare_algorithms(
     res_ggn = run_experiment(sub_ggn, with_certificate=False)
     res_diff = run_experiment(sub_diff, with_certificate=False)
 
-    table = []
-    for label, res in (("ggn", res_ggn), ("diffusion", res_diff)):
-        for (_, exchange), (val, grad) in _global_curves(res).items():
-            table.append(
-                {"exchange": exchange, "algorithm": label, "val": val, "grad": grad}
-            )
+    table = [
+        {"exchange": exchange, "algorithm": label, "val": val, "grad": grad}
+        for label, res in (("ggn", res_ggn), ("diffusion", res_diff))
+        for exchange, val, grad in _global_curves(res.mean_rows)
+    ]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "comparison.csv"
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["exchange", "algorithm", "val", "grad"])
-        for row in table:
-            writer.writerow(
-                [_format_cell(row["exchange"]), row["algorithm"],
-                 _format_cell(row["val"]), _format_cell(row["grad"])]
-            )
+    write_metrics_csv(
+        table_path, [list(row.values()) for row in table], ["exchange", "algorithm", "val", "grad"]
+    )
     return ComparisonResult(
         ggn=res_ggn, diffusion=res_diff, table_path=table_path, table_rows=table,
     )

@@ -15,7 +15,7 @@ centralized one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class GgnConfig:
     max_updates: int
     stop_tol: float
     ridge: float = 1e-8
-    track_discrepancy: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -215,7 +214,7 @@ class GgnTrajectory:
     grads: np.ndarray
     descents: np.ndarray
     step_norms: np.ndarray
-    discrepancies: np.ndarray | None
+    discrepancies: np.ndarray
     exchange_counts: np.ndarray
     gossip_err_vec: list[np.ndarray]
     gossip_err_mat: list[np.ndarray]
@@ -231,10 +230,6 @@ class GgnTrajectory:
     @property
     def n_agents(self) -> int:
         return self.iterates.shape[1]
-
-    @property
-    def cumulative_exchanges(self) -> np.ndarray:
-        return np.cumsum(self.exchange_counts)
 
 
 def _squared_deviations(payloads: np.ndarray, mean0: np.ndarray, n_u: int) -> np.ndarray:
@@ -281,7 +276,7 @@ def ggn_run(
     vals, grads = [], []
     descents = []
     step_norms = []
-    discrepancies = [] if ggn_config.track_discrepancy else None
+    discrepancies = []
     exchange_counts = []
     gossip_err_vec = []
     gossip_err_mat = []
@@ -308,7 +303,7 @@ def ggn_run(
 
     for k in range(ggn_config.max_updates):
         ell_k = ggn_config.schedule.exchanges_at(k)
-        payloads, exact = init_step(discrepancies is not None)
+        payloads, exact = init_step(True)
         mean0 = payloads.mean(axis=0)
         # per-agent squared deviations from mean0 and the running change of
         # the payload sum; a round updates only the rows it changed
@@ -345,8 +340,7 @@ def ggn_run(
             local_update(agent, ggn_config.alpha, box, ggn_config.ridge) for agent in agents
         ]
         descent_stack = np.stack([a.last_descent for a in new_agents])
-        if discrepancies is not None:
-            discrepancies.append(descent_discrepancy(descent_stack, exact))
+        discrepancies.append(descent_discrepancy(descent_stack, exact))
         steps = np.array(
             [float(np.linalg.norm(na.x - a.x)) for na, a in zip(new_agents, agents)]
         )
@@ -372,7 +366,7 @@ def ggn_run(
         grads=np.asarray(grads),
         descents=np.stack(descents),
         step_norms=np.stack(step_norms),
-        discrepancies=np.stack(discrepancies) if discrepancies is not None else None,
+        discrepancies=np.stack(discrepancies),
         exchange_counts=np.asarray(exchange_counts, dtype=int),
         gossip_err_vec=gossip_err_vec,
         gossip_err_mat=gossip_err_mat,
@@ -392,10 +386,6 @@ class DiffusionTrajectory:
     grads: np.ndarray
     step_sizes: np.ndarray
     eta_observed: float
-
-    @property
-    def n_exchanges(self) -> int:
-        return self.iterates.shape[0] - 1
 
     @property
     def n_agents(self) -> int:

@@ -11,7 +11,7 @@ average of whatever payload is being mixed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,9 +137,9 @@ class GossipConfig:
     """Protocol parameters for one experiment.
 
     For CSE the topology fixes the (static) exchange graph. For URE the
-    partner matrix gamma must be row stochastic with zero diagonal; None
-    means uniform over the other agents. link_failure_prob applies per
-    selected pair per round; a failed round mixes nothing (identity).
+    woken agent picks its partner uniformly among the other agents.
+    link_failure_prob applies per selected pair per round; a failed round
+    mixes nothing (identity).
     comm_interval is the window length L used by connectivity checks.
     """
 
@@ -147,7 +147,6 @@ class GossipConfig:
     n_agents: int
     beta: float
     topology: Topology | None = None
-    ure_pick_probs: np.ndarray | None = field(default=None, repr=False)
     link_failure_prob: float = 0.0
     comm_interval: int = 1
 
@@ -165,27 +164,8 @@ class GossipConfig:
             if topo.n_agents != self.n_agents:
                 raise InvalidArgumentError("topology size does not match n_agents")
             object.__setattr__(self, "topology", topo)
-        if self.protocol == "ure":
-            gamma = self.ure_pick_probs
-            if gamma is None:
-                gamma = uniform_pick_probs(self.n_agents)
-            gamma = np.asarray(gamma, dtype=float)
-            if gamma.shape != (self.n_agents, self.n_agents):
-                raise InvalidArgumentError("partner matrix shape mismatch")
-            if np.any(np.diag(gamma) != 0.0):
-                raise InvalidArgumentError("partner matrix must have zero diagonal")
-            if np.any(gamma < 0) or np.max(np.abs(gamma.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
-                raise InvalidArgumentError("partner matrix rows must sum to 1")
-            object.__setattr__(self, "ure_pick_probs", gamma)
-
-
-def uniform_pick_probs(n_agents: int) -> np.ndarray:
-    """Row-stochastic partner matrix, uniform over the other agents."""
-    if n_agents < 2:
-        raise InvalidArgumentError("URE needs at least two agents")
-    gamma = np.full((n_agents, n_agents), 1.0 / (n_agents - 1))
-    np.fill_diagonal(gamma, 0.0)
-    return gamma
+        if self.protocol == "ure" and self.n_agents < 2:
+            raise InvalidArgumentError("URE needs at least two agents")
 
 
 def build_cse_weights(topology: Topology, beta: float) -> WeightMatrix:
@@ -231,7 +211,11 @@ def sample_ure_round(config: GossipConfig, rng: np.random.Generator) -> WeightMa
         raise InvalidArgumentError("sample_ure_round requires the URE protocol")
     n = config.n_agents
     wake = int(rng.integers(n))
-    partner = int(rng.choice(n, p=config.ure_pick_probs[wake]))
+    # uniform over the other agents; a weighted choice, not integers(n - 1),
+    # because that would draw a different partner stream for the same seed
+    pick = np.full(n, 1.0 / (n - 1))
+    pick[wake] = 0.0
+    partner = int(rng.choice(n, p=pick))
     if config.link_failure_prob > 0.0 and rng.random() < config.link_failure_prob:
         return WeightMatrix(entries=np.eye(n), eta=1.0, pair=())
     return pairwise_weights(n, wake, partner, config.beta)

@@ -1,7 +1,6 @@
 """Power-system state estimation instance builder."""
 
 from .grid import (
-    Branch,
     GridModel,
     PowerState,
     build_grid_model,
@@ -9,57 +8,31 @@ from .grid import (
     load_true_state,
     make_box,
     newton_power_flow,
-    parse_matpower_case,
-    save_true_state,
-    state_to_vector,
-    vector_to_state,
 )
-from .matpower import MatpowerCase, load_case, parse_matpower_text, scale_loads, serialize_case
+from .matpower import load_case, scale_loads
 from .measurements import (
-    MeasurementPlan,
-    MeasurementSet,
     build_nlls_sites,
-    full_measurement_jacobian,
-    full_measurement_vector,
     generate_measurements,
-    line_flows,
     measurement_count,
     mse_metrics,
     partition_sites,
-    power_injections,
-    psse_jacobian,
     streaming_snapshots,
 )
 
 __all__ = [
-    "Branch",
     "GridModel",
-    "MatpowerCase",
-    "MeasurementPlan",
-    "MeasurementSet",
     "PowerState",
     "build_grid_model",
     "build_nlls_sites",
     "flat_start_vector",
-    "full_measurement_jacobian",
-    "full_measurement_vector",
     "generate_measurements",
-    "line_flows",
     "load_case",
     "load_true_state",
     "make_box",
     "measurement_count",
     "mse_metrics",
     "newton_power_flow",
-    "parse_matpower_case",
-    "parse_matpower_text",
     "partition_sites",
-    "power_injections",
-    "psse_jacobian",
-    "save_true_state",
     "scale_loads",
-    "serialize_case",
-    "state_to_vector",
     "streaming_snapshots",
-    "vector_to_state",
 ]

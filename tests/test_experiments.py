@@ -45,6 +45,27 @@ def write_config(path: Path, mapping: dict) -> str:
     return str(path)
 
 
+def read_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def read_summary(path: Path) -> dict[str, str]:
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
+def final_rows(rows: list[dict]) -> list[dict]:
+    """The rows of the last snapshot's last update, selected by header name."""
+    snapshot = max(int(r["snapshot"]) for r in rows)
+    rows = [r for r in rows if int(r["snapshot"]) == snapshot]
+    update = max(int(r["update"]) for r in rows)
+    return [r for r in rows if int(r["update"]) == update]
+
+
+def column(rows: list[dict], name: str) -> np.ndarray:
+    return np.array([float(r[name]) for r in rows])
+
+
 # --- configuration loading ----------------------------------------------------
 
 
@@ -194,7 +215,7 @@ def test_centralized_rows_carry_network_totals(tmp_path):
     result = run_experiment(cfg, with_certificate=False)
     rep = result.repetitions[0]
     sites = rep.sites_per_snapshot[0]
-    iterates = rep.trajectories[0]
+    iterates = rep.trajectories[0].iterates
     with open(result.rep_csv_paths[0], newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["update"]) for r in rows] == list(range(iterates.shape[0]))
@@ -210,6 +231,28 @@ def test_centralized_rows_carry_network_totals(tmp_path):
             grad += jac.T @ res
         assert float(row["val"]) == val
         assert float(row["grad_contrib"]) == float(np.linalg.norm(grad))
+
+
+@pytest.mark.parametrize("repetitions, snapshots", [(2, 1), (1, 2)])
+def test_summary_final_values_recomputed_from_csv_columns(tmp_path, repetitions, snapshots):
+    cfg = config_from_mapping(
+        tiny_mapping(repetitions=repetitions, snapshots=snapshots, output_dir=str(tmp_path / "o"))
+    )
+    result = run_experiment(cfg, with_certificate=False)
+    summary = read_summary(result.summary_path)
+    finals = [r for path in result.rep_csv_paths for r in final_rows(read_rows(path))]
+    assert len(finals) == repetitions * cfg.sites
+    expected = {
+        "final_val_global_mean": column(finals, "val").sum() / repetitions,
+        "final_grad_global_mean": column(finals, "grad_contrib").sum() / repetitions,
+        "final_mse_v_mean": column(finals, "mse_v").mean(),
+        "final_mse_theta_mean": column(finals, "mse_theta").mean(),
+        "final_max_disagreement_mean": column(finals, "max_disagreement").mean(),
+        "final_error_to_reference_mean": column(finals, "error_to_reference").mean(),
+    }
+    for key, value in expected.items():
+        assert float(summary[key]) == pytest.approx(value, rel=1e-12, abs=0.0), key
+    assert int(summary["final_update"]) == int(finals[-1]["update"])
 
 
 # --- failure sweep and comparison ---------------------------------------------
@@ -234,6 +277,30 @@ def test_failure_sweep_outputs(tmp_path):
     for row in sweep.table_rows:
         assert row["n_agents"] == 2
         assert row["all_finite"]
+
+
+def test_degradation_row_recomputed_from_csv_columns(tmp_path):
+    cfg = config_from_mapping(dict(sweep_mapping(tmp_path), repetitions=2))
+    run_failure_sweep(cfg, [0.0, 0.3])
+    table = read_rows(tmp_path / "sweep" / "degradation.csv")
+    assert [row["p"] for row in table] == ["0.0", "0.3"]
+    row = table[1]
+    run_dir = tmp_path / "sweep" / "p_0.3"
+    # the table describes the last repetition
+    finals = final_rows(read_rows(run_dir / "metrics_r001.csv"))
+    floor = float(read_summary(run_dir / "summary.txt")["noise_floor"])
+    vals, mses = column(finals, "val"), column(finals, "mse_v")
+    for key, value in {
+        "final_val_max": vals.max(),
+        "final_val_mean": vals.mean(),
+        "final_mse_v_mean": mses.mean(),
+        "final_mse_v_max": mses.max(),
+        "max_disagreement_final": column(finals, "max_disagreement").max(),
+    }.items():
+        assert float(row[key]) == pytest.approx(value, rel=1e-12, abs=0.0), key
+    assert int(row["agents_below_100x_floor"]) == int(np.sum(vals < 100.0 * floor))
+    assert int(row["n_agents"]) == len(finals) == 2
+    assert row["all_finite"] == "1"
 
 
 def test_failure_sweep_validates(tmp_path):
@@ -262,6 +329,28 @@ def test_compare_algorithms_outputs(tmp_path):
     assert (tmp_path / "cmp" / "diffusion" / "summary.txt").exists()
 
 
+def test_comparison_sums_recomputed_from_mean_csv_columns(tmp_path):
+    base = tiny_mapping(output_dir=str(tmp_path / "cmp"), snapshots=2)
+    cfg_g = config_from_mapping(base)
+    cfg_d = config_from_mapping(
+        dict(base, algorithm="diffusion",
+             diffusion={"step_scale": 0.3, "total_exchanges": 8}),
+    )
+    compare_algorithms(cfg_g, cfg_d)
+    table = read_rows(tmp_path / "cmp" / "comparison.csv")
+    for label in ("ggn", "diffusion"):
+        sums: dict[tuple[int, int], list[float]] = {}
+        for r in read_rows(tmp_path / "cmp" / label / "metrics_mean.csv"):
+            slot = sums.setdefault((int(r["snapshot"]), int(r["exchange"])), [0.0, 0.0])
+            slot[0] += float(r["val"])
+            slot[1] += float(r["grad_contrib"])
+        got = [r for r in table if r["algorithm"] == label]
+        assert [int(r["exchange"]) for r in got] == [e for _, e in sorted(sums)]
+        for r, (val, grad) in zip(got, (sums[k] for k in sorted(sums))):
+            assert float(r["val"]) == pytest.approx(val, rel=1e-12, abs=0.0)
+            assert float(r["grad"]) == pytest.approx(grad, rel=1e-12, abs=0.0)
+
+
 def test_compare_rejects_mismatched_instances(tmp_path):
     base = tiny_mapping(output_dir=str(tmp_path / "cmp2"), repetitions=1)
     cfg_g = config_from_mapping(base)
@@ -270,6 +359,24 @@ def test_compare_rejects_mismatched_instances(tmp_path):
         compare_algorithms(cfg_g, cfg_d)
     with pytest.raises(InvalidArgumentError, match="one ggn config and one diffusion"):
         compare_algorithms(cfg_g, cfg_g)
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [("true_state_path", "truth.csv"), ("theta_max", 1.0), ("v_max", 1.2), ("partition", "by_area")],
+)
+def test_compare_rejects_configs_that_build_different_instances(
+    tmp_path, capsys, field_name, value
+):
+    base = tiny_mapping(output_dir=str(tmp_path / "cmp"), repetitions=1)
+    other = dict(base, algorithm="diffusion", **{field_name: value})
+    with pytest.raises(InvalidArgumentError, match=f"configs disagree on {field_name}"):
+        compare_algorithms(config_from_mapping(base), config_from_mapping(other))
+    a = write_config(tmp_path / "a.yaml", base)
+    b = write_config(tmp_path / "b.yaml", other)
+    assert main(["compare", a, b]) == 1
+    assert f"configs disagree on {field_name}" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
 
 
 # --- command line entry point ---------------------------------------------------

@@ -159,6 +159,22 @@ def test_gossip_config_validation():
             protocol="ure", n_agents=3, beta=0.5, topology=Topology.full(3),
             link_failure_prob=1.0,
         )
+    with pytest.raises(InvalidArgumentError, match="two agents"):
+        GossipConfig(protocol="ure", n_agents=1, beta=0.5)
+
+
+def test_ure_partner_draws_match_uniform_partner_matrix():
+    # oracle: draws from a row-stochastic partner matrix, uniform with zero diagonal
+    n, fail = 7, 0.2
+    gamma = np.full((n, n), 1.0 / (n - 1))
+    np.fill_diagonal(gamma, 0.0)
+    cfg = GossipConfig(protocol="ure", n_agents=n, beta=0.5, link_failure_prob=fail)
+    rng, oracle = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(300):
+        pair = sample_ure_round(cfg, rng).pair
+        wake = int(oracle.integers(n))
+        partner = int(oracle.choice(n, p=gamma[wake]))
+        assert pair == (() if oracle.random() < fail else (wake, partner))
 
 
 def _pairwise_vs_dense(beta):
