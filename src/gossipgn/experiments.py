@@ -169,9 +169,9 @@ def _rows_from_stacks(
     return rows
 
 
-def _column(rows: list[list], name: str, columns: list[str] = CSV_COLUMNS) -> np.ndarray:
-    """The named column of rows laid out as `columns`."""
-    i = columns.index(name)
+def _column(rows: list[list], name: str) -> np.ndarray:
+    """The named column of rows laid out as CSV_COLUMNS."""
+    i = CSV_COLUMNS.index(name)
     return np.array([row[i] for row in rows])
 
 
@@ -591,11 +591,9 @@ class ComparisonResult:
 def _global_curves(means: list[list]) -> list[tuple[int, float, float]]:
     """(exchange, sum of val over agents, sum of grad) of MEAN_COLUMNS rows,
     one per (snapshot, exchange) in that order."""
+    cells_of = itemgetter(*map(MEAN_COLUMNS.index, ("snapshot", "exchange", "val", "grad_contrib")))
     curves: dict[tuple[int, int], list[float]] = {}
-    columns = ("snapshot", "exchange", "val", "grad_contrib")
-    for snapshot, exchange, val, grad in zip(
-        *(_column(means, name, MEAN_COLUMNS).tolist() for name in columns)
-    ):
+    for snapshot, exchange, val, grad in map(cells_of, means):
         slot = curves.setdefault((snapshot, exchange), [0.0, 0.0])
         slot[0] += val
         slot[1] += grad
