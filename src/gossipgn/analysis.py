@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ProblemConstants, SiteModel, normal_system, site_terms
 from .errors import InvalidArgumentError
-from .ggn import AgentState, GgnTrajectory
+from .ggn import GgnTrajectory
 from .gossip import lambda_eta
 
 _CEIL_SLACK = 1e-9  # absorbs round-off when xi sits exactly on a power of the rate
@@ -292,12 +292,13 @@ class SurrogateMismatch:
 
 
 def surrogate_mismatch(
-    sites: list[SiteModel], agents: list[AgentState], pc: ProblemConstants | None = None
+    sites: list[SiteModel], xs: np.ndarray, pc: ProblemConstants | None = None
 ) -> SurrogateMismatch:
+    """Mismatch of the averaged own-iterate info pair at the (I, N_u) iterate stack xs."""
     n_agents = len(sites)
-    if n_agents != len(agents):
-        raise InvalidArgumentError("one agent per site required")
-    xs = [np.asarray(a.x, dtype=float) for a in agents]
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[0] != n_agents:
+        raise InvalidArgumentError("one iterate per site required")
 
     h_own = []
     hm_own = []
@@ -457,30 +458,23 @@ def verify_contraction_to_ball(
         limsup = BoundReport("tail_error_inside_inner_radius", math.nan, math.nan,
                              False, math.nan, applicable=False, reason=reason)
 
-    if trajectory.discrepancies is None:
-        recursion = BoundReport(
-            "per_step_error_recursion", math.nan, math.nan, False, math.nan,
-            applicable=False, reason="run recorded no descent discrepancies",
+    t1, t2, alpha = certificate.T1, certificate.T2, trajectory.alpha
+    violations = 0
+    worst_excess = -math.inf
+    for k in range(n_updates):
+        rhs = (
+            t1 * errors[k] ** 2
+            + t2 * errors[k]
+            + alpha * trajectory.discrepancies[k]
         )
-        violations = 0
-    else:
-        t1, t2, alpha = certificate.T1, certificate.T2, trajectory.alpha
-        violations = 0
-        worst_excess = -math.inf
-        for k in range(n_updates):
-            rhs = (
-                t1 * errors[k] ** 2
-                + t2 * errors[k]
-                + alpha * trajectory.discrepancies[k]
-            )
-            excess = errors[k + 1] - rhs - recursion_slack * (1.0 + rhs)
-            violations += int(np.sum(excess > 0.0))
-            worst_excess = max(worst_excess, float(excess.max()))
-        recursion = BoundReport(
-            "per_step_error_recursion",
-            theoretical_value=0.0, observed_value=worst_excess,
-            satisfied=violations == 0, margin=-worst_excess,
-        )
+        excess = errors[k + 1] - rhs - recursion_slack * (1.0 + rhs)
+        violations += int(np.sum(excess > 0.0))
+        worst_excess = max(worst_excess, float(excess.max()))
+    recursion = BoundReport(
+        "per_step_error_recursion",
+        theoretical_value=0.0, observed_value=worst_excess,
+        satisfied=violations == 0, margin=-worst_excess,
+    )
 
     checks = [initial, limsup, recursion]
     all_ok = all(c.satisfied for c in checks if c.applicable) and any(

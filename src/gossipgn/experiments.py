@@ -435,6 +435,11 @@ def _summary_trailer(
 def _certificate_summary(
     config: ExperimentConfig, problem: ProblemSetup, reps: list[RepetitionData]
 ) -> dict:
+    if config.algorithm == "diffusion":
+        return {
+            "certificate.applicable": False,
+            "certificate.reason": "the GGN convergence certificate does not cover the diffusion baseline",
+        }
     last = reps[-1]
     traj = last.trajectories[-1]
     eta = getattr(traj, "eta_observed", float("nan"))

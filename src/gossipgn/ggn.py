@@ -15,11 +15,13 @@ centralized one.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxSet, SiteModel, exact_descent, project, site_terms, solve_normal
+from . import core
+from .core import BoxSet, SiteModel, project, site_terms, solve_normal
 from .errors import InvalidArgumentError, SingularSystemError
 from .gossip import (
     GossipConfig,
@@ -29,56 +31,6 @@ from .gossip import (
     gossip_round,
     sample_ure_round,
 )
-
-
-@dataclass(frozen=True)
-class InfoVector:
-    """Gossip payload of one agent: vector term h and matrix term H.
-
-    On the wire this is the concatenation [h, vec(H)] of length
-    N_u*(N_u+1); H is kept symmetric (mixing preserves symmetry, the
-    constructor re-symmetrizes to stop rounding drift).
-    """
-
-    h: np.ndarray
-    H: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        hm = np.asarray(self.H, dtype=float)
-        if hm.shape != (h.size, h.size):
-            raise InvalidArgumentError("info matrix shape does not match vector length")
-        scale = max(1.0, float(np.max(np.abs(hm)))) if hm.size else 1.0
-        if float(np.max(np.abs(hm - hm.T))) > 1e-12 * scale:
-            raise InvalidArgumentError("info matrix is not symmetric")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "H", (hm + hm.T) / 2.0)
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.h.size
-
-    def to_payload(self) -> np.ndarray:
-        return np.concatenate([self.h, self.H.reshape(-1, order="F")])
-
-    @staticmethod
-    def from_payload(payload: np.ndarray, n_unknowns: int) -> "InfoVector":
-        payload = np.asarray(payload, dtype=float)
-        if payload.size != n_unknowns * (n_unknowns + 1):
-            raise InvalidArgumentError("payload length is not N_u*(N_u+1)")
-        h = payload[:n_unknowns]
-        hm = payload[n_unknowns:].reshape((n_unknowns, n_unknowns), order="F")
-        return InfoVector(h=h, H=hm)
-
-
-@dataclass
-class AgentState:
-    """Mutable per-agent record: iterate, current surrogate, last step."""
-
-    agent_id: int
-    x: np.ndarray
-    info: InfoVector | None = None
-    last_descent: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -134,44 +86,40 @@ def _start_stack(x0: np.ndarray, n_agents: int, box: BoxSet) -> np.ndarray:
     return np.stack([project(row, box) for row in x0])
 
 
-def local_init_info(site: SiteModel, x: np.ndarray) -> tuple[InfoVector, float]:
-    """Initial info pair at the agent's own iterate, and its value ||g_i||^2."""
-    res, jac = site_terms(site, x)
-    return InfoVector(h=jac.T @ res, H=jac.T @ jac), float(res @ res)
+def local_init_info(site: SiteModel, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The agent's initial payload row at its own iterate, and ||g_i||^2.
 
-
-def _effective_ridge(hm: np.ndarray, ridge: float) -> float:
-    # Scaled by the mean diagonal mass so the regularizer is unit-free.
-    if ridge == 0.0:
-        return 0.0
-    n = hm.shape[0]
-    return ridge * float(np.trace(hm)) / max(n, 1)
-
-
-def surrogate_descent(info: InfoVector, ridge: float, context: str) -> np.ndarray:
-    """d = (H + ridge_eff I)^-1 h for one agent's mixed surrogate.
-
-    An exactly zero info pair means no measurement information reached this
-    agent in the current update (its own Jacobian vanished and no exchange
-    touched it). The surrogate is 0 = 0 d, whose minimum-norm solution is a
-    zero step; moving on no information would be arbitrary.
+    The row is the wire layout [h, vec(H)] of length N_u*(N_u+1), with
+    h = G_i^T g_i and H = G_i^T G_i in column-major order.
     """
-    hm = info.H
-    if not np.any(hm) and not np.any(info.h):
-        return np.zeros_like(info.h)
-    r = _effective_ridge(hm, ridge)
-    if r != 0.0:
-        hm = hm + r * np.eye(hm.shape[0])
-    return solve_normal(hm, info.h, context=context)
+    res, jac = site_terms(site, x)
+    return np.concatenate([jac.T @ res, (jac.T @ jac).reshape(-1, order="F")]), float(res @ res)
 
 
-def local_update(agent: AgentState, alpha: float, box: BoxSet, ridge: float) -> AgentState:
-    """Projected GN step from the agent's post-gossip surrogate."""
-    if agent.info is None:
-        raise InvalidArgumentError(f"agent {agent.agent_id} has no info vector")
-    d = surrogate_descent(agent.info, ridge, context=f"agent {agent.agent_id}")
-    x_new = project(agent.x - alpha * d, box)
-    return AgentState(agent_id=agent.agent_id, x=x_new, info=agent.info, last_descent=d)
+def surrogate_descent(payloads: np.ndarray, ridge: float) -> np.ndarray:
+    """d_i = (H_i + ridge_i I)^-1 h_i for every mixed payload row, as an (I, N_u) stack.
+
+    Each H_i is re-symmetrized to stop mixing's rounding drift, and ridge_i
+    is ridge scaled by H_i's mean diagonal mass, so the regularizer is
+    unit-free. An exactly zero row means no measurement information reached
+    that agent in the current update (its own Jacobian vanished and no
+    exchange touched it). Its surrogate is 0 = 0 d, whose minimum-norm
+    solution is a zero step; moving on no information would be arbitrary.
+    All rows are solved in one solve_normal call, whose errors name the agent.
+    """
+    n_rows, width = payloads.shape
+    n_u = int(round((np.sqrt(4.0 * width + 1.0) - 1.0) / 2.0))
+    if n_u < 1 or n_u * (n_u + 1) != width:
+        raise InvalidArgumentError("payload length is not N_u*(N_u+1)")
+    h = payloads[:, :n_u]
+    hm = payloads[:, n_u:].reshape(n_rows, n_u, n_u)
+    hm = (hm + hm.transpose(0, 2, 1)) / 2.0
+    if ridge != 0.0:
+        diagonal = np.einsum("kii->ki", hm)  # a writeable view
+        diagonal += ridge * np.trace(hm, axis1=1, axis2=2)[:, None] / n_u
+    # I d = 0 gives the zero step exactly
+    hm[~(h.any(axis=1) | hm.any(axis=(1, 2)))] = np.eye(n_u)
+    return solve_normal(hm, h, context="agent")
 
 
 def descent_discrepancy(mixed: np.ndarray, exact: np.ndarray) -> np.ndarray:
@@ -184,13 +132,6 @@ def descent_discrepancy(mixed: np.ndarray, exact: np.ndarray) -> np.ndarray:
     cannot kill a run the algorithm itself survives.
     """
     return np.array([float(np.linalg.norm(dm - de)) for dm, de in zip(mixed, exact)])
-
-
-def _exact_or_nan(sites: list[SiteModel], x: np.ndarray) -> np.ndarray:
-    try:
-        return exact_descent(sites, x)
-    except SingularSystemError:
-        return np.full(x.size, np.nan)
 
 
 @dataclass
@@ -271,8 +212,8 @@ def ggn_run(
         static_weights = build_cse_weights(gossip_config.topology, gossip_config.beta)
         topo_connected = gossip_config.topology.is_connected()
 
-    agents = [AgentState(agent_id=i, x=x0_stack[i].copy()) for i in range(n_agents)]
-    iterates = [x0_stack.copy()]
+    x = x0_stack
+    iterates = [x]
     vals, grads = [], []
     descents = []
     step_norms = []
@@ -285,25 +226,39 @@ def ggn_run(
     eta_observed = np.inf
     early_stopped = False
 
-    def init_step(with_exact: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        # Payload stack at the agents' current iterates; records val and grad
-        # there. Each exact direction is solved right after the agent's info
-        # pair, while the sites' one-iterate memo still holds x_i.
-        infos, vals_now, exact = [], [], []
-        for site, agent in zip(sites, agents):
-            info, val = local_init_info(site, agent.x)
-            infos.append(info)
+    def init_step(x: np.ndarray, with_exact: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        # Payload stack at the agents' iterates x; records val and grad there.
+        # Each agent's full normal system is assembled right after its payload
+        # row, while the sites' one-iterate memo still holds x_i, and all of
+        # them are solved together. normal_system is looked up on the core
+        # module so that a wrapper installed there (perfbench/tracing.py)
+        # sees each call.
+        payloads = np.empty((n_agents, n_u * (n_u + 1)))
+        a, b = np.empty((n_agents, n_u, n_u)), np.empty((n_agents, n_u))
+        vals_now = []
+        for i, (site, x_i) in enumerate(zip(sites, x)):
+            payloads[i], val = local_init_info(site, x_i)
             vals_now.append(val)
             if with_exact:
-                exact.append(_exact_or_nan(sites, agent.x))
+                a[i], b[i] = core.normal_system(sites, x_i)
         vals.append(vals_now)
-        grads.append([float(np.linalg.norm(info.h)) for info in infos])
-        payloads = np.stack([info.to_payload() for info in infos])
-        return payloads, np.stack(exact) if with_exact else None
+        grads.append([float(np.linalg.norm(row[:n_u])) for row in payloads])
+        if not with_exact:
+            return payloads, None
+        try:
+            return payloads, solve_normal(a, b, context="exact descent")
+        except SingularSystemError:
+            # a singular full system (possible at degenerate box corners)
+            # leaves only that agent's exact direction NaN
+            exact = np.full_like(b, np.nan)
+            for i in range(n_agents):
+                with contextlib.suppress(SingularSystemError):
+                    exact[i] = solve_normal(a[i], b[i], context="exact descent")
+            return payloads, exact
 
     for k in range(ggn_config.max_updates):
         ell_k = ggn_config.schedule.exchanges_at(k)
-        payloads, exact = init_step(True)
+        payloads, exact = init_step(x, True)
         mean0 = payloads.mean(axis=0)
         # per-agent squared deviations from mean0 and the running change of
         # the payload sum; a round updates only the rows it changed
@@ -334,18 +289,12 @@ def ggn_run(
                 Topology(n_agents, frozenset(used_edges)).is_connected()
             )
 
-        for i, agent in enumerate(agents):
-            agent.info = InfoVector.from_payload(payloads[i], n_u)
-        new_agents = [
-            local_update(agent, ggn_config.alpha, box, ggn_config.ridge) for agent in agents
-        ]
-        descent_stack = np.stack([a.last_descent for a in new_agents])
+        descent_stack = surrogate_descent(payloads, ggn_config.ridge)
         discrepancies.append(descent_discrepancy(descent_stack, exact))
-        steps = np.array(
-            [float(np.linalg.norm(na.x - a.x)) for na, a in zip(new_agents, agents)]
-        )
-        agents = new_agents
-        iterates.append(np.stack([a.x for a in agents]))
+        x_new = np.clip(x - ggn_config.alpha * descent_stack, box.lower, box.upper)
+        steps = np.array([float(np.linalg.norm(step)) for step in x_new - x])
+        x = x_new
+        iterates.append(x)
         descents.append(descent_stack)
         step_norms.append(steps)
         exchange_counts.append(ell_k)
@@ -357,7 +306,7 @@ def ggn_run(
             early_stopped = k + 1 < ggn_config.max_updates
             break
 
-    init_step(False)
+    init_step(x, False)
     return GgnTrajectory(
         alpha=ggn_config.alpha,
         ridge=ggn_config.ridge,

@@ -16,7 +16,7 @@ from gossipgn.analysis import (
 )
 from gossipgn.core import BoxSet, ProblemConstants, SiteModel, centralized_gn_solve
 from gossipgn.errors import InvalidArgumentError
-from gossipgn.ggn import AgentState, ExchangeSchedule, GgnConfig, ggn_run, local_init_info
+from gossipgn.ggn import ExchangeSchedule, GgnConfig, ggn_run
 from gossipgn.gossip import GossipConfig, Topology
 
 
@@ -217,11 +217,7 @@ def _linear_sites(n_agents=2, n_unknowns=2, seed=0, consistent=True):
 def test_surrogate_mismatch_identical_iterates():
     sites, _ = _linear_sites()
     x = np.array([0.3, -0.2])
-    agents = [
-        AgentState(agent_id=i, x=x.copy(), info=local_init_info(s, x)[0])
-        for i, s in enumerate(sites)
-    ]
-    sm = surrogate_mismatch(sites, agents)
+    sm = surrogate_mismatch(sites, np.stack([x, x]))
     assert np.allclose(sm.delta_norms, 0.0, atol=1e-12)
     assert np.allclose(sm.big_delta_norms, 0.0, atol=1e-12)
 
@@ -230,11 +226,7 @@ def test_surrogate_mismatch_linear_closed_form():
     sites, _ = _linear_sites(n_agents=2)
     x1 = np.array([0.5, 0.0])
     x2 = np.array([-0.5, 1.0])
-    agents = [
-        AgentState(agent_id=0, x=x1, info=local_init_info(sites[0], x1)[0]),
-        AgentState(agent_id=1, x=x2, info=local_init_info(sites[1], x2)[0]),
-    ]
-    sm = surrogate_mismatch(sites, agents)
+    sm = surrogate_mismatch(sites, np.stack([x1, x2]))
     a2 = sites[1].eval_jacobian(x1)
     # delta_0 = hbar - q(x_0) = (1/2) A_2^T A_2 (x_2 - x_1) for linear sites
     expected = 0.5 * a2.T @ a2 @ (x2 - x1)
@@ -258,12 +250,7 @@ def test_surrogate_mismatch_bounds_hold_on_run(toy_sites, toy_box):
     box = BoxSet(pts.min(0) - pad, pts.max(0) + pad)
     pc = estimate_constants(toy_sites, box, n_samples=40, rng_seed=0, extra_points=pts)
     for k in (0, traj.n_updates - 1):
-        stack = traj.iterates[k]
-        agents = [
-            AgentState(agent_id=i, x=stack[i], info=local_init_info(s, stack[i])[0])
-            for i, s in enumerate(toy_sites)
-        ]
-        sm = surrogate_mismatch(toy_sites, agents, pc=pc)
+        sm = surrogate_mismatch(toy_sites, traj.iterates[k], pc=pc)
         assert sm.delta_bounds is not None
         assert np.all(sm.delta_within)
         assert np.all(sm.big_delta_within)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gossipgn.core import (
+    COND_CAP,
     BoxSet,
     _spectral_bound,
     centralized_gn_solve,
@@ -78,6 +79,103 @@ def test_solve_normal_rejects_singular():
         solve_normal(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(SingularSystemError):
         solve_normal(np.diag([1.0, 1e-15]), np.ones(2))
+
+
+def test_solve_normal_rejects_non_finite():
+    a = np.array([[4.0, 1.0], [1.0, 3.0]])
+    with pytest.raises(SingularSystemError, match="^ctx: .*not finite"):
+        solve_normal(a, np.array([np.nan, 1.0]), context="ctx")
+    with pytest.raises(SingularSystemError, match="not finite"):
+        solve_normal(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2))
+    stack = np.stack([a, a, a])
+    stack[2, 0, 1] = np.nan
+    with pytest.raises(SingularSystemError, match="^ctx 2: .*not finite"):
+        solve_normal(stack, np.ones((3, 2)), context="ctx")
+
+
+def test_solve_normal_stack_error_names_the_system():
+    stack = np.stack([np.eye(2), np.diag([1.0, 1e-15]), np.eye(2)])
+    with pytest.raises(SingularSystemError, match="^ctx 1: .*condition number"):
+        solve_normal(stack, np.ones((3, 2)), context="ctx")
+
+
+def test_solve_normal_batched_equals_per_matrix_calls():
+    rng = np.random.default_rng(4)
+    for n, count in ((59, 30), (3, 7), (1, 4)):
+        stack = np.stack([(lambda j: j.T @ j)(rng.normal(size=(n + 2, n))) for _ in range(count)])
+        rhs = rng.normal(size=(count, n))
+        batched = solve_normal(stack, rhs)
+        assert batched.shape == (count, n)
+        assert np.array_equal(batched, np.stack([solve_normal(a, b) for a, b in zip(stack, rhs)]))
+        assert np.array_equal(batched[0], np.linalg.solve(stack[0], rhs[0]))
+
+
+ORACLE_EIGVALSH = np.linalg.eigvalsh
+
+
+def _oracle_accepts(a: np.ndarray) -> bool:
+    """Oracle: the spectrum check solve_normal made before its Cholesky certificate,
+    plus the finiteness check it makes now."""
+    if not np.isfinite(a).all():
+        return False
+    eigvals = ORACLE_EIGVALSH((a + a.T) / 2.0)
+    lo, hi = float(eigvals[0]), float(eigvals[-1])
+    return not (hi <= 0.0 or lo <= 0.0 or hi / lo > COND_CAP)
+
+
+def _decide(a: np.ndarray) -> tuple[bool, bool]:
+    """(accepted, certified): solve_normal's decision, and whether it reached it
+    without a spectrum."""
+    spectra = []
+
+    def spying(m):
+        spectra.append(m)
+        return ORACLE_EIGVALSH(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", spying)
+        try:
+            solve_normal(a, np.ones(a.shape[0]))
+        except SingularSystemError:
+            return False, not spectra
+    return True, not spectra
+
+
+@st.composite
+def normal_matrices(draw):
+    """Symmetric matrices with prescribed spectra, conditions 1 to 1e14 and
+    many within 10x of COND_CAP, plus zero, indefinite and non-finite ones."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 8, 13, 30, 59]))
+    kind = draw(st.sampled_from(["spd", "spd", "spd", "zero", "indefinite", "non-finite"]))
+    if kind == "zero":
+        return np.zeros((n, n))
+    log_cond = draw(st.one_of(st.floats(0.0, 14.0), st.floats(11.0, 13.0)))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # exponents in [0, 1], both ends present when n > 1, fix the condition
+    exps = np.concatenate([[0.0, 1.0], rng.uniform(size=max(n - 2, 0))])[:n]
+    spectrum = scale * 10.0 ** (-log_cond * exps)
+    if kind == "indefinite":
+        spectrum[rng.integers(n)] *= -1.0
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * spectrum) @ q.T
+    if kind == "non-finite":
+        a[rng.integers(n), rng.integers(n)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(normal_matrices())
+def test_cholesky_certificate_agrees_with_eigvalsh_oracle(a):
+    assert _decide(a)[0] == _oracle_accepts(a)
+
+
+def test_cholesky_certificate_decides_well_conditioned_systems_alone():
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    for log_cond, certified in ((0.0, True), (10.0, True), (11.8, False), (13.0, False)):
+        a = (q * np.logspace(0.0, -log_cond, 5)) @ q.T
+        assert _decide(a) == (log_cond < 12.0, certified)
 
 
 def test_solve_normal_solves():

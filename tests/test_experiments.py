@@ -490,6 +490,26 @@ def test_cli_certify_prints_certificate(tmp_path, capsys):
     assert "constants.sigma_min=" in out
 
 
+def test_cli_run_diffusion_skips_certificate(tmp_path, capsys):
+    # the diffusion iterates reach the box faces on case30, where the sampled
+    # Jacobian is rank deficient; the GGN certificate is not estimated at all
+    out_dir = tmp_path / "diff"
+    path = write_config(
+        tmp_path / "d.yaml",
+        {
+            "case_path": "case30", "algorithm": "diffusion", "repetitions": 1,
+            "diffusion": {"total_exchanges": 10}, "output_dir": str(out_dir),
+        },
+    )
+    assert main(["run", path]) == 0
+    summary = read_summary(out_dir / "summary.txt")
+    assert summary["certificate.applicable"] == "false"
+    assert "diffusion" in summary["certificate.reason"]
+    assert not any(key.startswith("constants.") for key in summary)
+    assert main(["certify", path]) == 0
+    assert "certificate.applicable=False" in capsys.readouterr().out
+
+
 def test_cli_compare(tmp_path, capsys):
     base = tiny_mapping(output_dir=str(tmp_path / "cmp"), repetitions=1)
     a = write_config(tmp_path / "a.yaml", base)

@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 
 from gossipgn import ggn
-from gossipgn.core import BoxSet, SiteModel, centralized_gn_step, exact_descent
+from gossipgn.core import COND_CAP, BoxSet, SiteModel, centralized_gn_step, exact_descent
 from gossipgn.errors import InvalidArgumentError, SingularSystemError
 from gossipgn.ggn import (
-    AgentState,
     ExchangeSchedule,
     GgnConfig,
-    InfoVector,
     constant_steps,
     descent_discrepancy,
     diffusion_baseline_run,
     diminishing_steps,
     ggn_run,
     local_init_info,
-    local_update,
     surrogate_descent,
 )
 from gossipgn.gossip import GossipConfig, Topology
@@ -64,25 +61,6 @@ def _assert_recorded_metrics(sites, traj):
         assert np.array_equal(traj.grads[k], grads)
 
 
-def test_info_vector_payload_roundtrip():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
-        h = rng.normal(size=n)
-        root = rng.normal(size=(n, n))
-        hm = root.T @ root
-        info = InfoVector(h=h, H=hm)
-        back = InfoVector.from_payload(info.to_payload(), n)
-        assert np.array_equal(back.h, info.h)
-        assert np.array_equal(back.H, info.H)
-        assert info.to_payload().shape == (n * (n + 1),)
-
-
-def test_info_vector_rejects_asymmetric():
-    with pytest.raises(InvalidArgumentError):
-        InfoVector(h=np.zeros(2), H=np.array([[1.0, 5.0], [0.0, 1.0]]))
-
-
 def test_exchange_schedule():
     const = ExchangeSchedule(kind="constant", base=3)
     assert [const.exchanges_at(k) for k in range(4)] == [3, 3, 3, 3]
@@ -94,54 +72,75 @@ def test_exchange_schedule():
         ExchangeSchedule(kind="quadratic", base=1)
 
 
+def _payload(h, hm):
+    """One payload row in the wire layout [h, vec(H)], H column-major."""
+    return np.concatenate([h, np.asarray(hm).reshape(-1, order="F")])
+
+
 def test_local_init_info_matches_normal_blocks():
     sites, _, _ = _toy_setup()
     x = np.array([0.4, -0.1, 0.2])
-    info, val = local_init_info(sites[0], x)
+    row, val = local_init_info(sites[0], x)
     j = sites[0].eval_jacobian(x)
     r = sites[0].eval_residual(x)
-    assert np.allclose(info.h, j.T @ r, atol=1e-14)
-    assert np.allclose(info.H, j.T @ j, atol=1e-14)
+    assert row.shape == (3 * 4,)
+    assert np.allclose(row[:3], j.T @ r, atol=1e-14)
+    assert np.allclose(row[3:].reshape((3, 3), order="F"), j.T @ j, atol=1e-14)
     assert val == float(r @ r)
 
 
 def test_surrogate_descent_ridge_scaling():
     h = np.array([1.0, 2.0])
     hm = np.diag([4.0, 2.0])
-    info = InfoVector(h=h, H=hm)
-    d0 = surrogate_descent(info, ridge=0.0, context="t")
-    assert np.allclose(d0, [0.25, 1.0], atol=1e-14)
-    # effective ridge = ridge * trace/n = 1.0 * 6/2 = 3
-    d1 = surrogate_descent(info, ridge=1.0, context="t")
-    assert np.allclose(d1, [1.0 / 7.0, 2.0 / 5.0], atol=1e-14)
+    row = _payload(h, hm)
+    d0 = surrogate_descent(row[None], ridge=0.0)
+    assert np.allclose(d0, [[0.25, 1.0]], atol=1e-14)
+    # effective ridge = ridge * trace/n = 1.0 * 6/2 = 3 for the first row and
+    # 1.0 * 4/2 = 2 for the second: one call scales each row by its own trace
+    d1 = surrogate_descent(np.stack([row, _payload(h, np.diag([1.0, 3.0]))]), ridge=1.0)
+    assert np.allclose(d1[0], [1.0 / 7.0, 2.0 / 5.0], atol=1e-14)
+    assert np.allclose(d1[1], [1.0 / 3.0, 2.0 / 5.0], atol=1e-14)
+
+
+def test_surrogate_descent_resymmetrizes():
+    hm = np.array([[4.0, 1.0], [0.0, 2.0]])
+    d = surrogate_descent(_payload(np.ones(2), hm)[None], ridge=0.0)
+    assert np.allclose(d[0], np.linalg.solve((hm + hm.T) / 2.0, np.ones(2)), atol=1e-14)
+    with pytest.raises(InvalidArgumentError):
+        surrogate_descent(np.zeros((1, 5)), ridge=0.0)
 
 
 def test_surrogate_descent_zero_information_stays_put():
-    info = InfoVector(h=np.zeros(3), H=np.zeros((3, 3)))
-    d = surrogate_descent(info, ridge=1e-8, context="t")
-    assert np.array_equal(d, np.zeros(3))
+    live = _payload(np.ones(3), np.eye(3))
+    d = surrogate_descent(np.stack([np.zeros(12), live]), ridge=1e-8)
+    assert np.array_equal(d[0], np.zeros(3))
+    assert np.all(d[1] > 0.0)
 
 
-def test_local_update_projects():
-    sites, _, _ = _toy_setup()
-    x = np.zeros(3)
-    info, _ = local_init_info(sites[0], x)
-    # site Jacobian is 4x3 full column rank, so the descent is well posed
+def test_surrogate_descent_error_names_the_agent():
+    rows = np.stack([_payload(np.ones(2), np.eye(2)), _payload(np.ones(2), np.diag([1.0, 0.0]))])
+    with pytest.raises(SingularSystemError, match="agent 1"):
+        surrogate_descent(rows, ridge=0.0)
+
+
+def test_ggn_run_projects_onto_tight_box():
+    sites, _, x0 = _toy_setup()
     tight = BoxSet.cube(3, 1e-3)
-    agent = AgentState(agent_id=0, x=x, info=info)
-    out = local_update(agent, alpha=1.0, box=tight, ridge=0.0)
-    assert tight.contains(out.x)
-    assert out.last_descent is not None
+    gc = GossipConfig(protocol="cse", n_agents=3, beta=0.4, topology=Topology.full(3))
+    cfg = GgnConfig(
+        alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),
+        max_updates=1, stop_tol=1e-15, ridge=0.0,
+    )
+    traj = ggn_run(sites, tight, gc, cfg, x0)
+    step = x0 - traj.descents[0]
+    assert not np.all(np.abs(step) <= 1e-3)  # the projection is active
+    assert np.array_equal(traj.iterates[1], np.clip(step, tight.lower, tight.upper))
 
 
 def test_perfect_mixing_discrepancy_vanishes():
     sites, _, x0 = _toy_setup(n_sites=4)
-    infos = [local_init_info(s, x0)[0] for s in sites]
-    mean_h = np.mean([i.h for i in infos], axis=0)
-    mean_hm = np.mean([i.H for i in infos], axis=0)
-    mixed = np.stack(
-        [surrogate_descent(InfoVector(h=mean_h, H=mean_hm), 0.0, context="t")] * 4
-    )
+    rows = np.stack([local_init_info(s, x0)[0] for s in sites])
+    mixed = surrogate_descent(np.tile(rows.mean(axis=0), (4, 1)), 0.0)
     exact = np.stack([exact_descent(sites, x0)] * 4)
     disc = descent_discrepancy(mixed, exact)
     assert np.all(disc <= 1e-10)
@@ -298,18 +297,38 @@ def test_per_agent_warm_start_stack():
         ggn_run(sites, box, gc, cfg, starts[:2])
 
 
-def _discrepancies_before(sites, agents, ridge):
-    """Oracle: the per-agent discrepancy as computed before exact directions
-    moved into the init step, with its own surrogate and exact solves."""
-    out = np.empty(len(agents))
-    for idx, agent in enumerate(agents):
+def _solve_one(a, b):
+    """Oracle: one system, conditioning checked on its spectrum, then solved."""
+    eigvals = np.linalg.eigvalsh((a + a.T) / 2.0)
+    if eigvals[-1] <= 0.0 or eigvals[0] <= 0.0 or eigvals[-1] / eigvals[0] > COND_CAP:
+        raise SingularSystemError("oracle")
+    return np.linalg.solve(a, b)
+
+
+def _discrepancies_per_agent(sites, xs, mixed, ridge):
+    """Oracle: each agent's discrepancy from its own surrogate and exact solves."""
+    n_u = xs.shape[1]
+    out = np.empty(len(xs))
+    for i, (x, row) in enumerate(zip(xs, mixed)):
+        h = row[:n_u]
+        hm = row[n_u:].reshape((n_u, n_u), order="F")
+        hm = (hm + hm.T) / 2.0
+        r = ridge * float(np.trace(hm)) / n_u
+        if r != 0.0:
+            hm = hm + r * np.eye(n_u)
         try:
-            d_mixed = surrogate_descent(agent.info, ridge, context=f"agent {agent.agent_id}")
-            d_exact = exact_descent(sites, agent.x)
+            d_mixed = _solve_one(hm, h)
+            a, b = np.zeros((n_u, n_u)), np.zeros(n_u)
+            for site in sites:
+                res = np.asarray(site.eval_residual(x), dtype=float)
+                jac = np.asarray(site.eval_jacobian(x), dtype=float)
+                a += jac.T @ jac
+                b += jac.T @ res
+            d_exact = _solve_one(a, b)
         except SingularSystemError:
-            out[idx] = np.nan
+            out[i] = np.nan
             continue
-        out[idx] = float(np.linalg.norm(d_mixed - d_exact))
+        out[i] = float(np.linalg.norm(d_mixed - d_exact))
     return out
 
 
@@ -335,7 +354,7 @@ def instrumented_run(request, grid30, true30):
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=spec["exchanges"]),
         max_updates=spec["updates"], stop_tol=1e-15, ridge=1e-4,
     )
-    rounds, counts = [], {"model": 0, "surrogate": 0}
+    rounds, counts = [], {"model": 0, "surrogate": 0, "solve": 0}
 
     def recording_round(payloads, weights):
         out = gossip_round_orig(payloads, weights)
@@ -352,6 +371,7 @@ def instrumented_run(request, grid30, true30):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ggn, "gossip_round", recording_round)
         mp.setattr(ggn, "surrogate_descent", counting("surrogate", ggn.surrogate_descent))
+        mp.setattr(ggn, "solve_normal", counting("solve", ggn.solve_normal))
         mp.setattr(
             measurements, "full_measurement_jacobian",
             counting("model", measurements.full_measurement_jacobian),
@@ -368,14 +388,9 @@ def _rounds_by_update(traj, rounds):
 
 def test_recorded_discrepancies_equal_separate_solves(instrumented_run):
     sites, cfg, traj, rounds, _ = instrumented_run
-    n_u = traj.iterates.shape[2]
     for k, update_rounds in enumerate(_rounds_by_update(traj, rounds)):
         mixed = update_rounds[-1][1]
-        agents = [
-            AgentState(agent_id=i, x=traj.iterates[k][i], info=InfoVector.from_payload(row, n_u))
-            for i, row in enumerate(mixed)
-        ]
-        oracle = _discrepancies_before(sites, agents, cfg.ridge)
+        oracle = _discrepancies_per_agent(sites, traj.iterates[k], mixed, cfg.ridge)
         assert np.array_equal(traj.discrepancies[k], oracle, equal_nan=True)
 
 
@@ -401,7 +416,10 @@ def test_one_model_evaluation_and_one_surrogate_solve_per_agent_update(instrumen
     _, _, traj, _, counts = instrumented_run
     n_agents, n_updates = traj.n_agents, traj.n_updates
     assert counts["model"] <= n_agents * (n_updates + 1)
-    assert counts["surrogate"] == n_agents * n_updates
+    # every agent's surrogate is solved in one batched call per update, and
+    # each update makes one more solve for all exact directions
+    assert counts["surrogate"] == n_updates
+    assert counts["solve"] == 2 * n_updates
 
 
 def test_singular_full_system_records_nan_discrepancy():
