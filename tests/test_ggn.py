@@ -77,6 +77,31 @@ def _payload(h, hm):
     return np.concatenate([h, np.asarray(hm).reshape(-1, order="F")])
 
 
+def test_info_vector_payload_roundtrip():
+    # local_init_info writes [h, vec(H)] and surrogate_descent reads the same
+    # layout back: an asymmetric-looking misread of vec(H) would change d
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        jac = rng.normal(size=(n + 2, n))
+        res = rng.normal(size=n + 2)
+        site = SiteModel(
+            site_id=0,
+            n_unknowns=n,
+            residual_dim=n + 2,
+            eval_residual=lambda x, res=res: res,
+            eval_jacobian=lambda x, jac=jac: jac,
+        )
+        row, _ = local_init_info(site, np.zeros(n))
+        h, hm = jac.T @ res, jac.T @ jac
+        assert row.shape == (n * (n + 1),)
+        assert np.array_equal(row[:n], h)
+        assert np.array_equal(row[n:].reshape((n, n), order="F"), hm)
+        assert np.array_equal(_payload(h, hm), row)
+        d = surrogate_descent(row[None], ridge=0.0)
+        assert np.allclose(d[0], np.linalg.solve(hm, h), rtol=1e-8, atol=1e-10)
+
+
 def test_local_init_info_matches_normal_blocks():
     sites, _, _ = _toy_setup()
     x = np.array([0.4, -0.1, 0.2])
