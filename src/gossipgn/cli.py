@@ -26,7 +26,12 @@ from .errors import (
     SingularSystemError,
     UnsupportedFeatureError,
 )
-from .experiments import compare_algorithms, run_experiment, run_failure_sweep
+from .experiments import (
+    compare_algorithms,
+    run_experiment,
+    run_failure_sweep,
+    summary_line,
+)
 
 OUTPUT_DIR_ENV = "GOSSIPGN_OUTPUT_DIR"
 
@@ -91,7 +96,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     shown = 0
     for key, value in result.summary.items():
         if key.startswith("certificate.") or key.startswith("constants."):
-            print(f"{key}={value}")
+            print(summary_line(key, value))
             shown += 1
     if shown == 0:
         print("no certificate produced for this configuration")

@@ -9,14 +9,16 @@ network objective is ``sum_i ||g_i(x)||^2``. The Gauss-Newton direction is
 
 with ``G`` and ``g`` the stacked Jacobian/residual, assembled here by summing
 per-site normal-equation contributions so that any row partition of the same
-problem yields the same direction.
+problem yields the same direction. Sites built over one shared model carry a
+:class:`SiteBatch`, which lets the sum read every site's rows from that model
+at once.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -78,6 +80,75 @@ class SiteModel:
     residual_dim: int
     eval_residual: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     eval_jacobian: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    batch: "SiteBatch | None" = field(default=None, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class SiteBatch:
+    """Rows of a whole site list over one shared model (f, J) = model(x).
+
+    Site i's residual is z_i - f[rows_i] and its Jacobian -J[rows_i]. The
+    sites are grouped by residual_dim, and each group holds its sites'
+    (k, m) row indices and (k, m) values z, so one fancy index gathers the
+    group's blocks. slot_of_site[i] is site i's place in that group order.
+    Every site of the list carries the same batch, and site_id equals its
+    position.
+
+    products holds normal_system's (I, n, n) and (I, n, 1) stacks of per-site
+    products in group order. Each call overwrites all of it before reading
+    it, and no result aliases it. Allocating the stacks on every call
+    instead costs page faults whenever the allocator returns them to the
+    system in between.
+    """
+
+    n_sites: int
+    model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    slot_of_site: np.ndarray = field(repr=False)
+    products: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    @staticmethod
+    def of(
+        model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+        site_rows: Sequence[np.ndarray],
+        site_values: Sequence[np.ndarray],
+        n_unknowns: int,
+    ) -> "SiteBatch":
+        """The batch of sites whose rows and values are given in site order."""
+        positions = _positions_by_size([rows.size for rows in site_rows])
+        groups = tuple(
+            (np.stack([site_rows[i] for i in p]), np.stack([site_values[i] for i in p]))
+            for p in positions
+        )
+        slot_of_site = _slot_of_site(positions)
+        for arr in (slot_of_site, *(arr for group in groups for arr in group)):
+            arr.setflags(write=False)
+        products = _product_stacks(len(site_rows), n_unknowns)
+        return SiteBatch(len(site_rows), model, groups, slot_of_site, products)
+
+    def serves(self, sites: list[SiteModel]) -> bool:
+        """Whether sites is the whole site list this batch was built for, in order."""
+        return self.n_sites == len(sites) and all(
+            site.batch is self and site.site_id == i for i, site in enumerate(sites)
+        )
+
+
+def _positions_by_size(sizes: list[int]) -> list[list[int]]:
+    """The positions of each distinct size, sizes in order of first appearance."""
+    positions: dict[int, list[int]] = {}
+    for i, size in enumerate(sizes):
+        positions.setdefault(size, []).append(i)
+    return list(positions.values())
+
+
+def _slot_of_site(positions: list[list[int]]) -> np.ndarray:
+    """Each site's place when the groups' positions are laid end to end."""
+    return np.argsort(np.concatenate(positions))
+
+
+def _product_stacks(n_sites: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialized (I, n, n) and (I, n, 1) stacks for the per-site products."""
+    return np.empty((n_sites, n, n)), np.empty((n_sites, n, 1))
 
 
 @dataclass(frozen=True)
@@ -139,16 +210,45 @@ def site_terms(site: SiteModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def normal_system(sites: list[SiteModel], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble A = sum_i G_i^T G_i and b = sum_i G_i^T g_i at x."""
+    """Assemble A = sum_i G_i^T G_i and b = sum_i G_i^T g_i at x.
+
+    The sites are grouped by residual size, and each group's products are
+    taken in one stacked matmul. They are summed in site order, so the
+    result is bit-identical to accumulating G_i^T G_i and G_i^T g_i site by
+    site. That holds because every slice of the stacks is C-contiguous with
+    the site's own shape: padded, compressed or strided blocks round
+    differently. A site list carrying its SiteBatch gathers the blocks
+    straight from the shared model; any other list (a subset, a reordering,
+    sites without a batch) stacks site_terms.
+    """
     x = _check_state(sites, x)
-    n = x.size
-    a = np.zeros((n, n))
-    b = np.zeros(n)
-    for site in sites:
-        res, jac = site_terms(site, x)
-        a += jac.T @ jac
-        b += jac.T @ res
-    return a, b
+    batch = sites[0].batch
+    if batch is not None and batch.serves(sites):
+        f, jac = batch.model(x)
+        blocks = [(values - f[rows], -jac[rows]) for rows, values in batch.groups]
+        slot_of_site, stacks = batch.slot_of_site, batch.products
+    else:
+        terms = [site_terms(site, x) for site in sites]
+        positions = _positions_by_size([res.shape[0] for res, _ in terms])
+        blocks = [
+            (np.stack([terms[i][0] for i in p]), np.stack([terms[i][1] for i in p]))
+            for p in positions
+        ]
+        slot_of_site, stacks = _slot_of_site(positions), _product_stacks(len(sites), x.size)
+    products_a, products_b = stacks
+    start = 0
+    for res, jac in blocks:
+        stop = start + len(jac)
+        jac_t = jac.transpose(0, 2, 1)
+        np.matmul(jac_t, jac, out=products_a[start:stop])
+        np.matmul(jac_t, res[..., None], out=products_b[start:stop])
+        start = stop
+    # Both sums add in site order from +0.0: a in place, which needs no
+    # (I, n, n) copy, and b over its small gathered copy.
+    a = np.zeros((x.size, x.size))
+    for slot in slot_of_site.tolist():
+        a += products_a[slot]
+    return a, np.add.reduce(products_b[slot_of_site, :, 0], axis=0, initial=0.0)
 
 
 def _cholesky_shift(n: int) -> float:

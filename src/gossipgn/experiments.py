@@ -455,7 +455,7 @@ def _certificate_summary(
         xi=config.certificate.xi, n_samples=config.certificate.n_samples,
         rng_seed=config.seed,
     )
-    out = {"certificate.eta_observed": eta}
+    out = {"certificate.applicable": True, "certificate.eta_observed": eta}
     for name in (
         "T1", "T2", "rho_min", "rho_max", "kappa", "alpha_lower", "C", "C1",
         "C2", "D", "lambda_eta_val", "L0", "ell_min", "lambda_infty", "xi",
@@ -470,18 +470,21 @@ def _certificate_summary(
     return out
 
 
+def summary_line(key: str, value) -> str:
+    """The `key=value` line of summary.txt, as the certify verb also prints it."""
+    if isinstance(value, bool):
+        text = "true" if value else "false"
+    elif isinstance(value, str):
+        text = value
+    elif isinstance(value, (int, np.integer)):
+        text = str(int(value))
+    else:
+        text = repr(float(value))
+    return f"{key}={text}"
+
+
 def _write_summary(path: Path, summary: dict) -> None:
-    lines = []
-    for key, value in summary.items():
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, str):
-            text = value
-        elif isinstance(value, (int, np.integer)):
-            text = str(int(value))
-        else:
-            text = repr(float(value))
-        lines.append(f"{key}={text}")
+    lines = [summary_line(key, value) for key, value in summary.items()]
     path.write_text("\n".join(lines) + "\n")
 
 

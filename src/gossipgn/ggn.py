@@ -229,10 +229,11 @@ def ggn_run(
     def init_step(x: np.ndarray, with_exact: bool) -> tuple[np.ndarray, np.ndarray | None]:
         # Payload stack at the agents' iterates x; records val and grad there.
         # Each agent's full normal system is assembled right after its payload
-        # row, while the sites' one-iterate memo still holds x_i, and all of
-        # them are solved together. normal_system is looked up on the core
-        # module so that a wrapper installed there (perfbench/tracing.py)
-        # sees each call.
+        # row, while the sites' one-iterate memo still holds x_i: normal_system
+        # reads the memo's full f and J through the sites' SiteBatch, in one
+        # stacked product per site size, and all the systems are solved
+        # together. normal_system is looked up on the core module so that a
+        # wrapper installed there (perfbench/tracing.py) sees each call.
         payloads = np.empty((n_agents, n_u * (n_u + 1)))
         a, b = np.empty((n_agents, n_u, n_u)), np.empty((n_agents, n_u))
         vals_now = []

@@ -21,7 +21,7 @@ from ..errors import CaseParseError, InvalidArgumentError, PowerFlowError, Unsup
 from . import matpower as mp
 from .matpower import MatpowerCase
 
-PQ_BUS, PV_BUS, SLACK_BUS = 1, 2, 3
+PQ_BUS, PV_BUS, SLACK_BUS, ISOLATED_BUS = 1, 2, 3, 4
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,44 @@ class Branch:
 
 
 @dataclass(frozen=True, eq=False)
+class BranchArrays:
+    """The state-independent branch data of a grid as read-only arrays.
+
+    f and t are the end bus indices, ys the series admittances, sh_f and
+    sh_t the end shunts. yf and yt are the (L, N) end admittance matrices,
+    so the current leaving each branch's from end is (yf @ v)[l], and
+    (yt @ v)[l] at its to end.
+    """
+
+    f: np.ndarray
+    t: np.ndarray
+    ys: np.ndarray
+    sh_f: np.ndarray
+    sh_t: np.ndarray
+    yf: np.ndarray
+    yt: np.ndarray
+
+    @staticmethod
+    def of(branches: tuple[Branch, ...], n_buses: int) -> "BranchArrays":
+        f = np.array([br.from_bus for br in branches], dtype=int)
+        t = np.array([br.to_bus for br in branches], dtype=int)
+        ys = np.array([br.y_series for br in branches], dtype=complex)
+        sh_f = np.array([br.shunt_from for br in branches], dtype=complex)
+        sh_t = np.array([br.shunt_to for br in branches], dtype=complex)
+        rows = np.arange(len(branches))
+        yf = np.zeros((len(branches), n_buses), dtype=complex)
+        yt = np.zeros((len(branches), n_buses), dtype=complex)
+        yf[rows, f] = ys + sh_f
+        yf[rows, t] -= ys
+        yt[rows, t] = ys + sh_t
+        yt[rows, f] -= ys
+        arrays = BranchArrays(f, t, ys, sh_f, sh_t, yf, yt)
+        for arr in vars(arrays).values():
+            arr.setflags(write=False)
+        return arrays
+
+
+@dataclass(frozen=True, eq=False)
 class GridModel:
     name: str
     n_buses: int
@@ -47,6 +85,8 @@ class GridModel:
     gen_v_setpoint: np.ndarray   # nan where no generator
     gen_p: np.ndarray        # per-unit active injection from generators
     ybus: np.ndarray = field(repr=False)
+    # derived from branches once, for the measurement model
+    branch_arrays: BranchArrays = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_buses < 2:
@@ -60,6 +100,7 @@ class GridModel:
         asym = float(np.max(np.abs(self.ybus - self.ybus.T))) if self.ybus.size else 0.0
         if asym > 1e-9:
             raise InvalidArgumentError("assembled admittance matrix is not symmetric")
+        object.__setattr__(self, "branch_arrays", BranchArrays.of(self.branches, self.n_buses))
 
     def __eq__(self, other):
         if not isinstance(other, GridModel):
@@ -86,14 +127,44 @@ class GridModel:
         return 2 * self.n_buses - 1
 
 
+# Bus numbers are positive 32-bit integers.
+MAX_BUS_ID = 2**31 - 1
+
+
+def _integer_column(
+    table: np.ndarray, col: int, where: str, what: str, lo: int, hi: int
+) -> np.ndarray:
+    """Column col of a case table as ints; every entry must be an integer in lo..hi."""
+    values = table[:, col]
+    bad = np.flatnonzero(~((values >= lo) & (values <= hi) & (values == np.floor(values))))
+    if bad.size:
+        value = float(values[bad[0]])
+        raise CaseParseError(
+            f"{where} row {bad[0] + 1}: {what} {value!r} is not an integer in {lo}..{hi}"
+        )
+    return values.astype(int)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_grid_model(case: MatpowerCase) -> GridModel:
-    bus_ids = case.bus[:, mp.BUS_I].astype(int)
+    """The electrical model of a case, in per unit.
+
+    Floating-point errors are silenced here and every derived quantity is
+    checked to be finite instead, so a bad number fails as CaseParseError
+    naming its table and row.
+    """
+    bus_ids = _integer_column(case.bus, mp.BUS_I, "bus", "bus number", 1, MAX_BUS_ID)
+    types = _integer_column(case.bus, mp.BUS_TYPE, "bus", "bus type", PQ_BUS, ISOLATED_BUS)
+    gen_buses = _integer_column(case.gen, mp.GEN_BUS, "generator", "bus", 1, MAX_BUS_ID)
+    ends = [
+        _integer_column(case.branch, col, "branch", "bus", 1, MAX_BUS_ID)
+        for col in (mp.BR_F, mp.BR_T)
+    ]
     if len(set(bus_ids.tolist())) != len(bus_ids):
         raise CaseParseError("duplicate bus ids in bus table")
     index_of = {int(b): i for i, b in enumerate(bus_ids)}
     n = len(bus_ids)
 
-    types = case.bus[:, mp.BUS_TYPE].astype(int)
     slack_rows = np.flatnonzero(types == SLACK_BUS)
     if slack_rows.size != 1:
         raise CaseParseError(f"expected exactly one slack bus, found {slack_rows.size}")
@@ -101,13 +172,16 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
 
     loads = (case.bus[:, mp.BUS_PD] + 1j * case.bus[:, mp.BUS_QD]) / case.base_mva
     shunts = (case.bus[:, mp.BUS_GS] + 1j * case.bus[:, mp.BUS_BS]) / case.base_mva
+    bad = np.flatnonzero(~(np.isfinite(loads) & np.isfinite(shunts)))
+    if bad.size:
+        raise CaseParseError(f"bus row {bad[0] + 1}: load or shunt in per unit is not finite")
 
     gen_v = np.full(n, np.nan)
     gen_p = np.zeros(n)
     for row_no, row in enumerate(case.gen):
         if row.shape[0] > mp.GEN_STATUS and row[mp.GEN_STATUS] <= 0:
             continue
-        b = int(row[mp.GEN_BUS])
+        b = int(gen_buses[row_no])
         if b not in index_of:
             raise CaseParseError(f"generator references unknown bus {b}")
         if row[mp.GEN_VG] <= 0:
@@ -117,13 +191,15 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
         i = index_of[b]
         gen_v[i] = row[mp.GEN_VG]
         gen_p[i] += row[mp.GEN_PG] / case.base_mva
+        if not np.isfinite(gen_p[i]):
+            raise CaseParseError(f"generator row {row_no + 1}: Pg in per unit is not finite")
 
     branches = []
     ybus = np.zeros((n, n), dtype=complex)
     for row_no, row in enumerate(case.branch):
         if row.shape[0] > mp.BR_STATUS and row[mp.BR_STATUS] == 0:
             continue
-        fb, tb = int(row[mp.BR_F]), int(row[mp.BR_T])
+        fb, tb = int(ends[0][row_no]), int(ends[1][row_no])
         if fb not in index_of or tb not in index_of:
             raise CaseParseError(f"branch row {row_no + 1} references unknown bus")
         f, t = index_of[fb], index_of[tb]
@@ -138,12 +214,11 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
         tau = row[mp.BR_TAP] if row.shape[0] > mp.BR_TAP else 0.0
         if tau == 0.0:
             tau = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            ys = 1.0 / (r + 1j * x)
-            y_eff = ys / tau
-            total = ys + 0.5j * b_chg
-            shunt_f = total / tau**2 - y_eff
-            shunt_t = total - y_eff
+        ys = 1.0 / (r + 1j * x)
+        y_eff = ys / tau
+        total = ys + 0.5j * b_chg
+        shunt_f = total / tau**2 - y_eff
+        shunt_t = total - y_eff
         if not np.isfinite([y_eff, shunt_f, shunt_t]).all():
             raise CaseParseError(
                 f"branch row {row_no + 1}: admittance is not finite "
@@ -155,6 +230,9 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
         ybus[f, t] -= y_eff
         ybus[t, f] -= y_eff
     ybus[np.arange(n), np.arange(n)] += shunts
+    bad = np.flatnonzero(~np.isfinite(ybus).all(axis=1))
+    if bad.size:
+        raise CaseParseError(f"bus row {bad[0] + 1}: summed admittance is not finite")
 
     return GridModel(
         name=case.name, n_buses=n, branches=tuple(branches), slack_bus=slack,

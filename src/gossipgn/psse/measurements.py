@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import SiteModel
+from ..core import SiteBatch, SiteModel
 from ..errors import InvalidArgumentError
 from .grid import (
     GridModel,
@@ -51,15 +51,6 @@ def power_injections(grid: GridModel, state: PowerState) -> np.ndarray:
     return np.concatenate([p, q])
 
 
-def _branch_arrays(grid: GridModel):
-    f = np.array([br.from_bus for br in grid.branches], dtype=int)
-    t = np.array([br.to_bus for br in grid.branches], dtype=int)
-    ys = np.array([br.y_series for br in grid.branches], dtype=complex)
-    sh_f = np.array([br.shunt_from for br in grid.branches], dtype=complex)
-    sh_t = np.array([br.shunt_to for br in grid.branches], dtype=complex)
-    return f, t, ys, sh_f, sh_t
-
-
 def line_flows(grid: GridModel, state: PowerState) -> np.ndarray:
     """Branch flows, both ends: P block then Q block (see module header)."""
     if state.n_buses != grid.n_buses:
@@ -68,8 +59,9 @@ def line_flows(grid: GridModel, state: PowerState) -> np.ndarray:
     out = np.zeros(4 * n_br)
     if n_br == 0:
         return out
-    f, t, ys, sh_f, sh_t = _branch_arrays(grid)
-    g, b = ys.real, ys.imag
+    br = grid.branch_arrays
+    f, t, sh_f, sh_t = br.f, br.t, br.sh_f, br.sh_t
+    g, b = br.ys.real, br.ys.imag
     v, theta = state.v, state.theta
     d_ft = theta[f] - theta[t]
     vf, vt = v[f], v[t]
@@ -94,34 +86,28 @@ def full_measurement_vector(grid: GridModel, state: PowerState) -> np.ndarray:
 def _branch_flow_derivatives(grid: GridModel, state: PowerState):
     """d(complex flow)/d(angle, magnitude) for each branch end, dense."""
     n, n_br = grid.n_buses, grid.n_branches
-    f, t, ys, sh_f, sh_t = _branch_arrays(grid)
+    br = grid.branch_arrays
     v_c = state.complex_voltages()
     # unit phasors straight from the angles: defined even at V = 0 box edge
     norm = np.exp(1j * state.theta)
 
-    yf = np.zeros((n_br, n), dtype=complex)
-    yt = np.zeros((n_br, n), dtype=complex)
-    rows = np.arange(n_br)
-    yf[rows, f] = ys + sh_f
-    yf[rows, t] -= ys
-    yt[rows, t] = ys + sh_t
-    yt[rows, f] -= ys
-
     diag_v = np.diag(v_c)
     diag_norm = np.diag(norm)
+    rows = np.arange(n_br)
 
     def one_end(y_end: np.ndarray, end: np.ndarray):
         i_end = y_end @ v_c
         conj_diag_i = np.conj(np.diag(i_end))
+        diag_v_end = np.diag(v_c[end])
         c_v = np.zeros((n_br, n), dtype=complex)
         c_v[rows, end] = v_c[end]
         c_norm = np.zeros((n_br, n), dtype=complex)
         c_norm[rows, end] = norm[end]
-        ds_dva = 1j * (conj_diag_i @ c_v - np.diag(v_c[end]) @ np.conj(y_end @ diag_v))
-        ds_dvm = np.diag(v_c[end]) @ np.conj(y_end @ diag_norm) + conj_diag_i @ c_norm
+        ds_dva = 1j * (conj_diag_i @ c_v - diag_v_end @ np.conj(y_end @ diag_v))
+        ds_dvm = diag_v_end @ np.conj(y_end @ diag_norm) + conj_diag_i @ c_norm
         return ds_dva, ds_dvm
 
-    return one_end(yf, f), one_end(yt, t)
+    return one_end(br.yf, br.f), one_end(br.yt, br.t)
 
 
 def full_measurement_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
@@ -133,8 +119,9 @@ def full_measurement_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
     )
 
     m_total = measurement_count(grid)
-    dva = np.zeros((m_total, n))
-    dvm = np.zeros((m_total, n))
+    # every row is written below
+    dva = np.empty((m_total, n))
+    dvm = np.empty((m_total, n))
     dva[:n] = ds_dva.real
     dvm[:n] = ds_dvm.real
     dva[n : 2 * n] = ds_dva.imag
@@ -311,7 +298,9 @@ def build_nlls_sites(
     """Wrap each site's residual z_i - f_i(x) and Jacobian as a SiteModel.
 
     The sites share a memo of f and J at the last x, so every site at one x
-    costs one model evaluation; only row-sliced copies leave the memo."""
+    costs one model evaluation; only row-sliced copies leave the memo. They
+    also share one SiteBatch over that memo, which groups the sites by
+    residual_dim so that normal_system reads all blocks in a few gathers."""
     if len(measurements.site_values) != plan.n_sites:
         raise InvalidArgumentError("measurement set does not match the plan")
     n, slack = grid.n_buses, grid.slack_bus
@@ -328,12 +317,14 @@ def build_nlls_sites(
             )
         return memo[key]
 
-    sites = []
-    for i in range(plan.n_sites):
-        z_i = measurements.site_values[i]
-        rows = plan.site_rows(i)
+    site_rows = [plan.site_rows(i) for i in range(plan.n_sites)]
+    for i, (z_i, rows) in enumerate(zip(measurements.site_values, site_rows)):
         if z_i.size != rows.size:
             raise InvalidArgumentError(f"site {i}: {z_i.size} values for {rows.size} rows")
+    batch = SiteBatch.of(model_at, site_rows, measurements.site_values, grid.n_unknowns)
+
+    sites = []
+    for i, (z_i, rows) in enumerate(zip(measurements.site_values, site_rows)):
 
         def residual(x, z_i=z_i, rows=rows):
             return z_i - model_at(x)[0][rows]
@@ -344,7 +335,7 @@ def build_nlls_sites(
         sites.append(
             SiteModel(
                 site_id=i, n_unknowns=grid.n_unknowns, residual_dim=z_i.size,
-                eval_residual=residual, eval_jacobian=jacobian,
+                eval_residual=residual, eval_jacobian=jacobian, batch=batch,
             )
         )
     return sites

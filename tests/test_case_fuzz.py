@@ -3,10 +3,12 @@
 Mutated case2/case30 text, and case text with non-finite numbers, either
 parses into a grid model with a finite admittance matrix or raises
 CaseParseError or UnsupportedFeatureError; the CLI maps those two to exits
-3 and 4.
+3 and 4. A numpy RuntimeWarning (overflow, invalid cast) escaping parse and
+build fails the property too: it marks a value that slipped past the checks.
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +97,9 @@ def non_finite_case(draw):
 def _parse_outcome(text: str):
     """None when the text parses into a finite model, else the toolkit error class raised."""
     try:
-        grid = parse_matpower_case(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            grid = parse_matpower_case(text)
     except TOOLKIT_ERRORS as exc:
         return type(exc)
     assert np.isfinite(grid.ybus).all()

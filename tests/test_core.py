@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from gossipgn.core import (
     COND_CAP,
     BoxSet,
+    SiteModel,
     _spectral_bound,
     centralized_gn_solve,
     centralized_gn_step,
@@ -15,6 +18,7 @@ from gossipgn.core import (
     finite_diff_jacobian,
     normal_system,
     project,
+    site_terms,
     solve_normal,
     stationarity_residual,
 )
@@ -72,6 +76,93 @@ def test_normal_system_matches_manual_assembly(toy_sites):
     assert np.allclose(a, a_ref, atol=1e-14)
     assert np.allclose(b, b_ref, atol=1e-14)
     assert np.allclose(a, a.T, atol=1e-14)
+
+
+def _loop_normal_system(sites, x):
+    """The per-site accumulation that normal_system's grouped products must equal bit for bit."""
+    a = np.zeros((x.size, x.size))
+    b = np.zeros(x.size)
+    for site in sites:
+        res, jac = site_terms(site, x)
+        a += jac.T @ jac
+        b += jac.T @ res
+    return a, b
+
+
+def _assert_bit_identical(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def _uneven_sites(row_counts, n_unknowns=4, seed=3):
+    """Toy sites like make_toy_sites, with the given residual sizes."""
+    rng = np.random.default_rng(seed)
+    sites = []
+    for i, m in enumerate(row_counts):
+        a = rng.normal(size=(m, n_unknowns))
+        b = rng.normal(size=m)
+        sites.append(SiteModel(
+            site_id=i, n_unknowns=n_unknowns, residual_dim=m,
+            eval_residual=lambda x, a=a, b=b: a @ x - b + 0.1 * np.sin(a @ x),
+            eval_jacobian=lambda x, a=a: a + 0.1 * np.cos(a @ x)[:, None] * a,
+        ))
+    return sites
+
+
+def _psse_points(grid, n_points, seed):
+    """Random box points; every third has some magnitudes at the V = 0 edge, the last
+    all angles at the upper edge."""
+    box = make_box(grid.n_buses)
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(box.lower, box.upper, size=(n_points, box.dim))
+    for x in points[::3]:
+        x[grid.n_buses - 1 + rng.choice(grid.n_buses, size=4, replace=False)] = 0.0
+    points[-1, : grid.n_buses - 1] = box.upper[: grid.n_buses - 1]
+    return points
+
+
+@pytest.mark.parametrize("n_sites", [1, 3, 7, 30])
+def test_grouped_normal_system_bit_identical_on_psse_sites(grid30, true30, n_sites):
+    plan = partition_sites(grid30, n_sites)
+    sites = build_nlls_sites(grid30, plan, generate_measurements(grid30, true30, plan, 1e-4, n_sites))
+    assert all(site.batch is sites[0].batch for site in sites)
+    points = _psse_points(grid30, 12, n_sites)
+    # all calls first: a result must not alias the batch's product stacks
+    results = [normal_system(sites, x) for x in points]
+    for x, got in zip(points, results):
+        _assert_bit_identical(got, _loop_normal_system(sites, x))
+
+
+def test_grouped_normal_system_bit_identical_on_reordered_psse_sites(grid30, true30):
+    plan = partition_sites(grid30, 7)
+    sites = build_nlls_sites(grid30, plan, generate_measurements(grid30, true30, plan, 1e-4, 2))
+    for x in _psse_points(grid30, 4, 11):
+        for subset in (sites[::-1], sites[1:], sites[2:5], [sites[3], sites[0]]):
+            _assert_bit_identical(normal_system(subset, x), _loop_normal_system(subset, x))
+
+
+def test_grouped_normal_system_reads_the_batch_not_the_closures(grid30, true30):
+    # perfbench wraps each site's closures through dataclasses.replace; the
+    # batch field must survive that and serve the whole list by itself
+    plan = partition_sites(grid30, 30)
+    sites = build_nlls_sites(grid30, plan, generate_measurements(grid30, true30, plan, 1e-4, 4))
+
+    def never(x):
+        raise AssertionError("site closure called")
+
+    wrapped = [replace(site, eval_residual=never, eval_jacobian=never) for site in sites]
+    x = _psse_points(grid30, 1, 5)[0]
+    _assert_bit_identical(normal_system(wrapped, x), _loop_normal_system(sites, x))
+
+
+@pytest.mark.parametrize("row_counts", [[2, 5, 3, 5, 2, 7], [1], [6, 6, 6], [4, 1, 9]])
+def test_grouped_normal_system_bit_identical_on_uneven_toy_sites(row_counts):
+    sites = _uneven_sites(row_counts)
+    rng = np.random.default_rng(len(row_counts))
+    for x in rng.normal(size=(6, 4)):
+        for subset in (sites, sites[::-1], sites[1:] or sites):
+            _assert_bit_identical(normal_system(subset, x), _loop_normal_system(subset, x))
 
 
 def test_solve_normal_rejects_singular():

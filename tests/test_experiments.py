@@ -488,6 +488,12 @@ def test_cli_certify_prints_certificate(tmp_path, capsys):
     assert "certificate.T1=" in out
     assert "certificate.rho_min=" in out
     assert "constants.sigma_min=" in out
+    # every printed line is the summary.txt line of that key, byte for byte
+    written = (tmp_path / "cert" / "summary.txt").read_text().splitlines()
+    printed = out.splitlines()
+    assert printed == [line for line in written if line.startswith(("certificate.", "constants."))]
+    assert "certificate.applicable=true" in printed
+    assert any(line in printed for line in ("certificate.radii_defined=false", "certificate.radii_defined=true"))
 
 
 def test_cli_run_diffusion_skips_certificate(tmp_path, capsys):
@@ -506,8 +512,12 @@ def test_cli_run_diffusion_skips_certificate(tmp_path, capsys):
     assert summary["certificate.applicable"] == "false"
     assert "diffusion" in summary["certificate.reason"]
     assert not any(key.startswith("constants.") for key in summary)
+    capsys.readouterr()
     assert main(["certify", path]) == 0
-    assert "certificate.applicable=False" in capsys.readouterr().out
+    printed = capsys.readouterr().out.splitlines()
+    assert "certificate.applicable=false" in printed
+    written = (out_dir / "summary.txt").read_text().splitlines()
+    assert printed == [line for line in written if line.startswith("certificate.")]
 
 
 def test_cli_compare(tmp_path, capsys):

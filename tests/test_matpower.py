@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,14 @@ def test_overflowing_admittance_rejected(impedance):
         parse_matpower_case(_edited("0.01 0.1 0.02", impedance))
 
 
+def test_tiny_tap_ratio_rejected_without_a_warning():
+    # tau**2 underflows to zero, so the from-end shunt divides by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CaseParseError, match="branch row 1: admittance is not finite"):
+            parse_matpower_case(_edited("130 130 130 0 0 1", "130 130 130 3.8e-234 0 1"))
+
+
 def test_unparseable_base_mva_rejected():
     with pytest.raises(CaseParseError, match="bad baseMVA") as exc:
         parse_matpower_text(_edited("mpc.baseMVA = 100;", "mpc.baseMVA = 1..0;"))
@@ -198,3 +209,38 @@ def test_comments_and_extras_ignored():
     )
     grid = parse_matpower_case(text)
     assert grid.n_buses == 2
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("2 1 21.7", "2 1e30 21.7", "bus row 2: bus type 1e+30"),
+        ("2 1 21.7", "2 1.5 21.7", "bus row 2: bus type 1.5"),
+        ("1 2 0.01 0.1", "1.9 2 0.01 0.1", "branch row 1: bus 1.9"),
+    ],
+    ids=["type-1e30", "type-1.5", "from-bus-1.9"],
+)
+def test_integer_fields_must_be_integers_in_range(old, new, message):
+    # these used to be cast silently: 1e30 to -2**63 with a RuntimeWarning,
+    # 1.5 to type 1, and from-bus 1.9 to bus 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CaseParseError, match=re.escape(message)):
+            parse_matpower_case(_edited(old, new))
+
+
+def test_integer_field_ranges():
+    with pytest.raises(CaseParseError, match=r"bus type 5\.0 is not an integer in 1\.\.4"):
+        parse_matpower_case(_edited("2 1 21.7", "2 5 21.7"))
+    with pytest.raises(CaseParseError, match="bus row 2: bus number 0.0"):
+        parse_matpower_case(_edited("2 1 21.7", "0 1 21.7"))
+    with pytest.raises(CaseParseError, match="generator row 1: bus 1.5"):
+        parse_matpower_case(_edited("1 40 0", "1.5 40 0"))
+    assert parse_matpower_case(_edited("2 1 21.7", "2 4 21.7")).bus_types.tolist() == [3, 4]
+
+
+def test_subnormal_base_mva_fails_as_case_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CaseParseError, match="per unit is not finite"):
+            parse_matpower_case(_edited("mpc.baseMVA = 100", "mpc.baseMVA = 5e-324"))

@@ -3,6 +3,7 @@ import pytest
 
 from gossipgn.core import finite_diff_jacobian, stationarity_residual
 from gossipgn.errors import InvalidArgumentError
+from gossipgn.psse import build_grid_model, load_case
 from gossipgn.psse.grid import (
     GridModel,
     PowerState,
@@ -58,6 +59,27 @@ def test_cached_model_results_are_read_only(grid30, true30):
         original = first.copy()
         first[0] = 1e6
         assert np.array_equal(evaluate(grid30, true30), original)
+
+
+def test_branch_arrays_are_read_only_and_match_a_fresh_grid(grid30, true30):
+    fresh = build_grid_model(load_case("case30"))
+    assert fresh == grid30
+    for name, cached in vars(grid30.branch_arrays).items():
+        assert not cached.flags.writeable, name
+        with pytest.raises(ValueError):
+            cached[0] = 0
+        assert np.array_equal(cached, getattr(fresh.branch_arrays, name)), name
+    br = grid30.branch_arrays
+    assert br.f.tolist() == [b.from_bus for b in grid30.branches]
+    assert br.t.tolist() == [b.to_bus for b in grid30.branches]
+    v = true30.complex_voltages()
+    want_from = [b.y_series * (v[b.from_bus] - v[b.to_bus]) + b.shunt_from * v[b.from_bus]
+                 for b in grid30.branches]
+    assert np.allclose(br.yf @ v, want_from, rtol=1e-13, atol=1e-13)
+    # the model on the long-lived fixture equals the model on the fresh grid, bit for bit
+    for state in [true30] + random_states(grid30, 3, seed=8):
+        for evaluate in (full_measurement_vector, full_measurement_jacobian):
+            assert np.array_equal(evaluate(grid30, state), evaluate(fresh, state))
 
 
 def test_sites_share_a_one_iterate_memo(grid30, true30):
