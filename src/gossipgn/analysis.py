@@ -23,6 +23,8 @@ from .ggn import GgnTrajectory
 from .gossip import lambda_eta
 
 _CEIL_SLACK = 1e-9  # absorbs round-off when xi sits exactly on a power of the rate
+_LIMSUP_TOL = 1e-6  # verify_contraction_to_ball's allowance on the tail radius
+_RECURSION_SLACK = 1e-9  # and its relative round-off allowance per recursion step
 
 
 @dataclass(frozen=True)
@@ -418,8 +420,6 @@ def verify_contraction_to_ball(
     trajectory: GgnTrajectory,
     reference_x_star: np.ndarray,
     certificate: ConvergenceCertificate,
-    limsup_tol: float = 1e-6,
-    recursion_slack: float = 1e-9,
 ) -> ContractionReport:
     x_star = np.asarray(reference_x_star, dtype=float)
     errors = np.linalg.norm(trajectory.iterates - x_star, axis=2)  # (K+1, I)
@@ -438,7 +438,7 @@ def verify_contraction_to_ball(
         if init_ok:
             tail_start = max(0, n_updates - max(1, n_updates // 4))
             tail_obs = float(errors[tail_start + 1 :].max()) if n_updates > 0 else float(errors[0].max())
-            theo = certificate.rho_min + limsup_tol
+            theo = certificate.rho_min + _LIMSUP_TOL
             limsup = BoundReport(
                 "tail_error_inside_inner_radius",
                 theoretical_value=theo, observed_value=tail_obs,
@@ -467,7 +467,7 @@ def verify_contraction_to_ball(
             + t2 * errors[k]
             + alpha * trajectory.discrepancies[k]
         )
-        excess = errors[k + 1] - rhs - recursion_slack * (1.0 + rhs)
+        excess = errors[k + 1] - rhs - _RECURSION_SLACK * (1.0 + rhs)
         violations += int(np.sum(excess > 0.0))
         worst_excess = max(worst_excess, float(excess.max()))
     recursion = BoundReport(
@@ -495,7 +495,6 @@ def build_certificate(
     xi: float = 0.25,
     schedule_kind: str = "incrementing",
     comm_interval: int = 1,
-    epsilon_min: float | None = None,
     estimated_constants: bool = True,
 ) -> ConvergenceCertificate:
     """Evaluate the full certificate pipeline from problem constants.
@@ -503,7 +502,7 @@ def build_certificate(
     Single-agent runs are centralized: the gossip constants degenerate
     (C, D undefined) and the perturbation is exactly zero.
     """
-    t1, t2 = recursion_constants(pc, alpha, epsilon_min)
+    t1, t2 = recursion_constants(pc, alpha)
     alpha_lower = admissible_alpha(pc)
     l0 = (n_agents - 1) * comm_interval
 

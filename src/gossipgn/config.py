@@ -82,7 +82,6 @@ class ExperimentConfig:
     case_path: str = "case30"
     algorithm: str = "ggn"
     sites: int = 3
-    partition: str = "contiguous"
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     alpha: float = 0.5
     exchanges: ScheduleConfig = field(default_factory=ScheduleConfig)

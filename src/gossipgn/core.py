@@ -54,9 +54,9 @@ class BoxSet:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     @staticmethod
     def cube(dim: int, half_width: float) -> "BoxSet":

@@ -39,7 +39,7 @@ from .ggn import (
     diminishing_steps,
     ggn_run,
 )
-from .gossip import GossipConfig, Topology
+from .gossip import GossipConfig
 from .psse import (
     GridModel,
     PowerState,
@@ -91,7 +91,7 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
         true_state = load_true_state(config.true_state_path, grid.n_buses)
     else:
         true_state = newton_power_flow(grid)
-    plan = partition_sites(grid, config.sites, config.partition)
+    plan = partition_sites(grid, config.sites)
     box = make_box(grid.n_buses, config.theta_max, config.v_max)
     x0 = flat_start_vector(grid)
     m_total = measurement_count(grid)
@@ -104,12 +104,7 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
 def _gossip_config(config: ExperimentConfig) -> GossipConfig:
     proto = config.protocol
     return GossipConfig(
-        protocol=proto.kind,
-        n_agents=config.sites,
-        beta=proto.beta,
-        topology=Topology.full(config.sites),
-        link_failure_prob=proto.link_failure_prob,
-        comm_interval=proto.comm_interval,
+        protocol=proto.kind, beta=proto.beta, link_failure_prob=proto.link_failure_prob
     )
 
 
@@ -615,7 +610,7 @@ def compare_algorithms(
     """Run both algorithms on the identical instance; tabulate by exchanges."""
     for field_name in (
         "case_path", "sigma2", "seed", "sites", "load_scale", "snapshots",
-        "true_state_path", "theta_max", "v_max", "partition",
+        "true_state_path", "theta_max", "v_max",
     ):
         a, b = getattr(config_ggn, field_name), getattr(config_diffusion, field_name)
         if a != b:

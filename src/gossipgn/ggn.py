@@ -86,6 +86,16 @@ def _start_stack(x0: np.ndarray, n_agents: int, box: BoxSet) -> np.ndarray:
     return np.stack([project(row, box) for row in x0])
 
 
+def _static_weights(gossip_config: GossipConfig, n_agents: int) -> WeightMatrix | None:
+    """The CSE matrix on the complete graph over the agents, or None for URE,
+    whose rounds are drawn per exchange."""
+    if gossip_config.protocol == "cse":
+        return build_cse_weights(Topology.full(n_agents), gossip_config.beta)
+    if n_agents < 2:
+        raise InvalidArgumentError("URE needs at least two agents")
+    return None
+
+
 def local_init_info(site: SiteModel, x: np.ndarray) -> tuple[np.ndarray, float]:
     """The agent's initial payload row at its own iterate, and ||g_i||^2.
 
@@ -198,19 +208,10 @@ def ggn_run(
     per exchange).
     """
     n_agents = len(sites)
-    if n_agents != gossip_config.n_agents:
-        raise InvalidArgumentError(
-            f"{n_agents} sites but gossip config for {gossip_config.n_agents} agents"
-        )
+    static_weights = _static_weights(gossip_config, n_agents)
     x0_stack = _start_stack(x0, n_agents, box)
     n_u = x0_stack.shape[1]
     rng = np.random.default_rng(rng)
-
-    static_weights: WeightMatrix | None = None
-    topo_connected = True
-    if gossip_config.protocol == "cse":
-        static_weights = build_cse_weights(gossip_config.topology, gossip_config.beta)
-        topo_connected = gossip_config.topology.is_connected()
 
     x = x0_stack
     iterates = [x]
@@ -270,7 +271,7 @@ def ggn_run(
         used_edges: set[tuple[int, int]] = set()
         for _ in range(ell_k):
             weights = static_weights if static_weights is not None else sample_ure_round(
-                gossip_config, rng
+                gossip_config, n_agents, rng
             )
             eta_observed = min(eta_observed, weights.eta)
             rows = slice(None) if weights.pair is None else list(weights.pair)
@@ -283,12 +284,10 @@ def ggn_run(
             sq_dev[rows] = _squared_deviations(mixed, mean0, n_u)
             errs_k.append(np.sqrt(sq_dev.sum(axis=0)))
             mean_drift_max = max(mean_drift_max, float(np.max(np.abs(sum_shift))) / n_agents)
-        if static_weights is not None:
-            union_connected.append(topo_connected)
-        else:
-            union_connected.append(
-                Topology(n_agents, frozenset(used_edges)).is_connected()
-            )
+        # the complete graph is connected
+        union_connected.append(
+            static_weights is not None or Topology(n_agents, frozenset(used_edges)).is_connected()
+        )
 
         descent_stack = surrogate_descent(payloads, ggn_config.ridge)
         discrepancies.append(descent_discrepancy(descent_stack, exact))
@@ -337,10 +336,6 @@ class DiffusionTrajectory:
     step_sizes: np.ndarray
     eta_observed: float
 
-    @property
-    def n_agents(self) -> int:
-        return self.iterates.shape[1]
-
 
 def diminishing_steps(c: float):
     """Step schedule alpha_l = c / l (l counted from 1)."""
@@ -370,18 +365,10 @@ def diffusion_baseline_run(
     """First-order baseline: one mixing plus one local gradient step per
     exchange, x_i <- P[sum_j W_ij x_j - alpha_l G_i^T(x_i) g_i(x_i)]."""
     n_agents = len(sites)
-    if n_agents != gossip_config.n_agents:
-        raise InvalidArgumentError(
-            f"{n_agents} sites but gossip config for {gossip_config.n_agents} agents"
-        )
     if total_exchanges < 1:
         raise InvalidArgumentError("total_exchanges must be >= 1")
+    static_weights = _static_weights(gossip_config, n_agents)
     rng = np.random.default_rng(rng)
-
-    static_weights = None
-    if gossip_config.protocol == "cse":
-        static_weights = build_cse_weights(gossip_config.topology, gossip_config.beta)
-
     x = _start_stack(x0, n_agents, box)
     iterates = [x.copy()]
     vals, grads = [], []
@@ -401,7 +388,7 @@ def diffusion_baseline_run(
         if alpha_ell < 0.0:
             raise InvalidArgumentError("step schedule produced a negative step")
         weights = static_weights if static_weights is not None else sample_ure_round(
-            gossip_config, rng
+            gossip_config, n_agents, rng
         )
         eta_observed = min(eta_observed, weights.eta)
         mixed = gossip_round(x, weights)

@@ -136,19 +136,15 @@ def min_nonzero_entry(w: np.ndarray) -> float:
 class GossipConfig:
     """Protocol parameters for one experiment.
 
-    For CSE the topology fixes the (static) exchange graph. For URE the
-    woken agent picks its partner uniformly among the other agents.
-    link_failure_prob applies per selected pair per round; a failed round
-    mixes nothing (identity).
-    comm_interval is the window length L used by connectivity checks.
+    The agents are the sites, so the network comes from the site list: CSE
+    mixes over the complete graph on them, and a woken URE agent picks its
+    partner uniformly among the others. link_failure_prob applies per
+    selected pair per round; a failed round mixes nothing (identity).
     """
 
     protocol: str
-    n_agents: int
     beta: float
-    topology: Topology | None = None
     link_failure_prob: float = 0.0
-    comm_interval: int = 1
 
     def __post_init__(self):
         if self.protocol not in ("cse", "ure"):
@@ -157,15 +153,6 @@ class GossipConfig:
             raise InvalidArgumentError("beta must lie in (0, 1)")
         if not 0.0 <= self.link_failure_prob < 1.0:
             raise InvalidArgumentError("link failure probability must lie in [0, 1)")
-        if self.comm_interval < 1:
-            raise InvalidArgumentError("comm_interval must be >= 1")
-        if self.protocol == "cse":
-            topo = self.topology if self.topology is not None else Topology.full(self.n_agents)
-            if topo.n_agents != self.n_agents:
-                raise InvalidArgumentError("topology size does not match n_agents")
-            object.__setattr__(self, "topology", topo)
-        if self.protocol == "ure" and self.n_agents < 2:
-            raise InvalidArgumentError("URE needs at least two agents")
 
 
 def build_cse_weights(topology: Topology, beta: float) -> WeightMatrix:
@@ -204,21 +191,22 @@ def pairwise_weights(n_agents: int, i: int, j: int, beta: float) -> WeightMatrix
     return WeightMatrix(entries=entries, eta=min_nonzero_entry(entries), pair=(i, j))
 
 
-def sample_ure_round(config: GossipConfig, rng: np.random.Generator) -> WeightMatrix:
-    """Draw one URE round. Draw order is fixed for reproducibility:
-    wake-up agent, then partner, then the link-failure coin."""
+def sample_ure_round(
+    config: GossipConfig, n_agents: int, rng: np.random.Generator
+) -> WeightMatrix:
+    """Draw one URE round among n_agents >= 2. Draw order is fixed for
+    reproducibility: wake-up agent, then partner, then the link-failure coin."""
     if config.protocol != "ure":
         raise InvalidArgumentError("sample_ure_round requires the URE protocol")
-    n = config.n_agents
-    wake = int(rng.integers(n))
-    # uniform over the other agents; a weighted choice, not integers(n - 1),
+    wake = int(rng.integers(n_agents))
+    # uniform over the other agents; a weighted choice, not integers(n_agents - 1),
     # because that would draw a different partner stream for the same seed
-    pick = np.full(n, 1.0 / (n - 1))
+    pick = np.full(n_agents, 1.0 / (n_agents - 1))
     pick[wake] = 0.0
-    partner = int(rng.choice(n, p=pick))
+    partner = int(rng.choice(n_agents, p=pick))
     if config.link_failure_prob > 0.0 and rng.random() < config.link_failure_prob:
-        return WeightMatrix(entries=np.eye(n), eta=1.0, pair=())
-    return pairwise_weights(n, wake, partner, config.beta)
+        return WeightMatrix(entries=np.eye(n_agents), eta=1.0, pair=())
+    return pairwise_weights(n_agents, wake, partner, config.beta)
 
 
 def gossip_round(payloads: np.ndarray, weights: WeightMatrix) -> np.ndarray:

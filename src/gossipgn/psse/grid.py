@@ -22,6 +22,8 @@ from . import matpower as mp
 from .matpower import MatpowerCase
 
 PQ_BUS, PV_BUS, SLACK_BUS, ISOLATED_BUS = 1, 2, 3, 4
+_POWER_FLOW_TOL = 1e-10  # infinity norm of the power mismatch at convergence
+_POWER_FLOW_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
@@ -326,9 +328,7 @@ def complex_injection_derivatives(
     return ds_dva, ds_dvm
 
 
-def newton_power_flow(
-    grid: GridModel, tol: float = 1e-10, max_iter: int = 30
-) -> PowerState:
+def newton_power_flow(grid: GridModel) -> PowerState:
     """Solve the conventional power flow for the case's specified loads.
 
     PV buses hold the generator voltage setpoint and active injection; the
@@ -347,14 +347,14 @@ def newton_power_flow(
     va = np.zeros(n)
     s_spec = grid.gen_p - grid.loads.real - 1j * grid.loads.imag
 
-    for _ in range(max_iter):
+    for _ in range(_POWER_FLOW_MAX_ITER):
         v_c = vm * np.exp(1j * va)
         s_calc = v_c * np.conj(grid.ybus @ v_c)
         mismatch = s_calc - s_spec
         f_vec = np.concatenate([mismatch[pvpq].real, mismatch[pq].imag])
         if f_vec.size == 0:
             return PowerState(theta=va, v=vm)
-        if float(np.max(np.abs(f_vec))) <= tol:
+        if float(np.max(np.abs(f_vec))) <= _POWER_FLOW_TOL:
             return PowerState(theta=va, v=vm)
         ds_dva, ds_dvm = complex_injection_derivatives(grid.ybus, v_c)
         j11 = ds_dva[np.ix_(pvpq, pvpq)].real
@@ -368,7 +368,7 @@ def newton_power_flow(
             raise PowerFlowError(f"power-flow Jacobian is singular: {exc}")
         va[pvpq] -= dx[: pvpq.size]
         vm[pq] -= dx[pvpq.size :]
-    raise PowerFlowError(f"power flow did not converge in {max_iter} iterations")
+    raise PowerFlowError(f"power flow did not converge in {_POWER_FLOW_MAX_ITER} iterations")
 
 
 def save_true_state(path: str | Path, state: PowerState) -> None:
@@ -380,7 +380,7 @@ def save_true_state(path: str | Path, state: PowerState) -> None:
 
 
 def load_true_state(path: str | Path, n_buses: int) -> PowerState:
-    """Read a (bus, theta, V) table; angles are radians, 1-based bus ids."""
+    """Read a (bus, theta, V) table; angles are radians, bus ids 1-based, each once."""
     theta = np.full(n_buses, np.nan)
     v = np.full(n_buses, np.nan)
     with open(path, newline="") as fh:
@@ -397,9 +397,14 @@ def load_true_state(path: str | Path, n_buses: int) -> PowerState:
         if not np.all(np.isfinite(fields)):
             msg = f"true-state line {line_no}: bus, theta and v must be finite numbers"
             raise InvalidArgumentError(f"{msg}, got {row[:3]!r}")
-        idx = int(fields[0]) - 1
-        if not 0 <= idx < n_buses:
-            raise InvalidArgumentError(f"true-state bus id {row[0]} out of range")
+        bus = fields[0]
+        if bus != int(bus) or not 1 <= bus <= n_buses:
+            raise InvalidArgumentError(
+                f"true-state line {line_no}: bus id must be an integer in 1..{n_buses}, got {row[0]!r}"
+            )
+        idx = int(bus) - 1
+        if not np.isnan(theta[idx]):
+            raise InvalidArgumentError(f"true-state line {line_no}: bus {idx + 1} appears twice")
         theta[idx], v[idx] = fields[1], fields[2]
     if np.any(np.isnan(theta)) or np.any(np.isnan(v)):
         raise InvalidArgumentError("true-state file does not cover every bus")

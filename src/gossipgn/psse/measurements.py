@@ -202,15 +202,13 @@ class MeasurementPlan:
         return sum(self.site_size(i) for i in range(self.n_sites))
 
 
-def partition_sites(grid: GridModel, n_sites: int, plan_kind: str = "contiguous") -> MeasurementPlan:
+def partition_sites(grid: GridModel, n_sites: int) -> MeasurementPlan:
     """Split buses into contiguous index groups and deal out measurements.
 
     Each site gets its buses' P and Q injections plus all four flow
     entries of every branch with at least one endpoint inside; a branch
     spanning two sites goes to the lower-numbered one.
     """
-    if plan_kind != "contiguous":
-        raise InvalidArgumentError(f"unknown partition kind {plan_kind!r}")
     n = grid.n_buses
     if not 1 <= n_sites <= n:
         raise InvalidArgumentError(f"need 1 <= sites <= {n}, got {n_sites}")
@@ -298,7 +296,9 @@ def build_nlls_sites(
     """Wrap each site's residual z_i - f_i(x) and Jacobian as a SiteModel.
 
     The sites share a memo of f and J at the last x, so every site at one x
-    costs one model evaluation; only row-sliced copies leave the memo. They
+    costs one model evaluation. f and J are stored read-only, since the
+    batch hands them out as they are; the site closures return row-sliced
+    copies. They
     also share one SiteBatch over that memo, which groups the sites by
     residual_dim so that normal_system reads all blocks in a few gathers."""
     if len(measurements.site_values) != plan.n_sites:
@@ -315,6 +315,8 @@ def build_nlls_sites(
                 full_measurement_vector(grid, state),
                 full_measurement_jacobian(grid, state),
             )
+            for arr in memo[key]:
+                arr.setflags(write=False)
         return memo[key]
 
     site_rows = [plan.site_rows(i) for i in range(plan.n_sites)]

@@ -169,10 +169,7 @@ def test_c03_consensus_conservation():
         if r % 2 == 0:
             w = build_cse_weights(topo, beta)
         else:
-            cfg = GossipConfig(
-                protocol="ure", n_agents=topo.n_agents, beta=beta, topology=topo
-            )
-            w = sample_ure_round(cfg, rng)
+            w = sample_ure_round(GossipConfig(protocol="ure", beta=beta), topo.n_agents, rng)
         check_weight_matrix(w.entries, tol=1e-12)
         payloads = rng.normal(size=(topo.n_agents, 6))
         mixed = gossip_round(payloads, w)
@@ -229,7 +226,7 @@ def test_c05_centralized_reduction(grid30, true30):
     sites1 = build_nlls_sites(grid30, plan1, meas1)
     traj1 = ggn_run(
         sites1, box,
-        GossipConfig(protocol="cse", n_agents=1, beta=0.5, topology=Topology.full(1)),
+        GossipConfig(protocol="cse", beta=0.5),
         GgnConfig(alpha=1.0, schedule=ExchangeSchedule("constant", 1),
                   max_updates=n_updates, stop_tol=1e-16, ridge=0.0),
         x0,
@@ -244,7 +241,7 @@ def test_c05_centralized_reduction(grid30, true30):
     assert np.all(w.entries == 0.25)
     traj4 = ggn_run(
         sites4, box,
-        GossipConfig(protocol="cse", n_agents=4, beta=0.75, topology=Topology.full(4)),
+        GossipConfig(protocol="cse", beta=0.75),
         GgnConfig(alpha=1.0, schedule=ExchangeSchedule("constant", 1),
                   max_updates=n_updates, stop_tol=1e-16, ridge=0.0),
         x0,
@@ -285,9 +282,7 @@ def test_c06_steady_state_and_gradient_drop(c6_result):
 def test_c07_discrepancy_decay_rate(c6_result):
     problem = c6_result.problem
     sites = c6_result.repetitions[0].sites_per_snapshot[0]
-    gossip_cfg = GossipConfig(
-        protocol="cse", n_agents=3, beta=0.3, topology=Topology.full(3)
-    )
+    gossip_cfg = GossipConfig(protocol="cse", beta=0.3)
     discs = []
     for ell in range(1, 21):
         traj = ggn_run(
@@ -341,9 +336,7 @@ def test_c08_error_recursion_holds(c6_result):
 def test_c09_outperforms_diffusion_baseline(c6_result):
     problem = c6_result.problem
     sites = c6_result.repetitions[0].sites_per_snapshot[0]
-    gossip_cfg = GossipConfig(
-        protocol="cse", n_agents=3, beta=0.3, topology=Topology.full(3)
-    )
+    gossip_cfg = GossipConfig(protocol="cse", beta=0.3)
     traj = ggn_run(
         sites, problem.box, gossip_cfg,
         GgnConfig(alpha=0.5, schedule=ExchangeSchedule("constant", 3),

@@ -363,7 +363,7 @@ def test_compare_rejects_mismatched_instances(tmp_path):
 
 @pytest.mark.parametrize(
     "field_name, value",
-    [("true_state_path", "truth.csv"), ("theta_max", 1.0), ("v_max", 1.2), ("partition", "by_area")],
+    [("true_state_path", "truth.csv"), ("theta_max", 1.0), ("v_max", 1.2)],
 )
 def test_compare_rejects_configs_that_build_different_instances(
     tmp_path, capsys, field_name, value
@@ -397,6 +397,17 @@ def test_cli_exit_config(tmp_path, capsys):
     assert main(["run", path]) == 2
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_exit_config_on_removed_partition_key(tmp_path, capsys):
+    # the site partition is always contiguous, so the key no longer exists
+    path = write_config(
+        tmp_path / "c.yaml",
+        tiny_mapping(partition="contiguous", output_dir=str(tmp_path / "o")),
+    )
+    assert main(["run", path]) == 2
+    assert "partition: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_exit_case_error(tmp_path, capsys):

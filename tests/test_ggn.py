@@ -15,7 +15,7 @@ from gossipgn.ggn import (
     local_init_info,
     surrogate_descent,
 )
-from gossipgn.gossip import GossipConfig, Topology
+from gossipgn.gossip import GossipConfig
 
 from gossipgn.psse import (
     build_nlls_sites,
@@ -151,7 +151,7 @@ def test_surrogate_descent_error_names_the_agent():
 def test_ggn_run_projects_onto_tight_box():
     sites, _, x0 = _toy_setup()
     tight = BoxSet.cube(3, 1e-3)
-    gc = GossipConfig(protocol="cse", n_agents=3, beta=0.4, topology=Topology.full(3))
+    gc = GossipConfig(protocol="cse", beta=0.4)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),
         max_updates=1, stop_tol=1e-15, ridge=0.0,
@@ -173,7 +173,7 @@ def test_perfect_mixing_discrepancy_vanishes():
 
 def test_ggn_run_trajectory_invariants():
     sites, box, x0 = _toy_setup()
-    gc = GossipConfig(protocol="cse", n_agents=3, beta=0.4, topology=Topology.full(3))
+    gc = GossipConfig(protocol="cse", beta=0.4)
     cfg = GgnConfig(
         alpha=0.8, schedule=ExchangeSchedule(kind="incrementing", base=2),
         max_updates=6, stop_tol=1e-14, ridge=0.0,
@@ -196,7 +196,7 @@ def test_ggn_run_early_stop():
     # so the stop tolerance actually triggers (constant budgets plateau
     # at a persistent disagreement ball instead)
     sites, box, x0 = _toy_setup()
-    gc = GossipConfig(protocol="cse", n_agents=3, beta=0.4, topology=Topology.full(3))
+    gc = GossipConfig(protocol="cse", beta=0.4)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="incrementing", base=3),
         max_updates=50, stop_tol=1e-10, ridge=0.0,
@@ -210,7 +210,7 @@ def test_ggn_run_early_stop():
 @pytest.mark.parametrize("stop_tol", [1e-15, 1e-6], ids=["full", "early_stopped"])
 def test_ggn_run_records_site_metrics(grid30, true30, stop_tol):
     sites, box, x0 = _psse_setup(grid30, true30)
-    gc = GossipConfig(protocol="cse", n_agents=3, beta=0.4, topology=Topology.full(3))
+    gc = GossipConfig(protocol="cse", beta=0.4)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="incrementing", base=3),
         max_updates=12, stop_tol=stop_tol, ridge=0.0,
@@ -222,7 +222,7 @@ def test_ggn_run_records_site_metrics(grid30, true30, stop_tol):
 
 def test_diffusion_run_records_site_metrics(grid30, true30):
     sites, box, x0 = _psse_setup(grid30, true30)
-    gc = GossipConfig(protocol="ure", n_agents=3, beta=0.5, topology=Topology.full(3))
+    gc = GossipConfig(protocol="ure", beta=0.5)
     traj = diffusion_baseline_run(
         sites, box, gc, diminishing_steps(0.3), 25, x0, rng=np.random.default_rng(4)
     )
@@ -231,7 +231,7 @@ def test_diffusion_run_records_site_metrics(grid30, true30):
 
 def test_single_agent_reduces_to_centralized():
     sites, box, x0 = _toy_setup(n_sites=1)
-    gc = GossipConfig(protocol="cse", n_agents=1, beta=0.5, topology=Topology.full(1))
+    gc = GossipConfig(protocol="cse", beta=0.5)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),
         max_updates=5, stop_tol=1e-15, ridge=0.0,
@@ -245,7 +245,7 @@ def test_single_agent_reduces_to_centralized():
 
 def test_ure_run_deterministic_under_seed():
     sites, box, x0 = _toy_setup(n_sites=3)
-    gc = GossipConfig(protocol="ure", n_agents=3, beta=0.5, topology=Topology.full(3))
+    gc = GossipConfig(protocol="ure", beta=0.5)
     cfg = GgnConfig(
         alpha=0.5, schedule=ExchangeSchedule(kind="constant", base=4),
         max_updates=5, stop_tol=1e-15, ridge=1e-6,
@@ -258,7 +258,7 @@ def test_ure_run_deterministic_under_seed():
 
 def test_ggn_run_requires_rng_for_ure():
     sites, box, x0 = _toy_setup(n_sites=3)
-    gc = GossipConfig(protocol="ure", n_agents=3, beta=0.5, topology=Topology.full(3))
+    gc = GossipConfig(protocol="ure", beta=0.5)
     cfg = GgnConfig(
         alpha=0.5, schedule=ExchangeSchedule(kind="constant", base=2),
         max_updates=2, stop_tol=1e-15, ridge=0.0,
@@ -267,15 +267,18 @@ def test_ggn_run_requires_rng_for_ure():
     assert traj.n_updates >= 1
 
 
-def test_site_count_must_match_agents():
-    sites, box, x0 = _toy_setup(n_sites=2)
-    gc = GossipConfig(protocol="cse", n_agents=3, beta=0.4, topology=Topology.full(3))
+def test_ure_needs_two_agents():
+    # the sites are the agents, so one site leaves URE no partner to draw
+    sites, box, x0 = _toy_setup(n_sites=1)
+    gc = GossipConfig(protocol="ure", beta=0.5)
     cfg = GgnConfig(
         alpha=0.5, schedule=ExchangeSchedule(kind="constant", base=1),
         max_updates=1, stop_tol=1e-12, ridge=0.0,
     )
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="two agents"):
         ggn_run(sites, box, gc, cfg, x0)
+    with pytest.raises(InvalidArgumentError, match="two agents"):
+        diffusion_baseline_run(sites, box, gc, diminishing_steps(0.1), 5, x0)
 
 
 def test_step_schedules():
@@ -288,7 +291,7 @@ def test_step_schedules():
 
 def test_diffusion_baseline_run_shapes():
     sites, box, x0 = _toy_setup()
-    gc = GossipConfig(protocol="cse", n_agents=3, beta=0.4, topology=Topology.full(3))
+    gc = GossipConfig(protocol="cse", beta=0.4)
     traj = diffusion_baseline_run(sites, box, gc, diminishing_steps(0.1), 20, x0)
     assert traj.iterates.shape == (21, 3, 3)
     assert all(box.contains(traj.iterates[t][i]) for t in range(21) for i in range(3))
@@ -301,7 +304,7 @@ def test_diffusion_moves_toward_solution():
     from gossipgn.core import centralized_gn_solve, stationarity_residual
 
     x_star, _ = centralized_gn_solve(sites, box, x0, tol=1e-12)
-    gc = GossipConfig(protocol="cse", n_agents=3, beta=0.4, topology=Topology.full(3))
+    gc = GossipConfig(protocol="cse", beta=0.4)
     traj = diffusion_baseline_run(sites, box, gc, diminishing_steps(0.05), 400, x0)
     start = np.linalg.norm(traj.iterates[0] - x_star, axis=1).max()
     end = np.linalg.norm(traj.iterates[-1] - x_star, axis=1).max()
@@ -311,7 +314,7 @@ def test_diffusion_moves_toward_solution():
 def test_per_agent_warm_start_stack():
     sites, box, _ = _toy_setup()
     starts = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.3]])
-    gc = GossipConfig(protocol="cse", n_agents=3, beta=0.4, topology=Topology.full(3))
+    gc = GossipConfig(protocol="cse", beta=0.4)
     cfg = GgnConfig(
         alpha=0.5, schedule=ExchangeSchedule(kind="constant", base=1),
         max_updates=1, stop_tol=1e-15, ridge=0.0,
@@ -372,8 +375,7 @@ def instrumented_run(request, grid30, true30):
     spec = INSTRUMENTED_RUNS[request.param]
     sites, box, x0 = _psse_setup(grid30, true30, n_sites=spec["n_sites"])
     gc = GossipConfig(
-        protocol=spec["protocol"], n_agents=spec["n_sites"], beta=spec["beta"],
-        link_failure_prob=spec["link_failure_prob"],
+        protocol=spec["protocol"], beta=spec["beta"], link_failure_prob=spec["link_failure_prob"]
     )
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=spec["exchanges"]),
@@ -458,7 +460,7 @@ def test_singular_full_system_records_nan_discrepancy():
         )
         for i in range(2)
     ]
-    gc = GossipConfig(protocol="cse", n_agents=2, beta=0.5, topology=Topology.full(2))
+    gc = GossipConfig(protocol="cse", beta=0.5)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),
         max_updates=2, stop_tol=1e-15, ridge=1e-3,

@@ -110,6 +110,18 @@ def test_sites_share_a_one_iterate_memo(grid30, true30):
         assert np.array_equal(sites[i].eval_jacobian(point), want_jac)
 
 
+def test_shared_model_memo_is_read_only(grid30, true30):
+    plan = partition_sites(grid30, 3)
+    sites = build_nlls_sites(grid30, plan, generate_measurements(grid30, true30, plan, 1e-4, 5))
+    x = state_to_vector(true30, grid30.slack_bus)
+    want = sites[0].eval_residual(x)
+    for arr in sites[0].batch.model(x):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[:] = 0
+    assert np.array_equal(sites[0].eval_residual(x), want)
+
+
 def test_full_vector_is_injections_then_flows(grid30, true30):
     full = full_measurement_vector(grid30, true30)
     n, n_br = grid30.n_buses, grid30.n_branches
@@ -256,8 +268,6 @@ def test_partition_rejects_bad_counts(grid30):
         partition_sites(grid30, 0)
     with pytest.raises(InvalidArgumentError):
         partition_sites(grid30, 31)
-    with pytest.raises(InvalidArgumentError):
-        partition_sites(grid30, 3, plan_kind="spectral")
 
 
 def test_site_jacobian_is_minus_selected_rows(grid30, true30):
@@ -385,6 +395,21 @@ def test_true_state_rejects_bad_fields(tmp_path, true30, grid30, column, bad):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InvalidArgumentError, match="line 5"):
         load_true_state(path, grid30.n_buses)
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        (["1.9,0.0,1.0", "2,0.1,0.9"], 2),  # a fractional bus id
+        (["1,0.0,1.0", "2,0.1,0.9", "2,0.2,0.8"], 4),  # a repeated bus
+    ],
+    ids=["fractional", "repeated"],
+)
+def test_true_state_rejects_bad_bus_ids(tmp_path, rows, line):
+    path = tmp_path / "truth.csv"
+    path.write_text("\n".join(["bus,theta,v"] + rows) + "\n")
+    with pytest.raises(InvalidArgumentError, match=f"line {line}"):
+        load_true_state(path, 2)
 
 
 def test_mse_metrics_examples(grid30, true30):
