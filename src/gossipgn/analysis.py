@@ -494,17 +494,17 @@ def build_certificate(
     alpha: float,
     xi: float = 0.25,
     schedule_kind: str = "incrementing",
-    comm_interval: int = 1,
     estimated_constants: bool = True,
 ) -> ConvergenceCertificate:
     """Evaluate the full certificate pipeline from problem constants.
 
     Single-agent runs are centralized: the gossip constants degenerate
-    (C, D undefined) and the perturbation is exactly zero.
+    (C, D undefined) and the perturbation is exactly zero. The connectivity
+    interval L is taken as 1, so L0 = I - 1.
     """
     t1, t2 = recursion_constants(pc, alpha)
     alpha_lower = admissible_alpha(pc)
-    l0 = (n_agents - 1) * comm_interval
+    l0 = n_agents - 1
 
     if n_agents == 1:
         kappa = 0.0
@@ -520,8 +520,8 @@ def build_certificate(
             n_agents=n_agents, n_unknowns=n_unknowns, eta=eta,
         )
 
-    c = gossip_error_scale(pc, n_agents, n_unknowns, eta, comm_interval)
-    rate = lambda_eta(eta, n_agents, comm_interval)
+    c = gossip_error_scale(pc, n_agents, n_unknowns, eta, 1)
+    rate = lambda_eta(eta, n_agents, 1)
     plan = min_exchanges_plan(pc, n_agents, c, rate, xi, schedule_kind)
     if plan.divergent:
         kappa = math.nan

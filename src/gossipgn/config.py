@@ -1,68 +1,28 @@
 """Declarative experiment configuration loaded from YAML.
 
-The schema is strict: unknown keys anywhere raise ConfigError naming the
-offending field path, so typos fail fast instead of silently running a
-different experiment.
+Each YAML section is the type the run consumes: `protocol` is a
+gossip.GossipConfig, `exchanges` a ggn.ExchangeSchedule, `diffusion` a
+ggn.DiffusionConfig, and each checks its own values when built. The schema
+is strict: unknown keys, values of the wrong type and non-finite numbers
+anywhere raise ConfigError naming the offending field path, so typos fail
+fast instead of silently running a different experiment.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
+from .ggn import DiffusionConfig, ExchangeSchedule, GgnConfig
+from .gossip import GossipConfig
 
 ALGORITHMS = ("centralized", "ggn", "diffusion")
-PROTOCOLS = ("cse", "ure")
-SCHEDULE_KINDS = ("constant", "incrementing")
-STEP_KINDS = ("diminishing", "constant")
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    kind: str = "cse"
-    beta: float = 0.3
-    link_failure_prob: float = 0.0
-    comm_interval: int = 1
-
-    def validate(self, path: str):
-        if self.kind not in PROTOCOLS:
-            raise ConfigError(f"{path}.kind: must be one of {PROTOCOLS}, got {self.kind!r}")
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigError(f"{path}.beta: must lie in (0, 1), got {self.beta}")
-        if not 0.0 <= self.link_failure_prob < 1.0:
-            raise ConfigError(f"{path}.link_failure_prob: must lie in [0, 1)")
-        if self.comm_interval < 1:
-            raise ConfigError(f"{path}.comm_interval: must be >= 1")
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    kind: str = "constant"
-    base: int = 3
-
-    def validate(self, path: str):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ConfigError(f"{path}.kind: must be one of {SCHEDULE_KINDS}")
-        if self.base < 1:
-            raise ConfigError(f"{path}.base: must be >= 1")
-
-
-@dataclass(frozen=True)
-class DiffusionConfig:
-    step_scale: float = 0.3
-    step_kind: str = "diminishing"
-    total_exchanges: int = 900
-
-    def validate(self, path: str):
-        if self.step_kind not in STEP_KINDS:
-            raise ConfigError(f"{path}.step_kind: must be one of {STEP_KINDS}")
-        if self.step_scale <= 0.0:
-            raise ConfigError(f"{path}.step_scale: must be positive")
-        if self.total_exchanges < 1:
-            raise ConfigError(f"{path}.total_exchanges: must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -70,11 +30,11 @@ class CertificateConfig:
     xi: float = 0.25
     n_samples: int = 24
 
-    def validate(self, path: str):
+    def __post_init__(self):
         if not 0.0 < self.xi < 0.5:
-            raise ConfigError(f"{path}.xi: must lie in (0, 1/2)")
+            raise InvalidArgumentError(f"xi: must lie in (0, 1/2), got {self.xi}")
         if self.n_samples < 2:
-            raise ConfigError(f"{path}.n_samples: must be >= 2")
+            raise InvalidArgumentError(f"n_samples: must be >= 2, got {self.n_samples}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +42,9 @@ class ExperimentConfig:
     case_path: str = "case30"
     algorithm: str = "ggn"
     sites: int = 3
-    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
+    protocol: GossipConfig = field(default_factory=GossipConfig)
     alpha: float = 0.5
-    exchanges: ScheduleConfig = field(default_factory=ScheduleConfig)
+    exchanges: ExchangeSchedule = field(default_factory=ExchangeSchedule)
     max_updates: int = 15
     stop_tol: float = 1e-12
     ridge: float = 1e-8
@@ -100,19 +60,18 @@ class ExperimentConfig:
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
     certificate: CertificateConfig = field(default_factory=CertificateConfig)
 
+    def ggn_config(self) -> GgnConfig:
+        """The GGN run's parameters; GgnConfig checks alpha, max_updates, stop_tol and ridge."""
+        return GgnConfig(
+            alpha=self.alpha, schedule=self.exchanges, max_updates=self.max_updates,
+            stop_tol=self.stop_tol, ridge=self.ridge,
+        )
+
     def validate(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.sites < 1:
             raise ConfigError("sites: must be >= 1")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError("alpha: must lie in (0, 1]")
-        if self.max_updates < 1:
-            raise ConfigError("max_updates: must be >= 1")
-        if self.stop_tol <= 0.0:
-            raise ConfigError("stop_tol: must be positive")
-        if self.ridge < 0.0:
-            raise ConfigError("ridge: must be nonnegative")
         if self.sigma2 < 0.0:
             raise ConfigError("sigma2: must be nonnegative")
         if self.snapshots < 1:
@@ -123,51 +82,57 @@ class ExperimentConfig:
             raise ConfigError("repetitions: must be >= 1")
         if self.theta_max <= 0.0 or self.v_max <= 0.0:
             raise ConfigError("theta_max and v_max must be positive")
-        self.protocol.validate("protocol")
-        self.exchanges.validate("exchanges")
-        self.diffusion.validate("diffusion")
-        self.certificate.validate("certificate")
+        try:
+            self.ggn_config()
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
-_SECTION_TYPES = {
-    "protocol": ProtocolConfig,
-    "exchanges": ScheduleConfig,
-    "diffusion": DiffusionConfig,
-    "certificate": CertificateConfig,
-}
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string", type(None): "null"}
 
 
-def _build_section(cls, data: dict, path: str):
-    known = {f for f in cls.__dataclass_fields__}
+def _accepts(options: tuple, value) -> bool:
+    """Whether a YAML value may fill a field of one of the types in options."""
+    if isinstance(value, bool):
+        return False
+    if float in options:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, options)
+
+
+def _build(cls, data, path: str):
+    """An instance of the dataclass cls from the YAML mapping at `path` ('' for the root).
+
+    Keys must be cls's fields, each value of its annotated type: a mapping
+    for a dataclass section, a non-bool int for int, a finite int or float
+    for float, a str for str, and also null for `str | None`. The rules cls
+    checks itself surface as ConfigError under the field path.
+    """
+    prefix = f"{path}." if path else ""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a mapping" if path else "config root must be a mapping")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown key")
+        name = f"{prefix}{key}"
+        if key not in hints:
+            raise ConfigError(f"{name}: unknown key")
+        if dataclasses.is_dataclass(hints[key]):
+            value = _build(hints[key], value, name)
+        else:
+            options = typing.get_args(hints[key]) or (hints[key],)
+            if not _accepts(options, value):
+                expected = " or ".join(_EXPECTED[kind] for kind in options)
+                raise ConfigError(f"{name}: expected {expected}, got {value!r}")
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}")
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    kwargs = {}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"{key}: unknown key")
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key}: expected a mapping")
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        else:
-            kwargs[key] = value
-    try:
-        cfg = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    cfg = _build(ExperimentConfig, data, "")
     cfg.validate()
     return cfg
 

@@ -30,16 +30,7 @@ from .core import (
     stationarity_residual,
 )
 from .errors import GossipGnError, InvalidArgumentError
-from .ggn import (
-    ExchangeSchedule,
-    GgnConfig,
-    GgnTrajectory,
-    constant_steps,
-    diffusion_baseline_run,
-    diminishing_steps,
-    ggn_run,
-)
-from .gossip import GossipConfig
+from .ggn import GgnTrajectory, diffusion_baseline_run, ggn_run
 from .psse import (
     GridModel,
     PowerState,
@@ -98,23 +89,6 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
     return ProblemSetup(
         grid=grid, true_state=true_state, plan=plan, box=box, x0=x0,
         noise_floor=m_total * config.sigma2, m_total=m_total,
-    )
-
-
-def _gossip_config(config: ExperimentConfig) -> GossipConfig:
-    proto = config.protocol
-    return GossipConfig(
-        protocol=proto.kind, beta=proto.beta, link_failure_prob=proto.link_failure_prob
-    )
-
-
-def _ggn_config(config: ExperimentConfig) -> GgnConfig:
-    return GgnConfig(
-        alpha=config.alpha,
-        schedule=ExchangeSchedule(kind=config.exchanges.kind, base=config.exchanges.base),
-        max_updates=config.max_updates,
-        stop_tol=config.stop_tol,
-        ridge=config.ridge,
     )
 
 
@@ -282,20 +256,12 @@ def _run_one_repetition(
             marks = np.zeros(traj.iterates.shape[0], dtype=int)
         elif config.algorithm == "ggn":
             traj = ggn_run(
-                sites, problem.box, _gossip_config(config), _ggn_config(config),
-                x_start, rng=rng,
+                sites, problem.box, config.protocol, config.ggn_config(), x_start, rng=rng
             )
             marks = np.concatenate([[0], np.cumsum(traj.exchange_counts)])
         elif config.algorithm == "diffusion":
-            diff = config.diffusion
-            schedule = (
-                diminishing_steps(diff.step_scale)
-                if diff.step_kind == "diminishing"
-                else constant_steps(diff.step_scale)
-            )
             traj = diffusion_baseline_run(
-                sites, problem.box, _gossip_config(config), schedule,
-                diff.total_exchanges, x_start, rng=rng,
+                sites, problem.box, config.protocol, config.diffusion, x_start, rng=rng
             )
             marks = np.arange(traj.iterates.shape[0])
         else:
@@ -350,7 +316,6 @@ def certificate_for_run(
     alpha: float,
     eta: float,
     schedule_kind: str,
-    comm_interval: int = 1,
     xi: float = 0.25,
     n_samples: int = 24,
     rng_seed: int = 0,
@@ -386,7 +351,7 @@ def certificate_for_run(
     )
     cert = build_certificate(
         pc, n_agents=len(sites), n_unknowns=box.dim, eta=eta, alpha=alpha,
-        xi=xi, schedule_kind=schedule_kind, comm_interval=comm_interval,
+        xi=xi, schedule_kind=schedule_kind,
     )
     return pc, cert
 
@@ -446,7 +411,6 @@ def _certificate_summary(
         last.sites_per_snapshot[-1], problem.box, last.trajectories,
         last.references[-1], alpha=config.alpha, eta=eta_for_cert,
         schedule_kind=config.exchanges.kind,
-        comm_interval=config.protocol.comm_interval,
         xi=config.certificate.xi, n_samples=config.certificate.n_samples,
         rng_seed=config.seed,
     )
@@ -544,8 +508,7 @@ def run_failure_sweep(
     runs = []
     table = []
     for p in p_values:
-        if not 0.0 <= p < 1.0:
-            raise InvalidArgumentError(f"failure probability {p} outside [0, 1)")
+        # GossipConfig rejects a p outside [0, 1)
         sub = replace(
             config,
             protocol=replace(config.protocol, link_failure_prob=float(p)),

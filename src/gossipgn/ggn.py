@@ -32,10 +32,12 @@ from .gossip import (
     sample_ure_round,
 )
 
+SCHEDULE_KINDS = ("constant", "incrementing")
+
 
 @dataclass(frozen=True)
 class ExchangeSchedule:
-    """Number of gossip exchanges per update.
+    """Number of gossip exchanges per update: the config's `exchanges:` section.
 
     kind 'constant' always runs `base` exchanges; 'incrementing' runs
     base + k at update k (the schedule under which the accumulated gossip
@@ -46,10 +48,10 @@ class ExchangeSchedule:
     base: int = 3
 
     def __post_init__(self):
-        if self.kind not in ("constant", "incrementing"):
-            raise InvalidArgumentError(f"unknown schedule kind {self.kind!r}")
+        if self.kind not in SCHEDULE_KINDS:
+            raise InvalidArgumentError(f"kind: must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
         if self.base < 1:
-            raise InvalidArgumentError("exchange count must be >= 1")
+            raise InvalidArgumentError(f"base: must be >= 1, got {self.base}")
 
     def exchanges_at(self, update_index: int) -> int:
         if self.kind == "constant":
@@ -67,13 +69,31 @@ class GgnConfig:
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
-            raise InvalidArgumentError("alpha must lie in (0, 1]")
+            raise InvalidArgumentError(f"alpha: must lie in (0, 1], got {self.alpha}")
         if self.max_updates < 1:
-            raise InvalidArgumentError("max_updates must be >= 1")
+            raise InvalidArgumentError(f"max_updates: must be >= 1, got {self.max_updates}")
         if self.stop_tol <= 0.0:
-            raise InvalidArgumentError("stop_tol must be positive")
+            raise InvalidArgumentError(f"stop_tol: must be positive, got {self.stop_tol}")
         if self.ridge < 0.0:
-            raise InvalidArgumentError("ridge must be >= 0")
+            raise InvalidArgumentError(f"ridge: must be >= 0, got {self.ridge}")
+
+
+@dataclass(frozen=True)
+class DiffusionConfig:
+    """The diffusion baseline's steps: the config's `diffusion:` section.
+
+    Exchange l (counted from 1) steps step_scale / l, for total_exchanges
+    exchanges.
+    """
+
+    step_scale: float = 0.3
+    total_exchanges: int = 900
+
+    def __post_init__(self):
+        if self.step_scale <= 0.0:
+            raise InvalidArgumentError(f"step_scale: must be positive, got {self.step_scale}")
+        if self.total_exchanges < 1:
+            raise InvalidArgumentError(f"total_exchanges: must be >= 1, got {self.total_exchanges}")
 
 
 def _start_stack(x0: np.ndarray, n_agents: int, box: BoxSet) -> np.ndarray:
@@ -89,7 +109,7 @@ def _start_stack(x0: np.ndarray, n_agents: int, box: BoxSet) -> np.ndarray:
 def _static_weights(gossip_config: GossipConfig, n_agents: int) -> WeightMatrix | None:
     """The CSE matrix on the complete graph over the agents, or None for URE,
     whose rounds are drawn per exchange."""
-    if gossip_config.protocol == "cse":
+    if gossip_config.kind == "cse":
         return build_cse_weights(Topology.full(n_agents), gossip_config.beta)
     if n_agents < 2:
         raise InvalidArgumentError("URE needs at least two agents")
@@ -171,7 +191,6 @@ class GgnTrajectory:
     gossip_err_mat: list[np.ndarray]
     mean_drift_max: float
     eta_observed: float
-    union_connected: np.ndarray
     early_stopped: bool
 
     @property
@@ -222,7 +241,6 @@ def ggn_run(
     exchange_counts = []
     gossip_err_vec = []
     gossip_err_mat = []
-    union_connected = []
     mean_drift_max = 0.0
     eta_observed = np.inf
     early_stopped = False
@@ -268,15 +286,12 @@ def ggn_run(
         sum_shift = np.zeros_like(mean0)
         errs_k = [np.sqrt(sq_dev.sum(axis=0))]
 
-        used_edges: set[tuple[int, int]] = set()
         for _ in range(ell_k):
             weights = static_weights if static_weights is not None else sample_ure_round(
                 gossip_config, n_agents, rng
             )
             eta_observed = min(eta_observed, weights.eta)
             rows = slice(None) if weights.pair is None else list(weights.pair)
-            if weights.pair:
-                used_edges.add((min(rows), max(rows)))
             before = payloads[rows].sum(axis=0)
             payloads = gossip_round(payloads, weights)
             mixed = payloads[rows]
@@ -284,10 +299,6 @@ def ggn_run(
             sq_dev[rows] = _squared_deviations(mixed, mean0, n_u)
             errs_k.append(np.sqrt(sq_dev.sum(axis=0)))
             mean_drift_max = max(mean_drift_max, float(np.max(np.abs(sum_shift))) / n_agents)
-        # the complete graph is connected
-        union_connected.append(
-            static_weights is not None or Topology(n_agents, frozenset(used_edges)).is_connected()
-        )
 
         descent_stack = surrogate_descent(payloads, ggn_config.ridge)
         discrepancies.append(descent_discrepancy(descent_stack, exact))
@@ -321,7 +332,6 @@ def ggn_run(
         gossip_err_mat=gossip_err_mat,
         mean_drift_max=mean_drift_max,
         eta_observed=float(eta_observed),
-        union_connected=np.asarray(union_connected, dtype=bool),
         early_stopped=early_stopped,
     )
 
@@ -337,36 +347,18 @@ class DiffusionTrajectory:
     eta_observed: float
 
 
-def diminishing_steps(c: float):
-    """Step schedule alpha_l = c / l (l counted from 1)."""
-
-    def schedule(ell: int) -> float:
-        return c / ell
-
-    return schedule
-
-
-def constant_steps(c: float):
-    def schedule(ell: int) -> float:
-        return c
-
-    return schedule
-
-
 def diffusion_baseline_run(
     sites: list[SiteModel],
     box: BoxSet,
     gossip_config: GossipConfig,
-    step_schedule,
-    total_exchanges: int,
+    diffusion_config: DiffusionConfig,
     x0: np.ndarray,
     rng: np.random.Generator | int | None = None,
 ) -> DiffusionTrajectory:
     """First-order baseline: one mixing plus one local gradient step per
-    exchange, x_i <- P[sum_j W_ij x_j - alpha_l G_i^T(x_i) g_i(x_i)]."""
+    exchange, x_i <- P[sum_j W_ij x_j - alpha_l G_i^T(x_i) g_i(x_i)] with
+    alpha_l = step_scale / l."""
     n_agents = len(sites)
-    if total_exchanges < 1:
-        raise InvalidArgumentError("total_exchanges must be >= 1")
     static_weights = _static_weights(gossip_config, n_agents)
     rng = np.random.default_rng(rng)
     x = _start_stack(x0, n_agents, box)
@@ -383,10 +375,8 @@ def diffusion_baseline_run(
         grads.append([float(np.linalg.norm(g)) for g in stack])
         return stack
 
-    for ell in range(1, total_exchanges + 1):
-        alpha_ell = float(step_schedule(ell))
-        if alpha_ell < 0.0:
-            raise InvalidArgumentError("step schedule produced a negative step")
+    for ell in range(1, diffusion_config.total_exchanges + 1):
+        alpha_ell = diffusion_config.step_scale / ell
         weights = static_weights if static_weights is not None else sample_ure_round(
             gossip_config, n_agents, rng
         )

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 STOCHASTIC_TOL = 1e-12
+PROTOCOLS = ("cse", "ure")
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ def min_nonzero_entry(w: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GossipConfig:
-    """Protocol parameters for one experiment.
+    """Protocol parameters for one experiment: the config's `protocol:` section.
 
     The agents are the sites, so the network comes from the site list: CSE
     mixes over the complete graph on them, and a woken URE agent picks its
@@ -142,17 +143,17 @@ class GossipConfig:
     selected pair per round; a failed round mixes nothing (identity).
     """
 
-    protocol: str
-    beta: float
+    kind: str = "cse"
+    beta: float = 0.3
     link_failure_prob: float = 0.0
 
     def __post_init__(self):
-        if self.protocol not in ("cse", "ure"):
-            raise InvalidArgumentError(f"unknown protocol {self.protocol!r}")
+        if self.kind not in PROTOCOLS:
+            raise InvalidArgumentError(f"kind: must be one of {PROTOCOLS}, got {self.kind!r}")
         if not 0.0 < self.beta < 1.0:
-            raise InvalidArgumentError("beta must lie in (0, 1)")
+            raise InvalidArgumentError(f"beta: must lie in (0, 1), got {self.beta}")
         if not 0.0 <= self.link_failure_prob < 1.0:
-            raise InvalidArgumentError("link failure probability must lie in [0, 1)")
+            raise InvalidArgumentError(f"link_failure_prob: {self.link_failure_prob} outside [0, 1)")
 
 
 def build_cse_weights(topology: Topology, beta: float) -> WeightMatrix:
@@ -160,10 +161,8 @@ def build_cse_weights(topology: Topology, beta: float) -> WeightMatrix:
 
     An empty edge set on more than one agent yields the identity (with a
     warning): nothing ever mixes. Disconnectedness is allowed here and
-    checked separately.
+    checked separately. beta is a GossipConfig's, which lies in (0, 1).
     """
-    if not 0.0 < beta < 1.0:
-        raise InvalidArgumentError("beta must lie in (0, 1)")
     n = topology.n_agents
     adj = topology.adjacency()
     degrees = adj.sum(axis=1)
@@ -196,7 +195,7 @@ def sample_ure_round(
 ) -> WeightMatrix:
     """Draw one URE round among n_agents >= 2. Draw order is fixed for
     reproducibility: wake-up agent, then partner, then the link-failure coin."""
-    if config.protocol != "ure":
+    if config.kind != "ure":
         raise InvalidArgumentError("sample_ure_round requires the URE protocol")
     wake = int(rng.integers(n_agents))
     # uniform over the other agents; a weighted choice, not integers(n_agents - 1),

@@ -21,10 +21,10 @@ from gossipgn.experiments import (
     run_failure_sweep,
 )
 from gossipgn.ggn import (
+    DiffusionConfig,
     ExchangeSchedule,
     GgnConfig,
     diffusion_baseline_run,
-    diminishing_steps,
     ggn_run,
 )
 from gossipgn.gossip import (
@@ -169,7 +169,7 @@ def test_c03_consensus_conservation():
         if r % 2 == 0:
             w = build_cse_weights(topo, beta)
         else:
-            w = sample_ure_round(GossipConfig(protocol="ure", beta=beta), topo.n_agents, rng)
+            w = sample_ure_round(GossipConfig(kind="ure", beta=beta), topo.n_agents, rng)
         check_weight_matrix(w.entries, tol=1e-12)
         payloads = rng.normal(size=(topo.n_agents, 6))
         mixed = gossip_round(payloads, w)
@@ -226,7 +226,7 @@ def test_c05_centralized_reduction(grid30, true30):
     sites1 = build_nlls_sites(grid30, plan1, meas1)
     traj1 = ggn_run(
         sites1, box,
-        GossipConfig(protocol="cse", beta=0.5),
+        GossipConfig(kind="cse", beta=0.5),
         GgnConfig(alpha=1.0, schedule=ExchangeSchedule("constant", 1),
                   max_updates=n_updates, stop_tol=1e-16, ridge=0.0),
         x0,
@@ -241,7 +241,7 @@ def test_c05_centralized_reduction(grid30, true30):
     assert np.all(w.entries == 0.25)
     traj4 = ggn_run(
         sites4, box,
-        GossipConfig(protocol="cse", beta=0.75),
+        GossipConfig(kind="cse", beta=0.75),
         GgnConfig(alpha=1.0, schedule=ExchangeSchedule("constant", 1),
                   max_updates=n_updates, stop_tol=1e-16, ridge=0.0),
         x0,
@@ -282,7 +282,7 @@ def test_c06_steady_state_and_gradient_drop(c6_result):
 def test_c07_discrepancy_decay_rate(c6_result):
     problem = c6_result.problem
     sites = c6_result.repetitions[0].sites_per_snapshot[0]
-    gossip_cfg = GossipConfig(protocol="cse", beta=0.3)
+    gossip_cfg = GossipConfig(kind="cse", beta=0.3)
     discs = []
     for ell in range(1, 21):
         traj = ggn_run(
@@ -336,7 +336,7 @@ def test_c08_error_recursion_holds(c6_result):
 def test_c09_outperforms_diffusion_baseline(c6_result):
     problem = c6_result.problem
     sites = c6_result.repetitions[0].sites_per_snapshot[0]
-    gossip_cfg = GossipConfig(protocol="cse", beta=0.3)
+    gossip_cfg = GossipConfig(kind="cse", beta=0.3)
     traj = ggn_run(
         sites, problem.box, gossip_cfg,
         GgnConfig(alpha=0.5, schedule=ExchangeSchedule("constant", 3),
@@ -349,7 +349,7 @@ def test_c09_outperforms_diffusion_baseline(c6_result):
     grads_diffusion = {}
     for scale in (0.01, 0.3, 0.5, 1.0):
         diff = diffusion_baseline_run(
-            sites, problem.box, gossip_cfg, diminishing_steps(scale), 900,
+            sites, problem.box, gossip_cfg, DiffusionConfig(scale, 900),
             problem.x0, rng=np.random.default_rng(0),
         )
         grads_diffusion[scale] = _grad_metric(sites, diff.iterates[-1])

@@ -236,7 +236,7 @@ def test_surrogate_mismatch_linear_closed_form():
 
 
 def test_surrogate_mismatch_bounds_hold_on_run(toy_sites, toy_box):
-    gc = GossipConfig(protocol="cse", beta=0.4)
+    gc = GossipConfig(kind="cse", beta=0.4)
     cfg = GgnConfig(
         alpha=0.8, schedule=ExchangeSchedule(kind="constant", base=2),
         max_updates=6, stop_tol=1e-14, ridge=0.0,
@@ -261,7 +261,7 @@ def test_verify_contraction_linear_centralized():
     box = BoxSet.cube(2, 10.0)
     from gossipgn.core import estimate_constants
 
-    gc = GossipConfig(protocol="cse", beta=0.5)
+    gc = GossipConfig(kind="cse", beta=0.5)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),
         max_updates=4, stop_tol=1e-14, ridge=0.0,
@@ -283,7 +283,7 @@ def test_verify_contraction_linear_centralized():
 def test_verify_contraction_precondition_unmet():
     sites, _ = _linear_sites(n_agents=1)
     box = BoxSet.cube(2, 10.0)
-    gc = GossipConfig(protocol="cse", beta=0.5)
+    gc = GossipConfig(kind="cse", beta=0.5)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),
         max_updates=2, stop_tol=1e-14, ridge=0.0,

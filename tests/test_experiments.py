@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,8 @@ import yaml
 from gossipgn.cli import main
 from gossipgn.config import ExperimentConfig, config_from_mapping, load_config
 from gossipgn.errors import ConfigError, InvalidArgumentError
+from gossipgn.ggn import DiffusionConfig, ExchangeSchedule, GgnConfig
+from gossipgn.gossip import GossipConfig
 from gossipgn.experiments import (
     CSV_COLUMNS,
     compare_algorithms,
@@ -77,6 +80,21 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.protocol.beta == 0.4
     assert cfg.exchanges.base == 2
     assert cfg.repetitions == 2
+    # each section is the type the run consumes
+    assert cfg.protocol == GossipConfig(kind="cse", beta=0.4)
+    assert cfg.exchanges == ExchangeSchedule(kind="constant", base=2)
+    assert cfg.diffusion == DiffusionConfig()
+    assert cfg.ggn_config() == GgnConfig(
+        alpha=0.8, schedule=cfg.exchanges, max_updates=3, stop_tol=1e-12, ridge=1e-8
+    )
+
+
+def test_float_fields_take_ints_and_optional_fields_take_null():
+    cfg = config_from_mapping(
+        {"alpha": 1, "protocol": {"link_failure_prob": 0}, "true_state_path": None}
+    )
+    assert cfg.alpha == 1 and cfg.protocol.link_failure_prob == 0
+    assert cfg.true_state_path is None
 
 
 def test_empty_config_gives_defaults(tmp_path):
@@ -407,6 +425,52 @@ def test_cli_exit_config_on_removed_partition_key(tmp_path, capsys):
     )
     assert main(["run", path]) == 2
     assert "partition: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# values of the wrong type or non-finite, each named by its field path
+WRONG_TYPE_PROBES = [
+    ("protocol.beta", "abc"),
+    ("seed", "abc"),
+    ("max_updates", 2.5),
+    ("exchanges.base", 2.5),
+    ("repetitions", 1.5),
+    ("case_path", 5),
+    ("true_state_path", 5),
+    ("sites", 2.5),
+    ("theta_max", math.inf),
+    ("v_max", math.inf),
+    ("load_scale", math.inf),
+    ("sigma2", math.inf),
+    ("ridge", math.inf),
+    ("stop_tol", math.inf),
+    ("repetitions", True),
+]
+
+
+@pytest.mark.parametrize(
+    "field_path, value", WRONG_TYPE_PROBES, ids=[f"{p}={v!r}" for p, v in WRONG_TYPE_PROBES]
+)
+def test_cli_exit_config_on_wrong_type_or_non_finite(tmp_path, capsys, field_path, value):
+    mapping = tiny_mapping(output_dir=str(tmp_path / "o"))
+    section, _, key = field_path.rpartition(".")
+    (mapping[section] if section else mapping)[key] = value
+    path = write_config(tmp_path / "c.yaml", mapping)
+    assert main(["run", path]) == 2
+    assert f"config error: {field_path}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("protocol", "comm_interval", 1), ("diffusion", "step_kind", "diminishing")],
+)
+def test_cli_exit_config_on_removed_section_keys(tmp_path, capsys, section, key, value):
+    mapping = tiny_mapping(output_dir=str(tmp_path / "o"))
+    mapping.setdefault(section, {})[key] = value
+    path = write_config(tmp_path / "c.yaml", mapping)
+    assert main(["run", path]) == 2
+    assert f"config error: {section}.{key}: unknown key" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

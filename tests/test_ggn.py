@@ -5,12 +5,11 @@ from gossipgn import ggn
 from gossipgn.core import COND_CAP, BoxSet, SiteModel, centralized_gn_step, exact_descent
 from gossipgn.errors import InvalidArgumentError, SingularSystemError
 from gossipgn.ggn import (
+    DiffusionConfig,
     ExchangeSchedule,
     GgnConfig,
-    constant_steps,
     descent_discrepancy,
     diffusion_baseline_run,
-    diminishing_steps,
     ggn_run,
     local_init_info,
     surrogate_descent,
@@ -151,7 +150,7 @@ def test_surrogate_descent_error_names_the_agent():
 def test_ggn_run_projects_onto_tight_box():
     sites, _, x0 = _toy_setup()
     tight = BoxSet.cube(3, 1e-3)
-    gc = GossipConfig(protocol="cse", beta=0.4)
+    gc = GossipConfig(kind="cse", beta=0.4)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),
         max_updates=1, stop_tol=1e-15, ridge=0.0,
@@ -173,7 +172,7 @@ def test_perfect_mixing_discrepancy_vanishes():
 
 def test_ggn_run_trajectory_invariants():
     sites, box, x0 = _toy_setup()
-    gc = GossipConfig(protocol="cse", beta=0.4)
+    gc = GossipConfig(kind="cse", beta=0.4)
     cfg = GgnConfig(
         alpha=0.8, schedule=ExchangeSchedule(kind="incrementing", base=2),
         max_updates=6, stop_tol=1e-14, ridge=0.0,
@@ -185,7 +184,6 @@ def test_ggn_run_trajectory_invariants():
     assert traj.discrepancies.shape == (k, 3)
     assert all(box.contains(traj.iterates[t][i]) for t in range(k + 1) for i in range(3))
     assert traj.mean_drift_max <= 1e-12
-    assert np.all(traj.union_connected)
     assert len(traj.gossip_err_vec) == k
     # per-update error sequences have one entry per exchange plus the start
     assert [len(e) for e in traj.gossip_err_vec] == [c + 1 for c in traj.exchange_counts]
@@ -196,7 +194,7 @@ def test_ggn_run_early_stop():
     # so the stop tolerance actually triggers (constant budgets plateau
     # at a persistent disagreement ball instead)
     sites, box, x0 = _toy_setup()
-    gc = GossipConfig(protocol="cse", beta=0.4)
+    gc = GossipConfig(kind="cse", beta=0.4)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="incrementing", base=3),
         max_updates=50, stop_tol=1e-10, ridge=0.0,
@@ -210,7 +208,7 @@ def test_ggn_run_early_stop():
 @pytest.mark.parametrize("stop_tol", [1e-15, 1e-6], ids=["full", "early_stopped"])
 def test_ggn_run_records_site_metrics(grid30, true30, stop_tol):
     sites, box, x0 = _psse_setup(grid30, true30)
-    gc = GossipConfig(protocol="cse", beta=0.4)
+    gc = GossipConfig(kind="cse", beta=0.4)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="incrementing", base=3),
         max_updates=12, stop_tol=stop_tol, ridge=0.0,
@@ -222,16 +220,16 @@ def test_ggn_run_records_site_metrics(grid30, true30, stop_tol):
 
 def test_diffusion_run_records_site_metrics(grid30, true30):
     sites, box, x0 = _psse_setup(grid30, true30)
-    gc = GossipConfig(protocol="ure", beta=0.5)
+    gc = GossipConfig(kind="ure", beta=0.5)
     traj = diffusion_baseline_run(
-        sites, box, gc, diminishing_steps(0.3), 25, x0, rng=np.random.default_rng(4)
+        sites, box, gc, DiffusionConfig(0.3, 25), x0, rng=np.random.default_rng(4)
     )
     _assert_recorded_metrics(sites, traj)
 
 
 def test_single_agent_reduces_to_centralized():
     sites, box, x0 = _toy_setup(n_sites=1)
-    gc = GossipConfig(protocol="cse", beta=0.5)
+    gc = GossipConfig(kind="cse", beta=0.5)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),
         max_updates=5, stop_tol=1e-15, ridge=0.0,
@@ -245,7 +243,7 @@ def test_single_agent_reduces_to_centralized():
 
 def test_ure_run_deterministic_under_seed():
     sites, box, x0 = _toy_setup(n_sites=3)
-    gc = GossipConfig(protocol="ure", beta=0.5)
+    gc = GossipConfig(kind="ure", beta=0.5)
     cfg = GgnConfig(
         alpha=0.5, schedule=ExchangeSchedule(kind="constant", base=4),
         max_updates=5, stop_tol=1e-15, ridge=1e-6,
@@ -258,7 +256,7 @@ def test_ure_run_deterministic_under_seed():
 
 def test_ggn_run_requires_rng_for_ure():
     sites, box, x0 = _toy_setup(n_sites=3)
-    gc = GossipConfig(protocol="ure", beta=0.5)
+    gc = GossipConfig(kind="ure", beta=0.5)
     cfg = GgnConfig(
         alpha=0.5, schedule=ExchangeSchedule(kind="constant", base=2),
         max_updates=2, stop_tol=1e-15, ridge=0.0,
@@ -270,7 +268,7 @@ def test_ggn_run_requires_rng_for_ure():
 def test_ure_needs_two_agents():
     # the sites are the agents, so one site leaves URE no partner to draw
     sites, box, x0 = _toy_setup(n_sites=1)
-    gc = GossipConfig(protocol="ure", beta=0.5)
+    gc = GossipConfig(kind="ure", beta=0.5)
     cfg = GgnConfig(
         alpha=0.5, schedule=ExchangeSchedule(kind="constant", base=1),
         max_updates=1, stop_tol=1e-12, ridge=0.0,
@@ -278,21 +276,27 @@ def test_ure_needs_two_agents():
     with pytest.raises(InvalidArgumentError, match="two agents"):
         ggn_run(sites, box, gc, cfg, x0)
     with pytest.raises(InvalidArgumentError, match="two agents"):
-        diffusion_baseline_run(sites, box, gc, diminishing_steps(0.1), 5, x0)
+        diffusion_baseline_run(sites, box, gc, DiffusionConfig(0.1, 5), x0)
 
 
-def test_step_schedules():
-    dim = diminishing_steps(0.3)
-    assert dim(1) == pytest.approx(0.3)
-    assert dim(6) == pytest.approx(0.05)
-    const = constant_steps(0.2)
-    assert const(1) == const(50) == pytest.approx(0.2)
+def test_diffusion_steps_diminish():
+    sites, box, x0 = _toy_setup()
+    gc = GossipConfig(kind="cse", beta=0.4)
+    traj = diffusion_baseline_run(sites, box, gc, DiffusionConfig(0.3, 6), x0)
+    assert traj.step_sizes.tolist() == [0.3 / ell for ell in range(1, 7)]
+
+
+def test_diffusion_config_validation():
+    with pytest.raises(InvalidArgumentError, match="step_scale"):
+        DiffusionConfig(0.0, 6)
+    with pytest.raises(InvalidArgumentError, match="total_exchanges"):
+        DiffusionConfig(0.3, 0)
 
 
 def test_diffusion_baseline_run_shapes():
     sites, box, x0 = _toy_setup()
-    gc = GossipConfig(protocol="cse", beta=0.4)
-    traj = diffusion_baseline_run(sites, box, gc, diminishing_steps(0.1), 20, x0)
+    gc = GossipConfig(kind="cse", beta=0.4)
+    traj = diffusion_baseline_run(sites, box, gc, DiffusionConfig(0.1, 20), x0)
     assert traj.iterates.shape == (21, 3, 3)
     assert all(box.contains(traj.iterates[t][i]) for t in range(21) for i in range(3))
     assert traj.step_sizes.shape == (20,)
@@ -304,8 +308,8 @@ def test_diffusion_moves_toward_solution():
     from gossipgn.core import centralized_gn_solve, stationarity_residual
 
     x_star, _ = centralized_gn_solve(sites, box, x0, tol=1e-12)
-    gc = GossipConfig(protocol="cse", beta=0.4)
-    traj = diffusion_baseline_run(sites, box, gc, diminishing_steps(0.05), 400, x0)
+    gc = GossipConfig(kind="cse", beta=0.4)
+    traj = diffusion_baseline_run(sites, box, gc, DiffusionConfig(0.05, 400), x0)
     start = np.linalg.norm(traj.iterates[0] - x_star, axis=1).max()
     end = np.linalg.norm(traj.iterates[-1] - x_star, axis=1).max()
     assert end < 0.5 * start
@@ -314,7 +318,7 @@ def test_diffusion_moves_toward_solution():
 def test_per_agent_warm_start_stack():
     sites, box, _ = _toy_setup()
     starts = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.3]])
-    gc = GossipConfig(protocol="cse", beta=0.4)
+    gc = GossipConfig(kind="cse", beta=0.4)
     cfg = GgnConfig(
         alpha=0.5, schedule=ExchangeSchedule(kind="constant", base=1),
         max_updates=1, stop_tol=1e-15, ridge=0.0,
@@ -375,7 +379,7 @@ def instrumented_run(request, grid30, true30):
     spec = INSTRUMENTED_RUNS[request.param]
     sites, box, x0 = _psse_setup(grid30, true30, n_sites=spec["n_sites"])
     gc = GossipConfig(
-        protocol=spec["protocol"], beta=spec["beta"], link_failure_prob=spec["link_failure_prob"]
+        kind=spec["protocol"], beta=spec["beta"], link_failure_prob=spec["link_failure_prob"]
     )
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=spec["exchanges"]),
@@ -460,7 +464,7 @@ def test_singular_full_system_records_nan_discrepancy():
         )
         for i in range(2)
     ]
-    gc = GossipConfig(protocol="cse", beta=0.5)
+    gc = GossipConfig(kind="cse", beta=0.5)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),
         max_updates=2, stop_tol=1e-15, ridge=1e-3,

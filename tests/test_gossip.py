@@ -79,7 +79,7 @@ def test_gossip_round_identity_on_consensus():
 
 
 def test_ure_sampling_deterministic_and_valid():
-    cfg = GossipConfig(protocol="ure", beta=0.5)
+    cfg = GossipConfig(kind="ure", beta=0.5)
     w1 = sample_ure_round(cfg, 6, np.random.default_rng(7))
     w2 = sample_ure_round(cfg, 6, np.random.default_rng(7))
     assert np.array_equal(w1.entries, w2.entries)
@@ -90,7 +90,7 @@ def test_ure_sampling_deterministic_and_valid():
 
 
 def test_ure_link_failure_gives_identity_sometimes():
-    cfg = GossipConfig(protocol="ure", beta=0.5, link_failure_prob=0.95)
+    cfg = GossipConfig(kind="ure", beta=0.5, link_failure_prob=0.95)
     rng = np.random.default_rng(3)
     idents = sum(
         int(np.array_equal(sample_ure_round(cfg, 4, rng).entries, np.eye(4)))
@@ -148,11 +148,11 @@ def test_check_connectivity_union():
 
 def test_gossip_config_validation():
     with pytest.raises(InvalidArgumentError):
-        GossipConfig(protocol="smoke", beta=0.3)
+        GossipConfig(kind="smoke", beta=0.3)
     with pytest.raises(InvalidArgumentError):
-        GossipConfig(protocol="cse", beta=1.5)
+        GossipConfig(kind="cse", beta=1.5)
     with pytest.raises(InvalidArgumentError):
-        GossipConfig(protocol="ure", beta=0.5, link_failure_prob=1.0)
+        GossipConfig(kind="ure", beta=0.5, link_failure_prob=1.0)
 
 
 def test_ure_partner_draws_match_uniform_partner_matrix():
@@ -160,7 +160,7 @@ def test_ure_partner_draws_match_uniform_partner_matrix():
     n, fail = 7, 0.2
     gamma = np.full((n, n), 1.0 / (n - 1))
     np.fill_diagonal(gamma, 0.0)
-    cfg = GossipConfig(protocol="ure", beta=0.5, link_failure_prob=fail)
+    cfg = GossipConfig(kind="ure", beta=0.5, link_failure_prob=fail)
     rng, oracle = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(300):
         pair = sample_ure_round(cfg, n, rng).pair
@@ -198,7 +198,7 @@ def test_pairwise_round_near_dense_at_other_beta():
 def test_rounds_carry_their_pair():
     assert pairwise_weights(5, 3, 1, beta=0.5).pair == (3, 1)
     assert build_cse_weights(Topology.full(4), beta=0.5).pair is None
-    cfg = GossipConfig(protocol="ure", beta=0.5, link_failure_prob=0.5)
+    cfg = GossipConfig(kind="ure", beta=0.5, link_failure_prob=0.5)
     rng = np.random.default_rng(8)
     rounds = [sample_ure_round(cfg, 6, rng) for _ in range(50)]
     failed = [w for w in rounds if w.pair == ()]
