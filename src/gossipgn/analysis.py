@@ -5,8 +5,8 @@ constants: the error-recursion coefficients (T1, T2), the equilibrium
 radii of that recursion, the geometric gossip-error scale C with its
 consensus rate, the exchange-budget constants (C1, C2, D, ell_min) and
 the resulting perturbation bound kappa. This module evaluates all of
-them from estimated problem constants and checks each bound against
-recorded simulation traces. Constants obtained by sampling make the
+them from estimated problem constants and checks the convergence-to-a-ball
+guarantee against a recorded run. Constants obtained by sampling make the
 certificate empirical rather than a priori; reports say which.
 """
 
@@ -192,9 +192,7 @@ def equilibrium_radii(T1: float, T2: float, alpha: float, kappa: float) -> Equil
     return EquilibriumRadii(defined=True, rho_min=rho_min, rho_max=rho_max, discriminant=disc)
 
 
-def gossip_error_scale(
-    pc: ProblemConstants, n_agents: int, n_unknowns: int, eta: float, comm_interval: int
-) -> float:
+def gossip_error_scale(pc: ProblemConstants, n_agents: int, n_unknowns: int, eta: float) -> float:
     """Scale C of the geometric gossip-error envelope C * rate^l.
 
     Grows like I^(3/2) with the network size and blows up as eta -> 1
@@ -208,9 +206,7 @@ def gossip_error_scale(
         return math.nan
     if not 0.0 < eta < 1.0:
         raise InvalidArgumentError("eta must lie in (0, 1)")
-    if comm_interval < 1:
-        raise InvalidArgumentError("comm_interval must be >= 1")
-    l0 = (n_agents - 1) * comm_interval
+    l0 = n_agents - 1
     lead = 2.0 * n_agents * pc.sigma_max * math.sqrt(
         n_agents * (pc.epsilon_max**2 + n_unknowns * pc.sigma_max**2)
     )
@@ -334,71 +330,6 @@ def surrogate_mismatch(
     )
 
 
-def verify_gossip_error_envelope(
-    trajectory: GgnTrajectory, gossip_scale: float, lambda_eta_val: float
-) -> BoundReport:
-    """Check the per-exchange deviation norms against C * rate^l.
-
-    Both the vector-part and matrix-part stacked deviations recorded by
-    the run must stay under the envelope at every exchange of every
-    update. observed is the largest deviation rescaled by rate^-l, so
-    satisfied means observed <= C.
-    """
-    name = "gossip_error_envelope"
-    if math.isnan(gossip_scale):
-        return BoundReport(name, math.nan, math.nan, False, math.nan,
-                           applicable=False, reason="no envelope for a single agent")
-    if not 0.0 < lambda_eta_val < 1.0:
-        return BoundReport(name, math.nan, math.nan, False, math.nan,
-                           applicable=False, reason="consensus rate outside (0, 1)")
-    worst = 0.0
-    for err_vec, err_mat in zip(trajectory.gossip_err_vec, trajectory.gossip_err_mat):
-        for ell in range(err_vec.size):
-            scale = lambda_eta_val ** (-ell)
-            worst = max(worst, err_vec[ell] * scale, err_mat[ell] * scale)
-    return BoundReport(
-        name, theoretical_value=gossip_scale, observed_value=worst,
-        satisfied=worst <= gossip_scale, margin=gossip_scale - worst,
-    )
-
-
-def verify_disagreement_envelope(
-    trajectory: GgnTrajectory, certificate: ConvergenceCertificate
-) -> BoundReport:
-    """Max pairwise iterate gap against 4 C C1 C2 sum_k rate^(ell_k + 1).
-
-    Checked at every update with the matching partial sum; observed and
-    theoretical are reported at the worst (smallest-margin) update.
-    """
-    name = "disagreement_envelope"
-    if math.isnan(certificate.C):
-        return BoundReport(name, math.nan, math.nan, False, math.nan,
-                           applicable=False, reason="no envelope for a single agent")
-    rate = certificate.lambda_eta_val
-    lead = 4.0 * certificate.C * certificate.C1 * certificate.C2
-    partial = 0.0
-    worst_ratio = -math.inf
-    worst = (math.nan, math.nan)
-    for k in range(trajectory.n_updates):
-        partial += rate ** (float(trajectory.exchange_counts[k]) + 1.0)
-        bound = lead * partial
-        stack = trajectory.iterates[k + 1]
-        gap = max(
-            float(np.linalg.norm(stack[i] - stack[j]))
-            for i in range(stack.shape[0])
-            for j in range(i + 1, stack.shape[0])
-        ) if stack.shape[0] > 1 else 0.0
-        ratio = gap / bound if bound > 0 else math.inf
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst = (bound, gap)
-    theoretical, observed = worst
-    return BoundReport(
-        name, theoretical_value=theoretical, observed_value=observed,
-        satisfied=observed <= theoretical, margin=theoretical - observed,
-    )
-
-
 @dataclass(frozen=True)
 class ContractionReport:
     """Three-part trace check of the convergence-to-a-ball guarantee.
@@ -504,34 +435,26 @@ def build_certificate(
     """
     t1, t2 = recursion_constants(pc, alpha)
     alpha_lower = admissible_alpha(pc)
-    l0 = n_agents - 1
-
     if n_agents == 1:
-        kappa = 0.0
-        radii = equilibrium_radii(t1, t2, alpha, kappa)
-        return ConvergenceCertificate(
-            T1=t1, T2=t2, rho_min=radii.rho_min, rho_max=radii.rho_max,
-            kappa=kappa, alpha_lower=alpha_lower, C=math.nan, C1=math.nan,
-            C2=math.nan, D=math.nan, lambda_eta_val=math.nan, L0=l0,
-            ell_min=0.0, lambda_infty=math.nan, xi=xi, alpha=alpha,
-            schedule_kind=schedule_kind, radii_defined=radii.defined,
-            discriminant=radii.discriminant, conditional=False,
-            estimated_constants=estimated_constants,
-            n_agents=n_agents, n_unknowns=n_unknowns, eta=eta,
+        c = rate = math.nan
+        plan = ExchangePlan(
+            c1=math.nan, c2=math.nan, d=math.nan, lambda_infty=math.nan, ell_min=0.0,
+            nu=math.nan, schedule_kind=schedule_kind, divergent=False,
         )
-
-    c = gossip_error_scale(pc, n_agents, n_unknowns, eta, 1)
-    rate = lambda_eta(eta, n_agents, 1)
-    plan = min_exchanges_plan(pc, n_agents, c, rate, xi, schedule_kind)
-    if plan.divergent:
-        kappa = math.nan
+        kappa = 0.0
     else:
-        kappa = perturbation_bound(plan.c1, plan.d, rate, plan.ell_min)
+        c = gossip_error_scale(pc, n_agents, n_unknowns, eta)
+        rate = lambda_eta(eta, n_agents)
+        plan = min_exchanges_plan(pc, n_agents, c, rate, xi, schedule_kind)
+        if plan.divergent:
+            kappa = math.nan
+        else:
+            kappa = perturbation_bound(plan.c1, plan.d, rate, plan.ell_min)
     radii = equilibrium_radii(t1, t2, alpha, kappa)
     return ConvergenceCertificate(
         T1=t1, T2=t2, rho_min=radii.rho_min, rho_max=radii.rho_max,
         kappa=kappa, alpha_lower=alpha_lower, C=c, C1=plan.c1, C2=plan.c2,
-        D=plan.d, lambda_eta_val=rate, L0=l0, ell_min=plan.ell_min,
+        D=plan.d, lambda_eta_val=rate, L0=n_agents - 1, ell_min=plan.ell_min,
         lambda_infty=plan.lambda_infty, xi=xi, alpha=alpha,
         schedule_kind=schedule_kind, radii_defined=radii.defined,
         discriminant=radii.discriminant, conditional=plan.divergent,

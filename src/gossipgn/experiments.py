@@ -432,14 +432,8 @@ def _certificate_summary(
 def summary_line(key: str, value) -> str:
     """The `key=value` line of summary.txt, as the certify verb also prints it."""
     if isinstance(value, bool):
-        text = "true" if value else "false"
-    elif isinstance(value, str):
-        text = value
-    elif isinstance(value, (int, np.integer)):
-        text = str(int(value))
-    else:
-        text = repr(float(value))
-    return f"{key}={text}"
+        return f"{key}={'true' if value else 'false'}"
+    return f"{key}={_format_cell(value)}"
 
 
 def _write_summary(path: Path, summary: dict) -> None:
@@ -505,15 +499,12 @@ def run_failure_sweep(
     if config.algorithm != "ggn" or config.protocol.kind != "ure":
         raise InvalidArgumentError("failure sweep requires algorithm=ggn, protocol=ure")
     base_dir = resolve_output_dir(config, env_output_dir)
+    # GossipConfig rejects a p outside [0, 1): every p is checked before the first run
+    protocols = [replace(config.protocol, link_failure_prob=float(p)) for p in p_values]
     runs = []
     table = []
-    for p in p_values:
-        # GossipConfig rejects a p outside [0, 1)
-        sub = replace(
-            config,
-            protocol=replace(config.protocol, link_failure_prob=float(p)),
-            output_dir=str(base_dir / f"p_{p:g}"),
-        )
+    for p, protocol in zip(p_values, protocols):
+        sub = replace(config, protocol=protocol, output_dir=str(base_dir / f"p_{p:g}"))
         result = run_experiment(sub, with_certificate=False)
         runs.append(result)
 

@@ -166,32 +166,22 @@ def descent_discrepancy(mixed: np.ndarray, exact: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GgnTrajectory:
-    """Everything a run produced, indexed by update k.
+    """What a run's readers use, indexed by update k.
 
     iterates[k] is the (I x N_u) stack BEFORE update k; iterates[-1] is the
     final stack; vals and grads hold ||g_i||^2 and ||G_i^T g_i|| at each
-    iterates[k][i]. gossip_err_vec[k][l] is the stacked deviation norm of the
-    h-parts after l exchanges (index 0 = before any exchange), measured from
-    mean0, their mean at the start of update k, which mixing conserves;
-    gossip_err_mat likewise for the H-parts in Frobenius norm.
-    mean_drift_max certifies conservation: the largest deviation of the
-    payload mean from mean0 seen at any exchange.
+    iterates[k][i]. discrepancies[k] is each agent's descent discrepancy
+    at update k, exchange_counts[k] its number of exchanges, and
+    eta_observed the smallest nonzero weight of any exchange matrix drawn.
     """
 
     alpha: float
-    ridge: float
     iterates: np.ndarray
     vals: np.ndarray
     grads: np.ndarray
-    descents: np.ndarray
-    step_norms: np.ndarray
     discrepancies: np.ndarray
     exchange_counts: np.ndarray
-    gossip_err_vec: list[np.ndarray]
-    gossip_err_mat: list[np.ndarray]
-    mean_drift_max: float
     eta_observed: float
-    early_stopped: bool
 
     @property
     def n_updates(self) -> int:
@@ -200,13 +190,6 @@ class GgnTrajectory:
     @property
     def n_agents(self) -> int:
         return self.iterates.shape[1]
-
-
-def _squared_deviations(payloads: np.ndarray, mean0: np.ndarray, n_u: int) -> np.ndarray:
-    """Per-row squared deviation norms from mean0 of the h-part and H-part, (rows, 2)."""
-    dev = payloads - mean0
-    dev *= dev
-    return np.stack([dev[:, :n_u].sum(axis=1), dev[:, n_u:].sum(axis=1)], axis=1)
 
 
 def ggn_run(
@@ -235,15 +218,9 @@ def ggn_run(
     x = x0_stack
     iterates = [x]
     vals, grads = [], []
-    descents = []
-    step_norms = []
     discrepancies = []
     exchange_counts = []
-    gossip_err_vec = []
-    gossip_err_mat = []
-    mean_drift_max = 0.0
     eta_observed = np.inf
-    early_stopped = False
 
     def init_step(x: np.ndarray, with_exact: bool) -> tuple[np.ndarray, np.ndarray | None]:
         # Payload stack at the agents' iterates x; records val and grad there.
@@ -279,60 +256,32 @@ def ggn_run(
     for k in range(ggn_config.max_updates):
         ell_k = ggn_config.schedule.exchanges_at(k)
         payloads, exact = init_step(x, True)
-        mean0 = payloads.mean(axis=0)
-        # per-agent squared deviations from mean0 and the running change of
-        # the payload sum; a round updates only the rows it changed
-        sq_dev = _squared_deviations(payloads, mean0, n_u)
-        sum_shift = np.zeros_like(mean0)
-        errs_k = [np.sqrt(sq_dev.sum(axis=0))]
-
         for _ in range(ell_k):
             weights = static_weights if static_weights is not None else sample_ure_round(
                 gossip_config, n_agents, rng
             )
             eta_observed = min(eta_observed, weights.eta)
-            rows = slice(None) if weights.pair is None else list(weights.pair)
-            before = payloads[rows].sum(axis=0)
             payloads = gossip_round(payloads, weights)
-            mixed = payloads[rows]
-            sum_shift += mixed.sum(axis=0) - before
-            sq_dev[rows] = _squared_deviations(mixed, mean0, n_u)
-            errs_k.append(np.sqrt(sq_dev.sum(axis=0)))
-            mean_drift_max = max(mean_drift_max, float(np.max(np.abs(sum_shift))) / n_agents)
 
         descent_stack = surrogate_descent(payloads, ggn_config.ridge)
         discrepancies.append(descent_discrepancy(descent_stack, exact))
         x_new = np.clip(x - ggn_config.alpha * descent_stack, box.lower, box.upper)
-        steps = np.array([float(np.linalg.norm(step)) for step in x_new - x])
+        step_max = max(float(np.linalg.norm(step)) for step in x_new - x)
         x = x_new
         iterates.append(x)
-        descents.append(descent_stack)
-        step_norms.append(steps)
         exchange_counts.append(ell_k)
-        errs_k = np.array(errs_k)
-        gossip_err_vec.append(errs_k[:, 0])
-        gossip_err_mat.append(errs_k[:, 1])
-
-        if float(steps.max()) <= ggn_config.stop_tol:
-            early_stopped = k + 1 < ggn_config.max_updates
+        if step_max <= ggn_config.stop_tol:
             break
 
     init_step(x, False)
     return GgnTrajectory(
         alpha=ggn_config.alpha,
-        ridge=ggn_config.ridge,
         iterates=np.stack(iterates),
         vals=np.asarray(vals),
         grads=np.asarray(grads),
-        descents=np.stack(descents),
-        step_norms=np.stack(step_norms),
         discrepancies=np.stack(discrepancies),
         exchange_counts=np.asarray(exchange_counts, dtype=int),
-        gossip_err_vec=gossip_err_vec,
-        gossip_err_mat=gossip_err_mat,
-        mean_drift_max=mean_drift_max,
         eta_observed=float(eta_observed),
-        early_stopped=early_stopped,
     )
 
 
@@ -344,7 +293,6 @@ class DiffusionTrajectory:
     vals: np.ndarray
     grads: np.ndarray
     step_sizes: np.ndarray
-    eta_observed: float
 
 
 def diffusion_baseline_run(
@@ -365,7 +313,6 @@ def diffusion_baseline_run(
     iterates = [x.copy()]
     vals, grads = [], []
     steps = []
-    eta_observed = np.inf
 
     def gradients(x: np.ndarray) -> np.ndarray:
         # G_i^T(x_i) g_i(x_i) per agent; records val and grad at x
@@ -380,7 +327,6 @@ def diffusion_baseline_run(
         weights = static_weights if static_weights is not None else sample_ure_round(
             gossip_config, n_agents, rng
         )
-        eta_observed = min(eta_observed, weights.eta)
         mixed = gossip_round(x, weights)
         x = np.clip(mixed - alpha_ell * gradients(x), box.lower, box.upper)
         iterates.append(x.copy())
@@ -392,5 +338,4 @@ def diffusion_baseline_run(
         vals=np.asarray(vals),
         grads=np.asarray(grads),
         step_sizes=np.asarray(steps),
-        eta_observed=float(eta_observed),
     )

@@ -47,7 +47,21 @@ class Topology:
         return a
 
     def is_connected(self) -> bool:
-        return _connected(self.n_agents, self.edges)
+        if self.n_agents <= 1:
+            return True
+        neighbors = [[] for _ in range(self.n_agents)]
+        for i, j in self.edges:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        seen = {0}
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for v in neighbors[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == self.n_agents
 
     @staticmethod
     def full(n_agents: int) -> "Topology":
@@ -67,24 +81,6 @@ class Topology:
         edges = set((i, i + 1) for i in range(n_agents - 1))
         edges.add((0, n_agents - 1))
         return Topology(n_agents, frozenset(edges))
-
-
-def _connected(n: int, edges) -> bool:
-    if n <= 1:
-        return True
-    neighbors = [[] for _ in range(n)]
-    for i, j in edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in neighbors[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
 
 
 @dataclass(frozen=True)
@@ -232,13 +228,13 @@ def gossip_round(payloads: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     return out
 
 
-def lambda_eta(eta: float, n_agents: int, comm_interval: int) -> float:
-    """Geometric consensus rate (1 - eta^L0)^(1/L0) with L0 = (I-1) L."""
-    l0 = (n_agents - 1) * comm_interval
+def lambda_eta(eta: float, n_agents: int) -> float:
+    """Geometric consensus rate (1 - eta^L0)^(1/L0) with L0 = I - 1."""
+    l0 = n_agents - 1
     if not 0.0 < eta < 1.0:
         raise InvalidArgumentError("eta must lie in (0, 1)")
     if l0 < 1:
-        raise InvalidArgumentError("need (n_agents - 1) * comm_interval >= 1")
+        raise InvalidArgumentError("need n_agents >= 2")
     return float((1.0 - eta**l0) ** (1.0 / l0))
 
 
@@ -264,7 +260,7 @@ class ConsensusContractionReport:
 
 
 def verify_consensus_contraction(
-    weight_sequence: list[WeightMatrix], eta: float, n_agents: int, comm_interval: int
+    weight_sequence: list[WeightMatrix], eta: float, n_agents: int
 ) -> ConsensusContractionReport:
     """Check running products of the given rounds against the geometric
     consensus envelope 2 (1 + eta^-L0) / (1 - eta^L0) * rate^t."""
@@ -282,8 +278,8 @@ def verify_consensus_contraction(
             bounds=np.array([]),
             reason=f"eta={eta} outside (0,1): no contraction envelope (static/identity mixing)",
         )
-    l0 = (i_count - 1) * comm_interval
-    rate = lambda_eta(eta, i_count, comm_interval)
+    l0 = i_count - 1
+    rate = lambda_eta(eta, i_count)
     coefficient = 2.0 * (1.0 + eta ** (-l0)) / (1.0 - eta**l0)
     product = np.eye(i_count)
     deviations = np.empty(len(weight_sequence))
@@ -307,22 +303,3 @@ def verify_consensus_contraction(
         reason="" if contracting else "deviations are not contracting over the sequence",
     )
 
-
-def check_connectivity(window: list[Topology], comm_interval: int) -> bool:
-    """True iff every comm_interval-length sub-window has a connected union
-    graph. The window must be at least comm_interval long."""
-    l = comm_interval
-    if l < 1:
-        raise InvalidArgumentError("comm_interval must be >= 1")
-    if len(window) < l:
-        raise InvalidArgumentError("window shorter than comm_interval")
-    n = window[0].n_agents
-    if any(t.n_agents != n for t in window):
-        raise InvalidArgumentError("topologies in window differ in agent count")
-    for start in range(len(window) - l + 1):
-        union = set()
-        for topo in window[start : start + l]:
-            union |= topo.edges
-        if not _connected(n, union):
-            return False
-    return True

@@ -189,9 +189,7 @@ def test_c04_consensus_contraction_envelope():
         topo = _random_connected(rng)
         beta = float(rng.uniform(0.1, 0.9))
         w = build_cse_weights(topo, beta)
-        report = verify_consensus_contraction(
-            [w] * 50, eta=w.eta, n_agents=topo.n_agents, comm_interval=1
-        )
+        report = verify_consensus_contraction([w] * 50, eta=w.eta, n_agents=topo.n_agents)
         assert report.applicable, report.reason
         assert report.satisfied, (topo.n_agents, beta, report.max_ratio)
         worst_ratio = max(worst_ratio, report.max_ratio)
@@ -298,7 +296,7 @@ def test_c07_discrepancy_decay_rate(c6_result):
     assert np.all(discs[1:] <= discs[:-1] * 1.05)
     slope = np.polyfit(np.arange(1, 21), np.log(discs), 1)[0]
     fitted_rate = float(np.exp(slope))
-    bound = lambda_eta(0.15, 3, 1) + 0.05
+    bound = lambda_eta(0.15, 3) + 0.05
     assert fitted_rate <= bound, (fitted_rate, bound)
     print(f"criterion 7: PASS - discrepancy decays monotonically, fitted rate "
           f"{fitted_rate:.4f} <= lambda_eta + 0.05 = {bound:.4f}")

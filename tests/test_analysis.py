@@ -103,7 +103,7 @@ def test_equilibrium_radii_nan_kappa():
 
 def test_gossip_error_scale_direct_evaluation():
     pc = make_pc(eps_max=1.0, s_max=2.0)
-    c = gossip_error_scale(pc, n_agents=3, n_unknowns=2, eta=0.15, comm_interval=1)
+    c = gossip_error_scale(pc, n_agents=3, n_unknowns=2, eta=0.15)
     l0 = 2
     expected = (
         2 * 3 * 2.0 * math.sqrt(3 * (1.0**2 + 2 * 2.0**2))
@@ -113,16 +113,16 @@ def test_gossip_error_scale_direct_evaluation():
 
 
 def test_gossip_error_scale_single_agent_undefined():
-    assert math.isnan(gossip_error_scale(make_pc(), 1, 2, 0.5, 1))
+    assert math.isnan(gossip_error_scale(make_pc(), 1, 2, 0.5))
 
 
 def test_gossip_error_scale_diverges_near_one():
     pc = make_pc()
-    c_far = gossip_error_scale(pc, 3, 2, 0.5, 1)
-    c_near = gossip_error_scale(pc, 3, 2, 1 - 1e-9, 1)
+    c_far = gossip_error_scale(pc, 3, 2, 0.5)
+    c_near = gossip_error_scale(pc, 3, 2, 1 - 1e-9)
     assert c_near > 1e6 * c_far
     with pytest.raises(InvalidArgumentError):
-        gossip_error_scale(pc, 3, 2, 1.0, 1)
+        gossip_error_scale(pc, 3, 2, 1.0)
 
 
 def test_min_exchanges_lambda_infty_geometric_sum():
@@ -325,7 +325,7 @@ def test_build_certificate_multi_agent_pipeline():
     assert cert.L0 == 2
     assert cert.lambda_eta_val == pytest.approx((1 - 0.3**2) ** 0.5)
     assert cert.C == pytest.approx(
-        gossip_error_scale(pc, 3, 2, 0.3, 1), rel=1e-12
+        gossip_error_scale(pc, 3, 2, 0.3), rel=1e-12
     )
     assert cert.kappa == pytest.approx(
         perturbation_bound(cert.C1, cert.D, cert.lambda_eta_val, cert.ell_min), rel=1e-12

@@ -330,6 +330,13 @@ def test_failure_sweep_validates(tmp_path):
         run_failure_sweep(ure, [1.0])
 
 
+def test_failure_sweep_checks_every_p_before_the_first_run(tmp_path):
+    ure = config_from_mapping(sweep_mapping(tmp_path))
+    with pytest.raises(InvalidArgumentError, match="1.5 outside"):
+        run_failure_sweep(ure, [0.0, 1.5])
+    assert not (tmp_path / "sweep" / "p_0").exists()
+
+
 def test_compare_algorithms_outputs(tmp_path):
     base = tiny_mapping(output_dir=str(tmp_path / "cmp"), repetitions=1)
     cfg_g = config_from_mapping(base)
@@ -552,6 +559,13 @@ def test_cli_sweep_and_parse_errors(tmp_path, capsys):
     # cse protocol cannot sweep link failures
     cse = write_config(tmp_path / "c.yaml", tiny_mapping(output_dir=str(tmp_path / "o")))
     assert main(["sweep-failures", cse, "--p", "0.1"]) == 1
+
+
+def test_cli_sweep_rejects_a_bad_p_before_any_run(tmp_path, capsys):
+    path = write_config(tmp_path / "s.yaml", sweep_mapping(tmp_path))
+    assert main(["sweep-failures", path, "--p", "0,1.5"]) == 1
+    assert "1.5 outside" in capsys.readouterr().err
+    assert not (tmp_path / "sweep" / "p_0").exists()
 
 
 def test_cli_certify_prints_certificate(tmp_path, capsys):

@@ -14,7 +14,7 @@ from gossipgn.ggn import (
     local_init_info,
     surrogate_descent,
 )
-from gossipgn.gossip import GossipConfig
+from gossipgn.gossip import GossipConfig, Topology, build_cse_weights, gossip_round
 
 from gossipgn.psse import (
     build_nlls_sites,
@@ -156,7 +156,10 @@ def test_ggn_run_projects_onto_tight_box():
         max_updates=1, stop_tol=1e-15, ridge=0.0,
     )
     traj = ggn_run(sites, tight, gc, cfg, x0)
-    step = x0 - traj.descents[0]
+    # oracle: the unprojected step after the update's one CSE round
+    rows = np.stack([local_init_info(s, x0)[0] for s in sites])
+    mixed = gossip_round(rows, build_cse_weights(Topology.full(3), 0.4))
+    step = x0 - surrogate_descent(mixed, 0.0)
     assert not np.all(np.abs(step) <= 1e-3)  # the projection is active
     assert np.array_equal(traj.iterates[1], np.clip(step, tight.lower, tight.upper))
 
@@ -183,10 +186,6 @@ def test_ggn_run_trajectory_invariants():
     assert np.array_equal(traj.exchange_counts, [2, 3, 4, 5, 6, 7][:k])
     assert traj.discrepancies.shape == (k, 3)
     assert all(box.contains(traj.iterates[t][i]) for t in range(k + 1) for i in range(3))
-    assert traj.mean_drift_max <= 1e-12
-    assert len(traj.gossip_err_vec) == k
-    # per-update error sequences have one entry per exchange plus the start
-    assert [len(e) for e in traj.gossip_err_vec] == [c + 1 for c in traj.exchange_counts]
 
 
 def test_ggn_run_early_stop():
@@ -200,9 +199,9 @@ def test_ggn_run_early_stop():
         max_updates=50, stop_tol=1e-10, ridge=0.0,
     )
     traj = ggn_run(sites, box, gc, cfg, x0)
-    assert traj.early_stopped
-    assert traj.n_updates < 50
-    assert float(np.max(traj.step_norms[-1])) <= 1e-10
+    assert traj.n_updates < cfg.max_updates
+    last_steps = np.linalg.norm(traj.iterates[-1] - traj.iterates[-2], axis=1)
+    assert float(np.max(last_steps)) <= 1e-10
 
 
 @pytest.mark.parametrize("stop_tol", [1e-15, 1e-6], ids=["full", "early_stopped"])
@@ -214,7 +213,7 @@ def test_ggn_run_records_site_metrics(grid30, true30, stop_tol):
         max_updates=12, stop_tol=stop_tol, ridge=0.0,
     )
     traj = ggn_run(sites, box, gc, cfg, x0)
-    assert traj.early_stopped == (stop_tol == 1e-6)
+    assert (traj.n_updates < cfg.max_updates) == (stop_tol == 1e-6)
     _assert_recorded_metrics(sites, traj)
 
 
@@ -425,22 +424,15 @@ def test_recorded_discrepancies_equal_separate_solves(instrumented_run):
         assert np.array_equal(traj.discrepancies[k], oracle, equal_nan=True)
 
 
-def test_gossip_errors_equal_full_recompute(instrumented_run):
+def test_mixing_conserves_the_payload_mean(instrumented_run):
+    # every exchange matrix is doubly stochastic, so each round of an update
+    # keeps the row mean of the payload stack the update started from
     _, _, traj, rounds, _ = instrumented_run
-    n_u = traj.iterates.shape[2]
-    drift = 0.0
     scale = max(float(np.abs(p).max()) for p, _ in rounds)
-    for k, update_rounds in enumerate(_rounds_by_update(traj, rounds)):
-        stacks = [update_rounds[0][0]] + [out for _, out in update_rounds]
-        mean0 = stacks[0].mean(axis=0)
-        err_vec = [np.linalg.norm((s - mean0)[:, :n_u]) for s in stacks]
-        err_mat = [np.linalg.norm((s - mean0)[:, n_u:]) for s in stacks]
-        np.testing.assert_allclose(traj.gossip_err_vec[k], err_vec, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(traj.gossip_err_mat[k], err_mat, rtol=1e-12, atol=0)
-        drift = max([drift] + [float(np.max(np.abs(s.mean(axis=0) - mean0))) for s in stacks])
-    # both drifts are rounding noise, so they agree relative to the payload scale
-    assert abs(traj.mean_drift_max - drift) <= 1e-12 * scale
-    assert traj.mean_drift_max <= 1e-12 * scale
+    for update_rounds in _rounds_by_update(traj, rounds):
+        mean0 = update_rounds[0][0].mean(axis=0)
+        for _, out in update_rounds:
+            assert float(np.max(np.abs(out.mean(axis=0) - mean0))) <= 1e-12 * scale
 
 
 def test_one_model_evaluation_and_one_surrogate_solve_per_agent_update(instrumented_run):
@@ -471,7 +463,16 @@ def test_singular_full_system_records_nan_discrepancy():
     )
     with pytest.raises(SingularSystemError):
         exact_descent(sites, np.zeros(2))
-    traj = ggn_run(sites, BoxSet.cube(2, 5.0), gc, cfg, np.zeros(2))
+    descents = []
+
+    def recording_descent(payloads, ridge):
+        descents.append(surrogate_descent(payloads, ridge))
+        return descents[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ggn, "surrogate_descent", recording_descent)
+        traj = ggn_run(sites, BoxSet.cube(2, 5.0), gc, cfg, np.zeros(2))
     assert traj.n_updates == 2
     assert np.all(np.isnan(traj.discrepancies))
-    assert np.all(np.isfinite(traj.descents))
+    assert len(descents) == 2
+    assert np.all(np.isfinite(descents))

@@ -7,7 +7,6 @@ from gossipgn.gossip import (
     Topology,
     WeightMatrix,
     build_cse_weights,
-    check_connectivity,
     check_weight_matrix,
     gossip_round,
     lambda_eta,
@@ -101,16 +100,16 @@ def test_ure_link_failure_gives_identity_sometimes():
 
 def test_lambda_eta_values():
     # eta=0.5, two agents, L=1: L0=1, lambda = 1 - 0.5
-    assert lambda_eta(0.5, 2, 1) == pytest.approx(0.5)
-    val = lambda_eta(0.15, 3, 1)
+    assert lambda_eta(0.5, 2) == pytest.approx(0.5)
+    val = lambda_eta(0.15, 3)
     assert val == pytest.approx((1 - 0.15**2) ** 0.5)
     assert 0.0 < val < 1.0
     with pytest.raises(InvalidArgumentError):
-        lambda_eta(0.0, 3, 1)
+        lambda_eta(0.0, 3)
     with pytest.raises(InvalidArgumentError):
-        lambda_eta(1.0, 3, 1)
+        lambda_eta(1.0, 3)
     with pytest.raises(InvalidArgumentError):
-        lambda_eta(0.5, 1, 1)
+        lambda_eta(0.5, 1)
 
 
 def test_min_nonzero_entry():
@@ -131,19 +130,10 @@ def test_consensus_contraction_report_holds():
         n = int(rng.integers(2, 8))
         beta = float(rng.uniform(0.1, 0.9))
         w = build_cse_weights(Topology.full(n), beta)
-        report = verify_consensus_contraction([w] * 30, eta=w.eta, n_agents=n, comm_interval=1)
+        report = verify_consensus_contraction([w] * 30, eta=w.eta, n_agents=n)
         assert report.applicable and report.satisfied
         assert report.max_ratio <= 1.0
         assert report.rate < 1.0
-
-
-def test_check_connectivity_union():
-    # two disconnected halves whose union over a window is connected
-    t1 = Topology(4, frozenset({(0, 1)}))
-    t2 = Topology(4, frozenset({(2, 3)}))
-    t3 = Topology(4, frozenset({(1, 2)}))
-    assert not check_connectivity([t1, t2], comm_interval=2)
-    assert check_connectivity([t1, t2, t3], comm_interval=3)
 
 
 def test_gossip_config_validation():
