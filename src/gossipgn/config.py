@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm: must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.sites < 1:
             raise ConfigError("sites: must be >= 1")
+        if self.protocol.kind == "ure" and self.sites < 2 and self.algorithm != "centralized":
+            raise ConfigError(f"protocol.kind: ure needs at least two sites, got {self.sites}")
         if self.sigma2 < 0.0:
             raise ConfigError("sigma2: must be nonnegative")
         if self.snapshots < 1:

@@ -403,8 +403,14 @@ def _certificate_summary(
     last = reps[-1]
     traj = last.trajectories[-1]
     eta = getattr(traj, "eta_observed", float("nan"))
-    if config.algorithm == "centralized" or config.sites == 1 or not np.isfinite(eta):
+    if config.algorithm == "centralized" or config.sites == 1:
         eta_for_cert = 0.5  # placeholder rate; single-agent certificates ignore it
+    elif not 0.0 < eta < 1.0:
+        return {
+            "certificate.applicable": False,
+            "certificate.reason": f"eta_observed={eta} is outside (0, 1): "
+            "no exchange mixed two agents, so the consensus rate is undefined",
+        }
     else:
         eta_for_cert = eta
     pc, cert = certificate_for_run(

@@ -25,7 +25,6 @@ from .core import BoxSet, SiteModel, project, site_terms, solve_normal
 from .errors import InvalidArgumentError, SingularSystemError
 from .gossip import (
     GossipConfig,
-    Topology,
     WeightMatrix,
     build_cse_weights,
     gossip_round,
@@ -98,6 +97,8 @@ class DiffusionConfig:
 
 def _start_stack(x0: np.ndarray, n_agents: int, box: BoxSet) -> np.ndarray:
     """Normalize a shared vector or per-agent stack of starts, projected."""
+    if n_agents < 1:
+        raise InvalidArgumentError("need at least one agent")
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         x0 = np.tile(x0, (n_agents, 1))
@@ -108,11 +109,9 @@ def _start_stack(x0: np.ndarray, n_agents: int, box: BoxSet) -> np.ndarray:
 
 def _static_weights(gossip_config: GossipConfig, n_agents: int) -> WeightMatrix | None:
     """The CSE matrix on the complete graph over the agents, or None for URE,
-    whose rounds are drawn per exchange."""
+    whose rounds sample_ure_round draws per exchange."""
     if gossip_config.kind == "cse":
-        return build_cse_weights(Topology.full(n_agents), gossip_config.beta)
-    if n_agents < 2:
-        raise InvalidArgumentError("URE needs at least two agents")
+        return build_cse_weights(n_agents, gossip_config.beta)
     return None
 
 

@@ -1,16 +1,18 @@
-"""Gossip weight matrices and exchange rounds.
+"""Gossip weight matrices and exchange rounds over the network the sites form.
 
-Two protocols are provided. CSE (coordinated static exchange) mixes every
-agent every round with one fixed Laplacian-based matrix W = I - w*L. URE
-(uncoordinated random exchange) wakes one random agent per round, which
-averages pairwise with one partner; every other agent idles. Both emit
-symmetric doubly stochastic matrices, so each exchange preserves the network
-average of whatever payload is being mixed.
+The agents are the sites, and any two of them can exchange. CSE (coordinated
+static exchange) mixes every agent every round with one fixed matrix, the
+Laplacian weights W = I - (beta/(I-1)) L of the complete graph, written in
+closed form. URE (uncoordinated random exchange) wakes one random agent per
+round, which averages pairwise with a uniformly drawn partner; every other
+agent idles. A pairwise round is held as its pair and beta alone, and builds
+its dense matrix only when `entries` is read. Both kinds are symmetric and
+doubly stochastic, so each exchange preserves the network average of
+whatever payload is being mixed.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,94 +24,59 @@ PROTOCOLS = ("cse", "ure")
 
 
 @dataclass(frozen=True)
-class Topology:
-    """Undirected communication graph on agents 0..n_agents-1."""
-
-    n_agents: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if self.n_agents < 1:
-            raise InvalidArgumentError("need at least one agent")
-        norm = set()
-        for i, j in self.edges:
-            if i == j:
-                raise InvalidArgumentError(f"self-loop on agent {i}")
-            if not (0 <= i < self.n_agents and 0 <= j < self.n_agents):
-                raise InvalidArgumentError(f"edge ({i},{j}) endpoint out of range")
-            norm.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(norm))
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n_agents, self.n_agents))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
-        return a
-
-    def is_connected(self) -> bool:
-        if self.n_agents <= 1:
-            return True
-        neighbors = [[] for _ in range(self.n_agents)]
-        for i, j in self.edges:
-            neighbors[i].append(j)
-            neighbors[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n_agents
-
-    @staticmethod
-    def full(n_agents: int) -> "Topology":
-        edges = frozenset(
-            (i, j) for i in range(n_agents) for j in range(i + 1, n_agents)
-        )
-        return Topology(n_agents, edges)
-
-    @staticmethod
-    def path(n_agents: int) -> "Topology":
-        return Topology(n_agents, frozenset((i, i + 1) for i in range(n_agents - 1)))
-
-    @staticmethod
-    def ring(n_agents: int) -> "Topology":
-        if n_agents < 3:
-            return Topology.path(n_agents)
-        edges = set((i, i + 1) for i in range(n_agents - 1))
-        edges.add((0, n_agents - 1))
-        return Topology(n_agents, frozenset(edges))
-
-
-@dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric doubly stochastic mixing matrix for one exchange round.
+    """The dense CSE mixing matrix, symmetric and doubly stochastic.
 
     eta is the smallest nonzero entry; it feeds the geometric consensus-rate
-    bound (lambda_eta below). pair lists the agents whose rows differ from
-    the identity: the two agents of a pairwise round, or () for a round that
-    mixes no one (a failed link). It is None for a matrix that gossip_round
-    applies densely (CSE).
+    bound (lambda_eta below).
     """
 
     entries: np.ndarray
     eta: float
-    pair: tuple[int, ...] | None = None
 
     def __post_init__(self):
         w = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", w)
         check_weight_matrix(w)
-        if self.pair is not None:
-            mixing = np.flatnonzero(np.any(w != np.eye(w.shape[0]), axis=1)).tolist()
-            if len(self.pair) > 2 or sorted(set(self.pair)) != mixing:
-                raise InvalidArgumentError(f"pair {self.pair} is not the set of rows that mix")
 
     @property
     def n_agents(self) -> int:
         return self.entries.shape[0]
+
+
+@dataclass(frozen=True)
+class PairwiseRound:
+    """One URE round, W = I - beta (e_i - e_j)(e_i - e_j)^T for pair = (i, j).
+
+    beta = 1/2 averages the pair exactly; everyone else is untouched. pair
+    () is a failed link, which mixes no one (W = I).
+    """
+
+    n_agents: int
+    pair: tuple[int, ...]
+    beta: float
+
+    def __post_init__(self):
+        if not 0.0 < self.beta < 1.0:
+            raise InvalidArgumentError(f"beta: must lie in (0, 1), got {self.beta}")
+        pair = self.pair
+        if pair and (len(pair) != 2 or not 0 <= min(pair) < max(pair) < self.n_agents):
+            raise InvalidArgumentError(f"pair {pair} is not two distinct agents among {self.n_agents}")
+
+    @property
+    def eta(self) -> float:
+        """The smallest nonzero entry of W."""
+        return min(self.beta, 1.0 - self.beta) if self.pair else 1.0
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense I x I matrix W, built on each read."""
+        w = np.eye(self.n_agents)
+        if self.pair:
+            i, j = self.pair
+            w[i, i] = w[j, j] = 1.0 - self.beta
+            w[i, j] = w[j, i] = self.beta
+        return w
 
 
 def check_weight_matrix(w: np.ndarray, tol: float = STOCHASTIC_TOL) -> None:
@@ -152,47 +119,32 @@ class GossipConfig:
             raise InvalidArgumentError(f"link_failure_prob: {self.link_failure_prob} outside [0, 1)")
 
 
-def build_cse_weights(topology: Topology, beta: float) -> WeightMatrix:
-    """Laplacian weights W = I - w L with w = beta / max degree.
+def build_cse_weights(n_agents: int, beta: float) -> WeightMatrix:
+    """Laplacian weights W = I - (beta/(I-1)) L of the complete graph on the agents.
 
-    An empty edge set on more than one agent yields the identity (with a
-    warning): nothing ever mixes. Disconnectedness is allowed here and
-    checked separately. beta is a GossipConfig's, which lies in (0, 1).
+    In closed form: beta/(I-1) off the diagonal and 1 - (beta/(I-1))(I-1)
+    on it. One agent has no one to mix with, so its matrix is the identity.
+    beta is a GossipConfig's, which lies in (0, 1).
     """
-    n = topology.n_agents
-    adj = topology.adjacency()
-    degrees = adj.sum(axis=1)
-    max_deg = degrees.max() if n else 0.0
-    if max_deg == 0.0:
-        if n > 1:
-            warnings.warn("topology has no edges; weight matrix is the identity", stacklevel=2)
-        return WeightMatrix(entries=np.eye(n), eta=1.0)
-    w = beta / max_deg
-    lap = np.diag(degrees) - adj
-    entries = np.eye(n) - w * lap
+    if n_agents < 1:
+        raise InvalidArgumentError("need at least one agent")
+    if n_agents == 1:
+        return WeightMatrix(entries=np.eye(1), eta=1.0)
+    off = beta / (n_agents - 1)
+    entries = np.full((n_agents, n_agents), off)
+    np.fill_diagonal(entries, 1.0 - off * (n_agents - 1))
     return WeightMatrix(entries=entries, eta=min_nonzero_entry(entries))
-
-
-def pairwise_weights(n_agents: int, i: int, j: int, beta: float) -> WeightMatrix:
-    """Mixing matrix W = I - beta (e_i - e_j)(e_i - e_j)^T for one pair.
-
-    beta = 1/2 averages the pair exactly; everyone else is untouched.
-    """
-    if i == j:
-        raise InvalidArgumentError("pair must be two distinct agents")
-    entries = np.eye(n_agents)
-    entries[i, i] = entries[j, j] = 1.0 - beta
-    entries[i, j] = entries[j, i] = beta
-    return WeightMatrix(entries=entries, eta=min_nonzero_entry(entries), pair=(i, j))
 
 
 def sample_ure_round(
     config: GossipConfig, n_agents: int, rng: np.random.Generator
-) -> WeightMatrix:
+) -> PairwiseRound:
     """Draw one URE round among n_agents >= 2. Draw order is fixed for
     reproducibility: wake-up agent, then partner, then the link-failure coin."""
     if config.kind != "ure":
         raise InvalidArgumentError("sample_ure_round requires the URE protocol")
+    if n_agents < 2:
+        raise InvalidArgumentError(f"URE needs at least two agents, got {n_agents}")
     wake = int(rng.integers(n_agents))
     # uniform over the other agents; a weighted choice, not integers(n_agents - 1),
     # because that would draw a different partner stream for the same seed
@@ -200,11 +152,11 @@ def sample_ure_round(
     pick[wake] = 0.0
     partner = int(rng.choice(n_agents, p=pick))
     if config.link_failure_prob > 0.0 and rng.random() < config.link_failure_prob:
-        return WeightMatrix(entries=np.eye(n_agents), eta=1.0, pair=())
-    return pairwise_weights(n_agents, wake, partner, config.beta)
+        return PairwiseRound(n_agents, (), config.beta)
+    return PairwiseRound(n_agents, (wake, partner), config.beta)
 
 
-def gossip_round(payloads: np.ndarray, weights: WeightMatrix) -> np.ndarray:
+def gossip_round(payloads: np.ndarray, weights: WeightMatrix | PairwiseRound) -> np.ndarray:
     """Apply one exchange: row i of the result is sum_j W_ij payload_j.
 
     payloads is an (I x N_H) array (one row per agent). The arithmetic mean
@@ -217,14 +169,14 @@ def gossip_round(payloads: np.ndarray, weights: WeightMatrix) -> np.ndarray:
         raise InvalidArgumentError(
             f"payload stack shape {p.shape} does not match {weights.n_agents} agents"
         )
-    if weights.pair is None:
+    if isinstance(weights, WeightMatrix):
         return weights.entries @ p
     out = p.copy()
     if weights.pair:
         i, j = weights.pair
-        w = weights.entries
-        out[i] = w[i, i] * p[i] + w[i, j] * p[j]
-        out[j] = w[j, i] * p[i] + w[j, j] * p[j]
+        beta = weights.beta
+        out[i] = (1.0 - beta) * p[i] + beta * p[j]
+        out[j] = beta * p[i] + (1.0 - beta) * p[j]
     return out
 
 
@@ -260,7 +212,7 @@ class ConsensusContractionReport:
 
 
 def verify_consensus_contraction(
-    weight_sequence: list[WeightMatrix], eta: float, n_agents: int
+    weight_sequence: list[WeightMatrix | PairwiseRound], eta: float, n_agents: int
 ) -> ConsensusContractionReport:
     """Check running products of the given rounds against the geometric
     consensus envelope 2 (1 + eta^-L0) / (1 - eta^L0) * rate^t."""

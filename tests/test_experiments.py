@@ -481,6 +481,28 @@ def test_cli_exit_config_on_removed_section_keys(tmp_path, capsys, section, key,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("algorithm", ["ggn", "diffusion"])
+def test_cli_exit_config_on_ure_with_one_site(tmp_path, capsys, monkeypatch, algorithm):
+    # a single site leaves URE no partner; the config says so before the case is read
+    from gossipgn import experiments
+
+    def no_case(*args, **kwargs):
+        raise AssertionError("the case was loaded")
+
+    monkeypatch.setattr(experiments, "load_case", no_case)
+    mapping = tiny_mapping(
+        algorithm=algorithm, sites=1, protocol={"kind": "ure", "beta": 0.5},
+        output_dir=str(tmp_path / "o"),
+    )
+    with pytest.raises(ConfigError, match="ure needs at least two sites"):
+        config_from_mapping(mapping)
+    assert main(["run", write_config(tmp_path / "c.yaml", mapping)]) == 2
+    assert "config error: protocol.kind: ure needs at least two sites" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # the centralized run mixes nothing, so its protocol section does not matter
+    assert config_from_mapping(dict(mapping, algorithm="centralized")).sites == 1
+
+
 def test_cli_exit_case_error(tmp_path, capsys):
     bad_case = tmp_path / "bad.m"
     bad_case.write_text("function mpc = bad\nmpc.baseMVA = 100;\n")
@@ -607,6 +629,42 @@ def test_cli_run_diffusion_skips_certificate(tmp_path, capsys):
     assert "certificate.applicable=false" in printed
     written = (out_dir / "summary.txt").read_text().splitlines()
     assert printed == [line for line in written if line.startswith("certificate.")]
+
+
+def all_fail_mapping(tmp_path, seed):
+    """A case2 URE run whose every exchange fails on this seed (eta_observed = 1)."""
+    return tiny_mapping(
+        protocol={"kind": "ure", "beta": 0.5, "link_failure_prob": 0.95},
+        exchanges={"kind": "constant", "base": 1},
+        max_updates=2, repetitions=1, seed=seed, output_dir=str(tmp_path / "o"),
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_where_no_exchange_mixes_skips_the_certificate(tmp_path, monkeypatch, seed):
+    from gossipgn import experiments
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("constants were estimated")
+
+    monkeypatch.setattr(experiments, "certificate_for_run", no_estimate)
+    result = run_experiment(config_from_mapping(all_fail_mapping(tmp_path, seed)))
+    assert result.repetitions[0].trajectories[0].eta_observed == 1.0
+    summary = read_summary(result.summary_path)
+    assert summary["certificate.applicable"] == "false"
+    assert "eta_observed=1.0" in summary["certificate.reason"]
+    assert not any(key.startswith("constants.") for key in summary)
+
+
+def test_cli_run_where_no_exchange_mixes_exits_0(tmp_path, capsys):
+    path = write_config(tmp_path / "f.yaml", all_fail_mapping(tmp_path, 1))
+    assert main(["run", path]) == 0
+    summary = read_summary(tmp_path / "o" / "summary.txt")
+    assert summary["certificate.applicable"] == "false"
+    assert "outside (0, 1)" in summary["certificate.reason"]
+    capsys.readouterr()
+    assert main(["certify", path]) == 0
+    assert "certificate.applicable=false" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_compare(tmp_path, capsys):

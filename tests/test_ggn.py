@@ -14,7 +14,7 @@ from gossipgn.ggn import (
     local_init_info,
     surrogate_descent,
 )
-from gossipgn.gossip import GossipConfig, Topology, build_cse_weights, gossip_round
+from gossipgn.gossip import GossipConfig, build_cse_weights, gossip_round
 
 from gossipgn.psse import (
     build_nlls_sites,
@@ -158,7 +158,7 @@ def test_ggn_run_projects_onto_tight_box():
     traj = ggn_run(sites, tight, gc, cfg, x0)
     # oracle: the unprojected step after the update's one CSE round
     rows = np.stack([local_init_info(s, x0)[0] for s in sites])
-    mixed = gossip_round(rows, build_cse_weights(Topology.full(3), 0.4))
+    mixed = gossip_round(rows, build_cse_weights(3, 0.4))
     step = x0 - surrogate_descent(mixed, 0.0)
     assert not np.all(np.abs(step) <= 1e-3)  # the projection is active
     assert np.array_equal(traj.iterates[1], np.clip(step, tight.lower, tight.upper))

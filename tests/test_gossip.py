@@ -4,76 +4,118 @@ import pytest
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.gossip import (
     GossipConfig,
-    Topology,
+    PairwiseRound,
     WeightMatrix,
     build_cse_weights,
     check_weight_matrix,
     gossip_round,
     lambda_eta,
     min_nonzero_entry,
-    pairwise_weights,
     sample_ure_round,
     verify_consensus_contraction,
 )
 
 
-def test_topology_constructors():
-    full = Topology.full(4)
-    assert full.is_connected()
-    assert len(full.edges) == 6
-    ring = Topology.ring(5)
-    assert ring.is_connected()
-    assert len(ring.edges) == 5
-    path = Topology.path(3)
-    assert path.is_connected()
-    assert not Topology(4, frozenset({(0, 1)})).is_connected()
+def _laplacian_cse(n, beta):
+    """Oracle: the general-graph construction W = I - (beta / max degree) L,
+    on the complete graph; a graph with no edges gets the identity."""
+    adj = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            adj[i, j] = adj[j, i] = 1.0
+    degrees = adj.sum(axis=1)
+    max_deg = degrees.max()
+    if max_deg == 0.0:
+        return np.eye(n), 1.0
+    entries = np.eye(n) - (beta / max_deg) * (np.diag(degrees) - adj)
+    return entries, min_nonzero_entry(entries)
 
 
-def test_topology_rejects_bad_edges():
-    with pytest.raises(InvalidArgumentError):
-        Topology(2, frozenset({(0, 0)}))
-    with pytest.raises(InvalidArgumentError):
-        Topology(2, frozenset({(0, 5)}))
+def _dense_pairwise(n, i, j, beta):
+    """Oracle: the dense matrix I - beta (e_i - e_j)(e_i - e_j)^T and its eta."""
+    entries = np.eye(n)
+    entries[i, i] = entries[j, j] = 1.0 - beta
+    entries[i, j] = entries[j, i] = beta
+    return entries, min_nonzero_entry(entries)
 
 
 def test_cse_weights_full_graph_exact():
-    w = build_cse_weights(Topology.full(4), beta=0.75)
+    w = build_cse_weights(4, beta=0.75)
     assert np.all(w.entries == 0.25)
     assert w.eta == 0.25
+
+
+def test_cse_closed_form_equals_laplacian_construction_bitwise():
+    rng = np.random.default_rng(5)
+    for n in range(1, 41):
+        for beta in rng.uniform(0.0, 1.0, size=25):
+            w = build_cse_weights(n, float(beta))
+            oracle, eta = _laplacian_cse(n, float(beta))
+            assert np.array_equal(w.entries.view(np.int64), oracle.view(np.int64)), (n, beta)
+            assert np.array_equal(np.float64(w.eta).view(np.int64), np.float64(eta).view(np.int64))
+    assert build_cse_weights(1, 0.3).eta == 1.0
+    with pytest.raises(InvalidArgumentError, match="at least one agent"):
+        build_cse_weights(0, 0.3)
 
 
 def test_cse_weights_are_doubly_stochastic():
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(2, 9))
-        topo = Topology.full(n) if rng.random() < 0.5 else Topology.ring(max(n, 3))
         beta = float(rng.uniform(0.05, 0.95))
-        w = build_cse_weights(topo, beta)
+        w = build_cse_weights(n, beta)
         check_weight_matrix(w.entries)
 
 
 def test_pairwise_weights_shape():
-    w = pairwise_weights(4, 1, 3, beta=0.5)
+    w = PairwiseRound(4, (1, 3), beta=0.5)
     m = w.entries
     assert m[1, 1] == m[3, 3] == 0.5
     assert m[1, 3] == m[3, 1] == 0.5
     assert m[0, 0] == m[2, 2] == 1.0
     check_weight_matrix(m)
     with pytest.raises(InvalidArgumentError):
-        pairwise_weights(4, 2, 2, beta=0.5)
+        PairwiseRound(4, (2, 2), beta=0.5)
+
+
+def test_pairwise_entries_equal_dense_matrix():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(2, 31))
+        i, j = (int(a) for a in rng.choice(n, size=2, replace=False))
+        beta = float(rng.uniform(0.0, 1.0))
+        w = PairwiseRound(n, (i, j), beta)
+        oracle, eta = _dense_pairwise(n, i, j, beta)
+        assert np.array_equal(w.entries.view(np.int64), oracle.view(np.int64))
+        assert w.eta == eta
+    failed = PairwiseRound(5, (), 0.3)
+    assert np.array_equal(failed.entries, np.eye(5))
+    assert failed.eta == 1.0
+
+
+def test_pairwise_round_mixes_without_reading_entries():
+    class Sealed(PairwiseRound):
+        @property
+        def entries(self):
+            raise AssertionError("a pairwise round built its dense matrix")
+
+    payloads = np.random.default_rng(2).normal(size=(30, 4))
+    for pair in [(4, 17), ()]:
+        mixed = gossip_round(payloads, Sealed(30, pair, 0.5))
+        assert np.array_equal(mixed, PairwiseRound(30, pair, 0.5).entries @ payloads)
 
 
 def test_gossip_round_preserves_mean():
     rng = np.random.default_rng(1)
     payloads = rng.normal(size=(5, 7))
-    w = build_cse_weights(Topology.ring(5), beta=0.4)
+    w = build_cse_weights(5, beta=0.4)
     mixed = gossip_round(payloads, w)
     assert np.allclose(mixed.mean(axis=0), payloads.mean(axis=0), atol=1e-13)
 
 
 def test_gossip_round_identity_on_consensus():
     payloads = np.tile(np.array([1.0, -2.0, 3.0]), (4, 1))
-    w = build_cse_weights(Topology.full(4), beta=0.6)
+    w = build_cse_weights(4, beta=0.6)
     assert np.allclose(gossip_round(payloads, w), payloads, atol=1e-14)
 
 
@@ -129,7 +171,7 @@ def test_consensus_contraction_report_holds():
     for _ in range(10):
         n = int(rng.integers(2, 8))
         beta = float(rng.uniform(0.1, 0.9))
-        w = build_cse_weights(Topology.full(n), beta)
+        w = build_cse_weights(n, beta)
         report = verify_consensus_contraction([w] * 30, eta=w.eta, n_agents=n)
         assert report.applicable and report.satisfied
         assert report.max_ratio <= 1.0
@@ -165,7 +207,7 @@ def _pairwise_vs_dense(beta):
         n = int(rng.integers(2, 9))
         i, j = (int(a) for a in rng.choice(n, size=2, replace=False))
         payloads = rng.normal(size=(n, 11)) * 10.0 ** rng.uniform(-3, 3)
-        w = pairwise_weights(n, i, j, beta)
+        w = PairwiseRound(n, (i, j), beta)
         yield payloads, w, gossip_round(payloads, w), w.entries @ payloads
 
 
@@ -186,8 +228,8 @@ def test_pairwise_round_near_dense_at_other_beta():
 
 
 def test_rounds_carry_their_pair():
-    assert pairwise_weights(5, 3, 1, beta=0.5).pair == (3, 1)
-    assert build_cse_weights(Topology.full(4), beta=0.5).pair is None
+    assert PairwiseRound(5, (3, 1), beta=0.5).pair == (3, 1)
+    assert not hasattr(build_cse_weights(4, beta=0.5), "pair")  # applied densely
     cfg = GossipConfig(kind="ure", beta=0.5, link_failure_prob=0.5)
     rng = np.random.default_rng(8)
     rounds = [sample_ure_round(cfg, 6, rng) for _ in range(50)]
@@ -203,11 +245,16 @@ def test_rounds_carry_their_pair():
 
 
 def test_weight_matrix_rejects_wrong_pair():
-    entries = pairwise_weights(4, 0, 2, beta=0.5).entries
-    with pytest.raises(InvalidArgumentError):
-        WeightMatrix(entries=entries, eta=0.5, pair=(0, 1))
-    with pytest.raises(InvalidArgumentError):
-        WeightMatrix(entries=entries, eta=0.5, pair=())
     for bad in [(2, 2), (1, 4), (-1, 2), (0, 1, 2), (3,)]:
-        with pytest.raises(InvalidArgumentError):
-            WeightMatrix(entries=np.eye(4), eta=1.0, pair=bad)
+        with pytest.raises(InvalidArgumentError, match="not two distinct agents"):
+            PairwiseRound(4, bad, 0.5)
+    for beta in (0.0, 1.0, 1.5):
+        with pytest.raises(InvalidArgumentError, match="beta"):
+            PairwiseRound(4, (0, 1), beta)
+
+
+def test_ure_round_needs_two_agents():
+    cfg = GossipConfig(kind="ure", beta=0.5)
+    for n in (1, 0):
+        with pytest.raises(InvalidArgumentError, match="two agents"):
+            sample_ure_round(cfg, n, np.random.default_rng(0))

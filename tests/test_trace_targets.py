@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -31,3 +32,16 @@ TRACING = _load_tracing()
 def test_traced_target_resolves_to_a_callable(module_name, attr):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_gossip_round_hook_reads_every_round_type():
+    # the hook reads weights.entries of every round it sees, dense or pairwise
+    from gossipgn.gossip import PairwiseRound, build_cse_weights, gossip_round
+
+    tracer = TRACING.Tracer()
+    traced = tracer.span("gossip.round", gossip_round, TRACING.AFTER_HOOKS["gossip.round"])
+    payloads = np.arange(12.0).reshape(4, 3)
+    for weights in (build_cse_weights(4, 0.3), PairwiseRound(4, (0, 2), 0.5), PairwiseRound(4, (), 0.5)):
+        traced(payloads, weights)
+    assert TRACING.span_table(tracer.spans)["gossip.round"]["calls"] == 3
+    assert tracer.counts["gossip.effective_rounds"] == 2
