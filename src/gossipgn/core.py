@@ -87,7 +87,8 @@ class SiteModel:
 class SiteBatch:
     """Rows of a whole site list over one shared model (f, J) = model(x).
 
-    Site i's residual is z_i - f[rows_i] and its Jacobian -J[rows_i]. The
+    Site i's residual is z_i - f[rows_i] and its Jacobian -J[rows_i]; model
+    also evaluates an (I, N_u) stack in one call, see stack_rows. The
     sites are grouped by residual_dim, and each group holds its sites'
     (k, m) row indices and (k, m) values z, so one fancy index gathers the
     group's blocks. slot_of_site[i] is site i's place in that group order.
@@ -131,6 +132,23 @@ class SiteBatch:
         return self.n_sites == len(sites) and all(
             site.batch is self and site.site_id == i for i, site in enumerate(sites)
         )
+
+
+# States per model call in stack_rows: a case30 state's temporaries take
+# about 0.45 MB, so small slices keep the peak memory near one state's.
+MODEL_SLICE = 3
+
+
+def stack_rows(sites: list[SiteModel], xs: np.ndarray):
+    """Yield the row indices of the (I, N_u) stack xs. Sites sharing a SiteBatch
+    have its model evaluated at each MODEL_SLICE rows in one call before those
+    rows are yielded, so reading the sites there hits the model's memo."""
+    batch = sites[0].batch
+    for start in range(0, len(xs), MODEL_SLICE):
+        stop = min(start + MODEL_SLICE, len(xs))
+        if batch is not None and batch.serves(sites):
+            batch.model(xs[start:stop])
+        yield from range(start, stop)
 
 
 def _positions_by_size(sizes: list[int]) -> list[list[int]]:

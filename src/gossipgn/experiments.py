@@ -319,14 +319,16 @@ def certificate_for_run(
     xi: float = 0.25,
     n_samples: int = 24,
     rng_seed: int = 0,
-) -> tuple[ProblemConstants, ConvergenceCertificate]:
+) -> tuple[ProblemConstants, ConvergenceCertificate | None]:
     """Estimate constants over an envelope of the observed iterates.
 
     The sampling box is the coordinate-wise hull of every iterate and the
     reference point, slightly padded and clipped to the feasible box, so
     the resulting Lipschitz and spectral constants majorize what the
     recorded trajectories actually traversed. Iterates, the reference and
-    segment midpoints enter the pairwise Lipschitz sweep directly.
+    segment midpoints enter the pairwise Lipschitz sweep directly. The
+    certificate is None when a sampled Jacobian is rank deficient: its
+    recursion constants divide by sigma_min, which is then 0.
     """
     points = [np.asarray(x_ref, dtype=float)]
     for traj in trajectories:
@@ -349,6 +351,8 @@ def certificate_for_run(
         sites, env_box, n_samples=n_samples, rng_seed=rng_seed,
         reference_x=np.asarray(x_ref, dtype=float), extra_points=extra,
     )
+    if not pc.assumption_holds():
+        return pc, None
     cert = build_certificate(
         pc, n_agents=len(sites), n_unknowns=box.dim, eta=eta, alpha=alpha,
         xi=xi, schedule_kind=schedule_kind,
@@ -420,6 +424,20 @@ def _certificate_summary(
         xi=config.certificate.xi, n_samples=config.certificate.n_samples,
         rng_seed=config.seed,
     )
+    constants = {
+        f"constants.{name}": getattr(pc, name)
+        for name in (
+            "epsilon_max", "epsilon_min", "sigma_min", "sigma_max", "omega",
+            "nu_delta", "nu_Delta", "rank_deficient_sample",
+        )
+    }
+    if cert is None:
+        return {
+            "certificate.applicable": False,
+            "certificate.reason": "a sampled Jacobian is rank deficient (sigma_min=0), "
+            "so the full-column-rank assumption fails on the iterates' envelope",
+            **constants,
+        }
     out = {"certificate.applicable": True, "certificate.eta_observed": eta}
     for name in (
         "T1", "T2", "rho_min", "rho_max", "kappa", "alpha_lower", "C", "C1",
@@ -427,12 +445,7 @@ def _certificate_summary(
         "radii_defined", "conditional", "estimated_constants",
     ):
         out[f"certificate.{name}"] = getattr(cert, name)
-    for name in (
-        "epsilon_max", "epsilon_min", "sigma_min", "sigma_max", "omega",
-        "nu_delta", "nu_Delta", "rank_deficient_sample",
-    ):
-        out[f"constants.{name}"] = getattr(pc, name)
-    return out
+    return out | constants
 
 
 def summary_line(key: str, value) -> str:

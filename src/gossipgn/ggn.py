@@ -223,20 +223,20 @@ def ggn_run(
 
     def init_step(x: np.ndarray, with_exact: bool) -> tuple[np.ndarray, np.ndarray | None]:
         # Payload stack at the agents' iterates x; records val and grad there.
-        # Each agent's full normal system is assembled right after its payload
-        # row, while the sites' one-iterate memo still holds x_i: normal_system
-        # reads the memo's full f and J through the sites' SiteBatch, in one
-        # stacked product per site size, and all the systems are solved
+        # stack_rows evaluates the sites' shared model a slice of x at a time,
+        # so each agent's payload row and full normal system read its memo:
+        # normal_system reads the full f and J through the sites' SiteBatch,
+        # in one stacked product per site size, and all the systems are solved
         # together. normal_system is looked up on the core module so that a
         # wrapper installed there (perfbench/tracing.py) sees each call.
         payloads = np.empty((n_agents, n_u * (n_u + 1)))
         a, b = np.empty((n_agents, n_u, n_u)), np.empty((n_agents, n_u))
         vals_now = []
-        for i, (site, x_i) in enumerate(zip(sites, x)):
-            payloads[i], val = local_init_info(site, x_i)
+        for i in core.stack_rows(sites, x):
+            payloads[i], val = local_init_info(sites[i], x[i])
             vals_now.append(val)
             if with_exact:
-                a[i], b[i] = core.normal_system(sites, x_i)
+                a[i], b[i] = core.normal_system(sites, x[i])
         vals.append(vals_now)
         grads.append([float(np.linalg.norm(row[:n_u])) for row in payloads])
         if not with_exact:
@@ -315,7 +315,7 @@ def diffusion_baseline_run(
 
     def gradients(x: np.ndarray) -> np.ndarray:
         # G_i^T(x_i) g_i(x_i) per agent; records val and grad at x
-        terms = [site_terms(site, x[i]) for i, site in enumerate(sites)]
+        terms = [site_terms(sites[i], x[i]) for i in core.stack_rows(sites, x)]
         stack = np.stack([jac.T @ res for res, jac in terms])
         vals.append([float(res @ res) for res, _ in terms])
         grads.append([float(np.linalg.norm(g)) for g in stack])

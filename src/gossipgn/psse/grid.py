@@ -250,7 +250,7 @@ def parse_matpower_case(text: str) -> GridModel:
 
 @dataclass(frozen=True)
 class PowerState:
-    """Bus voltage phasors: angles in radians, magnitudes per unit."""
+    """Bus voltage phasors, angles in radians and magnitudes per unit: (N,) or a (..., N) stack."""
 
     theta: np.ndarray
     v: np.ndarray
@@ -258,8 +258,8 @@ class PowerState:
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
         v = np.asarray(self.v, dtype=float)
-        if theta.ndim != 1 or theta.shape != v.shape:
-            raise InvalidArgumentError("theta and v must be 1-D of equal length")
+        if theta.ndim < 1 or theta.shape != v.shape:
+            raise InvalidArgumentError("theta and v must be arrays of equal shape, buses last")
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(v))):
             raise InvalidArgumentError("state entries must be finite")
         object.__setattr__(self, "theta", theta)
@@ -267,7 +267,7 @@ class PowerState:
 
     @property
     def n_buses(self) -> int:
-        return self.theta.size
+        return self.theta.shape[-1]
 
     def complex_voltages(self) -> np.ndarray:
         return self.v * np.exp(1j * self.theta)
@@ -280,13 +280,14 @@ def state_to_vector(state: PowerState, slack_bus: int) -> np.ndarray:
 
 
 def vector_to_state(x: np.ndarray, n_buses: int, slack_bus: int) -> PowerState:
-    x = np.asarray(x, dtype=float)
-    if x.size != 2 * n_buses - 1:
-        raise InvalidArgumentError(f"expected {2 * n_buses - 1} unknowns, got {x.size}")
-    theta = np.zeros(n_buses)
+    """The state of an unknown vector, or the states of a (..., 2N - 1) stack."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] != 2 * n_buses - 1:
+        raise InvalidArgumentError(f"expected {2 * n_buses - 1} unknowns, got {x.shape[-1]}")
+    theta = np.zeros(x.shape[:-1] + (n_buses,))
     keep = np.arange(n_buses) != slack_bus
-    theta[keep] = x[: n_buses - 1]
-    return PowerState(theta=theta, v=x[n_buses - 1 :].copy())
+    theta[..., keep] = x[..., : n_buses - 1]
+    return PowerState(theta=theta, v=x[..., n_buses - 1 :].copy())
 
 
 def make_box(n_buses: int, theta_max: float = np.pi / 2, v_max: float = 1.5) -> BoxSet:
@@ -301,10 +302,23 @@ def flat_start_vector(grid: GridModel) -> np.ndarray:
     return np.concatenate([np.zeros(grid.n_buses - 1), np.ones(grid.n_buses)])
 
 
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for every (..., n) vector of x, a broadcast along the leading axes."""
+    return np.matmul(a, x[..., None])[..., 0]
+
+
+def diagonals(d: np.ndarray) -> np.ndarray:
+    """np.diag of every (..., k) vector of d. Products with these stay BLAS
+    products: broadcasting d instead rounds some entries differently."""
+    out = np.zeros(d.shape + d.shape[-1:], dtype=d.dtype)
+    np.einsum("...ii->...i", out)[...] = d
+    return out
+
+
 def complex_injection_derivatives(
     ybus: np.ndarray, v_complex: np.ndarray, v_unit: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """d(complex bus power)/d(angle), d(.)/d(magnitude) as dense matrices.
+    """d(complex bus power)/d(angle), d(.)/d(magnitude) as dense (..., N, N) matrices.
 
     v_unit carries the angle phasors e^{j theta}. Callers that know the
     polar state should pass them so the derivatives stay defined when a
@@ -312,9 +326,9 @@ def complex_injection_derivatives(
     angle information). Without v_unit they are recovered from v_complex,
     which requires strictly positive magnitudes.
     """
-    ibus = ybus @ v_complex
-    diag_v = np.diag(v_complex)
-    diag_i = np.diag(ibus)
+    ibus = matvec(ybus, v_complex)
+    diag_v = diagonals(v_complex)
+    diag_i = diagonals(ibus)
     if v_unit is None:
         vm = np.abs(v_complex)
         if np.any(vm == 0.0):
@@ -322,7 +336,7 @@ def complex_injection_derivatives(
                 "zero voltage magnitude: pass v_unit to keep derivatives defined"
             )
         v_unit = v_complex / vm
-    diag_norm = np.diag(v_unit)
+    diag_norm = diagonals(v_unit)
     ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
     ds_dvm = diag_v @ np.conj(ybus @ diag_norm) + np.conj(diag_i) @ diag_norm
     return ds_dva, ds_dvm

@@ -22,6 +22,8 @@ from .grid import (
     GridModel,
     PowerState,
     complex_injection_derivatives,
+    diagonals,
+    matvec,
     vector_to_state,
 )
 
@@ -35,20 +37,22 @@ def power_injections(grid: GridModel, state: PowerState) -> np.ndarray:
 
     The self-admittance term is included (the diagonal of the sum, where
     the angle difference is zero), so the result agrees with the complex
-    power S = diag(v) conj(Y v).
+    power S = diag(v) conj(Y v). Like every model function here, it takes
+    one state or a stack of states and returns its rows along the same
+    leading axes.
     """
     if state.n_buses != grid.n_buses:
         raise InvalidArgumentError("state size does not match grid")
     g = grid.ybus.real
     b = grid.ybus.imag
     theta = state.theta
-    dtheta = theta[:, None] - theta[None, :]
+    dtheta = theta[..., :, None] - theta[..., None, :]
     cos_m = np.cos(dtheta)
     sin_m = np.sin(dtheta)
     v = state.v
-    p = v * ((g * cos_m + b * sin_m) @ v)
-    q = v * ((g * sin_m - b * cos_m) @ v)
-    return np.concatenate([p, q])
+    p = v * matvec(g * cos_m + b * sin_m, v)
+    q = v * matvec(g * sin_m - b * cos_m, v)
+    return np.concatenate([p, q], axis=-1)
 
 
 def line_flows(grid: GridModel, state: PowerState) -> np.ndarray:
@@ -56,31 +60,31 @@ def line_flows(grid: GridModel, state: PowerState) -> np.ndarray:
     if state.n_buses != grid.n_buses:
         raise InvalidArgumentError("state size does not match grid")
     n_br = grid.n_branches
-    out = np.zeros(4 * n_br)
+    out = np.zeros(state.theta.shape[:-1] + (4 * n_br,))
     if n_br == 0:
         return out
     br = grid.branch_arrays
     f, t, sh_f, sh_t = br.f, br.t, br.sh_f, br.sh_t
     g, b = br.ys.real, br.ys.imag
     v, theta = state.v, state.theta
-    d_ft = theta[f] - theta[t]
-    vf, vt = v[f], v[t]
+    d_ft = theta[..., f] - theta[..., t]
+    vf, vt = v[..., f], v[..., t]
 
     p_fwd = vf**2 * (g + sh_f.real) - vf * vt * (g * np.cos(d_ft) + b * np.sin(d_ft))
     q_fwd = -(vf**2) * (b + sh_f.imag) - vf * vt * (g * np.sin(d_ft) - b * np.cos(d_ft))
     p_rev = vt**2 * (g + sh_t.real) - vt * vf * (g * np.cos(-d_ft) + b * np.sin(-d_ft))
     q_rev = -(vt**2) * (b + sh_t.imag) - vt * vf * (g * np.sin(-d_ft) - b * np.cos(-d_ft))
 
-    out[0 : 2 * n_br : 2] = p_fwd
-    out[1 : 2 * n_br : 2] = p_rev
-    out[2 * n_br : 4 * n_br : 2] = q_fwd
-    out[2 * n_br + 1 : 4 * n_br : 2] = q_rev
+    out[..., 0 : 2 * n_br : 2] = p_fwd
+    out[..., 1 : 2 * n_br : 2] = p_rev
+    out[..., 2 * n_br : 4 * n_br : 2] = q_fwd
+    out[..., 2 * n_br + 1 : 4 * n_br : 2] = q_rev
     return out
 
 
 def full_measurement_vector(grid: GridModel, state: PowerState) -> np.ndarray:
     """f for the full measurement vector: injections, then flows."""
-    return np.concatenate([power_injections(grid, state), line_flows(grid, state)])
+    return np.concatenate([power_injections(grid, state), line_flows(grid, state)], axis=-1)
 
 
 def _branch_flow_derivatives(grid: GridModel, state: PowerState):
@@ -91,18 +95,18 @@ def _branch_flow_derivatives(grid: GridModel, state: PowerState):
     # unit phasors straight from the angles: defined even at V = 0 box edge
     norm = np.exp(1j * state.theta)
 
-    diag_v = np.diag(v_c)
-    diag_norm = np.diag(norm)
+    diag_v = diagonals(v_c)
+    diag_norm = diagonals(norm)
     rows = np.arange(n_br)
 
     def one_end(y_end: np.ndarray, end: np.ndarray):
-        i_end = y_end @ v_c
-        conj_diag_i = np.conj(np.diag(i_end))
-        diag_v_end = np.diag(v_c[end])
-        c_v = np.zeros((n_br, n), dtype=complex)
-        c_v[rows, end] = v_c[end]
-        c_norm = np.zeros((n_br, n), dtype=complex)
-        c_norm[rows, end] = norm[end]
+        i_end = matvec(y_end, v_c)
+        conj_diag_i = np.conj(diagonals(i_end))
+        diag_v_end = diagonals(v_c[..., end])
+        c_v = np.zeros(v_c.shape[:-1] + (n_br, n), dtype=complex)
+        c_v[..., rows, end] = v_c[..., end]
+        c_norm = np.zeros(v_c.shape[:-1] + (n_br, n), dtype=complex)
+        c_norm[..., rows, end] = norm[..., end]
         ds_dva = 1j * (conj_diag_i @ c_v - diag_v_end @ np.conj(y_end @ diag_v))
         ds_dvm = diag_v_end @ np.conj(y_end @ diag_norm) + conj_diag_i @ c_norm
         return ds_dva, ds_dvm
@@ -111,37 +115,31 @@ def _branch_flow_derivatives(grid: GridModel, state: PowerState):
 
 
 def full_measurement_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
-    """d(f)/d(unknowns) for the full measurement vector, M x (2N - 1)."""
+    """d(f)/d(unknowns) for the full measurement vector, (..., M, 2N - 1)."""
     n, n_br = grid.n_buses, grid.n_branches
     v_c = state.complex_voltages()
     ds_dva, ds_dvm = complex_injection_derivatives(
         grid.ybus, v_c, v_unit=np.exp(1j * state.theta)
     )
 
-    m_total = measurement_count(grid)
-    # every row is written below
-    dva = np.empty((m_total, n))
-    dvm = np.empty((m_total, n))
-    dva[:n] = ds_dva.real
-    dvm[:n] = ds_dvm.real
-    dva[n : 2 * n] = ds_dva.imag
-    dvm[n : 2 * n] = ds_dvm.imag
+    # the angle columns drop the slack bus, whose angle is not an unknown
+    keep = np.arange(n) != grid.slack_bus
+    jac = np.empty(state.theta.shape[:-1] + (measurement_count(grid), 2 * n - 1))
+    d_angle, d_magnitude = jac[..., : n - 1], jac[..., n - 1 :]
 
+    def put(rows: slice, by_angle: np.ndarray, by_magnitude: np.ndarray):
+        d_angle[..., rows, :] = by_angle[..., keep]
+        d_magnitude[..., rows, :] = by_magnitude
+
+    put(slice(0, n), ds_dva.real, ds_dvm.real)
+    put(slice(n, 2 * n), ds_dva.imag, ds_dvm.imag)
     if n_br:
         (dsf_dva, dsf_dvm), (dst_dva, dst_dvm) = _branch_flow_derivatives(grid, state)
-        base = 2 * n
-        dva[base : base + 2 * n_br : 2] = dsf_dva.real
-        dva[base + 1 : base + 2 * n_br : 2] = dst_dva.real
-        dvm[base : base + 2 * n_br : 2] = dsf_dvm.real
-        dvm[base + 1 : base + 2 * n_br : 2] = dst_dvm.real
-        base = 2 * n + 2 * n_br
-        dva[base : base + 2 * n_br : 2] = dsf_dva.imag
-        dva[base + 1 : base + 2 * n_br : 2] = dst_dva.imag
-        dvm[base : base + 2 * n_br : 2] = dsf_dvm.imag
-        dvm[base + 1 : base + 2 * n_br : 2] = dst_dvm.imag
-
-    keep = np.arange(n) != grid.slack_bus
-    return np.concatenate([dva[:, keep], dvm], axis=1)
+        for base, part in ((2 * n, np.real), (2 * n + 2 * n_br, np.imag)):
+            put(slice(base, base + 2 * n_br, 2), part(dsf_dva), part(dsf_dvm))
+            put(slice(base + 1, base + 2 * n_br, 2), part(dst_dva), part(dst_dvm))
+    # every row is written above
+    return jac
 
 
 @dataclass(frozen=True)
@@ -295,29 +293,32 @@ def build_nlls_sites(
 ) -> list[SiteModel]:
     """Wrap each site's residual z_i - f_i(x) and Jacobian as a SiteModel.
 
-    The sites share a memo of f and J at the last x, so every site at one x
-    costs one model evaluation. f and J are stored read-only, since the
-    batch hands them out as they are; the site closures return row-sliced
-    copies. They
-    also share one SiteBatch over that memo, which groups the sites by
-    residual_dim so that normal_system reads all blocks in a few gathers."""
+    The sites share one model: f and J at one x, or their (I, M) and
+    (I, M, N_u) stacks at the rows of an (I, N_u) x, in one evaluation. Its
+    memo holds every row of the last evaluation, so every site at those
+    rows costs no further evaluation. f and J are stored read-only, since
+    the batch hands them out as they are; the site closures return
+    row-sliced copies. They also share one SiteBatch over that model, which
+    groups the sites by residual_dim so that normal_system reads all blocks
+    in a few gathers."""
     if len(measurements.site_values) != plan.n_sites:
         raise InvalidArgumentError("measurement set does not match the plan")
     n, slack = grid.n_buses, grid.slack_bus
     memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def model_at(x):
-        key = np.asarray(x, dtype=float).tobytes()
-        if key not in memo:
-            state = vector_to_state(x, n, slack)
-            memo.clear()
-            memo[key] = (
-                full_measurement_vector(grid, state),
-                full_measurement_jacobian(grid, state),
-            )
-            for arr in memo[key]:
-                arr.setflags(write=False)
-        return memo[key]
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if x.ndim == 1 and key in memo:
+            return memo[key]
+        state = vector_to_state(x, n, slack)
+        f, jac = full_measurement_vector(grid, state), full_measurement_jacobian(grid, state)
+        for arr in (f, jac):
+            arr.setflags(write=False)
+        memo.clear()
+        rows = zip(np.atleast_2d(f), jac.reshape((-1,) + jac.shape[-2:]))
+        memo.update(zip((row.tobytes() for row in np.atleast_2d(x)), rows))
+        return f, jac
 
     site_rows = [plan.site_rows(i) for i in range(plan.n_sites)]
     for i, (z_i, rows) in enumerate(zip(measurements.site_values, site_rows)):
@@ -356,10 +357,7 @@ def mse_metrics(
     n = true_state.n_buses
     if estimates.shape[1] != 2 * n - 1:
         raise InvalidArgumentError("estimate width does not match the grid")
-    mse_v = np.empty(estimates.shape[0])
-    mse_th = np.empty(estimates.shape[0])
-    for i, x in enumerate(estimates):
-        st = vector_to_state(x, n, slack_bus)
-        mse_v[i] = float(np.mean((st.v - true_state.v) ** 2))
-        mse_th[i] = float(np.mean((st.theta - true_state.theta) ** 2))
+    states = vector_to_state(estimates, n, slack_bus)
+    mse_v = np.mean((states.v - true_state.v) ** 2, axis=1)
+    mse_th = np.mean((states.theta - true_state.theta) ** 2, axis=1)
     return mse_v, mse_th, float(mse_v.mean()), float(mse_th.mean())

@@ -667,6 +667,56 @@ def test_cli_run_where_no_exchange_mixes_exits_0(tmp_path, capsys):
     assert "certificate.applicable=false" in capsys.readouterr().out.splitlines()
 
 
+def rank_deficient_mapping(tmp_path, seed, repetitions=2):
+    """A case30 URE run whose certificate samples a rank-deficient Jacobian
+    on seeds 1 and 5 (and, with one repetition, on seed 0)."""
+    return {
+        "case_path": "case30", "sites": 5,
+        "protocol": {"kind": "ure", "beta": 0.3, "link_failure_prob": 0.3},
+        "exchanges": {"kind": "incrementing", "base": 3},
+        "max_updates": 6, "repetitions": repetitions, "seed": seed,
+        "output_dir": str(tmp_path / "o"),
+    }
+
+
+CONSTANT_NAMES = (
+    "epsilon_max", "epsilon_min", "sigma_min", "sigma_max", "omega",
+    "nu_delta", "nu_Delta", "rank_deficient_sample",
+)
+
+
+@pytest.mark.filterwarnings("ignore:sampled Jacobian is rank deficient")
+def test_run_with_rank_deficient_certificate_sample_reports_it(tmp_path):
+    result = run_experiment(config_from_mapping(rank_deficient_mapping(tmp_path, 1)))
+    summary = read_summary(result.summary_path)
+    assert summary["certificate.applicable"] == "false"
+    assert "rank deficient" in summary["certificate.reason"]
+    assert [key for key in summary if key.startswith("constants.")] == [
+        f"constants.{name}" for name in CONSTANT_NAMES
+    ]
+    assert summary["constants.sigma_min"] == "0.0"
+    assert summary["constants.rank_deficient_sample"] == "true"
+    assert "certificate.T1" not in summary
+
+
+@pytest.mark.filterwarnings("ignore:sampled Jacobian is rank deficient")
+def test_cli_run_and_certify_with_rank_deficient_sample_exit_0(tmp_path, capsys):
+    path = write_config(tmp_path / "r.yaml", rank_deficient_mapping(tmp_path, 1))
+    assert main(["run", path]) == 0
+    summary = read_summary(tmp_path / "o" / "summary.txt")
+    assert summary["certificate.applicable"] == "false"
+    capsys.readouterr()
+    # certify runs one repetition, which samples a rank-deficient Jacobian on seed 0
+    path = write_config(tmp_path / "c.yaml", rank_deficient_mapping(tmp_path, 0, repetitions=1))
+    assert main(["certify", path]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "certificate.applicable=false"
+    assert printed[1].startswith("certificate.reason=") and "rank deficient" in printed[1]
+    assert [line.split("=")[0] for line in printed[2:]] == [
+        f"constants.{name}" for name in CONSTANT_NAMES
+    ]
+
+
 def test_cli_compare(tmp_path, capsys):
     base = tiny_mapping(output_dir=str(tmp_path / "cmp"), repetitions=1)
     a = write_config(tmp_path / "a.yaml", base)

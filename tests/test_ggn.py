@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from gossipgn import ggn
-from gossipgn.core import COND_CAP, BoxSet, SiteModel, centralized_gn_step, exact_descent
+from gossipgn.core import COND_CAP, MODEL_SLICE, BoxSet, SiteModel, centralized_gn_step, exact_descent
 from gossipgn.errors import InvalidArgumentError, SingularSystemError
 from gossipgn.ggn import (
     DiffusionConfig,
@@ -363,6 +365,17 @@ def _discrepancies_per_agent(sites, xs, mixed, ridge):
     return out
 
 
+def _record_model_stacks(mp, stacks):
+    """Record the number of states of every model Jacobian evaluation."""
+    evaluate = measurements.full_measurement_jacobian
+
+    def recording(grid, state):
+        stacks.append(int(np.prod(state.theta.shape[:-1])))
+        return evaluate(grid, state)
+
+    mp.setattr(measurements, "full_measurement_jacobian", recording)
+
+
 INSTRUMENTED_RUNS = {
     "ure_lossy": dict(
         n_sites=6, protocol="ure", beta=0.5, link_failure_prob=0.3, exchanges=8, updates=5
@@ -384,7 +397,7 @@ def instrumented_run(request, grid30, true30):
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=spec["exchanges"]),
         max_updates=spec["updates"], stop_tol=1e-15, ridge=1e-4,
     )
-    rounds, counts = [], {"model": 0, "surrogate": 0, "solve": 0}
+    rounds, counts = [], {"model": [], "surrogate": 0, "solve": 0}
 
     def recording_round(payloads, weights):
         out = gossip_round_orig(payloads, weights)
@@ -402,10 +415,7 @@ def instrumented_run(request, grid30, true30):
         mp.setattr(ggn, "gossip_round", recording_round)
         mp.setattr(ggn, "surrogate_descent", counting("surrogate", ggn.surrogate_descent))
         mp.setattr(ggn, "solve_normal", counting("solve", ggn.solve_normal))
-        mp.setattr(
-            measurements, "full_measurement_jacobian",
-            counting("model", measurements.full_measurement_jacobian),
-        )
+        _record_model_stacks(mp, counts["model"])
         traj = ggn_run(sites, box, gc, cfg, x0, rng=np.random.default_rng(5))
     return sites, cfg, traj, rounds, counts
 
@@ -438,11 +448,27 @@ def test_mixing_conserves_the_payload_mean(instrumented_run):
 def test_one_model_evaluation_and_one_surrogate_solve_per_agent_update(instrumented_run):
     _, _, traj, _, counts = instrumented_run
     n_agents, n_updates = traj.n_agents, traj.n_updates
-    assert counts["model"] <= n_agents * (n_updates + 1)
+    # counted in states: a stacked evaluation counts each of its rows
+    assert sum(counts["model"]) <= n_agents * (n_updates + 1)
+    # each init step evaluates its agents' iterates in one set of slices
+    assert len(counts["model"]) <= (n_updates + 1) * math.ceil(n_agents / MODEL_SLICE)
     # every agent's surrogate is solved in one batched call per update, and
     # each update makes one more solve for all exact directions
     assert counts["surrogate"] == n_updates
     assert counts["solve"] == 2 * n_updates
+
+
+def test_diffusion_evaluates_each_exchange_in_one_set_of_slices(grid30, true30):
+    sites, box, x0 = _psse_setup(grid30, true30, n_sites=4)
+    cfg = DiffusionConfig(0.3, 6)
+    stacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        _record_model_stacks(mp, stacks)
+        traj = diffusion_baseline_run(sites, box, GossipConfig(kind="cse", beta=0.4), cfg, x0)
+    n_evaluations = cfg.total_exchanges + 1
+    assert sum(stacks) <= len(sites) * n_evaluations
+    assert len(stacks) <= n_evaluations * math.ceil(len(sites) / MODEL_SLICE)
+    _assert_recorded_metrics(sites, traj)
 
 
 def test_singular_full_system_records_nan_discrepancy():

@@ -426,3 +426,25 @@ def test_mse_metrics_examples(grid30, true30):
     assert gv == pytest.approx(0.005)
     with pytest.raises(InvalidArgumentError):
         mse_metrics(x_true[:-1], true30, grid30.slack_bus)
+
+
+@pytest.mark.parametrize("which", ["case30", "case2"])
+def test_mse_metrics_rows_equal_per_agent_means_bitwise(which, grid30, grid2):
+    grid = grid30 if which == "case30" else grid2
+    rng = np.random.default_rng(9)
+    truth = random_states(grid, 1, seed=5)[0]
+    box = make_box(grid.n_buses)
+    for n_agents in (1, 3, 30):
+        stack = rng.uniform(box.lower, box.upper, (n_agents, box.dim))
+        mv, mt, gv, gt = mse_metrics(stack, truth, grid.slack_bus)
+        # the oracle: one state and two 1-D means per agent
+        want_v, want_t = np.empty(n_agents), np.empty(n_agents)
+        for i, x in enumerate(stack):
+            st = vector_to_state(x, grid.n_buses, grid.slack_bus)
+            want_v[i] = float(np.mean((st.v - truth.v) ** 2))
+            want_t[i] = float(np.mean((st.theta - truth.theta) ** 2))
+        assert np.array_equal(mv.view(np.int64), want_v.view(np.int64))
+        assert np.array_equal(mt.view(np.int64), want_t.view(np.int64))
+        assert (gv, gt) == (float(want_v.mean()), float(want_t.mean()))
+    with pytest.raises(InvalidArgumentError):
+        mse_metrics(np.zeros((2, box.dim + 1)), truth, grid.slack_bus)
