@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .config import ConfigError, load_config
 from .errors import (
@@ -91,7 +90,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    config = replace(config, repetitions=1)
     result = run_experiment(config, env_output_dir=_env_output_dir())
     shown = 0
     for key, value in result.summary.items():
@@ -127,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("config_diffusion", help="config with algorithm=diffusion")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_cert = sub.add_parser("certify", help="run once and print the convergence certificate")
+    p_cert = sub.add_parser("certify", help="run and print the convergence certificate")
     p_cert.add_argument("config", help="path to a YAML config file")
     p_cert.set_defaults(func=cmd_certify)
 

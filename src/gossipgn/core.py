@@ -87,10 +87,10 @@ class SiteModel:
 class SiteBatch:
     """Rows of a whole site list over one shared model (f, J) = model(x).
 
-    Site i's residual is z_i - f[rows_i] and its Jacobian -J[rows_i]; model
-    also evaluates an (I, N_u) stack in one call, see stack_rows. The
-    sites are grouped by residual_dim, and each group holds its sites'
-    (k, m) row indices and (k, m) values z, so one fancy index gathers the
+    Site i's residual is z[rows_i] - f[rows_i] and its Jacobian -J[rows_i];
+    model also evaluates an (I, N_u) stack in one call, see stack_rows. The
+    sites are grouped by residual_dim, and each group holds its sites' (k, m)
+    row indices and their (k, m) values of z, so one fancy index gathers the
     group's blocks. slot_of_site[i] is site i's place in that group order.
     Every site of the list carries the same batch, and site_id equals its
     position.
@@ -112,15 +112,14 @@ class SiteBatch:
     def of(
         model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         site_rows: Sequence[np.ndarray],
-        site_values: Sequence[np.ndarray],
+        z: np.ndarray,
         n_unknowns: int,
     ) -> "SiteBatch":
-        """The batch of sites whose rows and values are given in site order."""
+        """The batch of sites whose rows are given in site order; site i's
+        values are z[site_rows[i]]."""
         positions = _positions_by_size([rows.size for rows in site_rows])
-        groups = tuple(
-            (np.stack([site_rows[i] for i in p]), np.stack([site_values[i] for i in p]))
-            for p in positions
-        )
+        stacked = [np.stack([site_rows[i] for i in p]) for p in positions]
+        groups = tuple((rows, z[rows]) for rows in stacked)
         slot_of_site = _slot_of_site(positions)
         for arr in (slot_of_site, *(arr for group in groups for arr in group)):
             arr.setflags(write=False)

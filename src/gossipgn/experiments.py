@@ -66,7 +66,7 @@ CERTIFICATE_MAX_POINTS = 48
 class ProblemSetup:
     grid: GridModel
     true_state: PowerState
-    plan: "object"
+    site_rows: tuple[np.ndarray, ...]
     box: BoxSet
     x0: np.ndarray
     noise_floor: float
@@ -82,12 +82,12 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
         true_state = load_true_state(config.true_state_path, grid.n_buses)
     else:
         true_state = newton_power_flow(grid)
-    plan = partition_sites(grid, config.sites)
+    site_rows = partition_sites(grid, config.sites)
     box = make_box(grid.n_buses, config.theta_max, config.v_max)
     x0 = flat_start_vector(grid)
     m_total = measurement_count(grid)
     return ProblemSetup(
-        grid=grid, true_state=true_state, plan=plan, box=box, x0=x0,
+        grid=grid, true_state=true_state, site_rows=site_rows, box=box, x0=x0,
         noise_floor=m_total * config.sigma2, m_total=m_total,
     )
 
@@ -228,8 +228,7 @@ def _run_one_repetition(
     seed_r = config.seed + rep
     run_id = f"r{rep:03d}"
     snapshots = streaming_snapshots(
-        problem.grid, problem.true_state, problem.plan,
-        config.sigma2, config.snapshots, seed_r,
+        problem.grid, problem.true_state, config.sigma2, config.snapshots, seed_r
     )
     slack = problem.grid.slack_bus
     rows: list[list] = []
@@ -240,8 +239,8 @@ def _run_one_repetition(
     exchange_offset = 0
     x_start: np.ndarray = problem.x0
 
-    for t, snap in enumerate(snapshots):
-        sites = build_nlls_sites(problem.grid, problem.plan, snap)
+    for t, z in enumerate(snapshots):
+        sites = build_nlls_sites(problem.grid, problem.site_rows, z)
         sites_per_snapshot.append(sites)
         x_ref, stat = _reference_solution(sites, problem.box, problem.x0)
         references.append(x_ref)
@@ -504,8 +503,6 @@ def run_experiment(
 
 @dataclass
 class SweepResult:
-    p_values: list[float]
-    runs: list[ExperimentResult]
     table_path: Path
     table_rows: list[dict]
 
@@ -520,12 +517,10 @@ def run_failure_sweep(
     base_dir = resolve_output_dir(config, env_output_dir)
     # GossipConfig rejects a p outside [0, 1): every p is checked before the first run
     protocols = [replace(config.protocol, link_failure_prob=float(p)) for p in p_values]
-    runs = []
     table = []
     for p, protocol in zip(p_values, protocols):
         sub = replace(config, protocol=protocol, output_dir=str(base_dir / f"p_{p:g}"))
         result = run_experiment(sub, with_certificate=False)
-        runs.append(result)
 
         floor = result.problem.noise_floor
         finals = _final_rows(result.repetitions[-1].rows, config.snapshots - 1)
@@ -550,10 +545,7 @@ def run_failure_sweep(
     write_metrics_csv(
         table_path, [list(row.values()) for row in table], list(table[0]) if table else []
     )
-    return SweepResult(
-        p_values=[float(p) for p in p_values], runs=runs,
-        table_path=table_path, table_rows=table,
-    )
+    return SweepResult(table_path=table_path, table_rows=table)
 
 
 @dataclass

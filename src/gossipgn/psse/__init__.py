@@ -12,7 +12,6 @@ from .grid import (
 from .matpower import load_case, scale_loads
 from .measurements import (
     build_nlls_sites,
-    generate_measurements,
     measurement_count,
     mse_metrics,
     partition_sites,
@@ -25,7 +24,6 @@ __all__ = [
     "build_grid_model",
     "build_nlls_sites",
     "flat_start_vector",
-    "generate_measurements",
     "load_case",
     "load_true_state",
     "make_box",

@@ -26,23 +26,12 @@ _POWER_FLOW_TOL = 1e-10  # infinity norm of the power mismatch at convergence
 _POWER_FLOW_MAX_ITER = 30
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One line or transformer between internal bus indices (0-based)."""
-
-    from_bus: int
-    to_bus: int
-    y_series: complex
-    shunt_from: complex
-    shunt_to: complex
-
-
 @dataclass(frozen=True, eq=False)
 class BranchArrays:
-    """The state-independent branch data of a grid as read-only arrays.
+    """The branches of a grid as read-only arrays, in case-file order.
 
-    f and t are the end bus indices, ys the series admittances, sh_f and
-    sh_t the end shunts. yf and yt are the (L, N) end admittance matrices,
+    f and t are the end bus indices (0-based), ys the series admittances, sh_f
+    and sh_t the end shunts. yf and yt are the (L, N) end admittance matrices,
     so the current leaving each branch's from end is (yf @ v)[l], and
     (yt @ v)[l] at its to end.
     """
@@ -56,15 +45,15 @@ class BranchArrays:
     yt: np.ndarray
 
     @staticmethod
-    def of(branches: tuple[Branch, ...], n_buses: int) -> "BranchArrays":
-        f = np.array([br.from_bus for br in branches], dtype=int)
-        t = np.array([br.to_bus for br in branches], dtype=int)
-        ys = np.array([br.y_series for br in branches], dtype=complex)
-        sh_f = np.array([br.shunt_from for br in branches], dtype=complex)
-        sh_t = np.array([br.shunt_to for br in branches], dtype=complex)
-        rows = np.arange(len(branches))
-        yf = np.zeros((len(branches), n_buses), dtype=complex)
-        yt = np.zeros((len(branches), n_buses), dtype=complex)
+    def of(f, t, ys, sh_f, sh_t, n_buses: int) -> "BranchArrays":
+        f, t = np.asarray(f, dtype=int), np.asarray(t, dtype=int)
+        ys, sh_f, sh_t = (np.asarray(a, dtype=complex) for a in (ys, sh_f, sh_t))
+        out = np.flatnonzero((np.minimum(f, t) < 0) | (np.maximum(f, t) >= n_buses))
+        if out.size:
+            raise InvalidArgumentError(f"branch {out[0]} has an endpoint out of range")
+        rows = np.arange(f.size)
+        yf = np.zeros((f.size, n_buses), dtype=complex)
+        yt = np.zeros((f.size, n_buses), dtype=complex)
         yf[rows, f] = ys + sh_f
         yf[rows, t] -= ys
         yt[rows, t] = ys + sh_t
@@ -79,7 +68,7 @@ class BranchArrays:
 class GridModel:
     name: str
     n_buses: int
-    branches: tuple[Branch, ...]
+    branches: BranchArrays
     slack_bus: int
     bus_types: np.ndarray
     loads: np.ndarray        # complex Pd + jQd, per unit
@@ -87,22 +76,17 @@ class GridModel:
     gen_v_setpoint: np.ndarray   # nan where no generator
     gen_p: np.ndarray        # per-unit active injection from generators
     ybus: np.ndarray = field(repr=False)
-    # derived from branches once, for the measurement model
-    branch_arrays: BranchArrays = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_buses < 2:
             raise InvalidArgumentError("a grid needs at least 2 buses")
-        for br in self.branches:
-            for end in (br.from_bus, br.to_bus):
-                if not 0 <= end < self.n_buses:
-                    raise InvalidArgumentError(f"branch endpoint {end} out of range")
+        if self.branches.yf.shape[1] != self.n_buses:
+            raise InvalidArgumentError("branch arrays do not match the bus count")
         if not 0 <= self.slack_bus < self.n_buses:
             raise InvalidArgumentError("slack bus out of range")
         asym = float(np.max(np.abs(self.ybus - self.ybus.T))) if self.ybus.size else 0.0
         if asym > 1e-9:
             raise InvalidArgumentError("assembled admittance matrix is not symmetric")
-        object.__setattr__(self, "branch_arrays", BranchArrays.of(self.branches, self.n_buses))
 
     def __eq__(self, other):
         if not isinstance(other, GridModel):
@@ -110,7 +94,10 @@ class GridModel:
         return (
             self.name == other.name
             and self.n_buses == other.n_buses
-            and self.branches == other.branches
+            and all(
+                np.array_equal(a, b)
+                for a, b in zip(vars(self.branches).values(), vars(other.branches).values())
+            )
             and self.slack_bus == other.slack_bus
             and np.array_equal(self.bus_types, other.bus_types)
             and np.array_equal(self.loads, other.loads)
@@ -122,7 +109,7 @@ class GridModel:
 
     @property
     def n_branches(self) -> int:
-        return len(self.branches)
+        return self.branches.f.size
 
     @property
     def n_unknowns(self) -> int:
@@ -196,7 +183,7 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
         if not np.isfinite(gen_p[i]):
             raise CaseParseError(f"generator row {row_no + 1}: Pg in per unit is not finite")
 
-    branches = []
+    kept = []  # (f, t, y_eff, shunt_f, shunt_t) of each branch in service
     ybus = np.zeros((n, n), dtype=complex)
     for row_no, row in enumerate(case.branch):
         if row.shape[0] > mp.BR_STATUS and row[mp.BR_STATUS] == 0:
@@ -226,7 +213,7 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
                 f"branch row {row_no + 1}: admittance is not finite "
                 "(impedance or tap ratio too small)"
             )
-        branches.append(Branch(f, t, y_eff, shunt_f, shunt_t))
+        kept.append((f, t, y_eff, shunt_f, shunt_t))
         ybus[f, f] += y_eff + shunt_f
         ybus[t, t] += y_eff + shunt_t
         ybus[f, t] -= y_eff
@@ -236,8 +223,9 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
     if bad.size:
         raise CaseParseError(f"bus row {bad[0] + 1}: summed admittance is not finite")
 
+    branches = BranchArrays.of(*(list(zip(*kept)) or [()] * 5), n_buses=n)
     return GridModel(
-        name=case.name, n_buses=n, branches=tuple(branches), slack_bus=slack,
+        name=case.name, n_buses=n, branches=branches, slack_bus=slack,
         bus_types=types, loads=loads, bus_shunts=shunts,
         gen_v_setpoint=gen_v, gen_p=gen_p, ybus=ybus,
     )

@@ -12,7 +12,7 @@ the site Jacobian is d(g_i)/dx = -d(f_i)/dx.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def line_flows(grid: GridModel, state: PowerState) -> np.ndarray:
     out = np.zeros(state.theta.shape[:-1] + (4 * n_br,))
     if n_br == 0:
         return out
-    br = grid.branch_arrays
+    br = grid.branches
     f, t, sh_f, sh_t = br.f, br.t, br.sh_f, br.sh_t
     g, b = br.ys.real, br.ys.imag
     v, theta = state.v, state.theta
@@ -90,7 +90,7 @@ def full_measurement_vector(grid: GridModel, state: PowerState) -> np.ndarray:
 def _branch_flow_derivatives(grid: GridModel, state: PowerState):
     """d(complex flow)/d(angle, magnitude) for each branch end, dense."""
     n, n_br = grid.n_buses, grid.n_branches
-    br = grid.branch_arrays
+    br = grid.branches
     v_c = state.complex_voltages()
     # unit phasors straight from the angles: defined even at V = 0 box edge
     norm = np.exp(1j * state.theta)
@@ -142,156 +142,49 @@ def full_measurement_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
     return jac
 
 
-@dataclass(frozen=True)
-class MeasurementPlan:
-    """Which measurement indices each site owns.
+def partition_sites(grid: GridModel, n_sites: int) -> tuple[np.ndarray, ...]:
+    """Each site's rows of the measurement vector, for contiguous bus groups.
 
-    injection_idx[i] indexes into the length-2N injection vector,
-    flow_idx[i] into the length-4L flow vector. Bus sets are disjoint and
-    every flow index belongs to exactly one site.
-    """
-
-    n_buses: int
-    n_branches: int
-    site_buses: tuple[np.ndarray, ...]
-    injection_idx: tuple[np.ndarray, ...]
-    flow_idx: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        seen_buses: set[int] = set()
-        for buses in self.site_buses:
-            for b in buses.tolist():
-                if b in seen_buses:
-                    raise InvalidArgumentError(f"bus {b} assigned to two sites")
-                if not 0 <= b < self.n_buses:
-                    raise InvalidArgumentError(f"bus {b} out of range")
-                seen_buses.add(b)
-        for label, groups, limit in (
-            ("injection", self.injection_idx, 2 * self.n_buses),
-            ("flow", self.flow_idx, 4 * self.n_branches),
-        ):
-            seen: set[int] = set()
-            for idx in groups:
-                lst = idx.tolist()
-                if len(set(lst)) != len(lst):
-                    raise InvalidArgumentError(f"duplicate {label} index within a site")
-                for j in lst:
-                    if not 0 <= j < limit:
-                        raise InvalidArgumentError(f"{label} index {j} out of range")
-                    if j in seen:
-                        raise InvalidArgumentError(f"{label} index {j} assigned twice")
-                    seen.add(j)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.site_buses)
-
-    def site_size(self, site_id: int) -> int:
-        return self.injection_idx[site_id].size + self.flow_idx[site_id].size
-
-    def site_rows(self, site_id: int) -> np.ndarray:
-        """Indices of this site's entries in the full measurement vector."""
-        return np.concatenate(
-            [self.injection_idx[site_id], 2 * self.n_buses + self.flow_idx[site_id]]
-        ).astype(int)
-
-    @property
-    def total_selected(self) -> int:
-        return sum(self.site_size(i) for i in range(self.n_sites))
-
-
-def partition_sites(grid: GridModel, n_sites: int) -> MeasurementPlan:
-    """Split buses into contiguous index groups and deal out measurements.
-
-    Each site gets its buses' P and Q injections plus all four flow
-    entries of every branch with at least one endpoint inside; a branch
-    spanning two sites goes to the lower-numbered one.
+    Site i owns its buses' P rows, then their Q rows, then, in row order,
+    all four flow rows of every branch with at least one end among its
+    buses; a branch spanning two sites goes to the lower-numbered one. Every
+    row belongs to exactly one site.
     """
     n = grid.n_buses
     if not 1 <= n_sites <= n:
         raise InvalidArgumentError(f"need 1 <= sites <= {n}, got {n_sites}")
-
     groups = np.array_split(np.arange(n), n_sites)
-    site_of = np.empty(n, dtype=int)
-    for s, buses in enumerate(groups):
-        site_of[buses] = s
-
-    inj = []
-    for buses in groups:
-        inj.append(np.concatenate([buses, n + buses]).astype(int))
-
-    flow_lists: list[list[int]] = [[] for _ in range(n_sites)]
-    n_br = grid.n_branches
-    for l, br in enumerate(grid.branches):
-        owner = min(site_of[br.from_bus], site_of[br.to_bus])
-        flow_lists[owner].extend([2 * l, 2 * l + 1, 2 * n_br + 2 * l, 2 * n_br + 2 * l + 1])
-    flows = tuple(np.array(sorted(lst), dtype=int) for lst in flow_lists)
-
-    return MeasurementPlan(
-        n_buses=n, n_branches=n_br,
-        site_buses=tuple(np.asarray(b, dtype=int) for b in groups),
-        injection_idx=tuple(inj), flow_idx=flows,
+    site_of = np.repeat(np.arange(n_sites), [buses.size for buses in groups])
+    owner = np.minimum(site_of[grid.branches.f], site_of[grid.branches.t])
+    # flow row 2N + j belongs to branch (j mod 2L) // 2, see the module header
+    flow_owner = np.tile(np.repeat(owner, 2), 2)
+    site_rows = tuple(
+        np.concatenate([buses, n + buses, 2 * n + np.flatnonzero(flow_owner == s)])
+        for s, buses in enumerate(groups)
     )
-
-
-def psse_jacobian(grid: GridModel, state: PowerState, plan: MeasurementPlan, site_id: int) -> np.ndarray:
-    """Site residual Jacobian: minus the selected measurement partials."""
-    if not 0 <= site_id < plan.n_sites:
-        raise InvalidArgumentError(f"site {site_id} out of range")
-    full = full_measurement_jacobian(grid, state)
-    return -full[plan.site_rows(site_id)]
-
-
-@dataclass(frozen=True)
-class MeasurementSet:
-    """One noisy snapshot, already split per site."""
-
-    site_values: tuple[np.ndarray, ...]
-    sigma2: float
-    snapshot_index: int = 0
-
-    def __post_init__(self):
-        if self.sigma2 < 0:
-            raise InvalidArgumentError("sigma2 must be nonnegative")
-
-
-def _draw_snapshot(
-    grid: GridModel, true_state: PowerState, plan: MeasurementPlan,
-    sigma2: float, rng: np.random.Generator, snapshot_index: int,
-) -> MeasurementSet:
-    full = full_measurement_vector(grid, true_state)
-    noisy = full + rng.normal(0.0, np.sqrt(sigma2), size=full.size)
-    values = tuple(noisy[plan.site_rows(i)].copy() for i in range(plan.n_sites))
-    return MeasurementSet(site_values=values, sigma2=sigma2, snapshot_index=snapshot_index)
-
-
-def generate_measurements(
-    grid: GridModel, true_state: PowerState, plan: MeasurementPlan,
-    sigma2: float, rng_seed: int,
-) -> MeasurementSet:
-    """z_i = f_i(true state) + Gaussian noise, one shared noise vector."""
-    rng = np.random.default_rng(rng_seed)
-    return _draw_snapshot(grid, true_state, plan, sigma2, rng, snapshot_index=0)
+    for rows in site_rows:
+        rows.setflags(write=False)
+    return site_rows
 
 
 def streaming_snapshots(
-    grid: GridModel, true_state: PowerState, plan: MeasurementPlan,
-    sigma2: float, n_snapshots: int, rng_seed: int,
-) -> list[MeasurementSet]:
-    """Independent-noise snapshots of one persistent true state."""
+    grid: GridModel, true_state: PowerState, sigma2: float, n_snapshots: int, rng_seed: int,
+) -> np.ndarray:
+    """(n_snapshots, M) independent-noise snapshots z = f(true state) + noise,
+    one row per snapshot, its noise the next M draws of the seeded generator."""
+    if not (np.isfinite(sigma2) and sigma2 >= 0):
+        raise InvalidArgumentError(f"sigma2 must be finite and nonnegative, got {sigma2!r}")
     if n_snapshots < 1:
         raise InvalidArgumentError("need at least one snapshot")
     rng = np.random.default_rng(rng_seed)
-    return [
-        _draw_snapshot(grid, true_state, plan, sigma2, rng, snapshot_index=t)
-        for t in range(n_snapshots)
-    ]
+    full = full_measurement_vector(grid, true_state)
+    return full + rng.normal(0.0, np.sqrt(sigma2), size=(n_snapshots, full.size))
 
 
 def build_nlls_sites(
-    grid: GridModel, plan: MeasurementPlan, measurements: MeasurementSet
+    grid: GridModel, site_rows: Sequence[np.ndarray], z: np.ndarray
 ) -> list[SiteModel]:
-    """Wrap each site's residual z_i - f_i(x) and Jacobian as a SiteModel.
+    """Wrap each site's residual z[rows] - f(x)[rows] and Jacobian as a SiteModel.
 
     The sites share one model: f and J at one x, or their (I, M) and
     (I, M, N_u) stacks at the rows of an (I, N_u) x, in one evaluation. Its
@@ -301,8 +194,9 @@ def build_nlls_sites(
     row-sliced copies. They also share one SiteBatch over that model, which
     groups the sites by residual_dim so that normal_system reads all blocks
     in a few gathers."""
-    if len(measurements.site_values) != plan.n_sites:
-        raise InvalidArgumentError("measurement set does not match the plan")
+    z, m = np.asarray(z, dtype=float), measurement_count(grid)
+    if z.shape != (m,):
+        raise InvalidArgumentError(f"expected a ({m},) measurement vector, got shape {z.shape}")
     n, slack = grid.n_buses, grid.slack_bus
     memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -320,16 +214,12 @@ def build_nlls_sites(
         memo.update(zip((row.tobytes() for row in np.atleast_2d(x)), rows))
         return f, jac
 
-    site_rows = [plan.site_rows(i) for i in range(plan.n_sites)]
-    for i, (z_i, rows) in enumerate(zip(measurements.site_values, site_rows)):
-        if z_i.size != rows.size:
-            raise InvalidArgumentError(f"site {i}: {z_i.size} values for {rows.size} rows")
-    batch = SiteBatch.of(model_at, site_rows, measurements.site_values, grid.n_unknowns)
+    batch = SiteBatch.of(model_at, site_rows, z, grid.n_unknowns)
 
     sites = []
-    for i, (z_i, rows) in enumerate(zip(measurements.site_values, site_rows)):
+    for i, rows in enumerate(site_rows):
 
-        def residual(x, z_i=z_i, rows=rows):
+        def residual(x, z_i=z[rows], rows=rows):
             return z_i - model_at(x)[0][rows]
 
         def jacobian(x, rows=rows):
@@ -337,7 +227,7 @@ def build_nlls_sites(
 
         sites.append(
             SiteModel(
-                site_id=i, n_unknowns=grid.n_unknowns, residual_dim=z_i.size,
+                site_id=i, n_unknowns=grid.n_unknowns, residual_dim=rows.size,
                 eval_residual=residual, eval_jacobian=jacobian, batch=batch,
             )
         )

@@ -36,10 +36,11 @@ def oracle_flows(grid: GridModel, state: PowerState) -> np.ndarray:
     v = state.v * np.exp(1j * state.theta)
     p_rows = []
     q_rows = []
-    for br in grid.branches:
-        vf, vt = v[br.from_bus], v[br.to_bus]
-        s_fwd = vf * np.conj(br.y_series * (vf - vt) + br.shunt_from * vf)
-        s_rev = vt * np.conj(br.y_series * (vt - vf) + br.shunt_to * vt)
+    br = grid.branches
+    for l in range(grid.n_branches):
+        vf, vt = v[br.f[l]], v[br.t[l]]
+        s_fwd = vf * np.conj(br.ys[l] * (vf - vt) + br.sh_f[l] * vf)
+        s_rev = vt * np.conj(br.ys[l] * (vt - vf) + br.sh_t[l] * vt)
         p_rows += [s_fwd.real, s_rev.real]
         q_rows += [s_fwd.imag, s_rev.imag]
     return np.asarray(p_rows + q_rows)

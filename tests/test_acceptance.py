@@ -39,10 +39,10 @@ from gossipgn.gossip import (
 from gossipgn.psse.measurements import (
     build_nlls_sites,
     full_measurement_jacobian,
-    generate_measurements,
     line_flows,
     partition_sites,
     power_injections,
+    streaming_snapshots,
 )
 
 from conftest import oracle_flows, oracle_injections, random_states
@@ -131,9 +131,9 @@ def test_c01_measurement_oracle_equivalence(grid30, grid2):
 
 
 def test_c02_jacobian_finite_difference(grid30, true30):
-    plan = partition_sites(grid30, 1)
-    meas = generate_measurements(grid30, true30, plan, sigma2=0.0, rng_seed=0)
-    site = build_nlls_sites(grid30, plan, meas)[0]
+    site_rows = partition_sites(grid30, 1)
+    z = streaming_snapshots(grid30, true30, 0.0, 1, 0)[0]
+    site = build_nlls_sites(grid30, site_rows, z)[0]
     from gossipgn.psse.grid import state_to_vector
 
     worst = 0.0
@@ -209,9 +209,9 @@ def test_c05_centralized_reduction(grid30, true30):
         return np.stack(path)
 
     # one agent holding every measurement
-    plan1 = partition_sites(grid30, 1)
-    meas1 = generate_measurements(grid30, true30, plan1, sigma2=1e-6, rng_seed=3)
-    sites1 = build_nlls_sites(grid30, plan1, meas1)
+    site_rows1 = partition_sites(grid30, 1)
+    z1 = streaming_snapshots(grid30, true30, 1e-6, 1, 3)[0]
+    sites1 = build_nlls_sites(grid30, site_rows1, z1)
     traj1 = ggn_run(
         sites1, box,
         GossipConfig(kind="cse", beta=0.5),
@@ -222,9 +222,9 @@ def test_c05_centralized_reduction(grid30, true30):
     dev1 = float(np.max(np.abs(traj1.iterates[:, 0, :] - centralized(sites1))))
 
     # four agents with exact averaging: W = (1/4) 11^T
-    plan4 = partition_sites(grid30, 4)
-    meas4 = generate_measurements(grid30, true30, plan4, sigma2=1e-6, rng_seed=3)
-    sites4 = build_nlls_sites(grid30, plan4, meas4)
+    site_rows4 = partition_sites(grid30, 4)
+    z4 = streaming_snapshots(grid30, true30, 1e-6, 1, 3)[0]
+    sites4 = build_nlls_sites(grid30, site_rows4, z4)
     w = build_cse_weights(4, beta=0.75)
     assert np.all(w.entries == 0.25)
     traj4 = ggn_run(

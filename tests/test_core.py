@@ -26,8 +26,8 @@ from gossipgn.errors import InvalidArgumentError, SingularSystemError
 from gossipgn.psse.grid import make_box, state_to_vector
 from gossipgn.psse.measurements import (
     build_nlls_sites,
-    generate_measurements,
     partition_sites,
+    streaming_snapshots,
 )
 
 from conftest import make_toy_sites
@@ -122,10 +122,14 @@ def _psse_points(grid, n_points, seed):
     return points
 
 
+def _psse_sites(grid, true_state, n_sites, seed):
+    z = streaming_snapshots(grid, true_state, 1e-4, 1, seed)[0]
+    return build_nlls_sites(grid, partition_sites(grid, n_sites), z)
+
+
 @pytest.mark.parametrize("n_sites", [1, 3, 7, 30])
 def test_grouped_normal_system_bit_identical_on_psse_sites(grid30, true30, n_sites):
-    plan = partition_sites(grid30, n_sites)
-    sites = build_nlls_sites(grid30, plan, generate_measurements(grid30, true30, plan, 1e-4, n_sites))
+    sites = _psse_sites(grid30, true30, n_sites, n_sites)
     assert all(site.batch is sites[0].batch for site in sites)
     points = _psse_points(grid30, 12, n_sites)
     # all calls first: a result must not alias the batch's product stacks
@@ -135,8 +139,7 @@ def test_grouped_normal_system_bit_identical_on_psse_sites(grid30, true30, n_sit
 
 
 def test_grouped_normal_system_bit_identical_on_reordered_psse_sites(grid30, true30):
-    plan = partition_sites(grid30, 7)
-    sites = build_nlls_sites(grid30, plan, generate_measurements(grid30, true30, plan, 1e-4, 2))
+    sites = _psse_sites(grid30, true30, 7, 2)
     for x in _psse_points(grid30, 4, 11):
         for subset in (sites[::-1], sites[1:], sites[2:5], [sites[3], sites[0]]):
             _assert_bit_identical(normal_system(subset, x), _loop_normal_system(subset, x))
@@ -145,8 +148,7 @@ def test_grouped_normal_system_bit_identical_on_reordered_psse_sites(grid30, tru
 def test_grouped_normal_system_reads_the_batch_not_the_closures(grid30, true30):
     # perfbench wraps each site's closures through dataclasses.replace; the
     # batch field must survive that and serve the whole list by itself
-    plan = partition_sites(grid30, 30)
-    sites = build_nlls_sites(grid30, plan, generate_measurements(grid30, true30, plan, 1e-4, 4))
+    sites = _psse_sites(grid30, true30, 30, 4)
 
     def never(x):
         raise AssertionError("site closure called")
@@ -399,13 +401,10 @@ def test_estimate_constants_omega_equals_brute_force_on_toy(toy_sites, toy_box, 
 
 
 def test_estimate_constants_omega_equals_brute_force_on_case30(grid30, true30):
-    plan = partition_sites(grid30, 3)
-    sites = build_nlls_sites(grid30, plan, generate_measurements(grid30, true30, plan, 1e-4, 0))
+    sites = _psse_sites(grid30, true30, 3, 0)
     n, slack = grid30.n_buses, grid30.slack_bus
     box = make_box(n)
-    degree = np.bincount(
-        [end for br in grid30.branches for end in (br.from_bus, br.to_bus)], minlength=n
-    )
+    degree = np.bincount(np.concatenate([grid30.branches.f, grid30.branches.t]), minlength=n)
     leaf = next(k for k in range(n) if degree[k] == 1 and k != slack)
 
     def leaf_only(theta_leaf):

@@ -706,7 +706,7 @@ def test_cli_run_and_certify_with_rank_deficient_sample_exit_0(tmp_path, capsys)
     summary = read_summary(tmp_path / "o" / "summary.txt")
     assert summary["certificate.applicable"] == "false"
     capsys.readouterr()
-    # certify runs one repetition, which samples a rank-deficient Jacobian on seed 0
+    # with one repetition, the certificate samples a rank-deficient Jacobian on seed 0
     path = write_config(tmp_path / "c.yaml", rank_deficient_mapping(tmp_path, 0, repetitions=1))
     assert main(["certify", path]) == 0
     printed = capsys.readouterr().out.splitlines()
@@ -715,6 +715,20 @@ def test_cli_run_and_certify_with_rank_deficient_sample_exit_0(tmp_path, capsys)
     assert [line.split("=")[0] for line in printed[2:]] == [
         f"constants.{name}" for name in CONSTANT_NAMES
     ]
+
+
+@pytest.mark.filterwarnings("ignore:sampled Jacobian is rank deficient")
+def test_cli_certify_prints_the_certificate_of_the_run(tmp_path, capsys):
+    # certify runs every repetition of the config, so it reports the run's
+    # certificate: here the second repetition's sample is rank deficient
+    path = write_config(tmp_path / "r.yaml", rank_deficient_mapping(tmp_path, 1))
+    assert main(["run", path]) == 0
+    written = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+    capsys.readouterr()
+    assert main(["certify", path]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [line for line in written if line.startswith(("certificate.", "constants."))]
+    assert "certificate.applicable=false" in printed
 
 
 def test_cli_compare(tmp_path, capsys):

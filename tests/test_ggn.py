@@ -21,10 +21,10 @@ from gossipgn.gossip import GossipConfig, build_cse_weights, gossip_round
 from gossipgn.psse import (
     build_nlls_sites,
     flat_start_vector,
-    generate_measurements,
     make_box,
     measurements,
     partition_sites,
+    streaming_snapshots,
 )
 
 from conftest import make_toy_sites
@@ -37,9 +37,9 @@ def _toy_setup(n_sites=3, seed=0):
 
 
 def _psse_setup(grid, true_state, n_sites=3):
-    plan = partition_sites(grid, n_sites)
-    meas = generate_measurements(grid, true_state, plan, sigma2=1e-4, rng_seed=2)
-    return build_nlls_sites(grid, plan, meas), make_box(grid.n_buses), flat_start_vector(grid)
+    site_rows = partition_sites(grid, n_sites)
+    z = streaming_snapshots(grid, true_state, 1e-4, 1, 2)[0]
+    return build_nlls_sites(grid, site_rows, z), make_box(grid.n_buses), flat_start_vector(grid)
 
 
 def _site_metrics(sites, x):

@@ -57,7 +57,7 @@ def test_packaged_two_bus_ybus_oracle(grid2):
     assert grid2.ybus[1, 0] == pytest.approx(-ys)
     assert grid2.ybus[0, 0] == pytest.approx(ys + 0.01j)
     assert grid2.ybus[1, 1] == pytest.approx(ys + 0.01j)
-    assert grid2.branches[0].shunt_from == pytest.approx(0.01j)
+    assert grid2.branches.sh_f[0] == pytest.approx(0.01j)
 
 
 def test_charging_split_onto_diagonal():
@@ -67,10 +67,10 @@ def test_charging_split_onto_diagonal():
     assert grid.ybus[0, 0] == pytest.approx(ys + 0.01j)
     assert grid.ybus[1, 1] == pytest.approx(ys + 0.01j)
     assert grid.ybus[0, 1] == pytest.approx(-ys)
-    br = grid.branches[0]
-    assert br.y_series == pytest.approx(ys)
-    assert br.shunt_from == pytest.approx(0.01j)
-    assert br.shunt_to == pytest.approx(0.01j)
+    br = grid.branches
+    assert br.ys[0] == pytest.approx(ys)
+    assert br.sh_f[0] == pytest.approx(0.01j)
+    assert br.sh_t[0] == pytest.approx(0.01j)
 
 
 def test_tap_transformer_admittances():

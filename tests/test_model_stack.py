@@ -26,8 +26,8 @@ from gossipgn.psse.measurements import (
     build_nlls_sites,
     full_measurement_jacobian,
     full_measurement_vector,
-    generate_measurements,
     partition_sites,
+    streaming_snapshots,
 )
 
 
@@ -49,7 +49,7 @@ def per_state_flows(grid: GridModel, state: PowerState) -> np.ndarray:
     out = np.zeros(4 * n_br)
     if n_br == 0:
         return out
-    br = grid.branch_arrays
+    br = grid.branches
     f, t, sh_f, sh_t = br.f, br.t, br.sh_f, br.sh_t
     g, b = br.ys.real, br.ys.imag
     v, theta = state.v, state.theta
@@ -78,7 +78,7 @@ def per_state_injection_derivatives(ybus, v_complex, v_unit):
 
 def per_state_branch_derivatives(grid: GridModel, state: PowerState):
     n, n_br = grid.n_buses, grid.n_branches
-    br = grid.branch_arrays
+    br = grid.branches
     v_c = state.complex_voltages()
     norm = np.exp(1j * state.theta)
     diag_v = np.diag(v_c)
@@ -212,9 +212,9 @@ def test_one_state_is_the_unstacked_case(which, grid30, grid2):
 
 
 def _psse_sites(grid: GridModel, true_state: PowerState, n_sites: int):
-    plan = partition_sites(grid, n_sites)
-    meas = generate_measurements(grid, true_state, plan, sigma2=1e-4, rng_seed=3)
-    return build_nlls_sites(grid, plan, meas)
+    site_rows = partition_sites(grid, n_sites)
+    z = streaming_snapshots(grid, true_state, 1e-4, 1, 3)[0]
+    return build_nlls_sites(grid, site_rows, z)
 
 
 def test_stack_call_memoizes_every_row_read_only(grid30, true30):

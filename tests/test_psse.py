@@ -5,6 +5,7 @@ from gossipgn.core import finite_diff_jacobian, stationarity_residual
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.psse import build_grid_model, load_case
 from gossipgn.psse.grid import (
+    BranchArrays,
     GridModel,
     PowerState,
     flat_start_vector,
@@ -19,13 +20,11 @@ from gossipgn.psse.measurements import (
     build_nlls_sites,
     full_measurement_jacobian,
     full_measurement_vector,
-    generate_measurements,
     line_flows,
     measurement_count,
     mse_metrics,
     partition_sites,
     power_injections,
-    psse_jacobian,
     streaming_snapshots,
 )
 
@@ -64,18 +63,19 @@ def test_cached_model_results_are_read_only(grid30, true30):
 def test_branch_arrays_are_read_only_and_match_a_fresh_grid(grid30, true30):
     fresh = build_grid_model(load_case("case30"))
     assert fresh == grid30
-    for name, cached in vars(grid30.branch_arrays).items():
+    for name, cached in vars(grid30.branches).items():
         assert not cached.flags.writeable, name
         with pytest.raises(ValueError):
             cached[0] = 0
-        assert np.array_equal(cached, getattr(fresh.branch_arrays, name)), name
-    br = grid30.branch_arrays
-    assert br.f.tolist() == [b.from_bus for b in grid30.branches]
-    assert br.t.tolist() == [b.to_bus for b in grid30.branches]
+        assert np.array_equal(cached, getattr(fresh.branches, name)), name
+    br = grid30.branches
     v = true30.complex_voltages()
-    want_from = [b.y_series * (v[b.from_bus] - v[b.to_bus]) + b.shunt_from * v[b.from_bus]
-                 for b in grid30.branches]
+    want_from = br.ys * (v[br.f] - v[br.t]) + br.sh_f * v[br.f]
     assert np.allclose(br.yf @ v, want_from, rtol=1e-13, atol=1e-13)
+    # the branch arrays assemble the bus admittance matrix: Cf' Yf + Ct' Yt + diag(shunts)
+    ends = np.eye(grid30.n_buses)
+    assembled = ends[br.f].T @ br.yf + ends[br.t].T @ br.yt + np.diag(grid30.bus_shunts)
+    assert np.allclose(assembled, grid30.ybus, rtol=0.0, atol=1e-12)
     # the model on the long-lived fixture equals the model on the fresh grid, bit for bit
     for state in [true30] + random_states(grid30, 3, seed=8):
         for evaluate in (full_measurement_vector, full_measurement_jacobian):
@@ -83,17 +83,17 @@ def test_branch_arrays_are_read_only_and_match_a_fresh_grid(grid30, true30):
 
 
 def test_sites_share_a_one_iterate_memo(grid30, true30):
-    plan = partition_sites(grid30, 3)
-    meas = generate_measurements(grid30, true30, plan, sigma2=1e-4, rng_seed=5)
-    sites = build_nlls_sites(grid30, plan, meas)
+    site_rows = partition_sites(grid30, 3)
+    z = streaming_snapshots(grid30, true30, 1e-4, 1, 5)[0]
+    sites = build_nlls_sites(grid30, site_rows, z)
     x = state_to_vector(true30, grid30.slack_bus)
     y = flat_start_vector(grid30)
 
     def fresh(point, i):
         state = vector_to_state(point, grid30.n_buses, grid30.slack_bus)
-        rows = plan.site_rows(i)
+        rows = site_rows[i]
         return (
-            meas.site_values[i] - full_measurement_vector(grid30, state)[rows],
+            z[rows] - full_measurement_vector(grid30, state)[rows],
             -full_measurement_jacobian(grid30, state)[rows],
         )
 
@@ -111,8 +111,8 @@ def test_sites_share_a_one_iterate_memo(grid30, true30):
 
 
 def test_shared_model_memo_is_read_only(grid30, true30):
-    plan = partition_sites(grid30, 3)
-    sites = build_nlls_sites(grid30, plan, generate_measurements(grid30, true30, plan, 1e-4, 5))
+    z = streaming_snapshots(grid30, true30, 1e-4, 1, 5)[0]
+    sites = build_nlls_sites(grid30, partition_sites(grid30, 3), z)
     x = state_to_vector(true30, grid30.slack_bus)
     want = sites[0].eval_residual(x)
     for arr in sites[0].batch.model(x):
@@ -137,10 +137,12 @@ def test_measurement_count_ieee30(grid30):
 # --- hand-checkable special cases --------------------------------------------
 
 
-def _bare_grid(ybus: np.ndarray, branches=()) -> GridModel:
+def _bare_grid(ybus: np.ndarray, branches: BranchArrays | None = None) -> GridModel:
     n = ybus.shape[0]
+    if branches is None:
+        branches = BranchArrays.of((), (), (), (), (), n)
     return GridModel(
-        name="toy", n_buses=n, branches=tuple(branches), slack_bus=0,
+        name="toy", n_buses=n, branches=branches, slack_bus=0,
         bus_types=np.array([3] + [1] * (n - 1)),
         loads=np.zeros(n, dtype=complex), bus_shunts=np.zeros(n, dtype=complex),
         gen_v_setpoint=np.full(n, np.nan), gen_p=np.zeros(n), ybus=ybus,
@@ -171,13 +173,10 @@ def test_flat_profile_no_charging_carries_nothing():
 
 
 def test_open_branch_shunt_only_flow():
-    from gossipgn.psse.grid import Branch
-
     b_half = 0.05
-    br = Branch(from_bus=0, to_bus=1, y_series=0j, shunt_from=1j * b_half,
-                shunt_to=1j * b_half)
+    br = BranchArrays.of([0], [1], [0j], [1j * b_half], [1j * b_half], n_buses=2)
     ybus = np.diag([1j * b_half, 1j * b_half])
-    grid = _bare_grid(ybus, branches=(br,))
+    grid = _bare_grid(ybus, branches=br)
     state = PowerState(theta=np.array([0.0, 0.3]), v=np.array([1.2, 0.9]))
     flows = line_flows(grid, state)
     # open series path: active flow vanishes, each end sees only its own
@@ -194,9 +193,9 @@ def test_flow_rows_touch_only_endpoint_columns(grid30, true30):
     n, slack = grid30.n_buses, grid30.slack_bus
     keep = [b for b in range(n) if b != slack]
     ang_col = {b: i for i, b in enumerate(keep)}
-    for l, br in enumerate(grid30.branches):
+    for l, ends in enumerate(zip(grid30.branches.f.tolist(), grid30.branches.t.tolist())):
         allowed = set()
-        for b in (br.from_bus, br.to_bus):
+        for b in ends:
             if b in ang_col:
                 allowed.add(ang_col[b])
             allowed.add(n - 1 + b)
@@ -208,9 +207,8 @@ def test_flow_rows_touch_only_endpoint_columns(grid30, true30):
 
 
 def test_jacobian_matches_finite_differences(grid30, true30):
-    plan = partition_sites(grid30, 3)
-    meas = generate_measurements(grid30, true30, plan, sigma2=0.0, rng_seed=0)
-    sites = build_nlls_sites(grid30, plan, meas)
+    z = streaming_snapshots(grid30, true30, 0.0, 1, 0)[0]
+    sites = build_nlls_sites(grid30, partition_sites(grid30, 3), z)
     states = random_states(grid30, 2, seed=11)
     points = [state_to_vector(s, grid30.slack_bus) for s in states]
     points.append(flat_start_vector(grid30))
@@ -234,33 +232,64 @@ def test_jacobian_defined_at_zero_voltage(grid30):
 # --- partitioning -------------------------------------------------------------
 
 
+def _loop_partition(grid, n_sites):
+    """The partition as a loop over buses and branches: the oracle for partition_sites."""
+    n, n_br = grid.n_buses, grid.n_branches
+    groups = np.array_split(np.arange(n), n_sites)
+    site_of = np.empty(n, dtype=int)
+    for s, buses in enumerate(groups):
+        site_of[buses] = s
+    flow_lists = [[] for _ in range(n_sites)]
+    for l in range(n_br):
+        owner = min(site_of[grid.branches.f[l]], site_of[grid.branches.t[l]])
+        flow_lists[owner].extend([2 * l, 2 * l + 1, 2 * n_br + 2 * l, 2 * n_br + 2 * l + 1])
+    return [
+        np.concatenate([buses, n + buses, 2 * n + np.array(sorted(flows), dtype=int)]).astype(int)
+        for buses, flows in zip(groups, flow_lists)
+    ]
+
+
+@pytest.mark.parametrize("which", ["case30", "case2"])
+def test_partition_equals_the_loop_oracle(which, grid30, grid2):
+    grid = grid30 if which == "case30" else grid2
+    m = measurement_count(grid)
+    for n_sites in range(1, grid.n_buses + 1):
+        site_rows = partition_sites(grid, n_sites)
+        want = _loop_partition(grid, n_sites)
+        assert len(site_rows) == n_sites
+        for got, rows in zip(site_rows, want):
+            assert got.dtype == rows.dtype == np.dtype(int)
+            assert np.array_equal(got, rows), n_sites
+        # disjoint, and together every row of the measurement vector once
+        assert np.array_equal(np.sort(np.concatenate(site_rows)), np.arange(m)), n_sites
+
+
 def test_partition_single_site(grid30):
-    plan = partition_sites(grid30, 1)
-    assert plan.n_sites == 1
-    assert plan.total_selected == measurement_count(grid30)
-    assert np.array_equal(np.sort(plan.site_rows(0)), np.arange(224))
+    site_rows = partition_sites(grid30, 1)
+    assert len(site_rows) == 1
+    assert np.array_equal(site_rows[0], np.arange(measurement_count(grid30)))
 
 
 def test_partition_one_site_per_bus(grid30):
-    plan = partition_sites(grid30, 30)
-    assert plan.n_sites == 30
-    for i in range(30):
-        assert np.array_equal(plan.site_buses[i], [i])
-    assert plan.total_selected == measurement_count(grid30)
+    site_rows = partition_sites(grid30, 30)
+    assert len(site_rows) == 30
+    for i, rows in enumerate(site_rows):
+        assert rows[:2].tolist() == [i, 30 + i]
+        assert np.all(rows[2:] >= 60)
+    assert sum(rows.size for rows in site_rows) == measurement_count(grid30)
 
 
 @pytest.mark.parametrize("n_sites", [1, 3, 7, 30])
 def test_partition_covers_every_measurement_once(grid30, n_sites):
-    plan = partition_sites(grid30, n_sites)
-    rows = np.concatenate([plan.site_rows(i) for i in range(plan.n_sites)])
+    rows = np.concatenate(partition_sites(grid30, n_sites))
     assert np.array_equal(np.sort(rows), np.arange(measurement_count(grid30)))
 
 
 def test_partition_tie_break_to_lower_site(grid2):
-    plan = partition_sites(grid2, 2)
-    # the single branch spans both sites: all four flow entries go to site 0
-    assert plan.flow_idx[0].size == 4
-    assert plan.flow_idx[1].size == 0
+    site_rows = partition_sites(grid2, 2)
+    # the single branch spans both sites: all four flow rows go to site 0
+    assert site_rows[0].tolist() == [0, 2, 4, 5, 6, 7]
+    assert site_rows[1].tolist() == [1, 3]
 
 
 def test_partition_rejects_bad_counts(grid30):
@@ -271,23 +300,29 @@ def test_partition_rejects_bad_counts(grid30):
 
 
 def test_site_jacobian_is_minus_selected_rows(grid30, true30):
-    plan = partition_sites(grid30, 3)
+    site_rows = partition_sites(grid30, 3)
+    z = streaming_snapshots(grid30, true30, 1e-4, 1, 0)[0]
+    sites = build_nlls_sites(grid30, site_rows, z)
+    x = state_to_vector(true30, grid30.slack_bus)
     full = full_measurement_jacobian(grid30, true30)
-    for i in range(3):
-        got = psse_jacobian(grid30, true30, plan, i)
-        assert np.array_equal(got, -full[plan.site_rows(i)])
+    for site, rows in zip(sites, site_rows):
+        assert np.array_equal(site.eval_jacobian(x), -full[rows])
+
+
+def test_sites_reject_a_measurement_vector_of_the_wrong_length(grid30, true30):
+    z = streaming_snapshots(grid30, true30, 1e-4, 2, 0)
+    for bad in (z, z[0, :-1]):
+        with pytest.raises(InvalidArgumentError, match="measurement vector"):
+            build_nlls_sites(grid30, partition_sites(grid30, 3), bad)
 
 
 # --- noisy measurement generation ---------------------------------------------
 
 
 def test_noise_free_measurements_exact(grid30, true30):
-    plan = partition_sites(grid30, 5)
-    meas = generate_measurements(grid30, true30, plan, sigma2=0.0, rng_seed=7)
-    full = full_measurement_vector(grid30, true30)
-    for i in range(5):
-        assert np.array_equal(meas.site_values[i], full[plan.site_rows(i)])
-    sites = build_nlls_sites(grid30, plan, meas)
+    z = streaming_snapshots(grid30, true30, 0.0, 1, 7)[0]
+    assert np.array_equal(z, full_measurement_vector(grid30, true30))
+    sites = build_nlls_sites(grid30, partition_sites(grid30, 5), z)
     x_true = state_to_vector(true30, grid30.slack_bus)
     for s in sites:
         assert np.array_equal(s.eval_residual(x_true), np.zeros(s.residual_dim))
@@ -295,47 +330,46 @@ def test_noise_free_measurements_exact(grid30, true30):
 
 
 def test_measurement_seed_determinism(grid30, true30):
-    plan = partition_sites(grid30, 3)
-    a = generate_measurements(grid30, true30, plan, sigma2=1e-4, rng_seed=42)
-    b = generate_measurements(grid30, true30, plan, sigma2=1e-4, rng_seed=42)
-    c = generate_measurements(grid30, true30, plan, sigma2=1e-4, rng_seed=43)
-    for i in range(3):
-        assert np.array_equal(a.site_values[i], b.site_values[i])
-    assert any(
-        not np.array_equal(a.site_values[i], c.site_values[i]) for i in range(3)
-    )
+    a = streaming_snapshots(grid30, true30, 1e-4, 2, 42)
+    b = streaming_snapshots(grid30, true30, 1e-4, 2, 42)
+    c = streaming_snapshots(grid30, true30, 1e-4, 2, 43)
+    assert np.array_equal(a, b)
+    assert not np.any(a == c)
 
 
 def test_noise_variance_close(grid2):
     state = PowerState(theta=np.array([0.0, -0.05]), v=np.array([1.0, 0.98]))
-    plan = partition_sites(grid2, 1)
     truth = full_measurement_vector(grid2, state)
     sigma2 = 0.04
-    snaps = streaming_snapshots(grid2, state, plan, sigma2, 12500, rng_seed=5)
-    devs = np.concatenate([s.site_values[0] - truth for s in snaps])
+    snaps = streaming_snapshots(grid2, state, sigma2, 12500, rng_seed=5)
+    devs = (snaps - truth).ravel()
     assert devs.size == 100000
     assert abs(np.var(devs) - sigma2) <= 0.05 * sigma2
     assert abs(np.mean(devs)) <= 3 * np.sqrt(sigma2 / devs.size) * 2
 
 
-def test_streaming_single_snapshot_matches_generate(grid30, true30):
-    plan = partition_sites(grid30, 4)
-    one = streaming_snapshots(grid30, true30, plan, 1e-4, 1, rng_seed=9)
-    direct = generate_measurements(grid30, true30, plan, 1e-4, rng_seed=9)
-    assert len(one) == 1
-    for i in range(4):
-        assert np.array_equal(one[0].site_values[i], direct.site_values[i])
+def test_streaming_snapshots_draw_one_noise_vector_each(grid30, true30):
+    snaps = streaming_snapshots(grid30, true30, 1e-4, 3, rng_seed=9)
+    full = full_measurement_vector(grid30, true30)
+    rng = np.random.default_rng(9)
+    assert snaps.shape == (3, full.size)
+    for z in snaps:
+        assert np.array_equal(z, full + rng.normal(0.0, np.sqrt(1e-4), size=full.size))
 
 
 def test_streaming_noise_free_snapshots_identical(grid30, true30):
-    plan = partition_sites(grid30, 2)
-    snaps = streaming_snapshots(grid30, true30, plan, 0.0, 4, rng_seed=1)
-    assert [s.snapshot_index for s in snaps] == [0, 1, 2, 3]
-    for s in snaps[1:]:
-        for i in range(2):
-            assert np.array_equal(s.site_values[i], snaps[0].site_values[i])
+    snaps = streaming_snapshots(grid30, true30, 0.0, 4, rng_seed=1)
+    assert snaps.shape == (4, measurement_count(grid30))
+    for z in snaps[1:]:
+        assert np.array_equal(z, snaps[0])
     with pytest.raises(InvalidArgumentError):
-        streaming_snapshots(grid30, true30, plan, 0.0, 0, rng_seed=1)
+        streaming_snapshots(grid30, true30, 0.0, 0, rng_seed=1)
+
+
+@pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), -1.0])
+def test_streaming_rejects_a_negative_or_non_finite_sigma2(grid30, true30, sigma2):
+    with pytest.raises(InvalidArgumentError, match="sigma2"):
+        streaming_snapshots(grid30, true30, sigma2, 1, rng_seed=0)
 
 
 # --- power flow, state helpers, error metrics ---------------------------------
