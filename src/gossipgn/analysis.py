@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ProblemConstants, SiteModel, normal_system, site_terms
 from .errors import InvalidArgumentError
-from .ggn import GgnTrajectory
+from .ggn import Trajectory
 from .gossip import lambda_eta
 
 _CEIL_SLACK = 1e-9  # absorbs round-off when xi sits exactly on a power of the rate
@@ -348,7 +348,7 @@ class ContractionReport:
 
 
 def verify_contraction_to_ball(
-    trajectory: GgnTrajectory,
+    trajectory: Trajectory,
     reference_x_star: np.ndarray,
     certificate: ConvergenceCertificate,
 ) -> ContractionReport:
@@ -389,7 +389,7 @@ def verify_contraction_to_ball(
         limsup = BoundReport("tail_error_inside_inner_radius", math.nan, math.nan,
                              False, math.nan, applicable=False, reason=reason)
 
-    t1, t2, alpha = certificate.T1, certificate.T2, trajectory.alpha
+    t1, t2, alpha = certificate.T1, certificate.T2, certificate.alpha
     violations = 0
     worst_excess = -math.inf
     for k in range(n_updates):

@@ -67,7 +67,7 @@ class ExperimentConfig:
             stop_tol=self.stop_tol, ridge=self.ridge,
         )
 
-    def validate(self):
+    def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.sites < 1:
@@ -134,17 +134,17 @@ def _build(cls, data, path: str):
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
-    cfg = _build(ExperimentConfig, data, "")
-    cfg.validate()
-    return cfg
+    return _build(ExperimentConfig, data, "")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         data = yaml.safe_load(path.read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}")
     if data is None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -338,22 +338,6 @@ def _factorizes(m: np.ndarray) -> bool:
     return True
 
 
-def exact_descent(sites: list[SiteModel], x: np.ndarray) -> np.ndarray:
-    """Gauss-Newton direction d = (G^T G)^-1 G^T g with all sites summed."""
-    a, b = normal_system(sites, x)
-    return solve_normal(a, b, context="exact descent")
-
-
-def centralized_gn_step(
-    sites: list[SiteModel], x: np.ndarray, alpha: float, box: BoxSet
-) -> np.ndarray:
-    """One projected Gauss-Newton update P[x - alpha * d]."""
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 1], got {alpha}")
-    d = exact_descent(sites, x)
-    return project(x - alpha * d, box)
-
-
 def objective(sites: list[SiteModel], x: np.ndarray) -> float:
     """sum_i ||g_i(x)||^2, summed over the sites in order."""
     return float(sum(float(res @ res) for res, _ in (site_terms(s, x) for s in sites)))
@@ -379,6 +363,24 @@ def finite_diff_jacobian(site: SiteModel, x: np.ndarray, h: float) -> np.ndarray
     return np.column_stack(cols)
 
 
+def gauss_newton_iterates(
+    sites: list[SiteModel], box: BoxSet, x0: np.ndarray, alpha: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the projected centralized GN iterates x <- P[x - alpha d] from
+    P[x0], each with b = G^T g of its normal system.
+
+    One normal system per iterate gives both b and the step d, which is
+    solved only when the next iterate is asked for.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    x = project(x0, box)
+    while True:
+        a, b = normal_system(sites, x)
+        yield x, b
+        x = project(x - alpha * solve_normal(a, b, context="exact descent"), box)
+
+
 def centralized_gn_solve(
     sites: list[SiteModel],
     box: BoxSet,
@@ -386,18 +388,18 @@ def centralized_gn_solve(
     alpha: float = 1.0,
     tol: float = 1e-10,
     max_iter: int = 200,
-) -> tuple[np.ndarray, bool]:
-    """Iterate centralized GN until stationarity_residual <= tol.
+) -> tuple[np.ndarray, float]:
+    """Iterate centralized GN until the stationarity residual ||G^T g|| is
+    within tol, or for max_iter steps.
 
-    Returns (x, converged). Used to produce the reference fixed point for
-    certificates and error-to-reference metrics.
+    Returns x and its stationarity residual (converged when within tol).
+    Used to produce the reference fixed point for certificates and
+    error-to-reference metrics.
     """
-    x = project(np.asarray(x0, dtype=float), box)
-    for _ in range(max_iter):
-        if stationarity_residual(sites, x) <= tol:
-            return x, True
-        x = centralized_gn_step(sites, x, alpha, box)
-    return x, stationarity_residual(sites, x) <= tol
+    for step, (x, b) in enumerate(gauss_newton_iterates(sites, box, x0, alpha)):
+        stationarity = float(np.linalg.norm(b))
+        if stationarity <= tol or step == max_iter:
+            return x, stationarity
 
 
 def _spectral_bound(d: np.ndarray) -> float:

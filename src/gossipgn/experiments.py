@@ -24,13 +24,11 @@ from .core import (
     ProblemConstants,
     SiteModel,
     centralized_gn_solve,
-    centralized_gn_step,
     estimate_constants,
-    objective,
     stationarity_residual,
 )
 from .errors import GossipGnError, InvalidArgumentError
-from .ggn import GgnTrajectory, diffusion_baseline_run, ggn_run
+from .ggn import Trajectory, centralized_run, diffusion_baseline_run, ggn_run
 from .psse import (
     GridModel,
     PowerState,
@@ -107,16 +105,15 @@ def _max_pairwise(stack: np.ndarray) -> float:
 def _rows_from_stacks(
     run_id: str,
     snapshot: int,
-    traj,
+    traj: Trajectory,
     exchange_marks: np.ndarray,
     true_state: PowerState,
     slack_bus: int,
     x_ref: np.ndarray,
 ) -> list[list]:
     """One row per (update, agent), laid out as CSV_COLUMNS, from a trajectory's
-    (K+1, I, N_u) iterates and (K+1, I) vals/grads."""
-    # only GGN has a surrogate direction to set against the exact one
-    discrepancies = traj.discrepancies if isinstance(traj, GgnTrajectory) else None
+    (K+1, I, N_u) iterates and (K+1, I) vals/grads. A trajectory without
+    discrepancies (any but GGN's) gives descent_discrepancy 0.0."""
     rows = []
     for k, stack in enumerate(traj.iterates):
         mse_v, mse_th, _, _ = mse_metrics(stack, true_state, slack_bus)
@@ -130,7 +127,8 @@ def _rows_from_stacks(
                 "mse_v": float(mse_v[i]), "mse_theta": float(mse_th[i]),
                 "max_disagreement": disagreement,
                 "descent_discrepancy": (
-                    float(discrepancies[k - 1][i]) if discrepancies is not None and k >= 1 else 0.0
+                    float(traj.discrepancies[k - 1][i])
+                    if traj.discrepancies is not None and k >= 1 else 0.0
                 ),
                 "error_to_reference": float(err_ref[i]),
             }
@@ -153,46 +151,12 @@ def _final_rows(rows: list[list], snapshot: int) -> list[list]:
 
 
 @dataclass
-class CentralizedTrajectory:
-    """Iterates (K+1, 1, N_u) of centralized Gauss-Newton; vals/grads (K+1, 1)
-    hold the network totals sum_i ||g_i||^2 and ||sum_i G_i^T g_i|| at each."""
-
-    iterates: np.ndarray
-    vals: np.ndarray
-    grads: np.ndarray
-
-
-def _centralized_trajectory(
-    sites: list[SiteModel], box: BoxSet, x0: np.ndarray, alpha: float,
-    max_updates: int, stop_tol: float,
-) -> CentralizedTrajectory:
-    """x0 is one vector, or the (1, N_u) final stack of the previous snapshot."""
-    iterates, vals, grads = [], [], []
-
-    def record(x):
-        # evaluated before the step at x, which then reuses the sites' memo
-        iterates.append(x.copy())
-        vals.append([objective(sites, x)])
-        grads.append([stationarity_residual(sites, x)])
-
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    record(x)
-    for _ in range(max_updates):
-        x_new = centralized_gn_step(sites, x, alpha, box)
-        record(x_new)
-        if float(np.linalg.norm(x_new - x)) <= stop_tol:
-            break
-        x = x_new
-    return CentralizedTrajectory(np.stack(iterates)[:, None, :], np.asarray(vals), np.asarray(grads))
-
-
-@dataclass
 class RepetitionData:
     """In-memory record of one repetition for downstream analysis."""
 
     run_id: str
     seed: int
-    trajectories: list  # one Ggn/Diffusion/CentralizedTrajectory per snapshot
+    trajectories: list[Trajectory]  # one per snapshot
     references: list[np.ndarray]
     reference_stationarities: list[float]
     sites_per_snapshot: list[list[SiteModel]]
@@ -213,13 +177,12 @@ class ExperimentResult:
 
 
 def _reference_solution(sites, box, x0) -> tuple[np.ndarray, float]:
-    x_ref, converged = centralized_gn_solve(sites, box, x0, alpha=1.0, tol=1e-10, max_iter=80)
-    stat = stationarity_residual(sites, x_ref)
-    if not converged and stat > 1e-8:
+    x_ref, stat = centralized_gn_solve(sites, box, x0, alpha=1.0, tol=1e-10, max_iter=80)
+    if stat > 1e-8:
         raise GossipGnError(
             f"reference solve did not reach stationarity (residual {stat:.3e})"
         )
-    return x_ref, float(stat)
+    return x_ref, stat
 
 
 def _run_one_repetition(
@@ -248,24 +211,16 @@ def _run_one_repetition(
 
         rng = np.random.default_rng(seed_r * 1000003 + t)
         if config.algorithm == "centralized":
-            traj = _centralized_trajectory(
-                sites, problem.box, x_start,
-                config.alpha, config.max_updates, config.stop_tol,
-            )
-            marks = np.zeros(traj.iterates.shape[0], dtype=int)
+            traj = centralized_run(sites, problem.box, config.ggn_config(), x_start)
         elif config.algorithm == "ggn":
             traj = ggn_run(
                 sites, problem.box, config.protocol, config.ggn_config(), x_start, rng=rng
             )
-            marks = np.concatenate([[0], np.cumsum(traj.exchange_counts)])
-        elif config.algorithm == "diffusion":
+        else:
             traj = diffusion_baseline_run(
                 sites, problem.box, config.protocol, config.diffusion, x_start, rng=rng
             )
-            marks = np.arange(traj.iterates.shape[0])
-        else:
-            raise InvalidArgumentError(f"unknown algorithm {config.algorithm!r}")
-        marks = exchange_offset + marks
+        marks = exchange_offset + np.concatenate([[0], np.cumsum(traj.exchange_counts)])
         rows += _rows_from_stacks(run_id, t, traj, marks, problem.true_state, slack, x_ref)
         trajectories.append(traj)
         exchange_offset = int(marks[-1])
@@ -310,10 +265,9 @@ def mean_rows(all_rows: list[list]) -> list[list]:
 def certificate_for_run(
     sites: list[SiteModel],
     box: BoxSet,
-    trajectories: list,
+    trajectories: list[Trajectory],
     x_ref: np.ndarray,
     alpha: float,
-    eta: float,
     schedule_kind: str,
     xi: float = 0.25,
     n_samples: int = 24,
@@ -326,8 +280,9 @@ def certificate_for_run(
     the resulting Lipschitz and spectral constants majorize what the
     recorded trajectories actually traversed. Iterates, the reference and
     segment midpoints enter the pairwise Lipschitz sweep directly. The
-    certificate is None when a sampled Jacobian is rank deficient: its
-    recursion constants divide by sigma_min, which is then 0.
+    certificate covers the last trajectory's agents at its eta_observed, and
+    is None when a sampled Jacobian is rank deficient: its recursion constants divide by
+    sigma_min, which is then 0.
     """
     points = [np.asarray(x_ref, dtype=float)]
     for traj in trajectories:
@@ -352,8 +307,9 @@ def certificate_for_run(
     )
     if not pc.assumption_holds():
         return pc, None
+    last = trajectories[-1]
     cert = build_certificate(
-        pc, n_agents=len(sites), n_unknowns=box.dim, eta=eta, alpha=alpha,
+        pc, n_agents=last.n_agents, n_unknowns=box.dim, eta=last.eta_observed, alpha=alpha,
         xi=xi, schedule_kind=schedule_kind,
     )
     return pc, cert
@@ -405,21 +361,17 @@ def _certificate_summary(
         }
     last = reps[-1]
     traj = last.trajectories[-1]
-    eta = getattr(traj, "eta_observed", float("nan"))
-    if config.algorithm == "centralized" or config.sites == 1:
-        eta_for_cert = 0.5  # placeholder rate; single-agent certificates ignore it
-    elif not 0.0 < eta < 1.0:
+    eta = traj.eta_observed
+    # a single agent's certificate has no gossip, so it reads no rate
+    if traj.n_agents > 1 and not 0.0 < eta < 1.0:
         return {
             "certificate.applicable": False,
             "certificate.reason": f"eta_observed={eta} is outside (0, 1): "
             "no exchange mixed two agents, so the consensus rate is undefined",
         }
-    else:
-        eta_for_cert = eta
     pc, cert = certificate_for_run(
         last.sites_per_snapshot[-1], problem.box, last.trajectories,
-        last.references[-1], alpha=config.alpha, eta=eta_for_cert,
-        schedule_kind=config.exchanges.kind,
+        last.references[-1], alpha=config.alpha, schedule_kind=config.exchanges.kind,
         xi=config.certificate.xi, n_samples=config.certificate.n_samples,
         rng_seed=config.seed,
     )
@@ -467,7 +419,6 @@ def run_experiment(
     config: ExperimentConfig, env_output_dir: str | None = None,
     with_certificate: bool = True,
 ) -> ExperimentResult:
-    config.validate()
     t0 = time.perf_counter()
     problem = build_problem(config)
     out_dir = resolve_output_dir(config, env_output_dir)
@@ -511,7 +462,6 @@ def run_failure_sweep(
     config: ExperimentConfig, p_values: list[float], env_output_dir: str | None = None
 ) -> SweepResult:
     """Repeat the URE experiment across link-failure probabilities."""
-    config.validate()
     if config.algorithm != "ggn" or config.protocol.kind != "ure":
         raise InvalidArgumentError("failure sweep requires algorithm=ggn, protocol=ure")
     base_dir = resolve_output_dir(config, env_output_dir)

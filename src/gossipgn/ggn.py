@@ -1,4 +1,5 @@
-"""Gossiped Gauss-Newton updates and the first-order diffusion baseline.
+"""Gossiped Gauss-Newton updates, the first-order diffusion baseline and
+centralized Gauss-Newton, each returning one Trajectory.
 
 Per update every agent forms its local info pair (h = G_i^T g_i,
 H = G_i^T G_i), the network runs a fixed number of gossip exchanges on the
@@ -16,15 +17,19 @@ centralized one.
 from __future__ import annotations
 
 import contextlib
+import itertools
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import core
-from .core import BoxSet, SiteModel, project, site_terms, solve_normal
+from .core import BoxSet, SiteModel, objective, project, site_terms, solve_normal
 from .errors import InvalidArgumentError, SingularSystemError
 from .gossip import (
     GossipConfig,
+    PairwiseRound,
     WeightMatrix,
     build_cse_weights,
     gossip_round,
@@ -107,12 +112,14 @@ def _start_stack(x0: np.ndarray, n_agents: int, box: BoxSet) -> np.ndarray:
     return np.stack([project(row, box) for row in x0])
 
 
-def _static_weights(gossip_config: GossipConfig, n_agents: int) -> WeightMatrix | None:
-    """The CSE matrix on the complete graph over the agents, or None for URE,
-    whose rounds sample_ure_round draws per exchange."""
+def _rounds(
+    gossip_config: GossipConfig, n_agents: int, rng: np.random.Generator
+) -> Iterator[WeightMatrix | PairwiseRound]:
+    """Each exchange's matrix in turn: the CSE matrix on the complete graph over
+    the agents every time, or a fresh URE round drawn from rng."""
     if gossip_config.kind == "cse":
-        return build_cse_weights(n_agents, gossip_config.beta)
-    return None
+        return itertools.repeat(build_cse_weights(n_agents, gossip_config.beta))
+    return (sample_ure_round(gossip_config, n_agents, rng) for _ in itertools.count())
 
 
 def local_init_info(site: SiteModel, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -164,23 +171,23 @@ def descent_discrepancy(mixed: np.ndarray, exact: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class GgnTrajectory:
-    """What a run's readers use, indexed by update k.
+class Trajectory:
+    """What a run's readers use, indexed by update k; every runner returns one.
 
     iterates[k] is the (I x N_u) stack BEFORE update k; iterates[-1] is the
     final stack; vals and grads hold ||g_i||^2 and ||G_i^T g_i|| at each
-    iterates[k][i]. discrepancies[k] is each agent's descent discrepancy
-    at update k, exchange_counts[k] its number of exchanges, and
-    eta_observed the smallest nonzero weight of any exchange matrix drawn.
+    iterates[k][i]. exchange_counts[k] is update k's number of gossip
+    exchanges. Only GGN records discrepancies[k], each agent's descent
+    discrepancy at update k, and eta_observed, the smallest nonzero weight of
+    any exchange matrix drawn.
     """
 
-    alpha: float
     iterates: np.ndarray
     vals: np.ndarray
     grads: np.ndarray
-    discrepancies: np.ndarray
     exchange_counts: np.ndarray
-    eta_observed: float
+    discrepancies: np.ndarray | None = None
+    eta_observed: float = math.nan
 
     @property
     def n_updates(self) -> int:
@@ -198,7 +205,7 @@ def ggn_run(
     ggn_config: GgnConfig,
     x0: np.ndarray,
     rng: np.random.Generator | int | None = None,
-) -> GgnTrajectory:
+) -> Trajectory:
     """Run the full algorithm: init info, gossip, local updates, repeat.
 
     x0 is one vector shared by all agents, or an (I, N_u) stack of
@@ -209,12 +216,10 @@ def ggn_run(
     per exchange).
     """
     n_agents = len(sites)
-    static_weights = _static_weights(gossip_config, n_agents)
-    x0_stack = _start_stack(x0, n_agents, box)
-    n_u = x0_stack.shape[1]
-    rng = np.random.default_rng(rng)
+    x = _start_stack(x0, n_agents, box)
+    n_u = x.shape[1]
+    rounds = _rounds(gossip_config, n_agents, np.random.default_rng(rng))
 
-    x = x0_stack
     iterates = [x]
     vals, grads = [], []
     discrepancies = []
@@ -255,10 +260,7 @@ def ggn_run(
     for k in range(ggn_config.max_updates):
         ell_k = ggn_config.schedule.exchanges_at(k)
         payloads, exact = init_step(x, True)
-        for _ in range(ell_k):
-            weights = static_weights if static_weights is not None else sample_ure_round(
-                gossip_config, n_agents, rng
-            )
+        for weights in itertools.islice(rounds, ell_k):
             eta_observed = min(eta_observed, weights.eta)
             payloads = gossip_round(payloads, weights)
 
@@ -273,25 +275,14 @@ def ggn_run(
             break
 
     init_step(x, False)
-    return GgnTrajectory(
-        alpha=ggn_config.alpha,
+    return Trajectory(
         iterates=np.stack(iterates),
         vals=np.asarray(vals),
         grads=np.asarray(grads),
-        discrepancies=np.stack(discrepancies),
         exchange_counts=np.asarray(exchange_counts, dtype=int),
+        discrepancies=np.stack(discrepancies),
         eta_observed=float(eta_observed),
     )
-
-
-@dataclass
-class DiffusionTrajectory:
-    """Per-exchange iterates of the diffusion baseline; vals/grads as in GgnTrajectory."""
-
-    iterates: np.ndarray
-    vals: np.ndarray
-    grads: np.ndarray
-    step_sizes: np.ndarray
 
 
 def diffusion_baseline_run(
@@ -301,17 +292,15 @@ def diffusion_baseline_run(
     diffusion_config: DiffusionConfig,
     x0: np.ndarray,
     rng: np.random.Generator | int | None = None,
-) -> DiffusionTrajectory:
+) -> Trajectory:
     """First-order baseline: one mixing plus one local gradient step per
     exchange, x_i <- P[sum_j W_ij x_j - alpha_l G_i^T(x_i) g_i(x_i)] with
-    alpha_l = step_scale / l."""
+    alpha_l = step_scale / l. Each exchange is one update."""
     n_agents = len(sites)
-    static_weights = _static_weights(gossip_config, n_agents)
-    rng = np.random.default_rng(rng)
     x = _start_stack(x0, n_agents, box)
+    rounds = _rounds(gossip_config, n_agents, np.random.default_rng(rng))
     iterates = [x.copy()]
     vals, grads = [], []
-    steps = []
 
     def gradients(x: np.ndarray) -> np.ndarray:
         # G_i^T(x_i) g_i(x_i) per agent; records val and grad at x
@@ -321,20 +310,44 @@ def diffusion_baseline_run(
         grads.append([float(np.linalg.norm(g)) for g in stack])
         return stack
 
-    for ell in range(1, diffusion_config.total_exchanges + 1):
+    total = diffusion_config.total_exchanges
+    for ell, weights in enumerate(itertools.islice(rounds, total), start=1):
         alpha_ell = diffusion_config.step_scale / ell
-        weights = static_weights if static_weights is not None else sample_ure_round(
-            gossip_config, n_agents, rng
-        )
         mixed = gossip_round(x, weights)
         x = np.clip(mixed - alpha_ell * gradients(x), box.lower, box.upper)
         iterates.append(x.copy())
-        steps.append(alpha_ell)
 
     gradients(x)
-    return DiffusionTrajectory(
+    return Trajectory(
         iterates=np.stack(iterates),
         vals=np.asarray(vals),
         grads=np.asarray(grads),
-        step_sizes=np.asarray(steps),
+        exchange_counts=np.ones(total, dtype=int),
+    )
+
+
+def centralized_run(
+    sites: list[SiteModel], box: BoxSet, ggn_config: GgnConfig, x0: np.ndarray
+) -> Trajectory:
+    """Centralized projected Gauss-Newton on the full normal system: one agent
+    whose vals and grads are the network totals sum_i ||g_i||^2 and
+    ||sum_i G_i^T g_i||, and no gossip. x0 is one vector, or the (1, N_u)
+    final stack of the previous snapshot. The run stops once a step's norm
+    is within stop_tol, or after max_updates.
+    """
+    iterates, vals, grads = [], [], []
+    iterations = core.gauss_newton_iterates(sites, box, np.reshape(x0, -1), ggn_config.alpha)
+    for k, (x, b) in enumerate(iterations):
+        iterates.append(x)
+        vals.append([objective(sites, x)])
+        grads.append([float(np.linalg.norm(b))])
+        if k == ggn_config.max_updates or (
+            k > 0 and float(np.linalg.norm(x - iterates[-2])) <= ggn_config.stop_tol
+        ):
+            break
+    return Trajectory(
+        iterates=np.stack(iterates)[:, None, :],
+        vals=np.asarray(vals),
+        grads=np.asarray(grads),
+        exchange_counts=np.zeros(len(iterates) - 1, dtype=int),
     )

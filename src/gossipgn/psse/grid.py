@@ -385,8 +385,11 @@ def load_true_state(path: str | Path, n_buses: int) -> PowerState:
     """Read a (bus, theta, V) table; angles are radians, bus ids 1-based, each once."""
     theta = np.full(n_buses, np.nan)
     v = np.full(n_buses, np.nan)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot read true-state file {path}: {exc.strerror}") from exc
     for line_no, row in enumerate(rows, start=1):
         if not row or row[0].strip().lower() == "bus":
             continue

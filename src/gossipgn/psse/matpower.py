@@ -192,6 +192,10 @@ def load_case(source: str | Path) -> MatpowerCase:
         if candidate.is_file():
             return parse_matpower_text(candidate.read_text())
         raise CaseParseError(f"unknown case {source!r} (no file and no packaged case)")
-    if not path.exists():
-        raise CaseParseError(f"case file not found: {path}")
-    return parse_matpower_text(path.read_text())
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        raise CaseParseError(f"case file not found: {path}") from None
+    except OSError as exc:
+        raise CaseParseError(f"cannot read case file {path}: {exc.strerror}") from exc
+    return parse_matpower_text(text)

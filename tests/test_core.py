@@ -12,9 +12,7 @@ from gossipgn.core import (
     SiteModel,
     _spectral_bound,
     centralized_gn_solve,
-    centralized_gn_step,
     estimate_constants,
-    exact_descent,
     finite_diff_jacobian,
     normal_system,
     project,
@@ -279,27 +277,30 @@ def test_solve_normal_solves():
 
 
 def test_exact_descent_is_newton_direction(toy_sites):
+    # the normal system's solution is the least-squares step of the stacked linearization
     x = np.array([0.1, 0.0, -0.4])
-    d = exact_descent(toy_sites, x)
-    a, b = normal_system(toy_sites, x)
-    assert np.allclose(a @ d, b, atol=1e-10)
+    d = solve_normal(*normal_system(toy_sites, x))
+    res, jac = (np.concatenate(parts) for parts in zip(*(site_terms(s, x) for s in toy_sites)))
+    assert np.allclose(d, np.linalg.lstsq(jac, res, rcond=None)[0], atol=1e-10)
 
 
 def test_centralized_step_respects_box(toy_sites):
     tight = BoxSet.cube(3, 0.05)
     x = np.zeros(3)
-    x1 = centralized_gn_step(toy_sites, x, 1.0, tight)
+    x1, _ = centralized_gn_solve(toy_sites, tight, x, alpha=1.0, tol=1e-12, max_iter=1)
     assert tight.contains(x1)
+    assert np.array_equal(x1, project(x - solve_normal(*normal_system(toy_sites, x)), tight))
+    assert not np.array_equal(x1, x - solve_normal(*normal_system(toy_sites, x)))
     with pytest.raises(InvalidArgumentError):
-        centralized_gn_step(toy_sites, x, 0.0, tight)
+        centralized_gn_solve(toy_sites, tight, x, alpha=0.0)
     with pytest.raises(InvalidArgumentError):
-        centralized_gn_step(toy_sites, x, 1.5, tight)
+        centralized_gn_solve(toy_sites, tight, x, alpha=1.5)
 
 
 def test_centralized_solve_reaches_stationarity(toy_sites, toy_box):
-    x, converged = centralized_gn_solve(toy_sites, toy_box, np.zeros(3), alpha=1.0, tol=1e-12)
-    assert converged
-    assert stationarity_residual(toy_sites, x) <= 1e-12
+    x, stationarity = centralized_gn_solve(toy_sites, toy_box, np.zeros(3), alpha=1.0, tol=1e-12)
+    assert stationarity <= 1e-12
+    assert stationarity == stationarity_residual(toy_sites, x)
 
 
 def test_finite_diff_matches_analytic(toy_sites):

@@ -127,6 +127,16 @@ def test_value_validation_messages():
         config_from_mapping([1, 2])
 
 
+def test_experiment_config_checks_itself_when_built():
+    config = ExperimentConfig()
+    with pytest.raises(ConfigError, match="repetitions: must be >= 1"):
+        replace(config, repetitions=0)
+    with pytest.raises(ConfigError, match="algorithm: must be one of"):
+        replace(config, algorithm="newton")
+    with pytest.raises(ConfigError, match="alpha"):
+        replace(config, alpha=1.5)
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.yaml")
@@ -249,6 +259,31 @@ def test_centralized_rows_carry_network_totals(tmp_path):
             grad += jac.T @ res
         assert float(row["val"]) == val
         assert float(row["grad_contrib"]) == float(np.linalg.norm(grad))
+
+
+@pytest.mark.parametrize("algorithm", ["ggn", "diffusion", "centralized"])
+def test_exchange_marks_count_each_algorithm_s_exchanges(tmp_path, algorithm):
+    # GGN runs base + k exchanges at update k, diffusion one per update, centralized none;
+    # the marks add up over updates and carry over between snapshots
+    cfg = config_from_mapping(
+        tiny_mapping(
+            algorithm=algorithm, exchanges={"kind": "incrementing", "base": 2},
+            diffusion={"step_scale": 0.3, "total_exchanges": 5}, snapshots=2, repetitions=1,
+            output_dir=str(tmp_path / "o"),
+        )
+    )
+    result = run_experiment(cfg, with_certificate=False)
+    exchanges_at = {"ggn": lambda k: 2 + k, "diffusion": lambda k: 1, "centralized": lambda k: 0}
+    expected, offset = [], 0
+    for traj in result.repetitions[0].trajectories:
+        expected += [
+            offset + sum(exchanges_at[algorithm](j) for j in range(k))
+            for k in range(traj.n_updates + 1)
+        ]
+        offset = expected[-1]
+    rows = [r for r in read_rows(result.rep_csv_paths[0]) if r["agent"] == "0"]
+    assert [int(r["exchange"]) for r in rows] == expected
+    assert expected[-1] == {"ggn": 2 * (2 + 3 + 4), "diffusion": 10, "centralized": 0}[algorithm]
 
 
 @pytest.mark.parametrize("repetitions, snapshots", [(2, 1), (1, 2)])
@@ -548,6 +583,56 @@ def test_cli_exit_bad_true_state(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert "true-state line 3" in err
     assert "Traceback" not in err
+
+
+def test_cli_exit_config_on_a_config_path_that_is_a_directory(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {tmp_path}")
+    assert "Traceback" not in err
+
+
+def test_cli_exit_case_error_on_a_case_path_that_is_a_directory(tmp_path, capsys):
+    case_dir = tmp_path / "case_dir"
+    case_dir.mkdir()
+    path = write_config(
+        tmp_path / "c.yaml", tiny_mapping(case_path=str(case_dir), output_dir=str(tmp_path / "o"))
+    )
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"case error: cannot read case file {case_dir}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_cli_exit_on_an_unreadable_true_state_path(tmp_path, capsys, kind):
+    truth = tmp_path / "truth"
+    if kind == "directory":
+        truth.mkdir()
+    path = write_config(
+        tmp_path / "c.yaml",
+        tiny_mapping(true_state_path=str(truth), output_dir=str(tmp_path / "o")),
+    )
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read true-state file {truth}")
+    assert "Traceback" not in err
+
+
+def test_cli_certify_gives_a_centralized_run_the_single_agent_certificate(tmp_path, capsys):
+    # centralized Gauss-Newton gossips nothing, whatever the number of sites
+    path = write_config(
+        tmp_path / "c.yaml",
+        tiny_mapping(algorithm="centralized", sites=2, output_dir=str(tmp_path / "o")),
+    )
+    assert main(["certify", path]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    for line in (
+        "certificate.applicable=true", "certificate.eta_observed=nan", "certificate.L0=0",
+        "certificate.kappa=0.0", "certificate.C=nan", "certificate.lambda_eta_val=nan",
+        "certificate.conditional=false",
+    ):
+        assert line in printed
 
 
 def test_cli_exit_unsupported(tmp_path, capsys):

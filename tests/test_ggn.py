@@ -3,13 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from gossipgn import ggn
-from gossipgn.core import COND_CAP, MODEL_SLICE, BoxSet, SiteModel, centralized_gn_step, exact_descent
+from gossipgn import core, ggn
+from gossipgn.core import (
+    COND_CAP,
+    MODEL_SLICE,
+    BoxSet,
+    SiteModel,
+    centralized_gn_solve,
+    normal_system,
+    solve_normal,
+)
 from gossipgn.errors import InvalidArgumentError, SingularSystemError
 from gossipgn.ggn import (
     DiffusionConfig,
     ExchangeSchedule,
     GgnConfig,
+    centralized_run,
     descent_discrepancy,
     diffusion_baseline_run,
     ggn_run,
@@ -170,7 +179,7 @@ def test_perfect_mixing_discrepancy_vanishes():
     sites, _, x0 = _toy_setup(n_sites=4)
     rows = np.stack([local_init_info(s, x0)[0] for s in sites])
     mixed = surrogate_descent(np.tile(rows.mean(axis=0), (4, 1)), 0.0)
-    exact = np.stack([exact_descent(sites, x0)] * 4)
+    exact = np.stack([solve_normal(*normal_system(sites, x0))] * 4)
     disc = descent_discrepancy(mixed, exact)
     assert np.all(disc <= 1e-10)
 
@@ -236,10 +245,7 @@ def test_single_agent_reduces_to_centralized():
         max_updates=5, stop_tol=1e-15, ridge=0.0,
     )
     traj = ggn_run(sites, box, gc, cfg, x0)
-    x = x0.copy()
-    for k in range(1, traj.n_updates + 1):
-        x = centralized_gn_step(sites, x, 1.0, box)
-        assert np.array_equal(traj.iterates[k][0], x)
+    assert np.array_equal(traj.iterates, centralized_run(sites, box, cfg, x0).iterates)
 
 
 def test_ure_run_deterministic_under_seed():
@@ -281,10 +287,21 @@ def test_ure_needs_two_agents():
 
 
 def test_diffusion_steps_diminish():
-    sites, box, x0 = _toy_setup()
+    # one agent on a linear residual a x - c: exchange l steps 0.3 / l along a^T (a x - c)
+    a = np.array([[1.0, 0.5], [0.0, 2.0], [1.0, 1.0]])
+    c = np.array([1.0, 2.0, 3.0])
+    site = SiteModel(
+        site_id=0, n_unknowns=2, residual_dim=3,
+        eval_residual=lambda x: a @ x - c, eval_jacobian=lambda x: a,
+    )
     gc = GossipConfig(kind="cse", beta=0.4)
-    traj = diffusion_baseline_run(sites, box, gc, DiffusionConfig(0.3, 6), x0)
-    assert traj.step_sizes.tolist() == [0.3 / ell for ell in range(1, 7)]
+    traj = diffusion_baseline_run(
+        [site], BoxSet.cube(2, 10.0), gc, DiffusionConfig(0.3, 6), np.zeros(2)
+    )
+    x = np.zeros(2)
+    for ell in range(1, 7):
+        x = x - 0.3 / ell * (a.T @ (a @ x - c))
+        np.testing.assert_allclose(traj.iterates[ell][0], x, rtol=1e-14)
 
 
 def test_diffusion_config_validation():
@@ -300,8 +317,11 @@ def test_diffusion_baseline_run_shapes():
     traj = diffusion_baseline_run(sites, box, gc, DiffusionConfig(0.1, 20), x0)
     assert traj.iterates.shape == (21, 3, 3)
     assert all(box.contains(traj.iterates[t][i]) for t in range(21) for i in range(3))
-    assert traj.step_sizes.shape == (20,)
-    assert traj.step_sizes[0] == pytest.approx(0.1)
+    # every exchange is one update; only GGN records discrepancies and a rate
+    assert traj.n_updates == 20
+    assert np.array_equal(traj.exchange_counts, np.ones(20, dtype=int))
+    assert traj.discrepancies is None
+    assert math.isnan(traj.eta_observed)
 
 
 def test_diffusion_moves_toward_solution():
@@ -488,7 +508,7 @@ def test_singular_full_system_records_nan_discrepancy():
         max_updates=2, stop_tol=1e-15, ridge=1e-3,
     )
     with pytest.raises(SingularSystemError):
-        exact_descent(sites, np.zeros(2))
+        solve_normal(*normal_system(sites, np.zeros(2)))
     descents = []
 
     def recording_descent(payloads, ridge):
@@ -502,3 +522,26 @@ def test_singular_full_system_records_nan_discrepancy():
     assert np.all(np.isnan(traj.discrepancies))
     assert len(descents) == 2
     assert np.all(np.isfinite(descents))
+
+
+def test_centralized_gauss_newton_assembles_one_normal_system_per_iterate(monkeypatch):
+    sites, box, x0 = _toy_setup()
+    calls = []
+
+    def counting_normal_system(sites, x):
+        calls.append(np.array(x))
+        return normal_system(sites, x)
+
+    monkeypatch.setattr(core, "normal_system", counting_normal_system)
+    # a negative tolerance never stops the solve: 4 steps make 5 iterates
+    x, _ = centralized_gn_solve(sites, box, x0, tol=-1.0, max_iter=4)
+    assert len(calls) == 5
+    assert np.array_equal(calls[-1], x)
+
+    calls.clear()
+    cfg = GgnConfig(alpha=0.8, schedule=ExchangeSchedule(), max_updates=4, stop_tol=1e-15)
+    traj = centralized_run(sites, box, cfg, x0)
+    assert traj.n_updates == 4
+    assert np.array_equal(np.stack(calls), traj.iterates[:, 0])
+    assert np.array_equal(traj.exchange_counts, np.zeros(4, dtype=int))
+    assert traj.discrepancies is None
