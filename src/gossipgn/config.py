@@ -140,11 +140,13 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}")
     if data is None:

@@ -402,10 +402,88 @@ def centralized_gn_solve(
             return x, stationarity
 
 
-def _spectral_bound(d: np.ndarray) -> float:
-    """||d^T d||_F^(1/2), an upper bound on ||d||_2 that costs one product
-    (Golub & Van Loan, Matrix Computations, sec. 2.3)."""
-    return float(np.sqrt(np.linalg.norm(d.T @ d)))
+# Pairs per chunk of _spectral_bounds. On case30 (1,090 pattern entries,
+# 3,692 same-row products) its buffers take about 2.6 MB at this size; from
+# 16 to 256 pairs the bound's time barely moves.
+BOUND_CHUNK = 32
+
+
+def _nonzeros(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices and the values of jac's nonzero entries."""
+    flat = np.flatnonzero(jac)
+    return flat, jac.ravel()[flat]
+
+
+def _same_row_products(
+    rows: np.ndarray, cols: np.ndarray, n_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The products that form the upper triangle of D^T D on a pattern.
+
+    rows and cols give the pattern's entries in row-major order. Returns
+    the positions (left, right) of every pair of entries in one row with
+    left <= right, sorted by their column pair (a, b); the start of each
+    column pair's run; and its weight in ||D^T D||_F^2, 2 off the diagonal
+    and 1 on it.
+    """
+    row_end = np.cumsum(np.bincount(rows))[rows]
+    per_entry = row_end - np.arange(rows.size)
+    left = np.repeat(np.arange(rows.size), per_entry)
+    block_start = np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
+    right = left + np.arange(left.size) - block_start
+    key = cols[left] * n_cols + cols[right]
+    order = np.argsort(key, kind="stable")
+    left, right, key = left[order], right[order], key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    weights = np.where(left[starts] == right[starts], 1.0, 2.0)
+    return left, right, starts, weights
+
+
+def _spectral_bounds(
+    nonzeros: list[tuple[np.ndarray, np.ndarray]],
+    n_cols: int,
+    pair_i: np.ndarray,
+    pair_j: np.ndarray,
+) -> np.ndarray:
+    """||D^T D||_F^(1/2) for D = J_i - J_j of each pair (pair_i[k], pair_j[k]),
+    an upper bound on ||D||_2 (Golub & Van Loan, Matrix Computations, sec.
+    2.3). nonzeros[i] is J_i's _nonzeros, and every J_i has n_cols columns.
+
+    The J_i are compressed to the union of their nonzero patterns, and
+    (D^T D)[a, b] is the sum of D[r, a] D[r, b] over the rows r holding both
+    a and b in that pattern, so only same-row products are formed. Pairs go
+    BOUND_CHUNK at a time through buffers allocated once: fresh temporaries
+    for every chunk cost page faults.
+    """
+    pattern = np.unique(np.concatenate([flat for flat, _ in nonzeros]))
+    values = np.zeros((len(nonzeros), pattern.size))
+    for row, (flat, vals) in zip(values, nonzeros):
+        row[np.searchsorted(pattern, flat)] = vals
+    bounds = np.zeros(pair_i.size)
+    if not pattern.size:
+        return bounds
+    left, right, starts, weights = _same_row_products(*np.divmod(pattern, n_cols), n_cols)
+    chunk = min(BOUND_CHUNK, pair_i.size)
+    diff, other = np.empty((chunk, pattern.size)), np.empty((chunk, pattern.size))
+    products, factors = np.empty((chunk, left.size)), np.empty((chunk, left.size))
+    gram = np.empty((chunk, starts.size))
+    for start in range(0, pair_i.size, chunk):
+        stop = min(start + chunk, pair_i.size)
+        n = stop - start
+        # mode="clip" lets take write into out unbuffered; every index is valid
+        np.take(values, pair_i[start:stop], axis=0, out=diff[:n], mode="clip")
+        np.take(values, pair_j[start:stop], axis=0, out=other[:n], mode="clip")
+        np.subtract(diff[:n], other[:n], out=diff[:n])
+        np.take(diff[:n], left, axis=1, out=products[:n], mode="clip")
+        np.take(diff[:n], right, axis=1, out=factors[:n], mode="clip")
+        np.multiply(products[:n], factors[:n], out=products[:n])
+        np.add.reduceat(products[:n], starts, axis=1, out=gram[:n])
+        np.multiply(gram[:n], gram[:n], out=gram[:n])
+        np.matmul(gram[:n], weights, out=bounds[start:stop])
+    return np.sqrt(np.sqrt(bounds, out=bounds), out=bounds)
+
+
+def _stacked_jacobian(sites: list[SiteModel], x: np.ndarray) -> np.ndarray:
+    return np.vstack([site_terms(site, x)[1] for site in sites])
 
 
 def estimate_constants(
@@ -429,36 +507,38 @@ def estimate_constants(
     omega comes from an exact pruned sweep over all pairs of points rather
     than one SVD per pair. Since ||D||_2 <= ||D^T D||_F^(1/2) for D = J_i - J_j,
     pairs are visited by that bound (over ||x_i - x_j||), largest first, and
-    the sweep stops at the first pair whose bound is below the running
-    maximum: no later pair can exceed it. The visited ratios use the same
-    expression as a brute-force sweep, so omega is bit-identical to the
-    brute-force maximum.
+    the sweep stops at the first pair whose bound is at most the running
+    maximum: no later pair can exceed it. The bound is taken on the sampled
+    Jacobians' nonzeros (see _spectral_bounds), which are all the sweep
+    keeps of them; a visited pair's Jacobians are evaluated again. The
+    visited ratios use the same expression as a brute-force sweep, so omega
+    is bit-identical to the brute-force maximum.
     """
     if n_samples < 2:
         raise InvalidArgumentError("need at least 2 samples")
     rng = np.random.default_rng(rng_seed)
-    points = list(rng.uniform(box.lower, box.upper, size=(n_samples, box.dim)))
+    points = rng.uniform(box.lower, box.upper, size=(n_samples, box.dim))
     if extra_points is not None and len(extra_points):
-        points.extend(np.asarray(p, dtype=float) for p in extra_points)
+        points = np.vstack([points, np.asarray(extra_points, dtype=float)])
 
     eps_max = 0.0
     eps_min_seen = np.inf
     sigma_min = np.inf
     sigma_max = 0.0
     rank_deficient = False
-    jacobians = []
-    for x in points:
+    nonzeros = []
+    for k in stack_rows(sites, points):
         res_norm_sq = 0.0
         blocks = []
         for site in sites:
-            res, jac = site_terms(site, x)
+            res, jac = site_terms(site, points[k])
             res_norm_sq += float(res @ res)
             blocks.append(jac)
         g_norm = float(np.sqrt(res_norm_sq))
         eps_max = max(eps_max, g_norm)
         eps_min_seen = min(eps_min_seen, g_norm)
         jac = np.vstack(blocks)
-        jacobians.append(jac)
+        nonzeros.append(_nonzeros(jac))
         svals = np.linalg.svd(jac, compute_uv=False)
         sigma_max = max(sigma_max, float(svals[0]))
         smallest = float(svals[-1]) if jac.shape[0] >= jac.shape[1] else 0.0
@@ -476,21 +556,24 @@ def estimate_constants(
         )
 
     # Pruned omega sweep (see the docstring). The slack absorbs rounding when
-    # D has rank one and the bound is tight; coincident points keep a -inf
-    # bound and are never visited.
+    # D has rank one and the bound is tight, and the bound's distances, taken
+    # a row of pairs at a time, may differ from the exact ones in the last
+    # ulps. Coincident points keep a -inf bound and are never visited.
     pair_i, pair_j = np.triu_indices(len(points), k=1)
-    dxs = np.empty(pair_i.size)
-    bounds = np.full(pair_i.size, -np.inf)
-    for k, (i, j) in enumerate(zip(pair_i.tolist(), pair_j.tolist())):
-        dxs[k] = float(np.linalg.norm(points[i] - points[j]))
-        if dxs[k] != 0.0:
-            bounds[k] = _spectral_bound(jacobians[i] - jacobians[j]) / dxs[k]
+    dxs = np.concatenate(
+        [np.linalg.norm(points[i + 1:] - points[i], axis=1) for i in range(len(points) - 1)]
+    )
+    bounds = np.divide(
+        _spectral_bounds(nonzeros, jac.shape[1], pair_i, pair_j), dxs,
+        out=np.full(pair_i.size, -np.inf), where=dxs != 0.0,
+    )
     omega = 0.0
     for k in np.argsort(-bounds, kind="stable").tolist():
-        if bounds[k] * (1.0 + 1e-9) < omega:
+        if bounds[k] * (1.0 + 1e-9) <= omega:
             break
-        dj = float(np.linalg.norm(jacobians[pair_i[k]] - jacobians[pair_j[k]], 2))
-        omega = max(omega, dj / dxs[k])
+        x_i, x_j = points[pair_i[k]], points[pair_j[k]]
+        dj = float(np.linalg.norm(_stacked_jacobian(sites, x_i) - _stacked_jacobian(sites, x_j), 2))
+        omega = max(omega, dj / float(np.linalg.norm(x_i - x_j)))
 
     if reference_x is not None:
         eps_min = float(np.sqrt(objective(sites, np.asarray(reference_x, dtype=float))))

@@ -386,10 +386,14 @@ def load_true_state(path: str | Path, n_buses: int) -> PowerState:
     theta = np.full(n_buses, np.nan)
     v = np.full(n_buses, np.nan)
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read true-state file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(
+            f"true-state file {path} is not UTF-8: {exc.reason} at byte {exc.start}"
+        ) from exc
     for line_no, row in enumerate(rows, start=1):
         if not row or row[0].strip().lower() == "bus":
             continue

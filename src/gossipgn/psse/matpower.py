@@ -190,12 +190,14 @@ def load_case(source: str | Path) -> MatpowerCase:
     if not path.suffix and not path.exists():
         candidate = resources.files("gossipgn.psse").joinpath(f"data/{source}.m")
         if candidate.is_file():
-            return parse_matpower_text(candidate.read_text())
+            return parse_matpower_text(candidate.read_text(encoding="utf-8"))
         raise CaseParseError(f"unknown case {source!r} (no file and no packaged case)")
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise CaseParseError(f"case file not found: {path}") from None
     except OSError as exc:
         raise CaseParseError(f"cannot read case file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CaseParseError(f"case file {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     return parse_matpower_text(text)

@@ -10,7 +10,8 @@ from gossipgn.core import (
     COND_CAP,
     BoxSet,
     SiteModel,
-    _spectral_bound,
+    _nonzeros,
+    _spectral_bounds,
     centralized_gn_solve,
     estimate_constants,
     finite_diff_jacobian,
@@ -401,6 +402,25 @@ def test_estimate_constants_omega_equals_brute_force_on_toy(toy_sites, toy_box, 
     assert pc.omega == brute_force_omega(toy_sites, sample_points(toy_box, 20, seed))
 
 
+def test_estimate_constants_omega_of_a_linear_site_needs_no_pairwise_norm(toy_box):
+    # a constant Jacobian bounds every pair by 0 = omega, so the sweep stops
+    # at once; a visited pair would evaluate two Jacobians again
+    a = np.random.default_rng(2).normal(size=(4, 3))
+    calls = []
+
+    def jacobian(x):
+        calls.append(x)
+        return a
+
+    linear = SiteModel(
+        site_id=0, n_unknowns=3, residual_dim=4,
+        eval_residual=lambda x: a @ x, eval_jacobian=jacobian,
+    )
+    pc = estimate_constants([linear], toy_box, n_samples=50, rng_seed=6)
+    assert len(calls) == 50
+    assert pc.omega == brute_force_omega([linear], sample_points(toy_box, 50, 6)) == 0.0
+
+
 def test_estimate_constants_omega_equals_brute_force_on_case30(grid30, true30):
     sites = _psse_sites(grid30, true30, 3, 0)
     n, slack = grid30.n_buses, grid30.slack_bus
@@ -438,10 +458,21 @@ def test_estimate_constants_omega_equals_brute_force_on_case30(grid30, true30):
 _entries = st.integers(-10**6, 10**6).map(lambda k: k / 1000.0)
 
 
+def pair_bound(a, b):
+    """_spectral_bounds of the one pair (a, b), the matrices compressed as
+    estimate_constants compresses its sample Jacobians."""
+    bounds = _spectral_bounds([_nonzeros(a), _nonzeros(b)], a.shape[1], np.array([0]), np.array([1]))
+    return float(bounds[0])
+
+
+def spectral_bound_holds(a, b):
+    return np.linalg.norm(a - b, 2) <= pair_bound(a, b) * (1.0 + 1e-9)
+
+
 @settings(max_examples=80, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 12)), elements=_entries))
 def test_spectral_bound_majorizes_norm(d):
-    assert np.linalg.norm(d, 2) <= _spectral_bound(d) * (1.0 + 1e-9)
+    assert spectral_bound_holds(d, np.zeros_like(d))
 
 
 @settings(max_examples=80, deadline=None)
@@ -449,4 +480,38 @@ def test_spectral_bound_majorizes_norm(d):
        arrays(np.float64, st.integers(1, 12), elements=_entries))
 def test_spectral_bound_majorizes_norm_rank_one(u, v):
     d = np.outer(u, v)
-    assert np.linalg.norm(d, 2) <= _spectral_bound(d) * (1.0 + 1e-9)
+    assert spectral_bound_holds(d, np.zeros_like(d))
+
+
+_sparse_entries = st.one_of(st.sampled_from([0.0, -0.0]), _entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(1, 30), st.integers(1, 12)).flatmap(
+    lambda shape: st.tuples(*[arrays(np.float64, shape, elements=_sparse_entries)] * 2)
+))
+def test_spectral_bound_majorizes_norm_of_a_difference(pair):
+    # two patterns drawn independently, with -0.0 among their zeros
+    a, b = pair
+    assert spectral_bound_holds(a, b)
+
+
+def test_spectral_bounds_equal_the_dense_bound_over_many_chunks():
+    rng = np.random.default_rng(8)
+    mats = rng.normal(size=(40, 9, 5)) * (rng.random(size=(40, 9, 5)) < 0.3)
+    pair_i, pair_j = np.triu_indices(len(mats), k=1)
+    bounds = _spectral_bounds([_nonzeros(m) for m in mats], 5, pair_i, pair_j)
+    for bound, i, j in zip(bounds, pair_i, pair_j):
+        d = mats[i] - mats[j]
+        assert bound == pytest.approx(np.sqrt(np.linalg.norm(d.T @ d)), rel=1e-14, abs=0.0)
+
+
+def test_spectral_bound_on_signed_zeros_and_zero_differences():
+    a = np.array([[1.0, 0.0, -2.0], [0.0, 3.0, 0.0]])
+    # -0.0 is no nonzero: a matrix of them bounds like the zero matrix
+    signed = np.where(a == 0.0, -0.0, a)
+    assert pair_bound(signed, np.zeros_like(a)) == pair_bound(a, np.zeros_like(a))
+    # an all-zero D, from equal matrices or from no nonzeros at all
+    assert pair_bound(a, a.copy()) == 0.0
+    assert pair_bound(signed, a) == 0.0
+    assert pair_bound(np.zeros((2, 3)), np.full((2, 3), -0.0)) == 0.0

@@ -619,6 +619,29 @@ def test_cli_exit_on_an_unreadable_true_state_path(tmp_path, capsys, kind):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field, code, prefix",
+    [
+        ("config", 2, "config error: config file"),
+        ("case_path", 3, "case error: case file"),
+        ("true_state_path", 1, "error: true-state file"),
+    ],
+    ids=["config", "case", "true_state"],
+)
+def test_cli_exit_on_a_non_utf8_input(tmp_path, capsys, field, code, prefix):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00")
+    if field == "config":
+        path = str(bad)
+    else:
+        mapping = tiny_mapping(**{field: str(bad)}, output_dir=str(tmp_path / "o"))
+        path = write_config(tmp_path / "c.yaml", mapping)
+    assert main(["run", path]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix} {bad} is not UTF-8")
+    assert "Traceback" not in err
+
+
 def test_cli_certify_gives_a_centralized_run_the_single_agent_certificate(tmp_path, capsys):
     # centralized Gauss-Newton gossips nothing, whatever the number of sites
     path = write_config(
