@@ -16,6 +16,7 @@ at once.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -510,9 +511,9 @@ def estimate_constants(
     the sweep stops at the first pair whose bound is at most the running
     maximum: no later pair can exceed it. The bound is taken on the sampled
     Jacobians' nonzeros (see _spectral_bounds), which are all the sweep
-    keeps of them; a visited pair's Jacobians are evaluated again. The
-    visited ratios use the same expression as a brute-force sweep, so omega
-    is bit-identical to the brute-force maximum.
+    keeps of them; each visited point's Jacobian is evaluated again, once.
+    The visited ratios use the same expression as a brute-force sweep, so
+    omega is bit-identical to the brute-force maximum.
     """
     if n_samples < 2:
         raise InvalidArgumentError("need at least 2 samples")
@@ -567,13 +568,14 @@ def estimate_constants(
         _spectral_bounds(nonzeros, jac.shape[1], pair_i, pair_j), dxs,
         out=np.full(pair_i.size, -np.inf), where=dxs != 0.0,
     )
+    jacobian_at = functools.cache(lambda i: _stacked_jacobian(sites, points[i]))
     omega = 0.0
     for k in np.argsort(-bounds, kind="stable").tolist():
         if bounds[k] * (1.0 + 1e-9) <= omega:
             break
-        x_i, x_j = points[pair_i[k]], points[pair_j[k]]
-        dj = float(np.linalg.norm(_stacked_jacobian(sites, x_i) - _stacked_jacobian(sites, x_j), 2))
-        omega = max(omega, dj / float(np.linalg.norm(x_i - x_j)))
+        i, j = int(pair_i[k]), int(pair_j[k])
+        dj = float(np.linalg.norm(jacobian_at(i) - jacobian_at(j), 2))
+        omega = max(omega, dj / float(np.linalg.norm(points[i] - points[j])))
 
     if reference_x is not None:
         eps_min = float(np.sqrt(objective(sites, np.asarray(reference_x, dtype=float))))

@@ -1,10 +1,11 @@
 """Experiment harness: wiring, repetition loop, metric CSVs, summaries.
 
-Each repetition r runs with seed + r. Every output number flows through
-repr(float(...)) so identical configs give byte-identical CSV files.
-Metric rows exist for every (snapshot, update, agent); the exchange
-column carries the cumulative gossip-exchange count so different
-algorithms can be laid on a common communication axis.
+Each repetition r runs with seed + r and keeps its metrics as columns: one
+1-D array per CSV_COLUMNS name, with a row for every (snapshot, update,
+agent) in that order, agents fastest. The exchange column carries the
+cumulative gossip-exchange count so different algorithms can be laid on a
+common communication axis. Every output float is written as its repr, so
+identical configs give byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -46,15 +46,15 @@ from .psse import (
     streaming_snapshots,
 )
 
-# The metric row layout. metrics_<run_id>.csv rows are laid out as CSV_COLUMNS;
-# metrics_mean.csv rows, averaged over repetitions, as MEAN_COLUMNS.
-_KEY_COLUMNS = ["snapshot", "update", "exchange", "agent"]
-_METRIC_COLUMNS = [
+# The metric column layout. metrics_<run_id>.csv holds CSV_COLUMNS;
+# metrics_mean.csv, averaged over repetitions, MEAN_COLUMNS.
+_KEY_COLUMNS = ("snapshot", "update", "exchange", "agent")
+_METRIC_COLUMNS = (
     "val", "grad_contrib", "mse_v", "mse_theta", "max_disagreement",
     "descent_discrepancy", "error_to_reference",
-]
+)
 MEAN_COLUMNS = _KEY_COLUMNS + _METRIC_COLUMNS
-CSV_COLUMNS = ["run_id"] + MEAN_COLUMNS
+CSV_COLUMNS = ("run_id",) + MEAN_COLUMNS
 
 # certificate_for_run samples at most this many recorded points (reference included)
 CERTIFICATE_MAX_POINTS = 48
@@ -90,64 +90,56 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
     )
 
 
-def _max_pairwise(stack: np.ndarray) -> float:
-    n = stack.shape[0]
-    if n < 2:
-        return 0.0
-    best = 0.0
-    for i in range(n):
-        diffs = stack[i + 1 :] - stack[i]
-        if diffs.size:
-            best = max(best, float(np.max(np.linalg.norm(diffs, axis=1))))
+def _max_pairwise(iterates: np.ndarray) -> np.ndarray:
+    """Each update's largest distance between two agents' iterates, from a
+    (K+1, I, N_u) stack: one agent against every later agent at a time, so
+    no temporary holds more than (K+1)·I·N_u values."""
+    best = np.zeros(iterates.shape[0])
+    for i in range(iterates.shape[1] - 1):
+        distances = np.linalg.norm(iterates[:, i + 1 :] - iterates[:, i, None], axis=-1)
+        np.maximum(best, distances.max(axis=1), out=best)
     return best
 
 
-def _rows_from_stacks(
-    run_id: str,
-    snapshot: int,
-    traj: Trajectory,
-    exchange_marks: np.ndarray,
-    true_state: PowerState,
-    slack_bus: int,
-    x_ref: np.ndarray,
-) -> list[list]:
-    """One row per (update, agent), laid out as CSV_COLUMNS, from a trajectory's
-    (K+1, I, N_u) iterates and (K+1, I) vals/grads. A trajectory without
-    discrepancies (any but GGN's) gives descent_discrepancy 0.0."""
-    rows = []
-    for k, stack in enumerate(traj.iterates):
-        mse_v, mse_th, _, _ = mse_metrics(stack, true_state, slack_bus)
-        disagreement = _max_pairwise(stack)
-        err_ref = np.linalg.norm(stack - x_ref, axis=1)
-        for i in range(stack.shape[0]):
-            cells = {
-                "run_id": run_id, "snapshot": snapshot, "update": k,
-                "exchange": int(exchange_marks[k]), "agent": i,
-                "val": float(traj.vals[k][i]), "grad_contrib": float(traj.grads[k][i]),
-                "mse_v": float(mse_v[i]), "mse_theta": float(mse_th[i]),
-                "max_disagreement": disagreement,
-                "descent_discrepancy": (
-                    float(traj.discrepancies[k - 1][i])
-                    if traj.discrepancies is not None and k >= 1 else 0.0
-                ),
-                "error_to_reference": float(err_ref[i]),
-            }
-            rows.append([cells[name] for name in CSV_COLUMNS])
-    return rows
+def _trajectory_columns(
+    run_id: str, snapshot: int, traj: Trajectory, exchange_marks: np.ndarray,
+    true_state: PowerState, slack_bus: int, x_ref: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """A trajectory's columns, laid out as CSV_COLUMNS with one row per
+    (update, agent), from its (K+1, I, N_u) iterates and (K+1, I) vals/grads.
+    A trajectory without discrepancies (any but GGN's) gives
+    descent_discrepancy 0.0."""
+    n_updates, n_agents = traj.vals.shape
+    n_rows = n_updates * n_agents
+    mse_v, mse_theta, _, _ = mse_metrics(traj.iterates.reshape(n_rows, -1), true_state, slack_bus)
+    discrepancies = np.zeros((n_updates, n_agents))
+    if traj.discrepancies is not None:
+        discrepancies[1:] = traj.discrepancies
+    return {
+        "run_id": np.full(n_rows, run_id), "snapshot": np.full(n_rows, snapshot),
+        "update": np.repeat(np.arange(n_updates), n_agents),
+        "exchange": np.repeat(exchange_marks, n_agents),
+        "agent": np.tile(np.arange(n_agents), n_updates),
+        "val": traj.vals.ravel(), "grad_contrib": traj.grads.ravel(),
+        "mse_v": mse_v, "mse_theta": mse_theta,
+        "max_disagreement": np.repeat(_max_pairwise(traj.iterates), n_agents),
+        "descent_discrepancy": discrepancies.ravel(),
+        # one agent at a time: a whole-trajectory difference raises the peak RSS
+        "error_to_reference": np.stack(
+            [np.linalg.norm(traj.iterates[:, i] - x_ref, axis=-1) for i in range(n_agents)], axis=1
+        ).ravel(),
+    }
 
 
-def _column(rows: list[list], name: str) -> np.ndarray:
-    """The named column of rows laid out as CSV_COLUMNS."""
-    i = CSV_COLUMNS.index(name)
-    return np.array([row[i] for row in rows])
+def _concat(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """The parts' columns laid end to end, in the order of parts."""
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
-def _final_rows(rows: list[list], snapshot: int) -> list[list]:
-    """The rows of one snapshot's last update."""
-    rows = [r for r, s in zip(rows, _column(rows, "snapshot")) if s == snapshot]
-    updates = _column(rows, "update")
-    last = updates.max()
-    return [r for r, k in zip(rows, updates) if k == last]
+def _final_mask(columns: dict[str, np.ndarray], snapshot: int) -> np.ndarray:
+    """Which rows belong to the last update of one snapshot."""
+    in_snapshot = columns["snapshot"] == snapshot
+    return in_snapshot & (columns["update"] == columns["update"][in_snapshot].max())
 
 
 @dataclass
@@ -155,12 +147,11 @@ class RepetitionData:
     """In-memory record of one repetition for downstream analysis."""
 
     run_id: str
-    seed: int
     trajectories: list[Trajectory]  # one per snapshot
     references: list[np.ndarray]
     reference_stationarities: list[float]
     sites_per_snapshot: list[list[SiteModel]]
-    rows: list[list]
+    columns: dict[str, np.ndarray]  # CSV_COLUMNS
 
 
 @dataclass
@@ -170,7 +161,7 @@ class ExperimentResult:
     repetitions: list[RepetitionData]
     output_dir: Path
     rep_csv_paths: list[Path]
-    mean_rows: list[list]  # laid out as MEAN_COLUMNS
+    means: dict[str, np.ndarray]  # MEAN_COLUMNS
     mean_csv_path: Path
     summary_path: Path
     summary: dict
@@ -194,7 +185,7 @@ def _run_one_repetition(
         problem.grid, problem.true_state, config.sigma2, config.snapshots, seed_r
     )
     slack = problem.grid.slack_bus
-    rows: list[list] = []
+    parts = []
     trajectories = []
     references = []
     stationarities = []
@@ -221,45 +212,45 @@ def _run_one_repetition(
                 sites, problem.box, config.protocol, config.diffusion, x_start, rng=rng
             )
         marks = exchange_offset + np.concatenate([[0], np.cumsum(traj.exchange_counts)])
-        rows += _rows_from_stacks(run_id, t, traj, marks, problem.true_state, slack, x_ref)
+        parts.append(_trajectory_columns(run_id, t, traj, marks, problem.true_state, slack, x_ref))
         trajectories.append(traj)
         exchange_offset = int(marks[-1])
         x_start = traj.iterates[-1]
 
     return RepetitionData(
-        run_id=run_id, seed=seed_r, trajectories=trajectories,
+        run_id=run_id, trajectories=trajectories,
         references=references, reference_stationarities=stationarities,
-        sites_per_snapshot=sites_per_snapshot, rows=rows,
+        sites_per_snapshot=sites_per_snapshot, columns=_concat(parts),
     )
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def write_metrics_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """Write equal-length columns as CSV rows under a header of their names.
 
-
-def write_metrics_csv(path: Path, rows: list[list], columns: list[str] = CSV_COLUMNS) -> None:
+    Cells come from each column's .tolist(), so the csv module writes an int
+    with str and a float with repr; a bool column is written as 1 and 0.
+    """
+    cells = [(a.astype(int) if a.dtype == bool else a).tolist() for a in columns.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows(zip(*cells))
 
 
-def mean_rows(all_rows: list[list]) -> list[list]:
+def mean_rows(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Average the metric columns over repetitions, grouped by row key.
 
-    Takes rows laid out as CSV_COLUMNS; returns rows laid out as MEAN_COLUMNS.
+    Takes every repetition's CSV_COLUMNS laid end to end, in repetition order;
+    returns MEAN_COLUMNS with one row per distinct (snapshot, update, exchange,
+    agent), in order of first appearance. Each mean is the sum of its key's
+    rows in repetition order, divided by their count.
     """
-    key_of = itemgetter(*map(CSV_COLUMNS.index, _KEY_COLUMNS))
-    metrics_of = itemgetter(*map(CSV_COLUMNS.index, _METRIC_COLUMNS))
-    groups: dict[tuple, list[tuple]] = {}
-    for row in all_rows:
-        groups.setdefault(key_of(row), []).append(metrics_of(row))
-    return [list(key) + np.mean(vals, axis=0).tolist() for key, vals in groups.items()]
+    keys = np.stack([columns[name] for name in _KEY_COLUMNS], axis=1)
+    unique, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    group, order = group.ravel(), np.argsort(first)
+    counts = np.bincount(group)[order]
+    sums = [np.bincount(group, weights=columns[name])[order] for name in _METRIC_COLUMNS]
+    return dict(zip(MEAN_COLUMNS, [*unique[order].T, *(total / counts for total in sums)]))
 
 
 def certificate_for_run(
@@ -317,9 +308,12 @@ def certificate_for_run(
 
 def _summary_trailer(
     config: ExperimentConfig, problem: ProblemSetup, reps: list[RepetitionData],
+    columns: dict[str, np.ndarray],
 ) -> dict:
+    """columns: every repetition's CSV_COLUMNS, laid end to end."""
     last = reps[-1]
-    finals = [r for rep in reps for r in _final_rows(rep.rows, config.snapshots - 1)]
+    final = np.concatenate([_final_mask(rep.columns, config.snapshots - 1) for rep in reps])
+    finals = {name: column[final] for name, column in columns.items()}
     sites = last.sites_per_snapshot[-1]
     mean_final = last.trajectories[-1].iterates[-1].mean(axis=0)
     summary = {
@@ -336,13 +330,13 @@ def _summary_trailer(
         "alpha": config.alpha,
         "sigma2": config.sigma2,
         # the last repetition's final rows come last
-        "final_update": int(_column(finals, "update")[-1]),
-        "final_val_global_mean": float(_column(finals, "val").sum() / len(reps)),
-        "final_grad_global_mean": float(_column(finals, "grad_contrib").sum() / len(reps)),
-        "final_mse_v_mean": float(_column(finals, "mse_v").mean()),
-        "final_mse_theta_mean": float(_column(finals, "mse_theta").mean()),
-        "final_max_disagreement_mean": float(_column(finals, "max_disagreement").mean()),
-        "final_error_to_reference_mean": float(_column(finals, "error_to_reference").mean()),
+        "final_update": int(finals["update"][-1]),
+        "final_val_global_mean": float(finals["val"].sum() / len(reps)),
+        "final_grad_global_mean": float(finals["grad_contrib"].sum() / len(reps)),
+        "final_mse_v_mean": float(finals["mse_v"].mean()),
+        "final_mse_theta_mean": float(finals["mse_theta"].mean()),
+        "final_max_disagreement_mean": float(finals["max_disagreement"].mean()),
+        "final_error_to_reference_mean": float(finals["error_to_reference"].mean()),
         "reference_stationarity_max": float(
             max(max(rep.reference_stationarities) for rep in reps)
         ),
@@ -403,12 +397,9 @@ def summary_line(key: str, value) -> str:
     """The `key=value` line of summary.txt, as the certify verb also prints it."""
     if isinstance(value, bool):
         return f"{key}={'true' if value else 'false'}"
-    return f"{key}={_format_cell(value)}"
-
-
-def _write_summary(path: Path, summary: dict) -> None:
-    lines = [summary_line(key, value) for key, value in summary.items()]
-    path.write_text("\n".join(lines) + "\n")
+    if isinstance(value, (str, int, np.integer)):
+        return f"{key}={value}"
+    return f"{key}={float(value)!r}"
 
 
 def resolve_output_dir(config: ExperimentConfig, env_override: str | None) -> Path:
@@ -431,23 +422,24 @@ def run_experiment(
     rep_paths = []
     for rep in reps:
         path = out_dir / f"metrics_{rep.run_id}.csv"
-        write_metrics_csv(path, rep.rows)
+        write_metrics_csv(path, rep.columns)
         rep_paths.append(path)
 
-    means = mean_rows([row for rep in reps for row in rep.rows])
+    columns = _concat([rep.columns for rep in reps])
+    means = mean_rows(columns)
     mean_path = out_dir / "metrics_mean.csv"
-    write_metrics_csv(mean_path, means, columns=MEAN_COLUMNS)
+    write_metrics_csv(mean_path, means)
 
-    summary = _summary_trailer(config, problem, reps)
+    summary = _summary_trailer(config, problem, reps, columns)
     if with_certificate:
         summary.update(_certificate_summary(config, problem, reps))
     summary["wall_clock_s"] = time.perf_counter() - t0
     summary_path = out_dir / "summary.txt"
-    _write_summary(summary_path, summary)
+    summary_path.write_text("".join(f"{summary_line(k, v)}\n" for k, v in summary.items()))
 
     return ExperimentResult(
         config=config, problem=problem, repetitions=reps, output_dir=out_dir,
-        rep_csv_paths=rep_paths, mean_rows=means, mean_csv_path=mean_path,
+        rep_csv_paths=rep_paths, means=means, mean_csv_path=mean_path,
         summary_path=summary_path, summary=summary,
     )
 
@@ -464,6 +456,8 @@ def run_failure_sweep(
     """Repeat the URE experiment across link-failure probabilities."""
     if config.algorithm != "ggn" or config.protocol.kind != "ure":
         raise InvalidArgumentError("failure sweep requires algorithm=ggn, protocol=ure")
+    if not p_values:
+        raise InvalidArgumentError("failure sweep needs at least one failure probability")
     base_dir = resolve_output_dir(config, env_output_dir)
     # GossipConfig rejects a p outside [0, 1): every p is checked before the first run
     protocols = [replace(config.protocol, link_failure_prob=float(p)) for p in p_values]
@@ -473,9 +467,9 @@ def run_failure_sweep(
         result = run_experiment(sub, with_certificate=False)
 
         floor = result.problem.noise_floor
-        finals = _final_rows(result.repetitions[-1].rows, config.snapshots - 1)
-        vals = _column(finals, "val")
-        mses = _column(finals, "mse_v")
+        columns = result.repetitions[-1].columns
+        final = _final_mask(columns, config.snapshots - 1)
+        vals, mses = columns["val"][final], columns["mse_v"][final]
         table.append(
             {
                 "p": float(p),
@@ -485,7 +479,7 @@ def run_failure_sweep(
                 "final_mse_v_max": float(mses.max()),
                 "agents_below_100x_floor": int(np.sum(vals < 100.0 * floor)),
                 "n_agents": int(vals.size),
-                "max_disagreement_final": float(_column(finals, "max_disagreement").max()),
+                "max_disagreement_final": float(columns["max_disagreement"][final].max()),
                 "all_finite": bool(np.all(np.isfinite(vals))),
             }
         )
@@ -493,7 +487,7 @@ def run_failure_sweep(
     base_dir.mkdir(parents=True, exist_ok=True)
     table_path = base_dir / "degradation.csv"
     write_metrics_csv(
-        table_path, [list(row.values()) for row in table], list(table[0]) if table else []
+        table_path, {name: np.array([row[name] for row in table]) for name in table[0]}
     )
     return SweepResult(table_path=table_path, table_rows=table)
 
@@ -503,19 +497,22 @@ class ComparisonResult:
     ggn: ExperimentResult
     diffusion: ExperimentResult
     table_path: Path
-    table_rows: list[dict]
 
 
-def _global_curves(means: list[list]) -> list[tuple[int, float, float]]:
-    """(exchange, sum of val over agents, sum of grad) of MEAN_COLUMNS rows,
-    one per (snapshot, exchange) in that order."""
-    cells_of = itemgetter(*map(MEAN_COLUMNS.index, ("snapshot", "exchange", "val", "grad_contrib")))
-    curves: dict[tuple[int, int], list[float]] = {}
-    for snapshot, exchange, val, grad in map(cells_of, means):
-        slot = curves.setdefault((snapshot, exchange), [0.0, 0.0])
-        slot[0] += val
-        slot[1] += grad
-    return [(exchange, val, grad) for (_, exchange), (val, grad) in sorted(curves.items())]
+def _global_curves(means: dict[str, np.ndarray], algorithm: str) -> dict[str, np.ndarray]:
+    """comparison.csv's columns for one algorithm: per (snapshot, exchange) of
+    its MEAN_COLUMNS, in that sorted order, the exchange and the sums of val
+    and grad_contrib over the rows, taken in row order."""
+    pairs, group = np.unique(
+        np.stack([means["snapshot"], means["exchange"]], axis=1), axis=0, return_inverse=True
+    )
+    group = group.ravel()
+    return {
+        "exchange": pairs[:, 1],
+        "algorithm": np.full(len(pairs), algorithm),
+        "val": np.bincount(group, weights=means["val"]),
+        "grad": np.bincount(group, weights=means["grad_contrib"]),
+    }
 
 
 def compare_algorithms(
@@ -541,17 +538,11 @@ def compare_algorithms(
     res_ggn = run_experiment(sub_ggn, with_certificate=False)
     res_diff = run_experiment(sub_diff, with_certificate=False)
 
-    table = [
-        {"exchange": exchange, "algorithm": label, "val": val, "grad": grad}
-        for label, res in (("ggn", res_ggn), ("diffusion", res_diff))
-        for exchange, val, grad in _global_curves(res.mean_rows)
-    ]
+    table = _concat(
+        [_global_curves(res_ggn.means, "ggn"), _global_curves(res_diff.means, "diffusion")]
+    )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "comparison.csv"
-    write_metrics_csv(
-        table_path, [list(row.values()) for row in table], ["exchange", "algorithm", "val", "grad"]
-    )
-    return ComparisonResult(
-        ggn=res_ggn, diffusion=res_diff, table_path=table_path, table_rows=table,
-    )
+    write_metrics_csv(table_path, table)
+    return ComparisonResult(ggn=res_ggn, diffusion=res_diff, table_path=table_path)

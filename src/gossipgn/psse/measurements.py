@@ -248,6 +248,8 @@ def mse_metrics(
     if estimates.shape[1] != 2 * n - 1:
         raise InvalidArgumentError("estimate width does not match the grid")
     states = vector_to_state(estimates, n, slack_bus)
-    mse_v = np.mean((states.v - true_state.v) ** 2, axis=1)
-    mse_th = np.mean((states.theta - true_state.theta) ** 2, axis=1)
+    # errors squared in place, in the state's fresh arrays: a trajectory's stack is large
+    for err, truth in ((states.v, true_state.v), (states.theta, true_state.theta)):
+        np.square(np.subtract(err, truth, out=err), out=err)
+    mse_v, mse_th = states.v.mean(axis=1), states.theta.mean(axis=1)
     return mse_v, mse_th, float(mse_v.mean()), float(mse_th.mean())

@@ -89,18 +89,18 @@ def c10_result(tmp_path_factory):
 
 def _val_sums(result, rep=0):
     """{(snapshot, update): sum of per-agent squared residual norms}."""
-    table = {}
-    for row in result.repetitions[rep].rows:
-        key = (row[1], row[2])
-        table[key] = table.get(key, 0.0) + row[5]
-    return table
+    return _sums_by_update(result.repetitions[rep].columns, "val")
 
 
 def _grad_sums(result, rep=0):
+    return _sums_by_update(result.repetitions[rep].columns, "grad_contrib")
+
+
+def _sums_by_update(columns, name):
     table = {}
-    for row in result.repetitions[rep].rows:
-        key = (row[1], row[2])
-        table[key] = table.get(key, 0.0) + row[6]
+    keys = zip(columns["snapshot"].tolist(), columns["update"].tolist())
+    for key, value in zip(keys, columns[name].tolist()):
+        table[key] = table.get(key, 0.0) + value
     return table
 
 

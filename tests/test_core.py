@@ -421,6 +421,23 @@ def test_estimate_constants_omega_of_a_linear_site_needs_no_pairwise_norm(toy_bo
     assert pc.omega == brute_force_omega([linear], sample_points(toy_box, 50, 6)) == 0.0
 
 
+def test_estimate_constants_evaluates_each_visited_point_once(toy_sites, toy_box, monkeypatch):
+    # on this seed the sweep visits three pairs over five distinct points
+    from gossipgn import core
+
+    calls = []
+
+    def stacked_jacobian(sites, x):
+        calls.append(x.tobytes())
+        return stacked(sites, x)
+
+    stacked = core._stacked_jacobian
+    monkeypatch.setattr(core, "_stacked_jacobian", stacked_jacobian)
+    pc = estimate_constants(toy_sites, toy_box, n_samples=20, rng_seed=0)
+    assert len(calls) == len(set(calls)) == 5
+    assert pc.omega == brute_force_omega(toy_sites, sample_points(toy_box, 20, 0))
+
+
 def test_estimate_constants_omega_equals_brute_force_on_case30(grid30, true30):
     sites = _psse_sites(grid30, true30, 3, 0)
     n, slack = grid30.n_buses, grid30.slack_bus

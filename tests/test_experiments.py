@@ -19,6 +19,7 @@ from gossipgn.experiments import (
     mean_rows,
     run_experiment,
     run_failure_sweep,
+    write_metrics_csv,
 )
 
 from conftest import CASE2_TEXT
@@ -162,23 +163,45 @@ def test_run_writes_expected_files(tmp_path):
     ]
     with open(result.rep_csv_paths[0], newline="") as fh:
         header = next(csv.reader(fh))
-    assert header == CSV_COLUMNS
+    assert tuple(header) == CSV_COLUMNS
     with open(result.mean_csv_path, newline="") as fh:
         header = next(csv.reader(fh))
-    assert header == CSV_COLUMNS[1:]
+    assert tuple(header) == CSV_COLUMNS[1:]
     summary = result.summary_path.read_text()
     assert "final_val_global_mean=" in summary
     assert "wall_clock_s=" in summary
 
 
-def test_repeated_runs_byte_identical(tmp_path):
-    cfg_a = config_from_mapping(tiny_mapping(output_dir=str(tmp_path / "a")))
-    cfg_b = config_from_mapping(tiny_mapping(output_dir=str(tmp_path / "b")))
-    ra = run_experiment(cfg_a)
-    rb = run_experiment(cfg_b)
-    for pa, pb in zip(ra.rep_csv_paths, rb.rep_csv_paths):
-        assert filecmp.cmp(pa, pb, shallow=False)
-    assert filecmp.cmp(ra.mean_csv_path, rb.mean_csv_path, shallow=False)
+VERB_CSVS = {
+    "run": {"metrics_mean.csv", "metrics_r000.csv", "metrics_r001.csv"},
+    "sweep-failures": {"degradation.csv", "p_0/metrics_r000.csv", "p_0.3/metrics_mean.csv"},
+    "compare": {"comparison.csv", "ggn/metrics_r000.csv", "diffusion/metrics_mean.csv"},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_CSVS))
+def test_repeated_runs_byte_identical(tmp_path, monkeypatch, verb):
+    if verb == "run":
+        args = [write_config(tmp_path / "c.yaml", tiny_mapping())]
+    elif verb == "sweep-failures":
+        args = [write_config(tmp_path / "c.yaml", sweep_mapping(tmp_path)), "--p", "0,0.3"]
+    else:
+        base = tiny_mapping(repetitions=1)
+        diffusion = dict(
+            base, algorithm="diffusion", diffusion={"step_scale": 0.3, "total_exchanges": 8}
+        )
+        args = [
+            write_config(tmp_path / "g.yaml", base), write_config(tmp_path / "d.yaml", diffusion)
+        ]
+    written = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        monkeypatch.setenv("GOSSIPGN_OUTPUT_DIR", str(out))
+        assert main([verb, *args]) == 0
+        written.append(sorted(p.relative_to(out) for p in out.rglob("*.csv")))
+    assert written[0] == written[1]
+    assert VERB_CSVS[verb] <= {p.as_posix() for p in written[0]}
+    for rel in written[0]:
+        assert filecmp.cmp(tmp_path / "a" / rel, tmp_path / "b" / rel, shallow=False), rel
 
 
 def test_env_dir_overrides_config(tmp_path, monkeypatch):
@@ -210,17 +233,59 @@ def test_mean_csv_is_arithmetic_mean(tmp_path):
             assert float(mean_row[col]) == pytest.approx(np.mean(values), rel=1e-12)
 
 
+def columns_of(rows: list[list]) -> dict[str, np.ndarray]:
+    """CSV_COLUMNS from rows laid out in that order."""
+    return {name: np.array(cells) for name, cells in zip(CSV_COLUMNS, zip(*rows))}
+
+
 def test_mean_rows_helper_direct():
     rows = [
         ["r000", 0, 1, 2, 0, 4.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.0],
         ["r001", 0, 1, 2, 0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, 4.0],
     ]
-    out = mean_rows(rows)
-    assert len(out) == 1
-    assert out[0][:4] == [0, 1, 2, 0]
-    assert out[0][4] == pytest.approx(3.0)
-    assert out[0][5] == pytest.approx(2.0)
-    assert out[0][-1] == pytest.approx(3.0)
+    out = mean_rows(columns_of(rows))
+    assert tuple(out) == CSV_COLUMNS[1:]
+    assert all(len(column) == 1 for column in out.values())
+    keys = ("snapshot", "update", "exchange", "agent")
+    assert [out[name].tolist() for name in keys] == [[0], [1], [2], [0]]
+    assert out["val"][0] == pytest.approx(3.0)
+    assert out["grad_contrib"][0] == pytest.approx(2.0)
+    assert out["error_to_reference"][0] == pytest.approx(3.0)
+
+
+def test_mean_rows_of_uneven_repetitions():
+    # keys (snapshot, update, exchange, agent) and val per repetition; the second
+    # repetition runs one update longer, so its later snapshot starts at another exchange
+    reps = [
+        [((0, 0, 0, 0), 1e16), ((0, 1, 2, 0), 2.0), ((1, 0, 2, 0), 3.0)],
+        [((0, 0, 0, 0), 1.0), ((0, 1, 2, 0), 4.0), ((0, 2, 4, 0), 5.0), ((1, 0, 4, 0), 6.0)],
+        [((0, 0, 0, 0), -1e16)],
+    ]
+    rows = [
+        [f"r{r:03d}", *key, val, -val, 0.0, 0.0, 0.0, 0.0, 0.0]
+        for r, rep in enumerate(reps) for key, val in rep
+    ]
+    out = mean_rows(columns_of(rows))
+    keys = ("snapshot", "update", "exchange", "agent")
+    assert list(zip(*(out[name].tolist() for name in keys))) == [
+        (0, 0, 0, 0), (0, 1, 2, 0), (1, 0, 2, 0), (0, 2, 4, 0), (1, 0, 4, 0),
+    ]
+    # sums run in repetition order: (1e16 + 1.0) - 1e16 is 0.0, not 1.0
+    assert out["val"].tolist() == [0.0, 3.0, 3.0, 5.0, 6.0]
+    assert out["grad_contrib"].tolist() == [0.0, -3.0, -3.0, -5.0, -6.0]
+
+
+def test_write_metrics_csv_formats_each_column_type(tmp_path):
+    path = tmp_path / "t.csv"
+    write_metrics_csv(path, {
+        "name": np.array(["a", "b"]),
+        "count": np.array([3, -4]),
+        "value": np.array([0.1, 1e-300]),
+        "edge": np.array([-0.0, np.nan]),
+        "ok": np.array([True, False]),
+    })
+    lines = [b"name,count,value,edge,ok", b"a,3,0.1,-0.0,1", b"b,-4,1e-300,nan,0"]
+    assert path.read_bytes() == b"\r\n".join(lines) + b"\r\n"
 
 
 def test_centralized_algorithm_runs(tmp_path):
@@ -330,6 +395,14 @@ def test_failure_sweep_outputs(tmp_path):
     for row in sweep.table_rows:
         assert row["n_agents"] == 2
         assert row["all_finite"]
+    assert [row["all_finite"] for row in read_rows(sweep.table_path)] == ["1", "1"]
+
+
+def test_failure_sweep_without_a_p_writes_nothing(tmp_path):
+    ure = config_from_mapping(sweep_mapping(tmp_path))
+    with pytest.raises(InvalidArgumentError, match="at least one failure probability"):
+        run_failure_sweep(ure, [])
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_degradation_row_recomputed_from_csv_columns(tmp_path):
