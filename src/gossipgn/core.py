@@ -96,18 +96,20 @@ class SiteBatch:
     Every site of the list carries the same batch, and site_id equals its
     position.
 
-    products holds normal_system's (I, n, n) and (I, n, 1) stacks of per-site
-    products in group order. Each call overwrites all of it before reading
-    it, and no result aliases it. Allocating the stacks on every call
-    instead costs page faults whenever the allocator returns them to the
-    system in between.
+    products holds normal_system's (I, n, n), (I, n, 1) and (I, 1, 1) stacks
+    of the per-site products G_i^T G_i, G_i^T g_i and g_i^T g_i in group
+    order. Each call overwrites all of it before reading it, and no result
+    aliases it; until the next call, site_products copies one site's
+    products out of it. Allocating the stacks on every call instead costs
+    page faults whenever the allocator returns them to the system in
+    between.
     """
 
     n_sites: int
     model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
     slot_of_site: np.ndarray = field(repr=False)
-    products: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    products: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     @staticmethod
     def of(
@@ -133,22 +135,52 @@ class SiteBatch:
             site.batch is self and site.site_id == i for i, site in enumerate(sites)
         )
 
+    def site_products(self, site: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Site i's G_i^T g_i, G_i^T G_i flattened in column-major order, and
+        ||g_i||^2, from the last normal_system call over this batch's sites,
+        at that call's x. The arrays are copies."""
+        products_a, products_b, products_v = self.products
+        slot = self.slot_of_site[site]
+        return (
+            products_b[slot].flatten(), products_a[slot].flatten(order="F"),
+            float(products_v[slot, 0, 0]),
+        )
 
-# States per model call in stack_rows: a case30 state's temporaries take
-# about 0.45 MB, so small slices keep the peak memory near one state's.
+
+# Distinct states per model call in stack_rows: a case30 state's temporaries
+# take about 0.45 MB, so small slices keep the peak memory near one state's.
 MODEL_SLICE = 3
 
 
 def stack_rows(sites: list[SiteModel], xs: np.ndarray):
-    """Yield the row indices of the (I, N_u) stack xs. Sites sharing a SiteBatch
-    have its model evaluated at each MODEL_SLICE rows in one call before those
-    rows are yielded, so reading the sites there hits the model's memo."""
+    """Yield the row indices of the (I, N_u) stack xs, in order. Sites sharing
+    a SiteBatch have its model evaluated in one call at each run of rows
+    holding at most MODEL_SLICE distinct states before those rows are
+    yielded, so reading the sites there hits the model's memo.
+
+    Rows are told apart by their bytes, the memo's key: a row equal byte for
+    byte to one before it in its run is evaluated once for both, and rows
+    that differ only in the sign of a zero are evaluated separately. The
+    agents' shared start is so evaluated once, not once per agent.
+    """
     batch = sites[0].batch
-    for start in range(0, len(xs), MODEL_SLICE):
-        stop = min(start + MODEL_SLICE, len(xs))
-        if batch is not None and batch.serves(sites):
-            batch.model(xs[start:stop])
+    if batch is None or not batch.serves(sites):
+        yield from range(len(xs))
+        return
+    start = 0
+    while start < len(xs):
+        firsts: dict[bytes, int] = {}
+        stop = start
+        while stop < len(xs):
+            key = xs[stop].tobytes()
+            if key not in firsts:
+                if len(firsts) == MODEL_SLICE:
+                    break
+                firsts[key] = stop
+            stop += 1
+        batch.model(xs[list(firsts.values())])
         yield from range(start, stop)
+        start = stop
 
 
 def _positions_by_size(sizes: list[int]) -> list[list[int]]:
@@ -164,9 +196,9 @@ def _slot_of_site(positions: list[list[int]]) -> np.ndarray:
     return np.argsort(np.concatenate(positions))
 
 
-def _product_stacks(n_sites: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialized (I, n, n) and (I, n, 1) stacks for the per-site products."""
-    return np.empty((n_sites, n, n)), np.empty((n_sites, n, 1))
+def _product_stacks(n_sites: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialized (I, n, n), (I, n, 1) and (I, 1, 1) stacks for the per-site products."""
+    return np.empty((n_sites, n, n)), np.empty((n_sites, n, 1)), np.empty((n_sites, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -236,8 +268,9 @@ def normal_system(sites: list[SiteModel], x: np.ndarray) -> tuple[np.ndarray, np
     site. That holds because every slice of the stacks is C-contiguous with
     the site's own shape: padded, compressed or strided blocks round
     differently. A site list carrying its SiteBatch gathers the blocks
-    straight from the shared model; any other list (a subset, a reordering,
-    sites without a batch) stacks site_terms.
+    straight from the shared model, and leaves each site's products, with
+    g_i^T g_i, for SiteBatch.site_products to copy; any other list (a
+    subset, a reordering, sites without a batch) stacks site_terms.
     """
     x = _check_state(sites, x)
     batch = sites[0].batch
@@ -253,13 +286,14 @@ def normal_system(sites: list[SiteModel], x: np.ndarray) -> tuple[np.ndarray, np
             for p in positions
         ]
         slot_of_site, stacks = _slot_of_site(positions), _product_stacks(len(sites), x.size)
-    products_a, products_b = stacks
+    products_a, products_b, products_v = stacks
     start = 0
     for res, jac in blocks:
         stop = start + len(jac)
         jac_t = jac.transpose(0, 2, 1)
         np.matmul(jac_t, jac, out=products_a[start:stop])
         np.matmul(jac_t, res[..., None], out=products_b[start:stop])
+        np.matmul(res[:, None, :], res[..., None], out=products_v[start:stop])
         start = stop
     # Both sums add in site order from +0.0: a in place, which needs no
     # (I, n, n) copy, and b over its small gathered copy.
@@ -297,8 +331,10 @@ def solve_normal(a: np.ndarray, b: np.ndarray, context: str = "normal equations"
     and tau = c ||sym||_F / COND_CAP (see _cholesky_shift, c > 2), a Cholesky
     factorization of sym - tau I that succeeds proves lambda_min(sym) above
     lambda_max(sym) / COND_CAP (Golub & Van Loan, Matrix Computations, sec.
-    4.2). Only the systems it cannot certify are decided by their spectrum,
-    with eigvalsh. The solution is np.linalg.solve(a, b) either way.
+    4.2). Only the systems it cannot certify (_uncertified) are decided by
+    their spectrum, with eigvalsh. The solution is np.linalg.solve(a, b)
+    either way, so tau only picks which systems eigvalsh decides: its bits
+    reach no output.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -311,16 +347,7 @@ def solve_normal(a: np.ndarray, b: np.ndarray, context: str = "normal equations"
         idx = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise SingularSystemError(f"{label(idx)}: normal matrix or right-hand side is not finite")
 
-    shifted = (a + np.swapaxes(a, -1, -2)) / 2.0
-    tau = _cholesky_shift(a.shape[-1]) * np.linalg.norm(shifted, axis=(-2, -1)) / COND_CAP
-    diagonal = np.einsum("...ii->...i", shifted)  # a writeable view
-    diagonal -= tau[..., None]
-    try:
-        np.linalg.cholesky(shifted)
-        uncertified = []
-    except np.linalg.LinAlgError:
-        uncertified = [idx for idx in np.ndindex(a.shape[:-2]) if not _factorizes(shifted[idx])]
-    for idx in uncertified:
+    for idx in _uncertified(a):
         eigvals = np.linalg.eigvalsh((a[idx] + a[idx].T) / 2.0)
         lo, hi = float(eigvals[0]), float(eigvals[-1])
         if hi <= 0.0 or lo <= 0.0 or hi / lo > COND_CAP:
@@ -329,6 +356,23 @@ def solve_normal(a: np.ndarray, b: np.ndarray, context: str = "normal equations"
                 f"{COND_CAP:.0e} (spectrum [{lo:.3e}, {hi:.3e}])"
             )
     return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+def _uncertified(a: np.ndarray) -> list[tuple]:
+    """The indices of the systems in a whose Cholesky factorization of
+    sym - tau I fails (see solve_normal). sym is formed in one (..., n, n)
+    buffer, tau from one fused sum of squares, and the buffer is freed
+    before solve_normal solves."""
+    shifted = np.add(a, np.swapaxes(a, -1, -2))
+    shifted *= 0.5
+    frobenius = np.sqrt(np.einsum("...ij,...ij->...", shifted, shifted))
+    diagonal = np.einsum("...ii->...i", shifted)  # a writeable view
+    diagonal -= (_cholesky_shift(a.shape[-1]) * frobenius / COND_CAP)[..., None]
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return [idx for idx in np.ndindex(a.shape[:-2]) if not _factorizes(shifted[idx])]
+    return []
 
 
 def _factorizes(m: np.ndarray) -> bool:

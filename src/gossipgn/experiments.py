@@ -270,7 +270,10 @@ def certificate_for_run(
     reference point, slightly padded and clipped to the feasible box, so
     the resulting Lipschitz and spectral constants majorize what the
     recorded trajectories actually traversed. Iterates, the reference and
-    segment midpoints enter the pairwise Lipschitz sweep directly. The
+    segment midpoints enter the pairwise Lipschitz sweep directly, each
+    distinct point once: a point equal byte for byte to an earlier one (the
+    agents' shared start, the reference's own midpoint) adds only pairs
+    whose ratios the sweep already has, so it is dropped. The
     certificate covers the last trajectory's agents at its eta_observed, and
     is None when a sampled Jacobian is rank deficient: its recursion constants divide by
     sigma_min, which is then 0.
@@ -285,6 +288,10 @@ def certificate_for_run(
         pts = pts[np.unique(pick)]
     midpoints = 0.5 * (pts + pts[0])
     extra = np.vstack([pts, midpoints])
+    firsts: dict[bytes, int] = {}
+    for k, row in enumerate(extra):
+        firsts.setdefault(row.tobytes(), k)
+    extra = extra[list(firsts.values())]
 
     span = pts.max(axis=0) - pts.min(axis=0)
     pad = 0.05 * span + 1e-4

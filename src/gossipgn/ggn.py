@@ -228,20 +228,34 @@ def ggn_run(
 
     def init_step(x: np.ndarray, with_exact: bool) -> tuple[np.ndarray, np.ndarray | None]:
         # Payload stack at the agents' iterates x; records val and grad there.
-        # stack_rows evaluates the sites' shared model a slice of x at a time,
-        # so each agent's payload row and full normal system read its memo:
-        # normal_system reads the full f and J through the sites' SiteBatch,
-        # in one stacked product per site size, and all the systems are solved
-        # together. normal_system is looked up on the core module so that a
-        # wrapper installed there (perfbench/tracing.py) sees each call.
+        # stack_rows evaluates the sites' shared model once per distinct row
+        # of x, a few rows at a time, so every read below hits its memo. Each
+        # agent's full normal system is summed from every site's products at
+        # its iterate, in one stacked product per site size through the
+        # sites' SiteBatch, and an agent at the previous agent's iterate,
+        # byte for byte, reuses that system. The agent's payload row and val
+        # are its own site's products there, copied from the batch;
+        # local_init_info forms them only where no exact system is built.
+        # All exact systems are solved together. normal_system is looked up
+        # on the core module so that a wrapper installed there
+        # (perfbench/tracing.py) sees each call.
         payloads = np.empty((n_agents, n_u * (n_u + 1)))
         a, b = np.empty((n_agents, n_u, n_u)), np.empty((n_agents, n_u))
-        vals_now = []
+        vals_now = np.empty(n_agents)
+        batch = sites[0].batch
+        from_products = with_exact and batch is not None and batch.serves(sites)
+        last_key = None
         for i in core.stack_rows(sites, x):
-            payloads[i], val = local_init_info(sites[i], x[i])
-            vals_now.append(val)
             if with_exact:
-                a[i], b[i] = core.normal_system(sites, x[i])
+                key = x[i].tobytes()
+                if key != last_key:
+                    a_now, b_now = core.normal_system(sites, x[i])
+                    last_key = key
+                a[i], b[i] = a_now, b_now
+            if from_products:
+                payloads[i, :n_u], payloads[i, n_u:], vals_now[i] = batch.site_products(i)
+            else:
+                payloads[i], vals_now[i] = local_init_info(sites[i], x[i])
         vals.append(vals_now)
         grads.append([float(np.linalg.norm(row[:n_u])) for row in payloads])
         if not with_exact:
@@ -262,7 +276,7 @@ def ggn_run(
         payloads, exact = init_step(x, True)
         for weights in itertools.islice(rounds, ell_k):
             eta_observed = min(eta_observed, weights.eta)
-            payloads = gossip_round(payloads, weights)
+            payloads = gossip_round(payloads, weights, out=payloads)
 
         descent_stack = surrogate_descent(payloads, ggn_config.ridge)
         discrepancies.append(descent_discrepancy(descent_stack, exact))

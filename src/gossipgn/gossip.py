@@ -140,29 +140,42 @@ def sample_ure_round(
     config: GossipConfig, n_agents: int, rng: np.random.Generator
 ) -> PairwiseRound:
     """Draw one URE round among n_agents >= 2. Draw order is fixed for
-    reproducibility: wake-up agent, then partner, then the link-failure coin."""
+    reproducibility: wake-up agent, then partner, then the link-failure coin.
+
+    The partner is uniform over the other agents and is the one that
+    rng.choice(n_agents, p=pick) draws, pick being 1/(I-1) with a 0 at wake:
+    choice searches one rng.random() in pick's cumulative sum, divided by
+    its last entry. That sum is the I-1 equal weights' running sum with the
+    entry before wake repeated at wake, so the index found among the I-1
+    sums, moved past wake, is the same partner, without choice's checks of
+    p. Not integers(n_agents - 1): that reads another stream for one seed.
+    """
     if config.kind != "ure":
         raise InvalidArgumentError("sample_ure_round requires the URE protocol")
     if n_agents < 2:
         raise InvalidArgumentError(f"URE needs at least two agents, got {n_agents}")
     wake = int(rng.integers(n_agents))
-    # uniform over the other agents; a weighted choice, not integers(n_agents - 1),
-    # because that would draw a different partner stream for the same seed
-    pick = np.full(n_agents, 1.0 / (n_agents - 1))
-    pick[wake] = 0.0
-    partner = int(rng.choice(n_agents, p=pick))
+    cdf = np.full(n_agents - 1, 1.0 / (n_agents - 1)).cumsum()
+    cdf /= cdf[-1]
+    partner = int(cdf.searchsorted(rng.random(), side="right"))
+    partner += partner >= wake
     if config.link_failure_prob > 0.0 and rng.random() < config.link_failure_prob:
         return PairwiseRound(n_agents, (), config.beta)
     return PairwiseRound(n_agents, (wake, partner), config.beta)
 
 
-def gossip_round(payloads: np.ndarray, weights: WeightMatrix | PairwiseRound) -> np.ndarray:
+def gossip_round(
+    payloads: np.ndarray, weights: WeightMatrix | PairwiseRound, out: np.ndarray | None = None
+) -> np.ndarray:
     """Apply one exchange: row i of the result is sum_j W_ij payload_j.
 
     payloads is an (I x N_H) array (one row per agent). The arithmetic mean
-    across agents is preserved because the columns of W sum to one. A
-    pairwise round (Boyd et al., "Randomized Gossip Algorithms", 2006)
-    recomputes only its two rows, and every other row is copied.
+    across agents is preserved because the columns of W sum to one. A CSE
+    round returns a fresh W @ payloads. A pairwise round (Boyd et al.,
+    "Randomized Gossip Algorithms", 2006) recomputes only its two rows: it
+    writes into out, which may be payloads itself to mix the stack in
+    place, and with out=None into a copy of payloads. Both new rows are
+    formed from the old ones before either is written.
     """
     p = np.asarray(payloads, dtype=float)
     if p.ndim != 2 or p.shape[0] != weights.n_agents:
@@ -171,12 +184,14 @@ def gossip_round(payloads: np.ndarray, weights: WeightMatrix | PairwiseRound) ->
         )
     if isinstance(weights, WeightMatrix):
         return weights.entries @ p
-    out = p.copy()
+    if out is None:
+        out = p.copy()
+    elif out is not p:
+        out[...] = p
     if weights.pair:
         i, j = weights.pair
         beta = weights.beta
-        out[i] = (1.0 - beta) * p[i] + beta * p[j]
-        out[j] = beta * p[i] + (1.0 - beta) * p[j]
+        out[i], out[j] = (1.0 - beta) * p[i] + beta * p[j], beta * p[i] + (1.0 - beta) * p[j]
     return out
 
 

@@ -18,6 +18,7 @@ from gossipgn.ggn import (
     DiffusionConfig,
     ExchangeSchedule,
     GgnConfig,
+    Trajectory,
     centralized_run,
     descent_discrepancy,
     diffusion_baseline_run,
@@ -25,7 +26,7 @@ from gossipgn.ggn import (
     local_init_info,
     surrogate_descent,
 )
-from gossipgn.gossip import GossipConfig, build_cse_weights, gossip_round
+from gossipgn.gossip import GossipConfig, PairwiseRound, build_cse_weights, gossip_round
 
 from gossipgn.psse import (
     build_nlls_sites,
@@ -419,9 +420,11 @@ def instrumented_run(request, grid30, true30):
     )
     rounds, counts = [], {"model": [], "surrogate": 0, "solve": 0}
 
-    def recording_round(payloads, weights):
-        out = gossip_round_orig(payloads, weights)
-        rounds.append((payloads.copy(), out.copy()))
+    def recording_round(payloads, weights, out=None):
+        # copied before the call: a pairwise round may mix the stack in place
+        before = payloads.copy()
+        out = gossip_round_orig(payloads, weights, out=out)
+        rounds.append((before, out.copy()))
         return out
 
     def counting(key, fn):
@@ -545,3 +548,140 @@ def test_centralized_gauss_newton_assembles_one_normal_system_per_iterate(monkey
     assert np.array_equal(np.stack(calls), traj.iterates[:, 0])
     assert np.array_equal(traj.exchange_counts, np.zeros(4, dtype=int))
     assert traj.discrepancies is None
+
+
+def _oracle_ure_round(config, n_agents, rng):
+    """A URE round drawn as rng.choice draws it: wake-up agent, partner, coin."""
+    wake = int(rng.integers(n_agents))
+    pick = np.full(n_agents, 1.0 / (n_agents - 1))
+    pick[wake] = 0.0
+    partner = int(rng.choice(n_agents, p=pick))
+    if config.link_failure_prob > 0.0 and rng.random() < config.link_failure_prob:
+        return PairwiseRound(n_agents, (), config.beta)
+    return PairwiseRound(n_agents, (wake, partner), config.beta)
+
+
+def _oracle_ggn_run(sites, box, gossip_config, ggn_config, x0, seed):
+    """Oracle: the update loop one agent at a time. Each agent's payload row
+    and val come from local_init_info and its exact system from its own
+    normal_system call, every round mixes into a copy, and URE partners are
+    drawn with rng.choice. ggn_run must equal it bit for bit."""
+    n_agents, n_u = len(sites), box.dim
+    x = np.stack([core.project(row, box) for row in np.broadcast_to(x0, (n_agents, n_u))])
+    rng = np.random.default_rng(seed)
+    cse = build_cse_weights(n_agents, gossip_config.beta) if gossip_config.kind == "cse" else None
+    iterates, vals, grads, discrepancies, counts, eta = [x], [], [], [], [], np.inf
+
+    def init_info(x):
+        rows = [local_init_info(site, xi) for site, xi in zip(sites, x)]
+        vals.append([val for _, val in rows])
+        grads.append([float(np.linalg.norm(row[:n_u])) for row, _ in rows])
+        return np.stack([row for row, _ in rows])
+
+    for k in range(ggn_config.max_updates):
+        ell = ggn_config.schedule.exchanges_at(k)
+        payloads = init_info(x)
+        systems = [normal_system(sites, xi) for xi in x]
+        exact = solve_normal(np.stack([a for a, _ in systems]), np.stack([b for _, b in systems]))
+        for _ in range(ell):
+            weights = cse if cse is not None else _oracle_ure_round(gossip_config, n_agents, rng)
+            eta = min(eta, weights.eta)
+            payloads = gossip_round(payloads, weights)
+        descent = surrogate_descent(payloads, ggn_config.ridge)
+        discrepancies.append(descent_discrepancy(descent, exact))
+        x_new = np.clip(x - ggn_config.alpha * descent, box.lower, box.upper)
+        step_max = max(float(np.linalg.norm(step)) for step in x_new - x)
+        x = x_new
+        iterates.append(x)
+        counts.append(ell)
+        if step_max <= ggn_config.stop_tol:
+            break
+    init_info(x)
+    return Trajectory(
+        np.stack(iterates), np.asarray(vals), np.asarray(grads), np.asarray(counts, dtype=int),
+        np.stack(discrepancies), float(eta),
+    )
+
+
+def _assert_same_trajectory(got, want):
+    for name in ("iterates", "vals", "grads", "exchange_counts"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.discrepancies, want.discrepancies, equal_nan=True)
+    assert got.eta_observed == want.eta_observed
+
+
+ORACLE_RUNS = {
+    "ure30_lossy": dict(n_sites=30, kind="ure", beta=0.5, fail=0.3, exchanges=30, updates=4),
+    "cse3": dict(n_sites=3, kind="cse", beta=0.4, fail=0.0, exchanges=3, updates=6),
+}
+
+
+def _oracle_case(grid, true_state, spec):
+    sites, box, x0 = _psse_setup(grid, true_state, n_sites=spec["n_sites"])
+    gc = GossipConfig(kind=spec["kind"], beta=spec["beta"], link_failure_prob=spec["fail"])
+    cfg = GgnConfig(
+        alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=spec["exchanges"]),
+        max_updates=spec["updates"], stop_tol=1e-15, ridge=1e-4,
+    )
+    return sites, box, gc, cfg, x0
+
+
+@pytest.mark.parametrize("name", list(ORACLE_RUNS))
+def test_ggn_run_equals_the_per_agent_oracle(name, grid30, true30):
+    sites, box, gc, cfg, x0 = _oracle_case(grid30, true30, ORACLE_RUNS[name])
+    want = _oracle_ggn_run(sites, box, gc, cfg, x0, seed=5)
+    _assert_same_trajectory(ggn_run(sites, box, gc, cfg, x0, rng=5), want)
+
+
+def test_site_products_equal_local_init_info(grid30, true30):
+    sites, _, x0 = _psse_setup(grid30, true30, n_sites=7)
+    rng = np.random.default_rng(8)
+    for x in x0 + 0.05 * rng.normal(size=(4, x0.size)):
+        normal_system(sites, x)
+        for i, site in enumerate(sites):
+            h, hm, val = site.batch.site_products(i)
+            row, want_val = local_init_info(site, x)
+            assert np.array_equal(np.concatenate([h, hm]), row) and val == want_val
+
+
+def _first_init_step_stacks(mp, stacks):
+    """The model evaluations recorded in stacks before the first gossip round."""
+    first_step = []
+
+    def marking_round(payloads, weights, out=None):
+        if not first_step:
+            first_step.append(list(stacks))
+        return gossip_round(payloads, weights, out=out)
+
+    mp.setattr(ggn, "gossip_round", marking_round)
+    return first_step
+
+
+@pytest.mark.parametrize("signed_zero", [False, True], ids=["shared_start", "signed_zero"])
+def test_first_init_step_evaluates_each_distinct_start_once(signed_zero, grid30, true30):
+    # every agent starts at x0, or every other agent at x0 with one +0.0 read
+    # as -0.0: equal values, different bytes, so that start is evaluated apart
+    sites, box, gc, cfg, x0 = _oracle_case(grid30, true30, ORACLE_RUNS["ure30_lossy"])
+    starts = np.tile(x0, (len(sites), 1))
+    if signed_zero:
+        zero = int(np.flatnonzero(x0 == 0.0)[0])
+        starts[1::2, zero] = -0.0
+    stacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        _record_model_stacks(mp, stacks)
+        first_step = _first_init_step_stacks(mp, stacks)
+        traj = ggn_run(sites, box, gc, cfg, starts, rng=5)
+    assert first_step == [[2] if signed_zero else [1]]
+    _assert_same_trajectory(traj, _oracle_ggn_run(sites, box, gc, cfg, starts, seed=5))
+
+
+def test_ure_diffusion_run_unchanged(grid30, true30):
+    sites, box, x0 = _psse_setup(grid30, true30, n_sites=6)
+    gc = GossipConfig(kind="ure", beta=0.5, link_failure_prob=0.3)
+    cfg = DiffusionConfig(0.3, 40)
+    got = diffusion_baseline_run(sites, box, gc, cfg, x0, rng=9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ggn, "sample_ure_round", _oracle_ure_round)
+        want = diffusion_baseline_run(sites, box, gc, cfg, x0, rng=9)
+    for name in ("iterates", "vals", "grads", "exchange_counts"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -188,17 +188,47 @@ def test_gossip_config_validation():
 
 
 def test_ure_partner_draws_match_uniform_partner_matrix():
-    # oracle: draws from a row-stochastic partner matrix, uniform with zero diagonal
-    n, fail = 7, 0.2
-    gamma = np.full((n, n), 1.0 / (n - 1))
-    np.fill_diagonal(gamma, 0.0)
+    # oracle: draws from a row-stochastic partner matrix, uniform with zero
+    # diagonal, through rng.choice, in the same stream
+    fail = 0.2
     cfg = GossipConfig(kind="ure", beta=0.5, link_failure_prob=fail)
-    rng, oracle = np.random.default_rng(11), np.random.default_rng(11)
-    for _ in range(300):
-        pair = sample_ure_round(cfg, n, rng).pair
-        wake = int(oracle.integers(n))
-        partner = int(oracle.choice(n, p=gamma[wake]))
-        assert pair == (() if oracle.random() < fail else (wake, partner))
+    for n in (2, 3, 7, 30):
+        gamma = np.full((n, n), 1.0 / (n - 1))
+        np.fill_diagonal(gamma, 0.0)
+        rng, oracle = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(300):
+            pair = sample_ure_round(cfg, n, rng).pair
+            wake = int(oracle.integers(n))
+            partner = int(oracle.choice(n, p=gamma[wake]))
+            assert pair == (() if oracle.random() < fail else (wake, partner))
+        assert rng.random() == oracle.random()
+
+
+@pytest.mark.parametrize("pair", [(4, 17), (17, 4), ()], ids=["pair", "reversed", "failed"])
+@pytest.mark.parametrize("beta", [0.5, 0.3])
+def test_pairwise_round_in_place_equals_copying_round(pair, beta):
+    payloads = np.random.default_rng(3).normal(size=(30, 9))
+    before = payloads.copy()
+    w = PairwiseRound(30, pair, beta)
+    copied = gossip_round(payloads, w)
+    assert np.array_equal(payloads, before)  # out=None never mutates its input
+    assert copied is not payloads
+    mixed = gossip_round(payloads, w, out=payloads)
+    assert mixed is payloads
+    assert np.array_equal(mixed, copied)
+    other = np.empty_like(before)
+    assert gossip_round(before, w, out=other) is other
+    assert np.array_equal(other, copied)
+
+
+def test_cse_round_ignores_out_and_keeps_its_input():
+    payloads = np.random.default_rng(4).normal(size=(5, 7))
+    before = payloads.copy()
+    w = build_cse_weights(5, beta=0.4)
+    mixed = gossip_round(payloads, w, out=payloads)
+    assert mixed is not payloads
+    assert np.array_equal(payloads, before)
+    assert np.array_equal(mixed, w.entries @ before)
 
 
 def _pairwise_vs_dense(beta):
