@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemConstants, SiteModel, normal_system, site_terms
+from .core import ProblemConstants, SiteModel, agent_systems
 from .errors import InvalidArgumentError
 from .ggn import Trajectory
 from .gossip import lambda_eta
@@ -292,18 +292,11 @@ class SurrogateMismatch:
 def surrogate_mismatch(
     sites: list[SiteModel], xs: np.ndarray, pc: ProblemConstants | None = None
 ) -> SurrogateMismatch:
-    """Mismatch of the averaged own-iterate info pair at the (I, N_u) iterate stack xs."""
+    """Mismatch of the averaged own-iterate info pair at the (I, N_u) iterate
+    stack xs, which must hold one iterate per site (see agent_systems)."""
     n_agents = len(sites)
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[0] != n_agents:
-        raise InvalidArgumentError("one iterate per site required")
-
-    h_own = []
-    hm_own = []
-    for site, x in zip(sites, xs):
-        res, jac = site_terms(site, x)
-        h_own.append(jac.T @ res)
-        hm_own.append(jac.T @ jac)
+    a_full, b_full, hm_own, h_own, _ = agent_systems(sites, xs)
     h_bar = np.mean(h_own, axis=0)
     hm_bar = np.mean(hm_own, axis=0)
 
@@ -311,9 +304,8 @@ def surrogate_mismatch(
     big_delta_norms = np.empty(n_agents)
     disagreement = np.empty(n_agents)
     for i, x in enumerate(xs):
-        a_full, b_full = normal_system(sites, x)
-        delta_norms[i] = float(np.linalg.norm(h_bar - b_full / n_agents))
-        big_delta_norms[i] = float(np.linalg.norm(hm_bar - a_full / n_agents, ord=2))
+        delta_norms[i] = float(np.linalg.norm(h_bar - b_full[i] / n_agents))
+        big_delta_norms[i] = float(np.linalg.norm(hm_bar - a_full[i] / n_agents, ord=2))
         disagreement[i] = float(sum(np.linalg.norm(x - xj) for xj in xs))
 
     if pc is None:

@@ -3,9 +3,9 @@
 Each YAML section is the type the run consumes: `protocol` is a
 gossip.GossipConfig, `exchanges` a ggn.ExchangeSchedule, `diffusion` a
 ggn.DiffusionConfig, and each checks its own values when built. The schema
-is strict: unknown keys, values of the wrong type and non-finite numbers
-anywhere raise ConfigError naming the offending field path, so typos fail
-fast instead of silently running a different experiment.
+is strict: unknown or repeated keys, values of the wrong type and
+non-finite numbers anywhere raise ConfigError naming the offending field
+path, so typos fail fast instead of silently running a different experiment.
 """
 
 from __future__ import annotations
@@ -137,10 +137,34 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, data, "")
 
 
+def _load_yaml(text: str):
+    """yaml.safe_load(text), except that a key repeated in the root mapping or
+    in one of its sections, where safe_load keeps the last value, is a
+    ConfigError naming its field path. Keys compare by resolved tag and text."""
+    loader = yaml.SafeLoader(text)
+    try:
+        root = loader.get_single_node()
+        mappings = [(root, "")]
+        if isinstance(root, yaml.MappingNode):
+            mappings += [(value, f"{key.value}.") for key, value in root.value]
+        for node, prefix in mappings:
+            if not isinstance(node, yaml.MappingNode):
+                continue
+            seen = set()
+            for key, _ in node.value:
+                if (key.tag, str(key.value)) in seen:
+                    line = key.start_mark.line + 1
+                    raise ConfigError(f"{prefix}{key.value}: duplicate key (line {line})")
+                seen.add((key.tag, str(key.value)))
+        return None if root is None else loader.construct_document(root)
+    finally:
+        loader.dispose()
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        data = _load_yaml(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:

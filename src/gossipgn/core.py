@@ -11,7 +11,8 @@ with ``G`` and ``g`` the stacked Jacobian/residual, assembled here by summing
 per-site normal-equation contributions so that any row partition of the same
 problem yields the same direction. Sites built over one shared model carry a
 :class:`SiteBatch`, which lets the sum read every site's rows from that model
-at once.
+at once; agent_systems gives every gossiping agent its exact system and its
+own site's terms together.
 """
 
 from __future__ import annotations
@@ -90,60 +91,39 @@ class SiteBatch:
 
     Site i's residual is z[rows_i] - f[rows_i] and its Jacobian -J[rows_i];
     model also evaluates an (I, N_u) stack in one call, see stack_rows. The
-    sites are grouped by residual_dim, and each group holds its sites' (k, m)
-    row indices and their (k, m) values of z, so one fancy index gathers the
-    group's blocks. slot_of_site[i] is site i's place in that group order.
+    sites are grouped by residual_dim, and each group holds its sites'
+    positions in the list, their (k, m) row indices and their (k, m) values
+    of z, all read-only, so one fancy index gathers the group's blocks.
     Every site of the list carries the same batch, and site_id equals its
     position.
-
-    products holds normal_system's (I, n, n), (I, n, 1) and (I, 1, 1) stacks
-    of the per-site products G_i^T G_i, G_i^T g_i and g_i^T g_i in group
-    order. Each call overwrites all of it before reading it, and no result
-    aliases it; until the next call, site_products copies one site's
-    products out of it. Allocating the stacks on every call instead costs
-    page faults whenever the allocator returns them to the system in
-    between.
     """
 
     n_sites: int
     model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
-    slot_of_site: np.ndarray = field(repr=False)
-    products: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
 
     @staticmethod
     def of(
         model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         site_rows: Sequence[np.ndarray],
         z: np.ndarray,
-        n_unknowns: int,
     ) -> "SiteBatch":
         """The batch of sites whose rows are given in site order; site i's
-        values are z[site_rows[i]]."""
-        positions = _positions_by_size([rows.size for rows in site_rows])
-        stacked = [np.stack([site_rows[i] for i in p]) for p in positions]
-        groups = tuple((rows, z[rows]) for rows in stacked)
-        slot_of_site = _slot_of_site(positions)
-        for arr in (slot_of_site, *(arr for group in groups for arr in group)):
+        values are z[site_rows[i]]. Groups follow the sizes' first appearance."""
+        sizes = [rows.size for rows in site_rows]
+        groups = []
+        for size in dict.fromkeys(sizes):
+            positions = np.flatnonzero(np.equal(sizes, size))
+            rows = np.stack([site_rows[i] for i in positions])
+            groups.append((positions, rows, z[rows]))
+        for arr in (arr for group in groups for arr in group):
             arr.setflags(write=False)
-        products = _product_stacks(len(site_rows), n_unknowns)
-        return SiteBatch(len(site_rows), model, groups, slot_of_site, products)
+        return SiteBatch(len(site_rows), model, tuple(groups))
 
     def serves(self, sites: list[SiteModel]) -> bool:
         """Whether sites is the whole site list this batch was built for, in order."""
         return self.n_sites == len(sites) and all(
             site.batch is self and site.site_id == i for i, site in enumerate(sites)
-        )
-
-    def site_products(self, site: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Site i's G_i^T g_i, G_i^T G_i flattened in column-major order, and
-        ||g_i||^2, from the last normal_system call over this batch's sites,
-        at that call's x. The arrays are copies."""
-        products_a, products_b, products_v = self.products
-        slot = self.slot_of_site[site]
-        return (
-            products_b[slot].flatten(), products_a[slot].flatten(order="F"),
-            float(products_v[slot, 0, 0]),
         )
 
 
@@ -181,24 +161,6 @@ def stack_rows(sites: list[SiteModel], xs: np.ndarray):
         batch.model(xs[list(firsts.values())])
         yield from range(start, stop)
         start = stop
-
-
-def _positions_by_size(sizes: list[int]) -> list[list[int]]:
-    """The positions of each distinct size, sizes in order of first appearance."""
-    positions: dict[int, list[int]] = {}
-    for i, size in enumerate(sizes):
-        positions.setdefault(size, []).append(i)
-    return list(positions.values())
-
-
-def _slot_of_site(positions: list[list[int]]) -> np.ndarray:
-    """Each site's place when the groups' positions are laid end to end."""
-    return np.argsort(np.concatenate(positions))
-
-
-def _product_stacks(n_sites: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uninitialized (I, n, n), (I, n, 1) and (I, 1, 1) stacks for the per-site products."""
-    return np.empty((n_sites, n, n)), np.empty((n_sites, n, 1)), np.empty((n_sites, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -259,48 +221,82 @@ def site_terms(site: SiteModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def normal_system(sites: list[SiteModel], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble A = sum_i G_i^T G_i and b = sum_i G_i^T g_i at x.
+def _site_products(
+    sites: list[SiteModel], x: np.ndarray, products: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> None:
+    """Write every site's G_i^T G_i, G_i^T g_i and ||g_i||^2 at x into the
+    (I, n, n), (I, n) and (I,) stacks of products, in site order.
 
-    The sites are grouped by residual size, and each group's products are
-    taken in one stacked matmul. They are summed in site order, so the
-    result is bit-identical to accumulating G_i^T G_i and G_i^T g_i site by
-    site. That holds because every slice of the stacks is C-contiguous with
-    the site's own shape: padded, compressed or strided blocks round
-    differently. A site list carrying its SiteBatch gathers the blocks
-    straight from the shared model, and leaves each site's products, with
-    g_i^T g_i, for SiteBatch.site_products to copy; any other list (a
-    subset, a reordering, sites without a batch) stacks site_terms.
+    A site list carrying its SiteBatch takes each group's products in one
+    stacked matmul on blocks gathered from the shared model, which gives the
+    bits of a site-by-site loop since each block is C-contiguous with the
+    site's own shape (padded or strided blocks round differently). Any other
+    list (a subset, a reordering, sites without a batch) loops over site_terms.
     """
-    x = _check_state(sites, x)
+    gram, grad, sq = products
     batch = sites[0].batch
     if batch is not None and batch.serves(sites):
         f, jac = batch.model(x)
-        blocks = [(values - f[rows], -jac[rows]) for rows, values in batch.groups]
-        slot_of_site, stacks = batch.slot_of_site, batch.products
-    else:
-        terms = [site_terms(site, x) for site in sites]
-        positions = _positions_by_size([res.shape[0] for res, _ in terms])
-        blocks = [
-            (np.stack([terms[i][0] for i in p]), np.stack([terms[i][1] for i in p]))
-            for p in positions
-        ]
-        slot_of_site, stacks = _slot_of_site(positions), _product_stacks(len(sites), x.size)
-    products_a, products_b, products_v = stacks
-    start = 0
-    for res, jac in blocks:
-        stop = start + len(jac)
-        jac_t = jac.transpose(0, 2, 1)
-        np.matmul(jac_t, jac, out=products_a[start:stop])
-        np.matmul(jac_t, res[..., None], out=products_b[start:stop])
-        np.matmul(res[:, None, :], res[..., None], out=products_v[start:stop])
-        start = stop
-    # Both sums add in site order from +0.0: a in place, which needs no
-    # (I, n, n) copy, and b over its small gathered copy.
-    a = np.zeros((x.size, x.size))
-    for slot in slot_of_site.tolist():
-        a += products_a[slot]
-    return a, np.add.reduce(products_b[slot_of_site, :, 0], axis=0, initial=0.0)
+        for positions, rows, values in batch.groups:
+            # -g_i and -G_i: negation is exact, so their products are G_i's
+            res, blocks = f[rows] - values, jac[rows]
+            blocks_t = blocks.transpose(0, 2, 1)
+            gram[positions] = blocks_t @ blocks
+            grad[positions] = (blocks_t @ res[..., None])[..., 0]
+            sq[positions] = (res[:, None, :] @ res[..., None])[:, 0, 0]
+        return
+    for i, site in enumerate(sites):
+        res, jac = site_terms(site, x)
+        gram[i], grad[i], sq[i] = jac.T @ jac, jac.T @ res, res @ res
+
+
+def normal_system(sites: list[SiteModel], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble A = sum_i G_i^T G_i and b = sum_i G_i^T g_i at x.
+
+    The per-site products (_site_products) are summed in site order from
+    +0.0, so the result is bit-identical to accumulating G_i^T G_i and
+    G_i^T g_i site by site.
+    """
+    x = _check_state(sites, x)
+    gram, grad = np.empty((len(sites), x.size, x.size)), np.empty((len(sites), x.size))
+    _site_products(sites, x, (gram, grad, np.empty(len(sites))))
+    return np.add.reduce(gram, axis=0, initial=0.0), np.add.reduce(grad, axis=0, initial=0.0)
+
+
+def agent_systems(
+    sites: list[SiteModel], xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each agent's exact normal system at its own iterate, and its own
+    site's products there.
+
+    Agent i holds site i and iterate xs[i], a row of the (I, N_u) stack xs.
+    Returns the (I, n, n) and (I, n) stacks of A_i and b_i, each equal to
+    normal_system(sites, xs[i]) bit for bit, then site i's G_i^T G_i,
+    G_i^T g_i and ||g_i||^2 at xs[i] as (I, n, n), (I, n) and (I,) stacks.
+    The rows are read through stack_rows, so a shared model is evaluated
+    once per distinct row, and an agent at the previous agent's iterate,
+    byte for byte, reuses its sums. Every iterate's per-site products go
+    into one set of stacks allocated for the call; no result aliases them.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if not sites or xs.ndim != 2 or len(xs) != len(sites):
+        raise InvalidArgumentError(f"need one iterate per site, got shape {xs.shape}")
+    n_sites, n = len(sites), _check_state(sites, xs[0]).size
+    a, b = np.empty((n_sites, n, n)), np.empty((n_sites, n))
+    gram, grad, sq = np.empty((n_sites, n, n)), np.empty((n_sites, n)), np.empty(n_sites)
+    products = np.empty((n_sites, n, n)), np.empty((n_sites, n)), np.empty(n_sites)
+    last_key = None
+    for i in stack_rows(sites, xs):
+        key = xs[i].tobytes()
+        if key == last_key:
+            a[i], b[i] = a[i - 1], b[i - 1]
+        else:
+            _site_products(sites, xs[i], products)
+            np.add.reduce(products[0], axis=0, initial=0.0, out=a[i])
+            np.add.reduce(products[1], axis=0, initial=0.0, out=b[i])
+            last_key = key
+        gram[i], grad[i], sq[i] = products[0][i], products[1][i], products[2][i]
+    return a, b, gram, grad, sq
 
 
 def _cholesky_shift(n: int) -> float:

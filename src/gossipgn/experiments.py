@@ -466,11 +466,18 @@ def run_failure_sweep(
     if not p_values:
         raise InvalidArgumentError("failure sweep needs at least one failure probability")
     base_dir = resolve_output_dir(config, env_output_dir)
-    # GossipConfig rejects a p outside [0, 1): every p is checked before the first run
+    # GossipConfig rejects a p outside [0, 1), and two p sharing a directory would
+    # overwrite one run with the other: every p is checked before the first run
     protocols = [replace(config.protocol, link_failure_prob=float(p)) for p in p_values]
+    names = [f"p_{p:g}" for p in p_values]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise InvalidArgumentError(
+            f"failure probabilities {p_values} share the output directory {shared[0]}"
+        )
     table = []
-    for p, protocol in zip(p_values, protocols):
-        sub = replace(config, protocol=protocol, output_dir=str(base_dir / f"p_{p:g}"))
+    for p, protocol, name in zip(p_values, protocols, names):
+        sub = replace(config, protocol=protocol, output_dir=str(base_dir / name))
         result = run_experiment(sub, with_certificate=False)
 
         floor = result.problem.noise_floor

@@ -226,40 +226,17 @@ def ggn_run(
     exchange_counts = []
     eta_observed = np.inf
 
-    def init_step(x: np.ndarray, with_exact: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        # Payload stack at the agents' iterates x; records val and grad there.
-        # stack_rows evaluates the sites' shared model once per distinct row
-        # of x, a few rows at a time, so every read below hits its memo. Each
-        # agent's full normal system is summed from every site's products at
-        # its iterate, in one stacked product per site size through the
-        # sites' SiteBatch, and an agent at the previous agent's iterate,
-        # byte for byte, reuses that system. The agent's payload row and val
-        # are its own site's products there, copied from the batch;
-        # local_init_info forms them only where no exact system is built.
-        # All exact systems are solved together. normal_system is looked up
-        # on the core module so that a wrapper installed there
-        # (perfbench/tracing.py) sees each call.
-        payloads = np.empty((n_agents, n_u * (n_u + 1)))
-        a, b = np.empty((n_agents, n_u, n_u)), np.empty((n_agents, n_u))
-        vals_now = np.empty(n_agents)
-        batch = sites[0].batch
-        from_products = with_exact and batch is not None and batch.serves(sites)
-        last_key = None
-        for i in core.stack_rows(sites, x):
-            if with_exact:
-                key = x[i].tobytes()
-                if key != last_key:
-                    a_now, b_now = core.normal_system(sites, x[i])
-                    last_key = key
-                a[i], b[i] = a_now, b_now
-            if from_products:
-                payloads[i, :n_u], payloads[i, n_u:], vals_now[i] = batch.site_products(i)
-            else:
-                payloads[i], vals_now[i] = local_init_info(sites[i], x[i])
+    def init_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Payload stack and exact directions at the agents' iterates x;
+        # records val and grad there. core.agent_systems gives each agent's
+        # exact system with its own site's products, which the payload row
+        # lays out as local_init_info does. All exact systems are solved together.
+        a, b, gram, grad, vals_now = core.agent_systems(sites, x)
+        blocks = np.empty((n_agents, n_u + 1, n_u))  # h, then the columns of H
+        blocks[:, 0], blocks[:, 1:] = grad, gram.transpose(0, 2, 1)
+        payloads = blocks.reshape(n_agents, -1)
         vals.append(vals_now)
-        grads.append([float(np.linalg.norm(row[:n_u])) for row in payloads])
-        if not with_exact:
-            return payloads, None
+        grads.append([float(np.linalg.norm(h)) for h in grad])
         try:
             return payloads, solve_normal(a, b, context="exact descent")
         except SingularSystemError:
@@ -273,7 +250,7 @@ def ggn_run(
 
     for k in range(ggn_config.max_updates):
         ell_k = ggn_config.schedule.exchanges_at(k)
-        payloads, exact = init_step(x, True)
+        payloads, exact = init_step(x)
         for weights in itertools.islice(rounds, ell_k):
             eta_observed = min(eta_observed, weights.eta)
             payloads = gossip_round(payloads, weights, out=payloads)
@@ -288,7 +265,10 @@ def ggn_run(
         if step_max <= ggn_config.stop_tol:
             break
 
-    init_step(x, False)
+    # the final iterates need only their vals and grads
+    rows = [local_init_info(sites[i], x[i]) for i in core.stack_rows(sites, x)]
+    vals.append([val for _, val in rows])
+    grads.append([float(np.linalg.norm(row[:n_u])) for row, _ in rows])
     return Trajectory(
         iterates=np.stack(iterates),
         vals=np.asarray(vals),

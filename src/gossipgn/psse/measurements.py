@@ -214,7 +214,7 @@ def build_nlls_sites(
         memo.update(zip((row.tobytes() for row in np.atleast_2d(x)), rows))
         return f, jac
 
-    batch = SiteBatch.of(model_at, site_rows, z, grid.n_unknowns)
+    batch = SiteBatch.of(model_at, site_rows, z)
 
     sites = []
     for i, rows in enumerate(site_rows):

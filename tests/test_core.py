@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from gossipgn.core import (
     SiteModel,
     _nonzeros,
     _spectral_bounds,
+    agent_systems,
     centralized_gn_solve,
     estimate_constants,
     finite_diff_jacobian,
@@ -131,7 +133,7 @@ def test_grouped_normal_system_bit_identical_on_psse_sites(grid30, true30, n_sit
     sites = _psse_sites(grid30, true30, n_sites, n_sites)
     assert all(site.batch is sites[0].batch for site in sites)
     points = _psse_points(grid30, 12, n_sites)
-    # all calls first: a result must not alias the batch's product stacks
+    # all calls first: a result must not alias another call's
     results = [normal_system(sites, x) for x in points]
     for x, got in zip(points, results):
         _assert_bit_identical(got, _loop_normal_system(sites, x))
@@ -164,6 +166,25 @@ def test_grouped_normal_system_bit_identical_on_uneven_toy_sites(row_counts):
     for x in rng.normal(size=(6, 4)):
         for subset in (sites, sites[::-1], sites[1:] or sites):
             _assert_bit_identical(normal_system(subset, x), _loop_normal_system(subset, x))
+
+
+def test_agent_systems_equal_normal_system_at_each_iterate(grid30, true30):
+    # batch sites and toy sites without a batch, each at distinct iterates,
+    # at runs of repeated iterates and at one shared start
+    calls = []
+    for sites, xs in (
+        (_psse_sites(grid30, true30, 7, 6), _psse_points(grid30, 7, 6)),
+        (_uneven_sites([2, 5, 3, 5, 2, 7]), np.random.default_rng(6).normal(size=(6, 4))),
+    ):
+        repeated = xs[[0, 1, 1, 1, 4, 4, 0][: len(xs)]]
+        for stack in (xs, repeated, np.tile(xs[0], (len(xs), 1))):
+            calls.append((sites, stack, agent_systems(sites, stack)))
+    # all calls first: a result must not alias another call's
+    for sites, xs, (a, b, *_) in calls:
+        for i, x in enumerate(xs):
+            _assert_bit_identical((a[i], b[i]), normal_system(sites, x))
+    results = [arr for _, _, result in calls for arr in result]
+    assert not any(np.shares_memory(p, q) for p, q in itertools.combinations(results, 2))
 
 
 def test_solve_normal_rejects_singular():
@@ -319,6 +340,12 @@ def test_state_length_checked(toy_sites):
         normal_system(toy_sites, np.zeros(5))
     with pytest.raises(InvalidArgumentError):
         normal_system([], np.zeros(3))
+    with pytest.raises(InvalidArgumentError):
+        agent_systems(toy_sites, np.zeros((3, 5)))
+    with pytest.raises(InvalidArgumentError):
+        agent_systems(toy_sites, np.zeros((2, 3)))
+    with pytest.raises(InvalidArgumentError):
+        agent_systems([], np.zeros((0, 3)))
 
 
 def test_estimate_constants_basic(toy_sites, toy_box):

@@ -145,9 +145,14 @@ def test_missing_config_file(tmp_path):
 
 def test_malformed_yaml(tmp_path):
     path = tmp_path / "bad.yaml"
-    path.write_text("alpha: [unclosed")
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for text, message in (
+        ("alpha: [unclosed", None),
+        ("sites: 3\nsites: 30\n", r"^sites: duplicate key \(line 2\)"),
+        ("protocol: {kind: cse, kind: ure}\n", r"^protocol\.kind: duplicate key \(line 1\)"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
 
 
 # --- experiment runner --------------------------------------------------------
@@ -440,9 +445,13 @@ def test_failure_sweep_validates(tmp_path):
 
 def test_failure_sweep_checks_every_p_before_the_first_run(tmp_path):
     ure = config_from_mapping(sweep_mapping(tmp_path))
-    with pytest.raises(InvalidArgumentError, match="1.5 outside"):
-        run_failure_sweep(ure, [0.0, 1.5])
-    assert not (tmp_path / "sweep" / "p_0").exists()
+    for p_values, message in (
+        ([0.0, 1.5], "1.5 outside"),
+        ([0.1234567, 0.1234568], "share the output directory p_0.123457"),
+    ):
+        with pytest.raises(InvalidArgumentError, match=message):
+            run_failure_sweep(ure, p_values)
+        assert not list((tmp_path / "sweep").glob("p_*"))
 
 
 def test_compare_algorithms_outputs(tmp_path):
