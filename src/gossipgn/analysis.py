@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemConstants, SiteModel, agent_systems
+from .core import ProblemConstants
 from .errors import InvalidArgumentError
 from .ggn import Trajectory
 from .gossip import lambda_eta
@@ -268,58 +268,6 @@ def perturbation_bound(c1: float, d: float, lambda_eta_val: float, ell_min: floa
         raise InvalidArgumentError("ell_min must be nonnegative")
     # inf * 0 when the plan is divergent: propagate as nan (no finite bound).
     return 4.0 * c1 * d * lambda_eta_val ** (ell_min + 1.0)
-
-
-@dataclass(frozen=True)
-class SurrogateMismatch:
-    """Per-agent gap between the network-average info and the exact one.
-
-    delta compares the averaged gradient-type term against the full
-    gradient term evaluated at that agent's iterate; big_delta the same
-    for the matrix term (spectral norm). disagreement_sums[i] is
-    sum_j ||x_i - x_j||, the quantity the Lipschitz envelopes scale with.
-    """
-
-    delta_norms: np.ndarray
-    big_delta_norms: np.ndarray
-    disagreement_sums: np.ndarray
-    delta_bounds: np.ndarray | None = None
-    big_delta_bounds: np.ndarray | None = None
-    delta_within: bool | None = None
-    big_delta_within: bool | None = None
-
-
-def surrogate_mismatch(
-    sites: list[SiteModel], xs: np.ndarray, pc: ProblemConstants | None = None
-) -> SurrogateMismatch:
-    """Mismatch of the averaged own-iterate info pair at the (I, N_u) iterate
-    stack xs, which must hold one iterate per site (see agent_systems)."""
-    n_agents = len(sites)
-    xs = np.asarray(xs, dtype=float)
-    a_full, b_full, hm_own, h_own, _ = agent_systems(sites, xs)
-    h_bar = np.mean(h_own, axis=0)
-    hm_bar = np.mean(hm_own, axis=0)
-
-    delta_norms = np.empty(n_agents)
-    big_delta_norms = np.empty(n_agents)
-    disagreement = np.empty(n_agents)
-    for i, x in enumerate(xs):
-        delta_norms[i] = float(np.linalg.norm(h_bar - b_full[i] / n_agents))
-        big_delta_norms[i] = float(np.linalg.norm(hm_bar - a_full[i] / n_agents, ord=2))
-        disagreement[i] = float(sum(np.linalg.norm(x - xj) for xj in xs))
-
-    if pc is None:
-        return SurrogateMismatch(delta_norms, big_delta_norms, disagreement)
-    delta_bounds = pc.nu_delta / n_agents * disagreement
-    big_delta_bounds = pc.nu_Delta / n_agents * disagreement
-    tol = 1e-12
-    return SurrogateMismatch(
-        delta_norms, big_delta_norms, disagreement,
-        delta_bounds=delta_bounds,
-        big_delta_bounds=big_delta_bounds,
-        delta_within=bool(np.all(delta_norms <= delta_bounds + tol)),
-        big_delta_within=bool(np.all(big_delta_norms <= big_delta_bounds + tol)),
-    )
 
 
 @dataclass(frozen=True)

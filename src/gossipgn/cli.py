@@ -91,14 +91,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     result = run_experiment(config, env_output_dir=_env_output_dir())
-    shown = 0
     for key, value in result.summary.items():
         if key.startswith("certificate.") or key.startswith("constants."):
             print(summary_line(key, value))
-            shown += 1
-    if shown == 0:
-        print("no certificate produced for this configuration")
-        return EXIT_OTHER
     return EXIT_OK
 
 

@@ -74,16 +74,16 @@ class ExperimentConfig:
             raise ConfigError("sites: must be >= 1")
         if self.protocol.kind == "ure" and self.sites < 2 and self.algorithm != "centralized":
             raise ConfigError(f"protocol.kind: ure needs at least two sites, got {self.sites}")
-        if self.sigma2 < 0.0:
-            raise ConfigError("sigma2: must be nonnegative")
+        if not 0.0 <= self.sigma2 < math.inf:
+            raise ConfigError(f"sigma2: must be nonnegative and finite, got {self.sigma2}")
         if self.snapshots < 1:
             raise ConfigError("snapshots: must be >= 1")
-        if self.load_scale < 0.0:
-            raise ConfigError("load_scale: must be nonnegative")
+        if not 0.0 <= self.load_scale < math.inf:
+            raise ConfigError(f"load_scale: must be nonnegative and finite, got {self.load_scale}")
         if self.repetitions < 1:
             raise ConfigError("repetitions: must be >= 1")
-        if self.theta_max <= 0.0 or self.v_max <= 0.0:
-            raise ConfigError("theta_max and v_max must be positive")
+        if not (0.0 < self.theta_max < math.inf and 0.0 < self.v_max < math.inf):
+            raise ConfigError("theta_max and v_max must be positive and finite")
         try:
             self.ggn_config()
         except InvalidArgumentError as exc:

@@ -1,5 +1,5 @@
 """Nonlinear least squares core: problem abstraction, box projection,
-centralized Gauss-Newton, and the numerical oracles used to certify it.
+centralized Gauss-Newton, and the problem constants that certify it.
 
 A problem instance is a list of :class:`SiteModel` objects. Site ``i`` owns a
 residual block ``g_i(x)`` of length ``M_i`` and its Jacobian ``G_i(x)``; the
@@ -387,21 +387,6 @@ def objective(sites: list[SiteModel], x: np.ndarray) -> float:
 def stationarity_residual(sites: list[SiteModel], x: np.ndarray) -> float:
     """||G^T(x) g(x)||; zero exactly at first-order stationary points."""
     return float(np.linalg.norm(normal_system(sites, x)[1]))
-
-
-def finite_diff_jacobian(site: SiteModel, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Jacobian (g(x + h e_j) - g(x - h e_j)) / 2h."""
-    if h <= 0:
-        raise InvalidArgumentError("step h must be positive")
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        step = np.zeros_like(x)
-        step[j] = h
-        gp = np.asarray(site.eval_residual(x + step), dtype=float)
-        gm = np.asarray(site.eval_residual(x - step), dtype=float)
-        cols.append((gp - gm) / (2.0 * h))
-    return np.column_stack(cols)
 
 
 def gauss_newton_iterates(

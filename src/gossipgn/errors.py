@@ -1,6 +1,6 @@
 """Exception taxonomy shared across the toolkit.
 
-Each class maps to one CLI exit-code category (see cli.EXIT_CODES).
+Each class maps to one CLI exit-code category (see the cli.EXIT_* constants).
 """
 
 

@@ -76,10 +76,10 @@ class GgnConfig:
             raise InvalidArgumentError(f"alpha: must lie in (0, 1], got {self.alpha}")
         if self.max_updates < 1:
             raise InvalidArgumentError(f"max_updates: must be >= 1, got {self.max_updates}")
-        if self.stop_tol <= 0.0:
-            raise InvalidArgumentError(f"stop_tol: must be positive, got {self.stop_tol}")
-        if self.ridge < 0.0:
-            raise InvalidArgumentError(f"ridge: must be >= 0, got {self.ridge}")
+        if not 0.0 < self.stop_tol < math.inf:
+            raise InvalidArgumentError(f"stop_tol: must be positive and finite, got {self.stop_tol}")
+        if not 0.0 <= self.ridge < math.inf:
+            raise InvalidArgumentError(f"ridge: must be >= 0 and finite, got {self.ridge}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ class DiffusionConfig:
     total_exchanges: int = 900
 
     def __post_init__(self):
-        if self.step_scale <= 0.0:
-            raise InvalidArgumentError(f"step_scale: must be positive, got {self.step_scale}")
+        if not 0.0 < self.step_scale < math.inf:
+            raise InvalidArgumentError(f"step_scale: must be positive and finite, got {self.step_scale}")
         if self.total_exchanges < 1:
             raise InvalidArgumentError(f"total_exchanges: must be >= 1, got {self.total_exchanges}")
 

@@ -204,69 +204,3 @@ def lambda_eta(eta: float, n_agents: int) -> float:
         raise InvalidArgumentError("need n_agents >= 2")
     return float((1.0 - eta**l0) ** (1.0 / l0))
 
-
-@dataclass(frozen=True)
-class ConsensusContractionReport:
-    """Outcome of checking product-of-weights consensus decay.
-
-    deviations[t] is the largest entrywise |[W(0)...W(t)]_ij - 1/I|;
-    bounds[t] the geometric envelope coefficient * rate^t. satisfied means
-    every deviation is within its envelope; max_ratio is the worst
-    observed/bound ratio. applicable is False when the envelope itself is
-    undefined (eta outside (0,1), i.e. no contraction to measure).
-    """
-
-    applicable: bool
-    satisfied: bool
-    max_ratio: float
-    coefficient: float
-    rate: float
-    deviations: np.ndarray
-    bounds: np.ndarray
-    reason: str = ""
-
-
-def verify_consensus_contraction(
-    weight_sequence: list[WeightMatrix | PairwiseRound], eta: float, n_agents: int
-) -> ConsensusContractionReport:
-    """Check running products of the given rounds against the geometric
-    consensus envelope 2 (1 + eta^-L0) / (1 - eta^L0) * rate^t."""
-    if not weight_sequence:
-        raise InvalidArgumentError("empty weight sequence")
-    i_count = n_agents
-    if not 0.0 < eta < 1.0:
-        return ConsensusContractionReport(
-            applicable=False,
-            satisfied=False,
-            max_ratio=np.inf,
-            coefficient=np.nan,
-            rate=np.nan,
-            deviations=np.array([]),
-            bounds=np.array([]),
-            reason=f"eta={eta} outside (0,1): no contraction envelope (static/identity mixing)",
-        )
-    l0 = i_count - 1
-    rate = lambda_eta(eta, i_count)
-    coefficient = 2.0 * (1.0 + eta ** (-l0)) / (1.0 - eta**l0)
-    product = np.eye(i_count)
-    deviations = np.empty(len(weight_sequence))
-    bounds = np.empty(len(weight_sequence))
-    target = 1.0 / i_count
-    for t, wm in enumerate(weight_sequence):
-        product = wm.entries @ product
-        deviations[t] = float(np.max(np.abs(product - target)))
-        bounds[t] = coefficient * rate ** (t + 1)
-    ratios = deviations / bounds
-    max_ratio = float(ratios.max())
-    contracting = deviations[-1] <= deviations[0] + STOCHASTIC_TOL
-    return ConsensusContractionReport(
-        applicable=True,
-        satisfied=max_ratio <= 1.0,
-        max_ratio=max_ratio,
-        coefficient=coefficient,
-        rate=rate,
-        deviations=deviations,
-        bounds=bounds,
-        reason="" if contracting else "deviations are not contracting over the sequence",
-    )
-

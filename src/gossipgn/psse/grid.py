@@ -88,25 +88,6 @@ class GridModel:
         if asym > 1e-9:
             raise InvalidArgumentError("assembled admittance matrix is not symmetric")
 
-    def __eq__(self, other):
-        if not isinstance(other, GridModel):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.n_buses == other.n_buses
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(vars(self.branches).values(), vars(other.branches).values())
-            )
-            and self.slack_bus == other.slack_bus
-            and np.array_equal(self.bus_types, other.bus_types)
-            and np.array_equal(self.loads, other.loads)
-            and np.array_equal(self.bus_shunts, other.bus_shunts)
-            and np.array_equal(self.gen_v_setpoint, other.gen_v_setpoint, equal_nan=True)
-            and np.array_equal(self.gen_p, other.gen_p)
-            and np.array_equal(self.ybus, other.ybus)
-        )
-
     @property
     def n_branches(self) -> int:
         return self.branches.f.size
@@ -371,14 +352,6 @@ def newton_power_flow(grid: GridModel) -> PowerState:
         va[pvpq] -= dx[: pvpq.size]
         vm[pq] -= dx[pvpq.size :]
     raise PowerFlowError(f"power flow did not converge in {_POWER_FLOW_MAX_ITER} iterations")
-
-
-def save_true_state(path: str | Path, state: PowerState) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bus", "theta", "v"])
-        for i in range(state.n_buses):
-            writer.writerow([i + 1, repr(float(state.theta[i])), repr(float(state.v[i]))])
 
 
 def load_true_state(path: str | Path, n_buses: int) -> PowerState:

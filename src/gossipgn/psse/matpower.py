@@ -1,4 +1,4 @@
-"""Reader and writer for the MATPOWER case subset this package understands.
+"""Reader for the MATPOWER case subset this package understands.
 
 Supported content: a `function mpc = <name>` header, `mpc.baseMVA`, and the
 `mpc.bus`, `mpc.gen`, `mpc.branch` matrices with MATLAB `%` comments. Rows
@@ -151,27 +151,6 @@ def parse_matpower_text(text: str) -> MatpowerCase:
         gen=as_array(tables["gen"], GEN_COLS),
         branch=as_array(tables["branch"], BRANCH_COLS),
     )
-
-
-def _fmt(x: float) -> str:
-    # repr round-trips exactly, keeping serialize -> parse lossless
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(float(x))
-
-
-def serialize_case(case: MatpowerCase) -> str:
-    out = [f"function mpc = {case.name}", "mpc.version = '2';", ""]
-    out.append(f"mpc.baseMVA = {_fmt(case.base_mva)};")
-    for key in ("bus", "gen", "branch"):
-        table = getattr(case, key)
-        out.append("")
-        out.append(f"mpc.{key} = [")
-        for row in table:
-            out.append("\t" + "\t".join(_fmt(v) for v in row) + ";")
-        out.append("];")
-    out.append("")
-    return "\n".join(out)
 
 
 def scale_loads(case: MatpowerCase, factor: float) -> MatpowerCase:

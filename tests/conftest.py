@@ -1,8 +1,10 @@
-"""Shared fixtures and the independent complex-arithmetic oracles.
+"""Shared fixtures, the independent oracles and the test-side checkers.
 
 The oracles below deliberately recompute injections and flows from
 complex phasor algebra, separate from the package's trigonometric
-evaluators, so agreement between the two is meaningful.
+evaluators, so agreement between the two is meaningful. The
+central-difference Jacobian, grid equality and the consensus envelope
+are checked only by tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import numpy as np
 import pytest
 
 from gossipgn.core import BoxSet, SiteModel
+from gossipgn.errors import InvalidArgumentError
+from gossipgn.gossip import PairwiseRound, WeightMatrix, lambda_eta
 from gossipgn.psse import (
     GridModel,
     PowerState,
@@ -44,6 +48,60 @@ def oracle_flows(grid: GridModel, state: PowerState) -> np.ndarray:
         p_rows += [s_fwd.real, s_rev.real]
         q_rows += [s_fwd.imag, s_rev.imag]
     return np.asarray(p_rows + q_rows)
+
+
+def finite_diff_jacobian(site: SiteModel, x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Jacobian (g(x + h e_j) - g(x - h e_j)) / 2h."""
+    if h <= 0:
+        raise InvalidArgumentError("step h must be positive")
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.size):
+        step = np.zeros_like(x)
+        step[j] = h
+        gp = np.asarray(site.eval_residual(x + step), dtype=float)
+        gm = np.asarray(site.eval_residual(x - step), dtype=float)
+        cols.append((gp - gm) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def grids_equal(a: GridModel, b: GridModel) -> bool:
+    """Every field and branch array equal; unset generator setpoints (nan) match."""
+    return (
+        a.name == b.name
+        and a.n_buses == b.n_buses
+        and all(
+            np.array_equal(x, y)
+            for x, y in zip(vars(a.branches).values(), vars(b.branches).values())
+        )
+        and a.slack_bus == b.slack_bus
+        and np.array_equal(a.bus_types, b.bus_types)
+        and np.array_equal(a.loads, b.loads)
+        and np.array_equal(a.bus_shunts, b.bus_shunts)
+        and np.array_equal(a.gen_v_setpoint, b.gen_v_setpoint, equal_nan=True)
+        and np.array_equal(a.gen_p, b.gen_p)
+        and np.array_equal(a.ybus, b.ybus)
+    )
+
+
+def consensus_envelope_ratios(
+    rounds: list[WeightMatrix | PairwiseRound], eta: float, n_agents: int
+) -> np.ndarray:
+    """Per round t, the largest entrywise |[W(t)...W(1)]_ij - 1/I| over the
+    geometric consensus envelope 2 (1 + eta^-L0) / (1 - eta^L0) * rate^t,
+    with L0 = I - 1 and rate = lambda_eta (Boyd et al., "Randomized Gossip
+    Algorithms", IEEE Trans. IT 2006). Every ratio is at most 1 when the
+    products stay inside the envelope."""
+    l0 = n_agents - 1
+    rate = lambda_eta(eta, n_agents)
+    coefficient = 2.0 * (1.0 + eta ** (-l0)) / (1.0 - eta**l0)
+    product = np.eye(n_agents)
+    ratios = np.empty(len(rounds))
+    for t, wm in enumerate(rounds):
+        product = wm.entries @ product
+        deviation = float(np.max(np.abs(product - 1.0 / n_agents)))
+        ratios[t] = deviation / (coefficient * rate ** (t + 1))
+    return ratios
 
 
 def random_states(grid: GridModel, n: int, seed: int) -> list[PowerState]:

@@ -13,7 +13,7 @@ import pytest
 
 from gossipgn.analysis import verify_contraction_to_ball
 from gossipgn.config import config_from_mapping
-from gossipgn.core import finite_diff_jacobian, normal_system, solve_normal, project
+from gossipgn.core import normal_system, solve_normal, project
 from gossipgn.experiments import (
     build_problem,
     certificate_for_run,
@@ -34,7 +34,6 @@ from gossipgn.gossip import (
     gossip_round,
     lambda_eta,
     sample_ure_round,
-    verify_consensus_contraction,
 )
 from gossipgn.psse.measurements import (
     build_nlls_sites,
@@ -45,7 +44,13 @@ from gossipgn.psse.measurements import (
     streaming_snapshots,
 )
 
-from conftest import oracle_flows, oracle_injections, random_states
+from conftest import (
+    consensus_envelope_ratios,
+    finite_diff_jacobian,
+    oracle_flows,
+    oracle_injections,
+    random_states,
+)
 
 # ---------------------------------------------------------------------------
 # shared configurations and runs
@@ -179,10 +184,9 @@ def test_c04_consensus_contraction_envelope():
         n = int(rng.integers(2, 11))
         beta = float(rng.uniform(0.1, 0.9))
         w = build_cse_weights(n, beta)
-        report = verify_consensus_contraction([w] * 50, eta=w.eta, n_agents=n)
-        assert report.applicable, report.reason
-        assert report.satisfied, (n, beta, report.max_ratio)
-        worst_ratio = max(worst_ratio, report.max_ratio)
+        max_ratio = float(consensus_envelope_ratios([w] * 50, eta=w.eta, n_agents=n).max())
+        assert max_ratio <= 1.0, (n, beta, max_ratio)
+        worst_ratio = max(worst_ratio, max_ratio)
     assert worst_ratio <= 1.0
     print(f"criterion 4: PASS - 50 complete-graph CSE chains stay inside the "
           f"geometric envelope for l=1..50 (worst ratio {worst_ratio:.3f})")

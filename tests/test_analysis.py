@@ -11,10 +11,9 @@ from gossipgn.analysis import (
     min_exchanges_plan,
     perturbation_bound,
     recursion_constants,
-    surrogate_mismatch,
     verify_contraction_to_ball,
 )
-from gossipgn.core import BoxSet, ProblemConstants, SiteModel, centralized_gn_solve
+from gossipgn.core import BoxSet, ProblemConstants, SiteModel, agent_systems, centralized_gn_solve
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.ggn import ExchangeSchedule, GgnConfig, ggn_run
 from gossipgn.gossip import GossipConfig
@@ -214,25 +213,42 @@ def _linear_sites(n_agents=2, n_unknowns=2, seed=0, consistent=True):
     return sites, x_true
 
 
+def surrogate_mismatch(sites, xs):
+    """Per agent i of the (I, N_u) iterate stack xs: ||h_bar - b_i / I||,
+    ||H_bar - A_i / I||_2 and sum_j ||x_i - x_j||, where (h_bar, H_bar) is
+    the network average of the own-site info pairs and (A_i, b_i) the exact
+    system at x_i. The Lipschitz envelopes bound the first two by
+    nu_delta / I and nu_Delta / I times the third."""
+    n_agents = len(sites)
+    xs = np.asarray(xs, dtype=float)
+    a_full, b_full, hm_own, h_own, _ = agent_systems(sites, xs)
+    h_bar = np.mean(h_own, axis=0)
+    hm_bar = np.mean(hm_own, axis=0)
+    delta = np.array([np.linalg.norm(h_bar - b / n_agents) for b in b_full])
+    big_delta = np.array([np.linalg.norm(hm_bar - a / n_agents, ord=2) for a in a_full])
+    disagreement = np.array([sum(np.linalg.norm(x - xj) for xj in xs) for x in xs])
+    return delta, big_delta, disagreement
+
+
 def test_surrogate_mismatch_identical_iterates():
     sites, _ = _linear_sites()
     x = np.array([0.3, -0.2])
-    sm = surrogate_mismatch(sites, np.stack([x, x]))
-    assert np.allclose(sm.delta_norms, 0.0, atol=1e-12)
-    assert np.allclose(sm.big_delta_norms, 0.0, atol=1e-12)
+    delta, big_delta, _ = surrogate_mismatch(sites, np.stack([x, x]))
+    assert np.allclose(delta, 0.0, atol=1e-12)
+    assert np.allclose(big_delta, 0.0, atol=1e-12)
 
 
 def test_surrogate_mismatch_linear_closed_form():
     sites, _ = _linear_sites(n_agents=2)
     x1 = np.array([0.5, 0.0])
     x2 = np.array([-0.5, 1.0])
-    sm = surrogate_mismatch(sites, np.stack([x1, x2]))
+    delta, big_delta, _ = surrogate_mismatch(sites, np.stack([x1, x2]))
     a2 = sites[1].eval_jacobian(x1)
     # delta_0 = hbar - q(x_0) = (1/2) A_2^T A_2 (x_2 - x_1) for linear sites
     expected = 0.5 * a2.T @ a2 @ (x2 - x1)
-    assert sm.delta_norms[0] == pytest.approx(np.linalg.norm(expected), rel=1e-10)
+    assert delta[0] == pytest.approx(np.linalg.norm(expected), rel=1e-10)
     # constant Jacobians: the info-matrix mismatch vanishes identically
-    assert np.allclose(sm.big_delta_norms, 0.0, atol=1e-12)
+    assert np.allclose(big_delta, 0.0, atol=1e-12)
 
 
 def test_surrogate_mismatch_bounds_hold_on_run(toy_sites, toy_box):
@@ -249,11 +265,11 @@ def test_surrogate_mismatch_bounds_hold_on_run(toy_sites, toy_box):
     pad = 0.1 * (pts.max(0) - pts.min(0)) + 0.1
     box = BoxSet(pts.min(0) - pad, pts.max(0) + pad)
     pc = estimate_constants(toy_sites, box, n_samples=40, rng_seed=0, extra_points=pts)
+    n_agents = len(toy_sites)
     for k in (0, traj.n_updates - 1):
-        sm = surrogate_mismatch(toy_sites, traj.iterates[k], pc=pc)
-        assert sm.delta_bounds is not None
-        assert np.all(sm.delta_within)
-        assert np.all(sm.big_delta_within)
+        delta, big_delta, disagreement = surrogate_mismatch(toy_sites, traj.iterates[k])
+        assert np.all(delta <= pc.nu_delta / n_agents * disagreement + 1e-12)
+        assert np.all(big_delta <= pc.nu_Delta / n_agents * disagreement + 1e-12)
 
 
 def test_verify_contraction_linear_centralized():

@@ -16,7 +16,6 @@ from gossipgn.core import (
     agent_systems,
     centralized_gn_solve,
     estimate_constants,
-    finite_diff_jacobian,
     normal_system,
     project,
     site_terms,
@@ -31,7 +30,7 @@ from gossipgn.psse.measurements import (
     streaming_snapshots,
 )
 
-from conftest import make_toy_sites
+from conftest import finite_diff_jacobian, make_toy_sites
 
 
 def test_project_clamps_to_box():
@@ -357,6 +356,8 @@ def test_estimate_constants_basic(toy_sites, toy_box):
     assert pc.nu_delta == pytest.approx(pc.omega * (pc.epsilon_max + pc.sigma_max))
     assert pc.nu_Delta == pytest.approx(2.0 * pc.sigma_max * pc.omega)
     assert pc.assumption_holds()
+    with pytest.raises(InvalidArgumentError, match="at least 2 samples"):
+        estimate_constants(toy_sites, toy_box, n_samples=1, rng_seed=1)
 
 
 def test_estimate_constants_reference_point(toy_sites, toy_box):

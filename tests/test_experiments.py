@@ -138,6 +138,34 @@ def test_experiment_config_checks_itself_when_built():
         replace(config, alpha=1.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (GgnConfig, "ridge"),
+        (GgnConfig, "stop_tol"),
+        (DiffusionConfig, "step_scale"),
+        (ExperimentConfig, "sigma2"),
+        (ExperimentConfig, "load_scale"),
+        (ExperimentConfig, "theta_max"),
+        (ExperimentConfig, "v_max"),
+    ],
+)
+def test_non_finite_config_values_fail_when_built(owner, name, value):
+    if owner is DiffusionConfig:
+        with pytest.raises(InvalidArgumentError, match=name):
+            DiffusionConfig(**{name: value})
+        return
+    if owner is GgnConfig:
+        with pytest.raises(InvalidArgumentError, match=name):
+            replace(ExperimentConfig().ggn_config(), **{name: value})
+    # GgnConfig's fields are ExperimentConfig's too, checked through ggn_config()
+    with pytest.raises(ConfigError, match=name):
+        ExperimentConfig(**{name: value})
+    with pytest.raises(ConfigError, match=name):
+        replace(ExperimentConfig(), **{name: value})
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.yaml")
@@ -762,12 +790,27 @@ def test_cli_exit_numeric(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_exit_when_the_reference_solve_stalls(tmp_path, capsys, monkeypatch):
+    from gossipgn import experiments
+
+    monkeypatch.setattr(
+        experiments, "centralized_gn_solve", lambda sites, box, x0, **kwargs: (x0, 1e-3)
+    )
+    path = write_config(tmp_path / "c.yaml", tiny_mapping(output_dir=str(tmp_path / "o")))
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reference solve did not reach stationarity (residual 1.000e-03)")
+
+
 def test_cli_sweep_and_parse_errors(tmp_path, capsys):
     path = write_config(tmp_path / "s.yaml", sweep_mapping(tmp_path))
     assert main(["sweep-failures", path, "--p", "0,0.4"]) == 0
     out = capsys.readouterr().out
     assert "degradation" in out and "p=0.4" in out
     assert main(["sweep-failures", path, "--p", "zero"]) == 2
+    capsys.readouterr()
+    assert main(["sweep-failures", path, "--p", ","]) == 2
+    assert "--p needs at least one probability" in capsys.readouterr().err
     # cse protocol cannot sweep link failures
     cse = write_config(tmp_path / "c.yaml", tiny_mapping(output_dir=str(tmp_path / "o")))
     assert main(["sweep-failures", cse, "--p", "0.1"]) == 1
@@ -816,7 +859,10 @@ def test_cli_run_diffusion_skips_certificate(tmp_path, capsys):
     capsys.readouterr()
     assert main(["certify", path]) == 0
     printed = capsys.readouterr().out.splitlines()
-    assert "certificate.applicable=false" in printed
+    assert printed == [
+        "certificate.applicable=false",
+        "certificate.reason=the GGN convergence certificate does not cover the diffusion baseline",
+    ]
     written = (out_dir / "summary.txt").read_text().splitlines()
     assert printed == [line for line in written if line.startswith("certificate.")]
 
