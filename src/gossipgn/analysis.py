@@ -45,15 +45,16 @@ class EquilibriumRadii:
     """Roots of rho = T1 rho^2 + T2 rho + alpha kappa, when they exist.
 
     The recursion contracts between the two radii; outside them no claim
-    holds. defined is False when the discriminant is negative or the
-    linear coefficient leaves no positive fixed point.
+    holds. defined is False when kappa is unavailable, the discriminant is
+    negative or the linear coefficient leaves no positive fixed point.
     """
 
     defined: bool
     rho_min: float
     rho_max: float
-    discriminant: float
-    reason: str = ""
+
+
+_NO_RADII = EquilibriumRadii(defined=False, rho_min=math.nan, rho_max=math.nan)
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,15 @@ class ExchangePlan:
     d: float
     lambda_infty: float
     ell_min: float
-    nu: float
-    schedule_kind: str
     divergent: bool
 
 
 @dataclass(frozen=True)
 class ConvergenceCertificate:
+    """The certificate.* section of summary.txt: one line per field, in
+    field order, after certificate.applicable."""
+
+    eta_observed: float
     T1: float
     T2: float
     rho_min: float
@@ -93,27 +96,9 @@ class ConvergenceCertificate:
     ell_min: float
     lambda_infty: float
     xi: float
-    alpha: float
-    schedule_kind: str
     radii_defined: bool
-    discriminant: float
     conditional: bool
-    estimated_constants: bool
-    n_agents: int
-    n_unknowns: int
-    eta: float
-
-    def __post_init__(self):
-        if self.T1 < 0.0:
-            raise InvalidArgumentError("T1 must be nonnegative")
-        if self.T2 < 0.0:
-            raise InvalidArgumentError("T2 must be nonnegative")
-        if not 0.0 < self.xi < 0.5:
-            raise InvalidArgumentError("xi must lie in (0, 1/2)")
-        if not math.isnan(self.kappa) and self.kappa < 0.0:
-            raise InvalidArgumentError("kappa must be nonnegative")
-        if self.radii_defined and self.rho_min > self.rho_max:
-            raise InvalidArgumentError("rho_min exceeds rho_max")
+    estimated_constants: bool = True
 
 
 def recursion_constants(
@@ -153,43 +138,28 @@ def equilibrium_radii(T1: float, T2: float, alpha: float, kappa: float) -> Equil
     if not 0.0 < alpha <= 1.0:
         raise InvalidArgumentError("alpha must lie in (0, 1]")
     if math.isnan(kappa):
-        return EquilibriumRadii(
-            defined=False, rho_min=math.nan, rho_max=math.nan,
-            discriminant=math.nan, reason="perturbation bound unavailable",
-        )
+        return _NO_RADII
     if kappa < 0.0:
         raise InvalidArgumentError("kappa must be nonnegative")
 
-    disc = (1.0 - T2) ** 2 - 4.0 * T1 * alpha * kappa
     if T1 == 0.0:
         # Linear recursion: single fixed point, contraction above it whenever T2 < 1.
         if T2 < 1.0:
             return EquilibriumRadii(
-                defined=True, rho_min=alpha * kappa / (1.0 - T2),
-                rho_max=math.inf, discriminant=disc,
+                defined=True, rho_min=alpha * kappa / (1.0 - T2), rho_max=math.inf
             )
-        return EquilibriumRadii(
-            defined=False, rho_min=math.nan, rho_max=math.nan,
-            discriminant=disc, reason="linear coefficient reaches 1: no contraction",
-        )
-    if disc < 0.0:
-        return EquilibriumRadii(
-            defined=False, rho_min=math.nan, rho_max=math.nan,
-            discriminant=disc, reason="negative discriminant: perturbation too large",
-        )
-    if T2 > 1.0:
-        return EquilibriumRadii(
-            defined=False, rho_min=math.nan, rho_max=math.nan,
-            discriminant=disc, reason="linear coefficient exceeds 1: no positive fixed point",
-        )
+        return _NO_RADII
+    disc = (1.0 - T2) ** 2 - 4.0 * T1 * alpha * kappa
+    # a negative discriminant means the perturbation is too large; T2 > 1
+    # leaves no positive fixed point
+    if disc < 0.0 or T2 > 1.0:
+        return _NO_RADII
     if kappa == 0.0:
-        return EquilibriumRadii(
-            defined=True, rho_min=0.0, rho_max=(1.0 - T2) / T1, discriminant=disc,
-        )
+        return EquilibriumRadii(defined=True, rho_min=0.0, rho_max=(1.0 - T2) / T1)
     root = math.sqrt(disc)
     rho_max = ((1.0 - T2) + root) / (2.0 * T1)
     rho_min = 2.0 * alpha * kappa / ((1.0 - T2) + root)
-    return EquilibriumRadii(defined=True, rho_min=rho_min, rho_max=rho_max, discriminant=disc)
+    return EquilibriumRadii(defined=True, rho_min=rho_min, rho_max=rho_max)
 
 
 def gossip_error_scale(pc: ProblemConstants, n_agents: int, n_unknowns: int, eta: float) -> float:
@@ -253,8 +223,7 @@ def min_exchanges_plan(
         ratio = math.log(xi / (4.0 * d)) / math.log(lambda_eta_val)
         ell_min = float(max(0, math.ceil(ratio - _CEIL_SLACK)))
     return ExchangePlan(
-        c1=c1, c2=c2, d=d, lambda_infty=lambda_infty, ell_min=ell_min,
-        nu=nu, schedule_kind=schedule_kind, divergent=divergent,
+        c1=c1, c2=c2, d=d, lambda_infty=lambda_infty, ell_min=ell_min, divergent=divergent
     )
 
 
@@ -291,7 +260,10 @@ def verify_contraction_to_ball(
     trajectory: Trajectory,
     reference_x_star: np.ndarray,
     certificate: ConvergenceCertificate,
+    alpha: float,
 ) -> ContractionReport:
+    """Check the run against the certificate built for it; alpha is the
+    run's damping, the value build_certificate received."""
     x_star = np.asarray(reference_x_star, dtype=float)
     errors = np.linalg.norm(trajectory.iterates - x_star, axis=2)  # (K+1, I)
     n_updates = trajectory.n_updates
@@ -329,7 +301,7 @@ def verify_contraction_to_ball(
         limsup = BoundReport("tail_error_inside_inner_radius", math.nan, math.nan,
                              False, math.nan, applicable=False, reason=reason)
 
-    t1, t2, alpha = certificate.T1, certificate.T2, certificate.alpha
+    t1, t2 = certificate.T1, certificate.T2
     violations = 0
     worst_excess = -math.inf
     for k in range(n_updates):
@@ -363,9 +335,8 @@ def build_certificate(
     n_unknowns: int,
     eta: float,
     alpha: float,
-    xi: float = 0.25,
-    schedule_kind: str = "incrementing",
-    estimated_constants: bool = True,
+    xi: float,
+    schedule_kind: str,
 ) -> ConvergenceCertificate:
     """Evaluate the full certificate pipeline from problem constants.
 
@@ -373,13 +344,15 @@ def build_certificate(
     (C, D undefined) and the perturbation is exactly zero. The connectivity
     interval L is taken as 1, so L0 = I - 1.
     """
+    if not 0.0 < xi < 0.5:
+        raise InvalidArgumentError("xi must lie in (0, 1/2)")
     t1, t2 = recursion_constants(pc, alpha)
     alpha_lower = admissible_alpha(pc)
     if n_agents == 1:
         c = rate = math.nan
         plan = ExchangePlan(
             c1=math.nan, c2=math.nan, d=math.nan, lambda_infty=math.nan, ell_min=0.0,
-            nu=math.nan, schedule_kind=schedule_kind, divergent=False,
+            divergent=False,
         )
         kappa = 0.0
     else:
@@ -392,12 +365,9 @@ def build_certificate(
             kappa = perturbation_bound(plan.c1, plan.d, rate, plan.ell_min)
     radii = equilibrium_radii(t1, t2, alpha, kappa)
     return ConvergenceCertificate(
-        T1=t1, T2=t2, rho_min=radii.rho_min, rho_max=radii.rho_max,
-        kappa=kappa, alpha_lower=alpha_lower, C=c, C1=plan.c1, C2=plan.c2,
-        D=plan.d, lambda_eta_val=rate, L0=n_agents - 1, ell_min=plan.ell_min,
-        lambda_infty=plan.lambda_infty, xi=xi, alpha=alpha,
-        schedule_kind=schedule_kind, radii_defined=radii.defined,
-        discriminant=radii.discriminant, conditional=plan.divergent,
-        estimated_constants=estimated_constants,
-        n_agents=n_agents, n_unknowns=n_unknowns, eta=eta,
+        eta_observed=eta, T1=t1, T2=t2, rho_min=radii.rho_min, rho_max=radii.rho_max,
+        kappa=kappa, alpha_lower=alpha_lower, C=c, C1=plan.c1, C2=plan.c2, D=plan.d,
+        lambda_eta_val=rate, L0=n_agents - 1, ell_min=plan.ell_min,
+        lambda_infty=plan.lambda_infty, xi=xi, radii_defined=radii.defined,
+        conditional=plan.divergent,
     )

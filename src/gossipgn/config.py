@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError(f"load_scale: must be nonnegative and finite, got {self.load_scale}")
         if self.repetitions < 1:
             raise ConfigError("repetitions: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be a non-negative integer, got {self.seed}")
         if not (0.0 < self.theta_max < math.inf and 0.0 < self.v_max < math.inf):
             raise ConfigError("theta_max and v_max must be positive and finite")
         try:

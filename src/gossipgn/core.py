@@ -18,7 +18,6 @@ own site's terms together.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -380,8 +379,13 @@ def _factorizes(m: np.ndarray) -> bool:
 
 
 def objective(sites: list[SiteModel], x: np.ndarray) -> float:
-    """sum_i ||g_i(x)||^2, summed over the sites in order."""
-    return float(sum(float(res @ res) for res, _ in (site_terms(s, x) for s in sites)))
+    """sum_i ||g_i(x)||^2, added left to right from 0.0 over the sites in order
+    (the builtin sum compensates its additions from Python 3.12 on)."""
+    total = 0.0
+    for site in sites:
+        res, _ = site_terms(site, x)
+        total += float(res @ res)
+    return total
 
 
 def stationarity_residual(sites: list[SiteModel], x: np.ndarray) -> float:
@@ -528,7 +532,7 @@ def estimate_constants(
     the smallest sampled residual norm stands in). extra_points are appended
     to the sample set so callers can pin trajectory iterates into the
     estimate. A rank-deficient sampled Jacobian is reported as sigma_min = 0
-    with a warning flag rather than an error.
+    and rank_deficient_sample = True rather than as an error.
 
     omega comes from an exact pruned sweep over all pairs of points rather
     than one SVD per pair. Since ||D||_2 <= ||D^T D||_F^(1/2) for D = J_i - J_j,
@@ -572,14 +576,6 @@ def estimate_constants(
             rank_deficient = True
             smallest = 0.0
         sigma_min = min(sigma_min, smallest)
-
-    if rank_deficient:
-        sigma_min = 0.0
-        warnings.warn(
-            "sampled Jacobian is rank deficient; full-column-rank assumption "
-            "violated on this box",
-            stacklevel=2,
-        )
 
     # Pruned omega sweep (see the docstring). The slack absorbs rounding when
     # D has rank one and the bound is tight, and the bound's distances, taken

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -260,9 +260,9 @@ def certificate_for_run(
     x_ref: np.ndarray,
     alpha: float,
     schedule_kind: str,
-    xi: float = 0.25,
-    n_samples: int = 24,
-    rng_seed: int = 0,
+    xi: float,
+    n_samples: int,
+    rng_seed: int,
 ) -> tuple[ProblemConstants, ConvergenceCertificate | None]:
     """Estimate constants over an envelope of the observed iterates.
 
@@ -352,6 +352,11 @@ def _summary_trailer(
     return summary
 
 
+def _section(prefix: str, record) -> dict:
+    """A record's summary lines: prefix.<field> for each field, in field order."""
+    return {f"{prefix}.{name}": value for name, value in asdict(record).items()}
+
+
 def _certificate_summary(
     config: ExperimentConfig, problem: ProblemSetup, reps: list[RepetitionData]
 ) -> dict:
@@ -376,13 +381,7 @@ def _certificate_summary(
         xi=config.certificate.xi, n_samples=config.certificate.n_samples,
         rng_seed=config.seed,
     )
-    constants = {
-        f"constants.{name}": getattr(pc, name)
-        for name in (
-            "epsilon_max", "epsilon_min", "sigma_min", "sigma_max", "omega",
-            "nu_delta", "nu_Delta", "rank_deficient_sample",
-        )
-    }
+    constants = _section("constants", pc)
     if cert is None:
         return {
             "certificate.applicable": False,
@@ -390,14 +389,7 @@ def _certificate_summary(
             "so the full-column-rank assumption fails on the iterates' envelope",
             **constants,
         }
-    out = {"certificate.applicable": True, "certificate.eta_observed": eta}
-    for name in (
-        "T1", "T2", "rho_min", "rho_max", "kappa", "alpha_lower", "C", "C1",
-        "C2", "D", "lambda_eta_val", "L0", "ell_min", "lambda_infty", "xi",
-        "radii_defined", "conditional", "estimated_constants",
-    ):
-        out[f"certificate.{name}"] = getattr(cert, name)
-    return out | constants
+    return {"certificate.applicable": True, **_section("certificate", cert), **constants}
 
 
 def summary_line(key: str, value) -> str:
@@ -420,7 +412,12 @@ def run_experiment(
     t0 = time.perf_counter()
     problem = build_problem(config)
     out_dir = resolve_output_dir(config, env_output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidArgumentError(
+            f"cannot create output directory {out_dir}: {exc.strerror}"
+        ) from exc
 
     reps = [
         _run_one_repetition(config, problem, r) for r in range(config.repetitions)
@@ -498,7 +495,6 @@ def run_failure_sweep(
             }
         )
 
-    base_dir.mkdir(parents=True, exist_ok=True)
     table_path = base_dir / "degradation.csv"
     write_metrics_csv(
         table_path, {name: np.array([row[name] for row in table]) for name in table[0]}
@@ -556,7 +552,6 @@ def compare_algorithms(
         [_global_curves(res_ggn.means, "ggn"), _global_curves(res_diff.means, "diffusion")]
     )
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "comparison.csv"
     write_metrics_csv(table_path, table)
     return ComparisonResult(ggn=res_ggn, diffusion=res_diff, table_path=table_path)

@@ -302,15 +302,15 @@ def test_c08_error_recursion_holds(c6_result):
     all_trajs = [rep.trajectories[0] for rep in c6_result.repetitions]
     constants, cert = certificate_for_run(
         sites, c6_result.problem.box, all_trajs, rep0.references[0],
-        alpha=0.5, schedule_kind="constant",
+        alpha=0.5, schedule_kind="constant", xi=0.25, n_samples=24, rng_seed=0,
     )
     assert constants.sigma_min > 0
-    assert cert.eta == 0.15  # the CSE weight beta / (I - 1) of the last trajectory
+    assert cert.eta_observed == 0.15  # the CSE weight beta / (I - 1) of the last trajectory
     violations = 0
     pairs = 0
     for rep in c6_result.repetitions:
         report = verify_contraction_to_ball(
-            rep.trajectories[0], rep.references[0], cert
+            rep.trajectories[0], rep.references[0], cert, alpha=0.5
         )
         assert report.recursion_check.applicable
         violations += report.n_recursion_violations

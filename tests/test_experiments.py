@@ -138,6 +138,18 @@ def test_experiment_config_checks_itself_when_built():
         replace(config, alpha=1.5)
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    # numpy's SeedSequence would reject it only after the output directory exists
+    with pytest.raises(ConfigError, match="seed: must be a non-negative integer, got -1"):
+        ExperimentConfig(seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        replace(ExperimentConfig(), seed=-1)
+    path = write_config(tmp_path / "c.yaml", tiny_mapping(seed=-1, output_dir=str(tmp_path / "o")))
+    assert main(["run", path]) == 2
+    assert "config error: seed: must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize(
     "owner, name",
@@ -802,6 +814,28 @@ def test_cli_exit_when_the_reference_solve_stalls(tmp_path, capsys, monkeypatch)
     assert err.startswith("error: reference solve did not reach stationarity (residual 1.000e-03)")
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep-failures", "compare"])
+def test_cli_exit_when_the_output_directory_cannot_be_created(tmp_path, capsys, monkeypatch, verb):
+    # an existing file where the output directory should go
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    monkeypatch.setenv("GOSSIPGN_OUTPUT_DIR", str(blocker))
+    ggn = write_config(tmp_path / "g.yaml", sweep_mapping(tmp_path))
+    diffusion = write_config(
+        tmp_path / "d.yaml", sweep_mapping(tmp_path, algorithm="diffusion")
+    )
+    argv = {
+        "run": ["run", ggn],
+        "sweep-failures": ["sweep-failures", ggn, "--p", "0"],
+        "compare": ["compare", ggn, diffusion],
+    }[verb]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {blocker}")
+    assert "Traceback" not in err
+    assert blocker.is_file()
+
+
 def test_cli_sweep_and_parse_errors(tmp_path, capsys):
     path = write_config(tmp_path / "s.yaml", sweep_mapping(tmp_path))
     assert main(["sweep-failures", path, "--p", "0,0.4"]) == 0
@@ -903,6 +937,34 @@ def test_cli_run_where_no_exchange_mixes_exits_0(tmp_path, capsys):
     assert "certificate.applicable=false" in capsys.readouterr().out.splitlines()
 
 
+CERTIFICATE_NAMES = (
+    "applicable", "eta_observed", "T1", "T2", "rho_min", "rho_max", "kappa",
+    "alpha_lower", "C", "C1", "C2", "D", "lambda_eta_val", "L0", "ell_min",
+    "lambda_infty", "xi", "radii_defined", "conditional", "estimated_constants",
+)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"sites": 1}, {"algorithm": "centralized"}],
+    ids=["cse", "one_site", "centralized"],
+)
+def test_applicable_certificate_keys(tmp_path, overrides):
+    # the certificate.* lines are the record's fields in order: a renamed or
+    # moved field changes summary.txt, and fails here
+    result = run_experiment(
+        config_from_mapping(tiny_mapping(output_dir=str(tmp_path / "o"), **overrides))
+    )
+    summary = read_summary(result.summary_path)
+    assert summary["certificate.applicable"] == "true"
+    assert [key for key in summary if key.startswith("certificate.")] == [
+        f"certificate.{name}" for name in CERTIFICATE_NAMES
+    ]
+    assert [key for key in summary if key.startswith("constants.")] == [
+        f"constants.{name}" for name in CONSTANT_NAMES
+    ]
+
+
 def rank_deficient_mapping(tmp_path, seed, repetitions=2):
     """A case30 URE run whose certificate samples a rank-deficient Jacobian
     on seeds 1 and 5 (and, with one repetition, on seed 0)."""
@@ -921,7 +983,6 @@ CONSTANT_NAMES = (
 )
 
 
-@pytest.mark.filterwarnings("ignore:sampled Jacobian is rank deficient")
 def test_run_with_rank_deficient_certificate_sample_reports_it(tmp_path):
     result = run_experiment(config_from_mapping(rank_deficient_mapping(tmp_path, 1)))
     summary = read_summary(result.summary_path)
@@ -935,7 +996,6 @@ def test_run_with_rank_deficient_certificate_sample_reports_it(tmp_path):
     assert "certificate.T1" not in summary
 
 
-@pytest.mark.filterwarnings("ignore:sampled Jacobian is rank deficient")
 def test_cli_run_and_certify_with_rank_deficient_sample_exit_0(tmp_path, capsys):
     path = write_config(tmp_path / "r.yaml", rank_deficient_mapping(tmp_path, 1))
     assert main(["run", path]) == 0
@@ -953,7 +1013,6 @@ def test_cli_run_and_certify_with_rank_deficient_sample_exit_0(tmp_path, capsys)
     ]
 
 
-@pytest.mark.filterwarnings("ignore:sampled Jacobian is rank deficient")
 def test_cli_certify_prints_the_certificate_of_the_run(tmp_path, capsys):
     # certify runs every repetition of the config, so it reports the run's
     # certificate: here the second repetition's sample is rank deficient
