@@ -9,10 +9,10 @@ network objective is ``sum_i ||g_i(x)||^2``. The Gauss-Newton direction is
 
 with ``G`` and ``g`` the stacked Jacobian/residual, assembled here by summing
 per-site normal-equation contributions so that any row partition of the same
-problem yields the same direction. Sites built over one shared model carry a
-:class:`SiteBatch`, which lets the sum read every site's rows from that model
-at once; agent_systems gives every gossiping agent its exact system and its
-own site's terms together.
+problem yields the same direction. build_sites makes every site list, as rows
+of one shared model; the sites carry a :class:`SiteBatch`, which lets the sum
+read every site's rows from that model at once. agent_systems gives every
+gossiping agent its exact system and its own site's terms together.
 """
 
 from __future__ import annotations
@@ -68,62 +68,92 @@ class BoxSet:
 
 @dataclass(frozen=True)
 class SiteModel:
-    """One site's residual block.
-
-    eval_residual maps a state vector to the local residual g_i(x) (length
-    residual_dim); eval_jacobian returns the residual's Jacobian, an
-    (residual_dim x n_unknowns) matrix. Both must be pure functions: the
-    analytic Jacobian is held to the central-difference oracle by the tests.
-    """
+    """One site's residual block, from a build_sites list: eval_residual maps x
+    to g_i(x) and eval_jacobian to G_i(x), fresh float arrays read from
+    batch's model. They are init fields so that dataclasses.replace can wrap
+    them, as perfbench's tracer does."""
 
     site_id: int
     n_unknowns: int
-    residual_dim: int
     eval_residual: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     eval_jacobian: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    batch: "SiteBatch | None" = field(default=None, repr=False)
+    batch: "SiteBatch" = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
 class SiteBatch:
-    """Rows of a whole site list over one shared model (f, J) = model(x).
-
-    Site i's residual is z[rows_i] - f[rows_i] and its Jacobian -J[rows_i];
-    model also evaluates an (I, N_u) stack in one call, see stack_rows. The
-    sites are grouped by residual_dim, and each group holds its sites'
-    positions in the list, their (k, m) row indices and their (k, m) values
-    of z, all read-only, so one fancy index gathers the group's blocks.
-    Every site of the list carries the same batch, and site_id equals its
-    position.
-    """
+    """Rows of a whole build_sites list over its shared model (f, J) = model(x),
+    which also evaluates an (I, N_u) stack in one call (see stack_rows).
+    Each group of sites with one row count holds their positions in the
+    list, their (k, m) row indices and their (k, m) values of z, read-only,
+    so one fancy index gathers the group's blocks. Every site of the list
+    carries the batch, and site_id equals its position."""
 
     n_sites: int
     model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
 
-    @staticmethod
-    def of(
-        model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-        site_rows: Sequence[np.ndarray],
-        z: np.ndarray,
-    ) -> "SiteBatch":
-        """The batch of sites whose rows are given in site order; site i's
-        values are z[site_rows[i]]. Groups follow the sizes' first appearance."""
-        sizes = [rows.size for rows in site_rows]
-        groups = []
-        for size in dict.fromkeys(sizes):
-            positions = np.flatnonzero(np.equal(sizes, size))
-            rows = np.stack([site_rows[i] for i in positions])
-            groups.append((positions, rows, z[rows]))
-        for arr in (arr for group in groups for arr in group):
-            arr.setflags(write=False)
-        return SiteBatch(len(site_rows), model, tuple(groups))
 
-    def serves(self, sites: list[SiteModel]) -> bool:
-        """Whether sites is the whole site list this batch was built for, in order."""
-        return self.n_sites == len(sites) and all(
-            site.batch is self and site.site_id == i for i, site in enumerate(sites)
+def build_sites(
+    model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    n_unknowns: int,
+    site_rows: Sequence[np.ndarray],
+    z: np.ndarray,
+) -> list[SiteModel]:
+    """The sites over one pure model, which maps x or an (I, N_u) stack to
+    fresh float arrays f (..., M) and J (..., M, N_u): site i's residual is
+    z[rows_i] - f(x)[rows_i] and its Jacobian -J(x)[rows_i]. The rows must be
+    1-D integer arrays holding each of 0..M-1 once, M = z.size, and z finite.
+
+    The sites share a memo of the last evaluation, one entry per row keyed by
+    its bytes, so reading any site at those rows costs no evaluation; that is
+    what stack_rows relies on. f and J are stored read-only, since the batch
+    hands them out as they are; the site closures return row-sliced copies."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1 or not np.isfinite(z).all():
+        raise InvalidArgumentError(f"z: need a finite measurement vector, got shape {z.shape}")
+    site_rows, counts = [np.asarray(rows) for rows in site_rows], np.zeros(z.size, dtype=int)
+    for i, rows in enumerate(site_rows):
+        if rows.ndim != 1 or rows.dtype.kind not in "iu" or not np.all((rows >= 0) & (rows < z.size)):
+            raise InvalidArgumentError(f"site {i}: rows must be 1-D integers in 0..{z.size - 1}")
+        np.add.at(counts, rows, 1)
+        if np.any(counts[rows] > 1):
+            raise InvalidArgumentError(f"site {i}: a row of z is counted twice")
+    if not counts.all():
+        raise InvalidArgumentError(f"z: row {np.argmin(counts)} belongs to no site")
+    memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+    def model_at(x):
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if x.ndim == 1 and key in memo:
+            return memo[key]
+        f, jac = model(x)
+        for arr in (f, jac):
+            arr.setflags(write=False)
+        memo.clear()
+        rows = zip(np.atleast_2d(f), jac.reshape((-1,) + jac.shape[-2:]))
+        memo.update(zip((row.tobytes() for row in np.atleast_2d(x)), rows))
+        return f, jac
+
+    # groups follow the sizes' first appearance
+    sizes = [rows.size for rows in site_rows]
+    groups = []
+    for size in dict.fromkeys(sizes):
+        positions = np.flatnonzero(np.equal(sizes, size))
+        rows = np.stack([site_rows[i] for i in positions])
+        groups.append((positions, rows, z[rows]))
+    for arr in (arr for group in groups for arr in group):
+        arr.setflags(write=False)
+    batch = SiteBatch(len(site_rows), model_at, tuple(groups))
+
+    return [
+        SiteModel(
+            i, n_unknowns, lambda x, z_i=z[rows], rows=rows: z_i - model_at(x)[0][rows],
+            lambda x, rows=rows: -model_at(x)[1][rows], batch,
         )
+        for i, rows in enumerate(site_rows)
+    ]
 
 
 # Distinct states per model call in stack_rows: a case30 state's temporaries
@@ -132,20 +162,17 @@ MODEL_SLICE = 3
 
 
 def stack_rows(sites: list[SiteModel], xs: np.ndarray):
-    """Yield the row indices of the (I, N_u) stack xs, in order. Sites sharing
-    a SiteBatch have its model evaluated in one call at each run of rows
-    holding at most MODEL_SLICE distinct states before those rows are
-    yielded, so reading the sites there hits the model's memo.
+    """Yield the row indices of the nonempty (I, N_u) stack xs, in order. The
+    sites' shared model is evaluated in one call at each run of rows holding
+    at most MODEL_SLICE distinct states before those rows are yielded, so
+    reading the sites there hits the model's memo.
 
     Rows are told apart by their bytes, the memo's key: a row equal byte for
     byte to one before it in its run is evaluated once for both, and rows
     that differ only in the sign of a zero are evaluated separately. The
     agents' shared start is so evaluated once, not once per agent.
     """
-    batch = sites[0].batch
-    if batch is None or not batch.serves(sites):
-        yield from range(len(xs))
-        return
+    model = _check_state(sites, xs[0])[0].model
     start = 0
     while start < len(xs):
         firsts: dict[bytes, int] = {}
@@ -157,7 +184,7 @@ def stack_rows(sites: list[SiteModel], xs: np.ndarray):
                     break
                 firsts[key] = stop
             stop += 1
-        batch.model(xs[list(firsts.values())])
+        model(xs[list(firsts.values())])
         yield from range(start, stop)
         start = stop
 
@@ -201,52 +228,46 @@ def project(x: np.ndarray, box: BoxSet) -> np.ndarray:
     return np.clip(x, box.lower, box.upper)
 
 
-def _check_state(sites: list[SiteModel], x: np.ndarray) -> np.ndarray:
+def _check_state(sites: list[SiteModel], x: np.ndarray) -> tuple[SiteBatch, np.ndarray]:
+    """The sites' SiteBatch, and x as a float vector of their unknowns. The
+    sites must be one build_sites list, whole and in order."""
     x = np.asarray(x, dtype=float)
-    if not sites:
-        raise InvalidArgumentError("need at least one site")
+    if not sites or sites[0].batch.n_sites != len(sites) or any(
+        site.batch is not sites[0].batch or site.site_id != i for i, site in enumerate(sites)
+    ):
+        raise InvalidArgumentError("sites must be one whole site list from build_sites, in order")
     if x.ndim != 1 or x.size != sites[0].n_unknowns:
         raise InvalidArgumentError(
             f"state length {x.size} does not match problem unknowns {sites[0].n_unknowns}"
         )
-    return x
+    return sites[0].batch, x
 
 
 def site_terms(site: SiteModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The site's residual g_i(x) and Jacobian G_i(x) as float arrays."""
-    return (
-        np.asarray(site.eval_residual(x), dtype=float),
-        np.asarray(site.eval_jacobian(x), dtype=float),
-    )
+    """The site's residual g_i(x) and Jacobian G_i(x)."""
+    return site.eval_residual(x), site.eval_jacobian(x)
 
 
 def _site_products(
-    sites: list[SiteModel], x: np.ndarray, products: tuple[np.ndarray, np.ndarray, np.ndarray]
+    batch: SiteBatch, x: np.ndarray, products: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> None:
     """Write every site's G_i^T G_i, G_i^T g_i and ||g_i||^2 at x into the
     (I, n, n), (I, n) and (I,) stacks of products, in site order.
 
-    A site list carrying its SiteBatch takes each group's products in one
-    stacked matmul on blocks gathered from the shared model, which gives the
-    bits of a site-by-site loop since each block is C-contiguous with the
-    site's own shape (padded or strided blocks round differently). Any other
-    list (a subset, a reordering, sites without a batch) loops over site_terms.
+    Each group of the batch takes its products in one stacked matmul on
+    blocks gathered from the shared model, which gives the bits of a
+    site-by-site loop since each block is C-contiguous with the site's own
+    shape (padded or strided blocks round differently).
     """
     gram, grad, sq = products
-    batch = sites[0].batch
-    if batch is not None and batch.serves(sites):
-        f, jac = batch.model(x)
-        for positions, rows, values in batch.groups:
-            # -g_i and -G_i: negation is exact, so their products are G_i's
-            res, blocks = f[rows] - values, jac[rows]
-            blocks_t = blocks.transpose(0, 2, 1)
-            gram[positions] = blocks_t @ blocks
-            grad[positions] = (blocks_t @ res[..., None])[..., 0]
-            sq[positions] = (res[:, None, :] @ res[..., None])[:, 0, 0]
-        return
-    for i, site in enumerate(sites):
-        res, jac = site_terms(site, x)
-        gram[i], grad[i], sq[i] = jac.T @ jac, jac.T @ res, res @ res
+    f, jac = batch.model(x)
+    for positions, rows, values in batch.groups:
+        # -g_i and -G_i: negation is exact, so their products are G_i's
+        res, blocks = f[rows] - values, jac[rows]
+        blocks_t = blocks.transpose(0, 2, 1)
+        gram[positions] = blocks_t @ blocks
+        grad[positions] = (blocks_t @ res[..., None])[..., 0]
+        sq[positions] = (res[:, None, :] @ res[..., None])[:, 0, 0]
 
 
 def normal_system(sites: list[SiteModel], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,9 +277,9 @@ def normal_system(sites: list[SiteModel], x: np.ndarray) -> tuple[np.ndarray, np
     +0.0, so the result is bit-identical to accumulating G_i^T G_i and
     G_i^T g_i site by site.
     """
-    x = _check_state(sites, x)
+    batch, x = _check_state(sites, x)
     gram, grad = np.empty((len(sites), x.size, x.size)), np.empty((len(sites), x.size))
-    _site_products(sites, x, (gram, grad, np.empty(len(sites))))
+    _site_products(batch, x, (gram, grad, np.empty(len(sites))))
     return np.add.reduce(gram, axis=0, initial=0.0), np.add.reduce(grad, axis=0, initial=0.0)
 
 
@@ -280,7 +301,8 @@ def agent_systems(
     xs = np.asarray(xs, dtype=float)
     if not sites or xs.ndim != 2 or len(xs) != len(sites):
         raise InvalidArgumentError(f"need one iterate per site, got shape {xs.shape}")
-    n_sites, n = len(sites), _check_state(sites, xs[0]).size
+    batch, _ = _check_state(sites, xs[0])
+    n_sites, n = xs.shape
     a, b = np.empty((n_sites, n, n)), np.empty((n_sites, n))
     gram, grad, sq = np.empty((n_sites, n, n)), np.empty((n_sites, n)), np.empty(n_sites)
     products = np.empty((n_sites, n, n)), np.empty((n_sites, n)), np.empty(n_sites)
@@ -290,7 +312,7 @@ def agent_systems(
         if key == last_key:
             a[i], b[i] = a[i - 1], b[i - 1]
         else:
-            _site_products(sites, xs[i], products)
+            _site_products(batch, xs[i], products)
             np.add.reduce(products[0], axis=0, initial=0.0, out=a[i])
             np.add.reduce(products[1], axis=0, initial=0.0, out=b[i])
             last_key = key
@@ -383,7 +405,7 @@ def objective(sites: list[SiteModel], x: np.ndarray) -> float:
     (the builtin sum compensates its additions from Python 3.12 on)."""
     total = 0.0
     for site in sites:
-        res, _ = site_terms(site, x)
+        res = site.eval_residual(x)
         total += float(res @ res)
     return total
 
@@ -513,7 +535,7 @@ def _spectral_bounds(
 
 
 def _stacked_jacobian(sites: list[SiteModel], x: np.ndarray) -> np.ndarray:
-    return np.vstack([site_terms(site, x)[1] for site in sites])
+    return np.vstack([site.eval_jacobian(x) for site in sites])
 
 
 def estimate_constants(
@@ -558,16 +580,10 @@ def estimate_constants(
     rank_deficient = False
     nonzeros = []
     for k in stack_rows(sites, points):
-        res_norm_sq = 0.0
-        blocks = []
-        for site in sites:
-            res, jac = site_terms(site, points[k])
-            res_norm_sq += float(res @ res)
-            blocks.append(jac)
-        g_norm = float(np.sqrt(res_norm_sq))
+        g_norm = float(np.sqrt(objective(sites, points[k])))
         eps_max = max(eps_max, g_norm)
         eps_min_seen = min(eps_min_seen, g_norm)
-        jac = np.vstack(blocks)
+        jac = _stacked_jacobian(sites, points[k])
         nonzeros.append(_nonzeros(jac))
         svals = np.linalg.svd(jac, compute_uv=False)
         sigma_max = max(sigma_max, float(svals[0]))

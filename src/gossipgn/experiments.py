@@ -27,7 +27,7 @@ from .core import (
     estimate_constants,
     stationarity_residual,
 )
-from .errors import GossipGnError, InvalidArgumentError
+from .errors import ConfigError, GossipGnError, InvalidArgumentError
 from .ggn import Trajectory, centralized_run, diffusion_baseline_run, ggn_run
 from .psse import (
     GridModel,
@@ -76,6 +76,8 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
     if config.load_scale != 1.0:
         case = scale_loads(case, config.load_scale)
     grid = build_grid_model(case)
+    if config.sites > grid.n_buses:
+        raise ConfigError(f"sites: {config.sites} exceeds the case's {grid.n_buses} buses")
     if config.true_state_path:
         true_state = load_true_state(config.true_state_path, grid.n_buses)
     else:
@@ -150,7 +152,7 @@ class RepetitionData:
     trajectories: list[Trajectory]  # one per snapshot
     references: list[np.ndarray]
     reference_stationarities: list[float]
-    sites_per_snapshot: list[list[SiteModel]]
+    sites: list[SiteModel]  # the last snapshot's
     columns: dict[str, np.ndarray]  # CSV_COLUMNS
 
 
@@ -189,13 +191,11 @@ def _run_one_repetition(
     trajectories = []
     references = []
     stationarities = []
-    sites_per_snapshot = []
     exchange_offset = 0
     x_start: np.ndarray = problem.x0
 
     for t, z in enumerate(snapshots):
         sites = build_nlls_sites(problem.grid, problem.site_rows, z)
-        sites_per_snapshot.append(sites)
         x_ref, stat = _reference_solution(sites, problem.box, problem.x0)
         references.append(x_ref)
         stationarities.append(stat)
@@ -220,7 +220,7 @@ def _run_one_repetition(
     return RepetitionData(
         run_id=run_id, trajectories=trajectories,
         references=references, reference_stationarities=stationarities,
-        sites_per_snapshot=sites_per_snapshot, columns=_concat(parts),
+        sites=sites, columns=_concat(parts),
     )
 
 
@@ -321,7 +321,7 @@ def _summary_trailer(
     last = reps[-1]
     final = np.concatenate([_final_mask(rep.columns, config.snapshots - 1) for rep in reps])
     finals = {name: column[final] for name, column in columns.items()}
-    sites = last.sites_per_snapshot[-1]
+    sites = last.sites
     mean_final = last.trajectories[-1].iterates[-1].mean(axis=0)
     summary = {
         "algorithm": config.algorithm,
@@ -376,7 +376,7 @@ def _certificate_summary(
             "no exchange mixed two agents, so the consensus rate is undefined",
         }
     pc, cert = certificate_for_run(
-        last.sites_per_snapshot[-1], problem.box, last.trajectories,
+        last.sites, problem.box, last.trajectories,
         last.references[-1], alpha=config.alpha, schedule_kind=config.exchanges.kind,
         xi=config.certificate.xi, n_samples=config.certificate.n_samples,
         rng_seed=config.seed,

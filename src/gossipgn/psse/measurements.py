@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import SiteBatch, SiteModel
+from ..core import SiteModel, build_sites
 from ..errors import InvalidArgumentError
 from .grid import (
     GridModel,
@@ -184,54 +184,18 @@ def streaming_snapshots(
 def build_nlls_sites(
     grid: GridModel, site_rows: Sequence[np.ndarray], z: np.ndarray
 ) -> list[SiteModel]:
-    """Wrap each site's residual z[rows] - f(x)[rows] and Jacobian as a SiteModel.
-
-    The sites share one model: f and J at one x, or their (I, M) and
-    (I, M, N_u) stacks at the rows of an (I, N_u) x, in one evaluation. Its
-    memo holds every row of the last evaluation, so every site at those
-    rows costs no further evaluation. f and J are stored read-only, since
-    the batch hands them out as they are; the site closures return
-    row-sliced copies. They also share one SiteBatch over that model, which
-    groups the sites by residual_dim so that normal_system reads all blocks
-    in a few gathers."""
+    """core.build_sites over the PSSE model: full_measurement_vector and
+    full_measurement_jacobian at vector_to_state(x), one state or a stack."""
     z, m = np.asarray(z, dtype=float), measurement_count(grid)
     if z.shape != (m,):
         raise InvalidArgumentError(f"expected a ({m},) measurement vector, got shape {z.shape}")
     n, slack = grid.n_buses, grid.slack_bus
-    memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
-    def model_at(x):
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if x.ndim == 1 and key in memo:
-            return memo[key]
+    def model(x):
         state = vector_to_state(x, n, slack)
-        f, jac = full_measurement_vector(grid, state), full_measurement_jacobian(grid, state)
-        for arr in (f, jac):
-            arr.setflags(write=False)
-        memo.clear()
-        rows = zip(np.atleast_2d(f), jac.reshape((-1,) + jac.shape[-2:]))
-        memo.update(zip((row.tobytes() for row in np.atleast_2d(x)), rows))
-        return f, jac
+        return full_measurement_vector(grid, state), full_measurement_jacobian(grid, state)
 
-    batch = SiteBatch.of(model_at, site_rows, z)
-
-    sites = []
-    for i, rows in enumerate(site_rows):
-
-        def residual(x, z_i=z[rows], rows=rows):
-            return z_i - model_at(x)[0][rows]
-
-        def jacobian(x, rows=rows):
-            return -model_at(x)[1][rows]
-
-        sites.append(
-            SiteModel(
-                site_id=i, n_unknowns=grid.n_unknowns, residual_dim=rows.size,
-                eval_residual=residual, eval_jacobian=jacobian, batch=batch,
-            )
-        )
-    return sites
+    return build_sites(model, grid.n_unknowns, site_rows, z)
 
 
 def mse_metrics(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gossipgn.core import BoxSet, SiteModel
+from gossipgn.core import BoxSet, SiteModel, build_sites
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.gossip import PairwiseRound, WeightMatrix, lambda_eta
 from gossipgn.psse import (
@@ -147,6 +147,34 @@ def grid2() -> GridModel:
     return build_grid_model(load_case("case2"))
 
 
+def model_over_rows(residuals, jacobians):
+    """One model over rows from per-site residual functions g_i and their
+    Jacobians G_i: f(x) = -[g_1(x); g_2(x); ...] and J(x) = -[G_1(x); ...],
+    so that with z = 0 site i's residual z_i - f_i(x) is g_i(x) and its
+    Jacobian -J_i(x) is G_i(x). An (I, N_u) stack is evaluated row by row."""
+
+    def model(x):
+        if x.ndim == 2:
+            return tuple(np.stack(parts) for parts in zip(*map(model, x)))
+        return (
+            -np.concatenate([np.asarray(g(x), dtype=float) for g in residuals]),
+            -np.vstack([np.asarray(jac(x), dtype=float) for jac in jacobians]),
+        )
+
+    return model
+
+
+def sites_from_blocks(n_unknowns: int, residuals, jacobians):
+    """core.build_sites over model_over_rows with z = 0: site i has g_i's
+    rows, as many as g_i has entries at the origin, after site i - 1's."""
+    sizes = [np.size(g(np.zeros(n_unknowns))) for g in residuals]
+    ends = np.cumsum(sizes)
+    site_rows = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
+    return build_sites(
+        model_over_rows(residuals, jacobians), n_unknowns, site_rows, np.zeros(ends[-1])
+    )
+
+
 def make_toy_sites(n_unknowns: int = 3, n_sites: int = 3, seed: int = 0):
     """Small smooth NLLS testbed: g_i(x) = A_i x - b_i + 0.1 sin(x) slice.
 
@@ -154,27 +182,13 @@ def make_toy_sites(n_unknowns: int = 3, n_sites: int = 3, seed: int = 0):
     the analytic Jacobian A_i + 0.1 diag(cos x) rows stay easy to verify.
     """
     rng = np.random.default_rng(seed)
-    sites = []
-    for i in range(n_sites):
+    residuals, jacobians = [], []
+    for _ in range(n_sites):
         a = rng.normal(size=(n_unknowns + 1, n_unknowns))
         b = rng.normal(size=n_unknowns + 1)
-
-        def residual(x, a=a, b=b):
-            return a @ x - b + 0.1 * np.sin(a @ x)
-
-        def jacobian(x, a=a):
-            return a + 0.1 * np.cos(a @ x)[:, None] * a
-
-        sites.append(
-            SiteModel(
-                site_id=i,
-                n_unknowns=n_unknowns,
-                residual_dim=n_unknowns + 1,
-                eval_residual=residual,
-                eval_jacobian=jacobian,
-            )
-        )
-    return sites
+        residuals.append(lambda x, a=a, b=b: a @ x - b + 0.1 * np.sin(a @ x))
+        jacobians.append(lambda x, a=a: a + 0.1 * np.cos(a @ x)[:, None] * a)
+    return sites_from_blocks(n_unknowns, residuals, jacobians)
 
 
 @pytest.fixture

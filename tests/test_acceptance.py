@@ -273,7 +273,7 @@ def test_c06_steady_state_and_gradient_drop(c6_result):
 
 def test_c07_discrepancy_decay_rate(c6_result):
     problem = c6_result.problem
-    sites = c6_result.repetitions[0].sites_per_snapshot[0]
+    sites = c6_result.repetitions[0].sites
     gossip_cfg = GossipConfig(kind="cse", beta=0.3)
     discs = []
     for ell in range(1, 21):
@@ -298,7 +298,7 @@ def test_c07_discrepancy_decay_rate(c6_result):
 
 def test_c08_error_recursion_holds(c6_result):
     rep0 = c6_result.repetitions[0]
-    sites = rep0.sites_per_snapshot[0]
+    sites = rep0.sites
     all_trajs = [rep.trajectories[0] for rep in c6_result.repetitions]
     constants, cert = certificate_for_run(
         sites, c6_result.problem.box, all_trajs, rep0.references[0],
@@ -328,7 +328,7 @@ def test_c08_error_recursion_holds(c6_result):
 
 def test_c09_outperforms_diffusion_baseline(c6_result):
     problem = c6_result.problem
-    sites = c6_result.repetitions[0].sites_per_snapshot[0]
+    sites = c6_result.repetitions[0].sites
     gossip_cfg = GossipConfig(kind="cse", beta=0.3)
     traj = ggn_run(
         sites, problem.box, gossip_cfg,

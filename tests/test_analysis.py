@@ -13,10 +13,12 @@ from gossipgn.analysis import (
     recursion_constants,
     verify_contraction_to_ball,
 )
-from gossipgn.core import BoxSet, ProblemConstants, SiteModel, agent_systems, centralized_gn_solve
+from gossipgn.core import BoxSet, ProblemConstants, agent_systems, centralized_gn_solve
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.ggn import ExchangeSchedule, GgnConfig, ggn_run
 from gossipgn.gossip import GossipConfig
+
+from conftest import sites_from_blocks
 
 
 def make_pc(eps_max=1.0, eps_min=0.1, s_min=1.0, s_max=2.0, omega=1.0):
@@ -197,19 +199,14 @@ def test_kappa_monotone_in_ell_and_radii_monotone_in_kappa():
 
 def _linear_sites(n_agents=2, n_unknowns=2, seed=0, consistent=True):
     rng = np.random.default_rng(seed)
-    sites = []
+    residuals, jacobians = [], []
     x_true = rng.normal(size=n_unknowns)
-    for i in range(n_agents):
+    for _ in range(n_agents):
         a = rng.normal(size=(n_unknowns + 1, n_unknowns))
         b = a @ x_true if consistent else rng.normal(size=n_unknowns + 1)
-        sites.append(
-            SiteModel(
-                site_id=i, n_unknowns=n_unknowns, residual_dim=n_unknowns + 1,
-                eval_residual=lambda x, a=a, b=b: a @ x - b,
-                eval_jacobian=lambda x, a=a: a,
-            )
-        )
-    return sites, x_true
+        residuals.append(lambda x, a=a, b=b: a @ x - b)
+        jacobians.append(lambda x, a=a: a)
+    return sites_from_blocks(n_unknowns, residuals, jacobians), x_true
 
 
 def surrogate_mismatch(sites, xs):

@@ -11,10 +11,10 @@ from hypothesis.extra.numpy import arrays
 from gossipgn.core import (
     COND_CAP,
     BoxSet,
-    SiteModel,
     _nonzeros,
     _spectral_bounds,
     agent_systems,
+    build_sites,
     centralized_gn_solve,
     estimate_constants,
     normal_system,
@@ -22,6 +22,7 @@ from gossipgn.core import (
     project,
     site_terms,
     solve_normal,
+    stack_rows,
     stationarity_residual,
 )
 from gossipgn.errors import InvalidArgumentError, SingularSystemError
@@ -32,7 +33,7 @@ from gossipgn.psse.measurements import (
     streaming_snapshots,
 )
 
-from conftest import finite_diff_jacobian, make_toy_sites
+from conftest import finite_diff_jacobian, sites_from_blocks
 
 
 def test_project_clamps_to_box():
@@ -100,16 +101,13 @@ def _assert_bit_identical(got, want):
 def _uneven_sites(row_counts, n_unknowns=4, seed=3):
     """Toy sites like make_toy_sites, with the given residual sizes."""
     rng = np.random.default_rng(seed)
-    sites = []
-    for i, m in enumerate(row_counts):
+    residuals, jacobians = [], []
+    for m in row_counts:
         a = rng.normal(size=(m, n_unknowns))
         b = rng.normal(size=m)
-        sites.append(SiteModel(
-            site_id=i, n_unknowns=n_unknowns, residual_dim=m,
-            eval_residual=lambda x, a=a, b=b: a @ x - b + 0.1 * np.sin(a @ x),
-            eval_jacobian=lambda x, a=a: a + 0.1 * np.cos(a @ x)[:, None] * a,
-        ))
-    return sites
+        residuals.append(lambda x, a=a, b=b: a @ x - b + 0.1 * np.sin(a @ x))
+        jacobians.append(lambda x, a=a: a + 0.1 * np.cos(a @ x)[:, None] * a)
+    return sites_from_blocks(n_unknowns, residuals, jacobians)
 
 
 def _psse_points(grid, n_points, seed):
@@ -140,11 +138,17 @@ def test_grouped_normal_system_bit_identical_on_psse_sites(grid30, true30, n_sit
         _assert_bit_identical(got, _loop_normal_system(sites, x))
 
 
-def test_grouped_normal_system_bit_identical_on_reordered_psse_sites(grid30, true30):
-    sites = _psse_sites(grid30, true30, 7, 2)
-    for x in _psse_points(grid30, 4, 11):
-        for subset in (sites[::-1], sites[1:], sites[2:5], [sites[3], sites[0]]):
-            _assert_bit_identical(normal_system(subset, x), _loop_normal_system(subset, x))
+def test_a_list_that_is_not_one_whole_site_list_is_rejected(grid30, true30):
+    # a reordering, subsets, a mix of two lists over one model, and no sites
+    sites, other = _psse_sites(grid30, true30, 7, 2), _psse_sites(grid30, true30, 7, 2)
+    x = _psse_points(grid30, 1, 11)[0]
+    for bad in (sites[::-1], sites[1:], sites[2:5], [sites[3], sites[0]], sites[:3] + other[3:], []):
+        with pytest.raises(InvalidArgumentError, match="whole site list|one iterate per site"):
+            normal_system(bad, x)
+        with pytest.raises(InvalidArgumentError, match="whole site list|one iterate per site"):
+            agent_systems(bad, np.tile(x, (len(bad), 1)))
+        with pytest.raises(InvalidArgumentError, match="whole site list"):
+            list(stack_rows(bad, np.tile(x, (max(len(bad), 1), 1))))
 
 
 def test_grouped_normal_system_reads_the_batch_not_the_closures(grid30, true30):
@@ -165,12 +169,11 @@ def test_grouped_normal_system_bit_identical_on_uneven_toy_sites(row_counts):
     sites = _uneven_sites(row_counts)
     rng = np.random.default_rng(len(row_counts))
     for x in rng.normal(size=(6, 4)):
-        for subset in (sites, sites[::-1], sites[1:] or sites):
-            _assert_bit_identical(normal_system(subset, x), _loop_normal_system(subset, x))
+        _assert_bit_identical(normal_system(sites, x), _loop_normal_system(sites, x))
 
 
 def test_agent_systems_equal_normal_system_at_each_iterate(grid30, true30):
-    # batch sites and toy sites without a batch, each at distinct iterates,
+    # PSSE sites and toy sites of uneven sizes, each at distinct iterates,
     # at runs of repeated iterates and at one shared start
     calls = []
     for sites, xs in (
@@ -186,6 +189,32 @@ def test_agent_systems_equal_normal_system_at_each_iterate(grid30, true30):
             _assert_bit_identical((a[i], b[i]), normal_system(sites, x))
     results = [arr for _, _, result in calls for arr in result]
     assert not any(np.shares_memory(p, q) for p, q in itertools.combinations(results, 2))
+
+
+def test_build_sites_memo_serves_every_site_at_every_row_of_the_last_stack():
+    rng = np.random.default_rng(9)
+    a, z = rng.normal(size=(5, 3)), rng.normal(size=5)
+    site_rows = [np.array([0, 3]), np.array([4, 1, 2])]
+    calls = []
+
+    def model(x):
+        calls.append(x.shape)
+        return np.sin(x @ a.T), np.cos(x @ a.T)[..., None] * a
+
+    sites = build_sites(model, 3, site_rows, z)
+    xs = rng.normal(size=(3, 3))
+    f, jac = sites[0].batch.model(xs)
+    for x, f_x, jac_x in zip(xs, f, jac):
+        for site, rows in zip(sites, site_rows):
+            _assert_bit_identical(
+                (site.eval_residual(x), site.eval_jacobian(x)), (z[rows] - f_x[rows], -jac_x[rows])
+            )
+    assert calls == [(3, 3)]
+    # a state off the stack is evaluated alone and takes the memo's place
+    sites[1].eval_residual(xs[0] + 1.0)
+    sites[0].eval_jacobian(xs[0] + 1.0)
+    sites[0].eval_residual(xs[0])
+    assert calls == [(3, 3), (3,), (3,)]
 
 
 def test_solve_normal_rejects_singular():
@@ -334,13 +363,9 @@ def test_objective_adds_left_to_right(monkeypatch, compensated):
         from gossipgn import core
 
         monkeypatch.setattr(core, "sum", math.fsum, raising=False)
-    sites = [
-        SiteModel(
-            site_id=i, n_unknowns=1, residual_dim=1,
-            eval_residual=lambda x, r=r: np.array([r]), eval_jacobian=lambda x: np.ones((1, 1)),
-        )
-        for i, r in enumerate([1e8, 1.0, 1.0])
-    ]
+    sites = sites_from_blocks(
+        1, [lambda x, r=r: np.array([r]) for r in [1e8, 1.0, 1.0]], [lambda x: np.ones((1, 1))] * 3
+    )
     assert objective(sites, np.zeros(1)) == 1e16
 
 
@@ -395,12 +420,8 @@ def test_estimate_constants_flags_rank_deficiency(toy_box):
     # one site, fewer residual rows than unknowns: G cannot have full column rank
     rng = np.random.default_rng(3)
     a = rng.normal(size=(2, 3))
-    site = make_toy_sites(n_unknowns=3, n_sites=1)[0]
-    thin = type(site)(
-        site_id=0, n_unknowns=3, residual_dim=2,
-        eval_residual=lambda x: a @ x, eval_jacobian=lambda x: a,
-    )
-    pc = estimate_constants([thin], toy_box, n_samples=4, rng_seed=0)
+    thin = sites_from_blocks(3, [lambda x: a @ x], [lambda x: a])
+    pc = estimate_constants(thin, toy_box, n_samples=4, rng_seed=0)
     assert pc.rank_deficient_sample
     assert pc.sigma_min == 0.0
     assert not pc.assumption_holds()
@@ -459,17 +480,15 @@ def test_estimate_constants_omega_of_a_linear_site_needs_no_pairwise_norm(toy_bo
         calls.append(x)
         return a
 
-    linear = SiteModel(
-        site_id=0, n_unknowns=3, residual_dim=4,
-        eval_residual=lambda x: a @ x, eval_jacobian=jacobian,
-    )
-    pc = estimate_constants([linear], toy_box, n_samples=50, rng_seed=6)
+    linear = sites_from_blocks(3, [lambda x: a @ x], [jacobian])
+    pc = estimate_constants(linear, toy_box, n_samples=50, rng_seed=6)
     assert len(calls) == 50
-    assert pc.omega == brute_force_omega([linear], sample_points(toy_box, 50, 6)) == 0.0
+    assert pc.omega == brute_force_omega(linear, sample_points(toy_box, 50, 6)) == 0.0
 
 
 def test_estimate_constants_evaluates_each_visited_point_once(toy_sites, toy_box, monkeypatch):
-    # on this seed the sweep visits three pairs over five distinct points
+    # on this seed the sweep visits three pairs over five distinct points;
+    # the sample loop first reads each sampled point's Jacobian once, in order
     from gossipgn import core
 
     calls = []
@@ -481,7 +500,8 @@ def test_estimate_constants_evaluates_each_visited_point_once(toy_sites, toy_box
     stacked = core._stacked_jacobian
     monkeypatch.setattr(core, "_stacked_jacobian", stacked_jacobian)
     pc = estimate_constants(toy_sites, toy_box, n_samples=20, rng_seed=0)
-    assert len(calls) == len(set(calls)) == 5
+    assert calls[:20] == [x.tobytes() for x in sample_points(toy_box, 20, 0)]
+    assert len(calls[20:]) == len(set(calls[20:])) == 5
     assert pc.omega == brute_force_omega(toy_sites, sample_points(toy_box, 20, 0))
 
 

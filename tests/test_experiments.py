@@ -21,6 +21,9 @@ from gossipgn.experiments import (
     run_failure_sweep,
     write_metrics_csv,
 )
+from gossipgn.psse import streaming_snapshots
+from gossipgn.psse.grid import vector_to_state
+from gossipgn.psse.measurements import full_measurement_vector
 
 from conftest import CASE2_TEXT
 
@@ -343,6 +346,23 @@ def test_centralized_algorithm_runs(tmp_path):
     assert agents == {"0"}
 
 
+def test_a_run_keeps_only_the_last_snapshot_s_sites(tmp_path):
+    cfg = config_from_mapping(
+        tiny_mapping(snapshots=3, repetitions=1, output_dir=str(tmp_path / "s"))
+    )
+    result = run_experiment(cfg, with_certificate=False)
+    problem = result.problem
+    first, *_, last = streaming_snapshots(
+        problem.grid, problem.true_state, cfg.sigma2, cfg.snapshots, cfg.seed
+    )
+    grid = problem.grid
+    f = full_measurement_vector(grid, vector_to_state(problem.x0, grid.n_buses, grid.slack_bus))
+    for site, rows in zip(result.repetitions[0].sites, problem.site_rows):
+        res = site.eval_residual(problem.x0)
+        assert np.array_equal(res, last[rows] - f[rows])
+        assert not np.array_equal(res, first[rows] - f[rows])
+
+
 def test_centralized_rows_carry_network_totals(tmp_path):
     cfg = config_from_mapping(
         tiny_mapping(
@@ -352,7 +372,7 @@ def test_centralized_rows_carry_network_totals(tmp_path):
     )
     result = run_experiment(cfg, with_certificate=False)
     rep = result.repetitions[0]
-    sites = rep.sites_per_snapshot[0]
+    sites = rep.sites
     iterates = rep.trajectories[0].iterates
     with open(result.rep_csv_paths[0], newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -636,6 +656,30 @@ def test_cli_exit_config_on_removed_section_keys(tmp_path, capsys, section, key,
     assert main(["run", path]) == 2
     assert f"config error: {section}.{key}: unknown key" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep-failures", "compare"])
+def test_cli_exit_config_on_more_sites_than_the_case_has_buses(tmp_path, capsys, monkeypatch, verb):
+    # case2 has two buses; the loaded case says so before any output directory is made
+    out = tmp_path / "o"
+    monkeypatch.setenv("GOSSIPGN_OUTPUT_DIR", str(out))
+    mapping = tiny_mapping(sites=3, repetitions=1)
+    if verb == "run":
+        args = [write_config(tmp_path / "c.yaml", mapping)]
+    elif verb == "sweep-failures":
+        ure = dict(mapping, protocol={"kind": "ure", "beta": 0.5})
+        args = [write_config(tmp_path / "c.yaml", ure), "--p", "0,0.3"]
+    else:
+        diffusion = dict(
+            mapping, algorithm="diffusion", diffusion={"step_scale": 0.3, "total_exchanges": 8}
+        )
+        args = [
+            write_config(tmp_path / "g.yaml", mapping),
+            write_config(tmp_path / "d.yaml", diffusion),
+        ]
+    assert main([verb, *args]) == 2
+    assert "config error: sites: 3 exceeds the case's 2 buses" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("algorithm", ["ggn", "diffusion"])

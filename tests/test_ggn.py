@@ -8,7 +8,6 @@ from gossipgn.core import (
     COND_CAP,
     MODEL_SLICE,
     BoxSet,
-    SiteModel,
     centralized_gn_solve,
     normal_system,
     solve_normal,
@@ -37,7 +36,7 @@ from gossipgn.psse import (
     streaming_snapshots,
 )
 
-from conftest import make_toy_sites
+from conftest import make_toy_sites, sites_from_blocks
 
 
 def _toy_setup(n_sites=3, seed=0):
@@ -96,13 +95,7 @@ def test_info_vector_payload_roundtrip():
         n = int(rng.integers(1, 7))
         jac = rng.normal(size=(n + 2, n))
         res = rng.normal(size=n + 2)
-        site = SiteModel(
-            site_id=0,
-            n_unknowns=n,
-            residual_dim=n + 2,
-            eval_residual=lambda x, res=res: res,
-            eval_jacobian=lambda x, jac=jac: jac,
-        )
+        (site,) = sites_from_blocks(n, [lambda x, res=res: res], [lambda x, jac=jac: jac])
         row, _ = local_init_info(site, np.zeros(n))
         h, hm = jac.T @ res, jac.T @ jac
         assert row.shape == (n * (n + 1),)
@@ -291,10 +284,7 @@ def test_diffusion_steps_diminish():
     # one agent on a linear residual a x - c: exchange l steps 0.3 / l along a^T (a x - c)
     a = np.array([[1.0, 0.5], [0.0, 2.0], [1.0, 1.0]])
     c = np.array([1.0, 2.0, 3.0])
-    site = SiteModel(
-        site_id=0, n_unknowns=2, residual_dim=3,
-        eval_residual=lambda x: a @ x - c, eval_jacobian=lambda x: a,
-    )
+    (site,) = sites_from_blocks(2, [lambda x: a @ x - c], [lambda x: a])
     gc = GossipConfig(kind="cse", beta=0.4)
     traj = diffusion_baseline_run(
         [site], BoxSet.cube(2, 10.0), gc, DiffusionConfig(0.3, 6), np.zeros(2)
@@ -498,13 +488,7 @@ def test_singular_full_system_records_nan_discrepancy():
     # every site sees only x[0], so the full normal matrix is singular while
     # the ridged surrogates stay solvable: the run goes on, the metric is NaN
     a = np.array([[1.0, 0.0]])
-    sites = [
-        SiteModel(
-            site_id=i, n_unknowns=2, residual_dim=1,
-            eval_residual=lambda x, i=i: a @ x - float(i), eval_jacobian=lambda x: a,
-        )
-        for i in range(2)
-    ]
+    sites = sites_from_blocks(2, [lambda x, i=i: a @ x - float(i) for i in range(2)], [lambda x: a] * 2)
     gc = GossipConfig(kind="cse", beta=0.5)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),

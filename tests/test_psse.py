@@ -331,16 +331,39 @@ def test_sites_reject_a_measurement_vector_of_the_wrong_length(grid30, true30):
             build_nlls_sites(grid30, partition_sites(grid30, 3), bad)
 
 
+def test_sites_reject_rows_that_do_not_partition_the_measurements(grid30, true30):
+    z = streaming_snapshots(grid30, true30, 1e-4, 1, 0)[0]
+    good = partition_sites(grid30, 3)
+    for site_rows, match in (
+        ([np.arange(-3, 221)], "site 0: rows must be 1-D integers"),  # would wrap
+        ([*good[:2], np.append(good[2], 500)], "site 2: rows must be 1-D integers"),
+        ([good[0].astype(float), *good[1:]], "site 0: rows must be 1-D integers"),
+        ([np.arange(224).reshape(2, 112)], "site 0: rows must be 1-D integers"),
+        ([np.arange(120), np.arange(100, 224)], "site 1: a row of z is counted twice"),
+        ([np.append(np.arange(224), 7)], "site 0: a row of z is counted twice"),
+        ([good[0], good[2]], f"z: row {good[1][0]} belongs to no site"),
+        ([], "z: row 0 belongs to no site"),
+    ):
+        with pytest.raises(InvalidArgumentError, match=match):
+            build_nlls_sites(grid30, site_rows, z)
+    for bad in (np.nan, np.inf):
+        z_bad = z.copy()
+        z_bad[5] = bad
+        with pytest.raises(InvalidArgumentError, match="z: need a finite measurement vector"):
+            build_nlls_sites(grid30, good, z_bad)
+
+
 # --- noisy measurement generation ---------------------------------------------
 
 
 def test_noise_free_measurements_exact(grid30, true30):
     z = streaming_snapshots(grid30, true30, 0.0, 1, 7)[0]
     assert np.array_equal(z, full_measurement_vector(grid30, true30))
-    sites = build_nlls_sites(grid30, partition_sites(grid30, 5), z)
+    site_rows = partition_sites(grid30, 5)
+    sites = build_nlls_sites(grid30, site_rows, z)
     x_true = state_to_vector(true30, grid30.slack_bus)
-    for s in sites:
-        assert np.array_equal(s.eval_residual(x_true), np.zeros(s.residual_dim))
+    for s, rows in zip(sites, site_rows):
+        assert np.array_equal(s.eval_residual(x_true), np.zeros(rows.size))
     assert stationarity_residual(sites, x_true) <= 1e-10
 
 
