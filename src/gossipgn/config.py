@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -139,11 +140,20 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, data, "")
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads 1e-6, 1E-6 and 1.0e6, strings in YAML 1.1, as floats."""
+
+
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$")
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+0123456789."))
+
+
 def _load_yaml(text: str):
-    """yaml.safe_load(text), except that a key repeated in the root mapping or
-    in one of its sections, where safe_load keeps the last value, is a
-    ConfigError naming its field path. Keys compare by resolved tag and text."""
-    loader = yaml.SafeLoader(text)
+    """yaml.safe_load(text) with _Loader's floats, except that a key repeated
+    in the root mapping or in one of its sections, where safe_load keeps the
+    last value, is a ConfigError naming its field path. Keys compare by
+    resolved tag and text."""
+    loader = _Loader(text)
     try:
         root = loader.get_single_node()
         mappings = [(root, "")]

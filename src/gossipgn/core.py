@@ -10,8 +10,8 @@ network objective is ``sum_i ||g_i(x)||^2``. The Gauss-Newton direction is
 with ``G`` and ``g`` the stacked Jacobian/residual, assembled here by summing
 per-site normal-equation contributions so that any row partition of the same
 problem yields the same direction. build_sites makes every site list, as rows
-of one shared model; the sites carry a :class:`SiteBatch`, which lets the sum
-read every site's rows from that model at once. agent_systems gives every
+of one shared model; evaluate hands out that model's f and J at each state, and
+every per-site quantity is a slice of them. agent_systems gives every
 gossiping agent its exact system and its own site's terms together.
 """
 
@@ -68,10 +68,10 @@ class BoxSet:
 
 @dataclass(frozen=True)
 class SiteModel:
-    """One site's residual block, from a build_sites list: eval_residual maps x
-    to g_i(x) and eval_jacobian to G_i(x), fresh float arrays read from
-    batch's model. They are init fields so that dataclasses.replace can wrap
-    them, as perfbench's tracer does."""
+    """One site's residual block, from a build_sites list: eval_residual slices
+    g_i from the model's f at a state and eval_jacobian G_i from its J, as
+    fresh float arrays. They are init fields so that dataclasses.replace can
+    wrap them, as perfbench's tracer does."""
 
     site_id: int
     n_unknowns: int
@@ -82,8 +82,8 @@ class SiteModel:
 
 @dataclass(frozen=True, eq=False)
 class SiteBatch:
-    """Rows of a whole build_sites list over its shared model (f, J) = model(x),
-    which also evaluates an (I, N_u) stack in one call (see stack_rows).
+    """Rows of a whole build_sites list over its pure model (f, J) = model(x),
+    which also evaluates an (I, N_u) stack in one call (see evaluate).
     Each group of sites with one row count holds their positions in the
     list, their (k, m) row indices and their (k, m) values of z, read-only,
     so one fancy index gathers the group's blocks. Every site of the list
@@ -102,13 +102,9 @@ def build_sites(
 ) -> list[SiteModel]:
     """The sites over one pure model, which maps x or an (I, N_u) stack to
     fresh float arrays f (..., M) and J (..., M, N_u): site i's residual is
-    z[rows_i] - f(x)[rows_i] and its Jacobian -J(x)[rows_i]. The rows must be
-    1-D integer arrays holding each of 0..M-1 once, M = z.size, and z finite.
-
-    The sites share a memo of the last evaluation, one entry per row keyed by
-    its bytes, so reading any site at those rows costs no evaluation; that is
-    what stack_rows relies on. f and J are stored read-only, since the batch
-    hands them out as they are; the site closures return row-sliced copies."""
+    z[rows_i] - f[rows_i] and its Jacobian -J[rows_i], for f and J at one
+    state. The rows must be 1-D integer arrays holding each of 0..M-1 once,
+    M = z.size, and z finite."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or not np.isfinite(z).all():
         raise InvalidArgumentError(f"z: need a finite measurement vector, got shape {z.shape}")
@@ -121,20 +117,6 @@ def build_sites(
             raise InvalidArgumentError(f"site {i}: a row of z is counted twice")
     if not counts.all():
         raise InvalidArgumentError(f"z: row {np.argmin(counts)} belongs to no site")
-    memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-
-    def model_at(x):
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if x.ndim == 1 and key in memo:
-            return memo[key]
-        f, jac = model(x)
-        for arr in (f, jac):
-            arr.setflags(write=False)
-        memo.clear()
-        rows = zip(np.atleast_2d(f), jac.reshape((-1,) + jac.shape[-2:]))
-        memo.update(zip((row.tobytes() for row in np.atleast_2d(x)), rows))
-        return f, jac
 
     # groups follow the sizes' first appearance
     sizes = [rows.size for rows in site_rows]
@@ -145,48 +127,58 @@ def build_sites(
         groups.append((positions, rows, z[rows]))
     for arr in (arr for group in groups for arr in group):
         arr.setflags(write=False)
-    batch = SiteBatch(len(site_rows), model_at, tuple(groups))
+    batch = SiteBatch(len(site_rows), model, tuple(groups))
 
     return [
         SiteModel(
-            i, n_unknowns, lambda x, z_i=z[rows], rows=rows: z_i - model_at(x)[0][rows],
-            lambda x, rows=rows: -model_at(x)[1][rows], batch,
+            i, n_unknowns, lambda f, z_i=z[rows], rows=rows: z_i - f[rows],
+            lambda jac, rows=rows: -jac[rows], batch,
         )
         for i, rows in enumerate(site_rows)
     ]
 
 
-# Distinct states per model call in stack_rows: a case30 state's temporaries
+# Distinct states per model call in evaluate: a case30 state's temporaries
 # take about 0.45 MB, so small slices keep the peak memory near one state's.
 MODEL_SLICE = 3
 
 
-def stack_rows(sites: list[SiteModel], xs: np.ndarray):
-    """Yield the row indices of the nonempty (I, N_u) stack xs, in order. The
-    sites' shared model is evaluated in one call at each run of rows holding
-    at most MODEL_SLICE distinct states before those rows are yielded, so
-    reading the sites there hits the model's memo.
+def evaluate(sites: list[SiteModel], xs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (i, f_i, J_i), the sites' model output at xs[i], for each row of
+    the nonempty (I, N_u) stack xs, in order. The model is evaluated in one
+    call at each run of rows holding at most MODEL_SLICE distinct states.
 
-    Rows are told apart by their bytes, the memo's key: a row equal byte for
-    byte to one before it in its run is evaluated once for both, and rows
-    that differ only in the sign of a zero are evaluated separately. The
-    agents' shared start is so evaluated once, not once per agent.
+    Rows are told apart by their bytes: a row equal byte for byte to one
+    before it in its run shares its evaluation, and rows that differ only in
+    the sign of a zero are evaluated apart. The agents' shared start is so
+    evaluated once, not once per agent. f_i and J_i are read-only views,
+    since rows that share an evaluation share them.
     """
-    model = _check_state(sites, xs[0])[0].model
+    xs = np.asarray(xs, dtype=float)
+    model = _check_sites(sites).model
+    if xs.ndim != 2 or not len(xs) or xs.shape[1] != sites[0].n_unknowns:
+        raise InvalidArgumentError(f"need a nonempty stack of states of length {sites[0].n_unknowns}")
     start = 0
     while start < len(xs):
-        firsts: dict[bytes, int] = {}
-        stop = start
-        while stop < len(xs):
-            key = xs[stop].tobytes()
-            if key not in firsts:
-                if len(firsts) == MODEL_SLICE:
-                    break
-                firsts[key] = stop
-            stop += 1
-        model(xs[list(firsts.values())])
-        yield from range(start, stop)
-        start = stop
+        slots: dict[bytes, int] = {}  # each distinct row's place in the call
+        firsts, run = [], []
+        for i in range(start, len(xs)):
+            slot = slots.setdefault(xs[i].tobytes(), len(slots))
+            if slot == MODEL_SLICE:
+                break
+            if slot == len(firsts):
+                firsts.append(i)
+            run.append(slot)
+        f, jac = model(xs[firsts])
+        f.setflags(write=False)
+        jac.setflags(write=False)
+        yield from ((i, f[slot], jac[slot]) for i, slot in enumerate(run, start))
+        start += len(run)
+
+
+def _evaluate_at(sites: list[SiteModel], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sites' model output (f, J) at the one state x."""
+    return next(evaluate(sites, np.asarray(x, dtype=float)[None]))[1:]
 
 
 @dataclass(frozen=True)
@@ -228,39 +220,33 @@ def project(x: np.ndarray, box: BoxSet) -> np.ndarray:
     return np.clip(x, box.lower, box.upper)
 
 
-def _check_state(sites: list[SiteModel], x: np.ndarray) -> tuple[SiteBatch, np.ndarray]:
-    """The sites' SiteBatch, and x as a float vector of their unknowns. The
-    sites must be one build_sites list, whole and in order."""
-    x = np.asarray(x, dtype=float)
+def _check_sites(sites: list[SiteModel]) -> SiteBatch:
+    """The sites' SiteBatch; the sites must be one whole build_sites list, in order."""
     if not sites or sites[0].batch.n_sites != len(sites) or any(
         site.batch is not sites[0].batch or site.site_id != i for i, site in enumerate(sites)
     ):
         raise InvalidArgumentError("sites must be one whole site list from build_sites, in order")
-    if x.ndim != 1 or x.size != sites[0].n_unknowns:
-        raise InvalidArgumentError(
-            f"state length {x.size} does not match problem unknowns {sites[0].n_unknowns}"
-        )
-    return sites[0].batch, x
+    return sites[0].batch
 
 
-def site_terms(site: SiteModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The site's residual g_i(x) and Jacobian G_i(x)."""
-    return site.eval_residual(x), site.eval_jacobian(x)
+def site_terms(site: SiteModel, f: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The site's residual g_i and Jacobian G_i at the state of the model's f and J."""
+    return site.eval_residual(f), site.eval_jacobian(jac)
 
 
 def _site_products(
-    batch: SiteBatch, x: np.ndarray, products: tuple[np.ndarray, np.ndarray, np.ndarray]
+    batch: SiteBatch, f: np.ndarray, jac: np.ndarray, products: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> None:
-    """Write every site's G_i^T G_i, G_i^T g_i and ||g_i||^2 at x into the
-    (I, n, n), (I, n) and (I,) stacks of products, in site order.
+    """Write every site's G_i^T G_i, G_i^T g_i and ||g_i||^2 at the state of
+    the model's f and J into the (I, n, n), (I, n) and (I,) stacks of
+    products, in site order.
 
     Each group of the batch takes its products in one stacked matmul on
-    blocks gathered from the shared model, which gives the bits of a
-    site-by-site loop since each block is C-contiguous with the site's own
-    shape (padded or strided blocks round differently).
+    blocks gathered from f and J, which gives the bits of a site-by-site
+    loop since each block is C-contiguous with the site's own shape (padded
+    or strided blocks round differently).
     """
     gram, grad, sq = products
-    f, jac = batch.model(x)
     for positions, rows, values in batch.groups:
         # -g_i and -G_i: negation is exact, so their products are G_i's
         res, blocks = f[rows] - values, jac[rows]
@@ -270,16 +256,17 @@ def _site_products(
         sq[positions] = (res[:, None, :] @ res[..., None])[:, 0, 0]
 
 
-def normal_system(sites: list[SiteModel], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble A = sum_i G_i^T G_i and b = sum_i G_i^T g_i at x.
+def normal_system(sites: list[SiteModel], f: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble A = sum_i G_i^T G_i and b = sum_i G_i^T g_i at the state of
+    the model's f and J.
 
     The per-site products (_site_products) are summed in site order from
     +0.0, so the result is bit-identical to accumulating G_i^T G_i and
     G_i^T g_i site by site.
     """
-    batch, x = _check_state(sites, x)
-    gram, grad = np.empty((len(sites), x.size, x.size)), np.empty((len(sites), x.size))
-    _site_products(batch, x, (gram, grad, np.empty(len(sites))))
+    batch, n = _check_sites(sites), sites[0].n_unknowns
+    gram, grad = np.empty((len(sites), n, n)), np.empty((len(sites), n))
+    _site_products(batch, f, jac, (gram, grad, np.empty(len(sites))))
     return np.add.reduce(gram, axis=0, initial=0.0), np.add.reduce(grad, axis=0, initial=0.0)
 
 
@@ -291,28 +278,27 @@ def agent_systems(
 
     Agent i holds site i and iterate xs[i], a row of the (I, N_u) stack xs.
     Returns the (I, n, n) and (I, n) stacks of A_i and b_i, each equal to
-    normal_system(sites, xs[i]) bit for bit, then site i's G_i^T G_i,
-    G_i^T g_i and ||g_i||^2 at xs[i] as (I, n, n), (I, n) and (I,) stacks.
-    The rows are read through stack_rows, so a shared model is evaluated
-    once per distinct row, and an agent at the previous agent's iterate,
-    byte for byte, reuses its sums. Every iterate's per-site products go
-    into one set of stacks allocated for the call; no result aliases them.
+    normal_system at xs[i] bit for bit, then site i's G_i^T G_i, G_i^T g_i
+    and ||g_i||^2 at xs[i] as (I, n, n), (I, n) and (I,) stacks. The rows
+    are read through evaluate, so the model is evaluated once per distinct
+    row, and an agent at the previous agent's iterate, byte for byte, reuses
+    its sums. Every iterate's per-site products go into one set of stacks
+    allocated for the call; no result aliases them.
     """
     xs = np.asarray(xs, dtype=float)
     if not sites or xs.ndim != 2 or len(xs) != len(sites):
         raise InvalidArgumentError(f"need one iterate per site, got shape {xs.shape}")
-    batch, _ = _check_state(sites, xs[0])
-    n_sites, n = xs.shape
+    batch, (n_sites, n) = sites[0].batch, xs.shape
     a, b = np.empty((n_sites, n, n)), np.empty((n_sites, n))
     gram, grad, sq = np.empty((n_sites, n, n)), np.empty((n_sites, n)), np.empty(n_sites)
     products = np.empty((n_sites, n, n)), np.empty((n_sites, n)), np.empty(n_sites)
     last_key = None
-    for i in stack_rows(sites, xs):
+    for i, f, jac in evaluate(sites, xs):
         key = xs[i].tobytes()
         if key == last_key:
             a[i], b[i] = a[i - 1], b[i - 1]
         else:
-            _site_products(batch, xs[i], products)
+            _site_products(batch, f, jac, products)
             np.add.reduce(products[0], axis=0, initial=0.0, out=a[i])
             np.add.reduce(products[1], axis=0, initial=0.0, out=b[i])
             last_key = key
@@ -400,36 +386,37 @@ def _factorizes(m: np.ndarray) -> bool:
     return True
 
 
-def objective(sites: list[SiteModel], x: np.ndarray) -> float:
-    """sum_i ||g_i(x)||^2, added left to right from 0.0 over the sites in order
-    (the builtin sum compensates its additions from Python 3.12 on)."""
+def objective(sites: list[SiteModel], f: np.ndarray) -> float:
+    """sum_i ||g_i||^2 at the state of the model's f, added left to right from
+    0.0 over the sites in order (the builtin sum compensates from Python 3.12 on)."""
     total = 0.0
     for site in sites:
-        res = site.eval_residual(x)
+        res = site.eval_residual(f)
         total += float(res @ res)
     return total
 
 
 def stationarity_residual(sites: list[SiteModel], x: np.ndarray) -> float:
     """||G^T(x) g(x)||; zero exactly at first-order stationary points."""
-    return float(np.linalg.norm(normal_system(sites, x)[1]))
+    return float(np.linalg.norm(normal_system(sites, *_evaluate_at(sites, x))[1]))
 
 
 def gauss_newton_iterates(
     sites: list[SiteModel], box: BoxSet, x0: np.ndarray, alpha: float
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield the projected centralized GN iterates x <- P[x - alpha d] from
-    P[x0], each with b = G^T g of its normal system.
+    P[x0], each with the model's f there and b = G^T g of its normal system.
 
-    One normal system per iterate gives both b and the step d, which is
-    solved only when the next iterate is asked for.
+    One evaluation and one normal system per iterate give f, b and the step
+    d, which is solved only when the next iterate is asked for.
     """
     if not 0.0 < alpha <= 1.0:
         raise InvalidArgumentError(f"alpha must be in (0, 1], got {alpha}")
     x = project(x0, box)
     while True:
-        a, b = normal_system(sites, x)
-        yield x, b
+        f, jac = _evaluate_at(sites, x)
+        a, b = normal_system(sites, f, jac)
+        yield x, f, b
         x = project(x - alpha * solve_normal(a, b, context="exact descent"), box)
 
 
@@ -448,7 +435,7 @@ def centralized_gn_solve(
     Used to produce the reference fixed point for certificates and
     error-to-reference metrics.
     """
-    for step, (x, b) in enumerate(gauss_newton_iterates(sites, box, x0, alpha)):
+    for step, (x, _, b) in enumerate(gauss_newton_iterates(sites, box, x0, alpha)):
         stationarity = float(np.linalg.norm(b))
         if stationarity <= tol or step == max_iter:
             return x, stationarity
@@ -506,7 +493,8 @@ def _spectral_bounds(
     BOUND_CHUNK at a time through buffers allocated once: fresh temporaries
     for every chunk cost page faults.
     """
-    pattern = np.unique(np.concatenate([flat for flat, _ in nonzeros]))
+    pattern = np.sort(np.concatenate([flat for flat, _ in nonzeros]))
+    pattern = pattern[np.diff(pattern, prepend=-1) != 0]
     values = np.zeros((len(nonzeros), pattern.size))
     for row, (flat, vals) in zip(values, nonzeros):
         row[np.searchsorted(pattern, flat)] = vals
@@ -534,8 +522,8 @@ def _spectral_bounds(
     return np.sqrt(np.sqrt(bounds, out=bounds), out=bounds)
 
 
-def _stacked_jacobian(sites: list[SiteModel], x: np.ndarray) -> np.ndarray:
-    return np.vstack([site.eval_jacobian(x) for site in sites])
+def _stacked_jacobian(sites: list[SiteModel], jac: np.ndarray) -> np.ndarray:
+    return np.vstack([site.eval_jacobian(jac) for site in sites])
 
 
 def estimate_constants(
@@ -579,11 +567,11 @@ def estimate_constants(
     sigma_max = 0.0
     rank_deficient = False
     nonzeros = []
-    for k in stack_rows(sites, points):
-        g_norm = float(np.sqrt(objective(sites, points[k])))
+    for _, f, jac in evaluate(sites, points):
+        g_norm = float(np.sqrt(objective(sites, f)))
         eps_max = max(eps_max, g_norm)
         eps_min_seen = min(eps_min_seen, g_norm)
-        jac = _stacked_jacobian(sites, points[k])
+        jac = _stacked_jacobian(sites, jac)
         nonzeros.append(_nonzeros(jac))
         svals = np.linalg.svd(jac, compute_uv=False)
         sigma_max = max(sigma_max, float(svals[0]))
@@ -605,7 +593,7 @@ def estimate_constants(
         _spectral_bounds(nonzeros, jac.shape[1], pair_i, pair_j), dxs,
         out=np.full(pair_i.size, -np.inf), where=dxs != 0.0,
     )
-    jacobian_at = functools.cache(lambda i: _stacked_jacobian(sites, points[i]))
+    jacobian_at = functools.cache(lambda i: _stacked_jacobian(sites, _evaluate_at(sites, points[i])[1]))
     omega = 0.0
     for k in np.argsort(-bounds, kind="stable").tolist():
         if bounds[k] * (1.0 + 1e-9) <= omega:
@@ -615,7 +603,7 @@ def estimate_constants(
         omega = max(omega, dj / float(np.linalg.norm(points[i] - points[j])))
 
     if reference_x is not None:
-        eps_min = float(np.sqrt(objective(sites, np.asarray(reference_x, dtype=float))))
+        eps_min = float(np.sqrt(objective(sites, _evaluate_at(sites, reference_x)[0])))
     else:
         eps_min = float(eps_min_seen)
 

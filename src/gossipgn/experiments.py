@@ -285,7 +285,7 @@ def certificate_for_run(
     if pts.shape[0] > CERTIFICATE_MAX_POINTS:
         pick = np.linspace(0, pts.shape[0] - 1, CERTIFICATE_MAX_POINTS).astype(int)
         pick[0] = 0  # always keep the reference
-        pts = pts[np.unique(pick)]
+        pts = pts[pick[np.diff(pick, prepend=-1) != 0]]  # pick is sorted
     midpoints = 0.5 * (pts + pts[0])
     extra = np.vstack([pts, midpoints])
     firsts: dict[bytes, int] = {}

@@ -122,13 +122,13 @@ def _rounds(
     return (sample_ure_round(gossip_config, n_agents, rng) for _ in itertools.count())
 
 
-def local_init_info(site: SiteModel, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """The agent's initial payload row at its own iterate, and ||g_i||^2.
+def local_init_info(site: SiteModel, f: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, float]:
+    """The agent's payload row and ||g_i||^2 at the state of the model's f and J.
 
     The row is the wire layout [h, vec(H)] of length N_u*(N_u+1), with
     h = G_i^T g_i and H = G_i^T G_i in column-major order.
     """
-    res, jac = site_terms(site, x)
+    res, jac = site_terms(site, f, jac)
     return np.concatenate([jac.T @ res, (jac.T @ jac).reshape(-1, order="F")]), float(res @ res)
 
 
@@ -266,7 +266,7 @@ def ggn_run(
             break
 
     # the final iterates need only their vals and grads
-    rows = [local_init_info(sites[i], x[i]) for i in core.stack_rows(sites, x)]
+    rows = [local_init_info(sites[i], f, jac) for i, f, jac in core.evaluate(sites, x)]
     vals.append([val for _, val in rows])
     grads.append([float(np.linalg.norm(row[:n_u])) for row, _ in rows])
     return Trajectory(
@@ -298,7 +298,7 @@ def diffusion_baseline_run(
 
     def gradients(x: np.ndarray) -> np.ndarray:
         # G_i^T(x_i) g_i(x_i) per agent; records val and grad at x
-        terms = [site_terms(sites[i], x[i]) for i in core.stack_rows(sites, x)]
+        terms = [site_terms(sites[i], f, jac) for i, f, jac in core.evaluate(sites, x)]
         stack = np.stack([jac.T @ res for res, jac in terms])
         vals.append([float(res @ res) for res, _ in terms])
         grads.append([float(np.linalg.norm(g)) for g in stack])
@@ -331,9 +331,9 @@ def centralized_run(
     """
     iterates, vals, grads = [], [], []
     iterations = core.gauss_newton_iterates(sites, box, np.reshape(x0, -1), ggn_config.alpha)
-    for k, (x, b) in enumerate(iterations):
+    for k, (x, f, b) in enumerate(iterations):
         iterates.append(x)
-        vals.append([objective(sites, x)])
+        vals.append([objective(sites, f)])
         grads.append([float(np.linalg.norm(b))])
         if k == ggn_config.max_updates or (
             k > 0 and float(np.linalg.norm(x - iterates[-2])) <= ggn_config.stop_tol

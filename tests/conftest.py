@@ -9,10 +9,12 @@ are checked only by tests, so they live here rather than in the package.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gossipgn.core import BoxSet, SiteModel, build_sites
+from gossipgn.core import BoxSet, SiteModel, build_sites, site_terms
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.gossip import PairwiseRound, WeightMatrix, lambda_eta
 from gossipgn.psse import (
@@ -50,6 +52,34 @@ def oracle_flows(grid: GridModel, state: PowerState) -> np.ndarray:
     return np.asarray(p_rows + q_rows)
 
 
+def evaluated(site: SiteModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The model output (f, J) of the site's list at the one state x, from a
+    fresh call of the pure model."""
+    return site.batch.model(np.asarray(x, dtype=float))
+
+
+def terms_at(site: SiteModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The site's residual g_i(x) and Jacobian G_i(x)."""
+    return site_terms(site, *evaluated(site, x))
+
+
+def over_model(sites: list[SiteModel], model) -> list[SiteModel]:
+    """The site list with its batch's model replaced by model."""
+    batch = replace(sites[0].batch, model=model)
+    return [replace(site, batch=batch) for site in sites]
+
+
+def recording_model(sites: list[SiteModel], calls: list) -> list[SiteModel]:
+    """The site list over its own model, each call's states appended to calls."""
+    model = sites[0].batch.model
+
+    def recording(x):
+        calls.append(np.array(x))
+        return model(x)
+
+    return over_model(sites, recording)
+
+
 def finite_diff_jacobian(site: SiteModel, x: np.ndarray, h: float) -> np.ndarray:
     """Central-difference Jacobian (g(x + h e_j) - g(x - h e_j)) / 2h."""
     if h <= 0:
@@ -59,8 +89,8 @@ def finite_diff_jacobian(site: SiteModel, x: np.ndarray, h: float) -> np.ndarray
     for j in range(x.size):
         step = np.zeros_like(x)
         step[j] = h
-        gp = np.asarray(site.eval_residual(x + step), dtype=float)
-        gm = np.asarray(site.eval_residual(x - step), dtype=float)
+        gp = terms_at(site, x + step)[0]
+        gm = terms_at(site, x - step)[0]
         cols.append((gp - gm) / (2.0 * h))
     return np.column_stack(cols)
 

@@ -46,10 +46,12 @@ from gossipgn.psse.measurements import (
 
 from conftest import (
     consensus_envelope_ratios,
+    evaluated,
     finite_diff_jacobian,
     oracle_flows,
     oracle_injections,
     random_states,
+    terms_at,
 )
 
 # ---------------------------------------------------------------------------
@@ -113,8 +115,7 @@ def _grad_metric(sites, stack):
     """Sum over agents of the local gradient norm at the agent's iterate."""
     total = 0.0
     for i, site in enumerate(sites):
-        jac = site.eval_jacobian(stack[i])
-        res = site.eval_residual(stack[i])
+        res, jac = terms_at(site, stack[i])
         total += float(np.linalg.norm(jac.T @ res))
     return total
 
@@ -144,7 +145,7 @@ def test_c02_jacobian_finite_difference(grid30, true30):
     worst = 0.0
     for state in random_states(grid30, 20, seed=5):
         x = state_to_vector(state, grid30.slack_bus)
-        analytic = site.eval_jacobian(x)
+        analytic = terms_at(site, x)[1]
         fd = finite_diff_jacobian(site, x, 1e-6)
         rel = float(np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic)))
         worst = max(worst, rel)
@@ -207,7 +208,7 @@ def test_c05_centralized_reduction(grid30, true30):
         x = x0.copy()
         path = [x.copy()]
         for _ in range(n_updates):
-            a, b = normal_system(sites, x)
+            a, b = normal_system(sites, *evaluated(sites[0], x))
             x = project(x - solve_normal(a, b, context="exact descent"), box)
             path.append(x.copy())
         return np.stack(path)

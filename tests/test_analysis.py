@@ -18,7 +18,7 @@ from gossipgn.errors import InvalidArgumentError
 from gossipgn.ggn import ExchangeSchedule, GgnConfig, ggn_run
 from gossipgn.gossip import GossipConfig
 
-from conftest import sites_from_blocks
+from conftest import sites_from_blocks, terms_at
 
 
 def make_pc(eps_max=1.0, eps_min=0.1, s_min=1.0, s_max=2.0, omega=1.0):
@@ -239,7 +239,7 @@ def test_surrogate_mismatch_linear_closed_form():
     x1 = np.array([0.5, 0.0])
     x2 = np.array([-0.5, 1.0])
     delta, big_delta, _ = surrogate_mismatch(sites, np.stack([x1, x2]))
-    a2 = sites[1].eval_jacobian(x1)
+    a2 = terms_at(sites[1], x1)[1]
     # delta_0 = hbar - q(x_0) = (1/2) A_2^T A_2 (x_2 - x_1) for linear sites
     expected = 0.5 * a2.T @ a2 @ (x2 - x1)
     assert delta[0] == pytest.approx(np.linalg.norm(expected), rel=1e-10)

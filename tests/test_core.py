@@ -10,22 +10,25 @@ from hypothesis.extra.numpy import arrays
 
 from gossipgn.core import (
     COND_CAP,
+    MODEL_SLICE,
     BoxSet,
     _nonzeros,
     _spectral_bounds,
+    _stacked_jacobian,
     agent_systems,
     build_sites,
     centralized_gn_solve,
     estimate_constants,
+    evaluate,
     normal_system,
     objective,
     project,
     site_terms,
     solve_normal,
-    stack_rows,
     stationarity_residual,
 )
 from gossipgn.errors import InvalidArgumentError, SingularSystemError
+from gossipgn.ggn import local_init_info
 from gossipgn.psse.grid import make_box, state_to_vector
 from gossipgn.psse.measurements import (
     build_nlls_sites,
@@ -33,7 +36,14 @@ from gossipgn.psse.measurements import (
     streaming_snapshots,
 )
 
-from conftest import finite_diff_jacobian, sites_from_blocks
+from conftest import (
+    evaluated,
+    finite_diff_jacobian,
+    over_model,
+    recording_model,
+    sites_from_blocks,
+    terms_at,
+)
 
 
 def test_project_clamps_to_box():
@@ -68,12 +78,11 @@ def test_box_validation():
 
 def test_normal_system_matches_manual_assembly(toy_sites):
     x = np.array([0.3, -0.2, 0.5])
-    a, b = normal_system(toy_sites, x)
+    a, b = normal_system(toy_sites, *evaluated(toy_sites[0], x))
     a_ref = np.zeros((3, 3))
     b_ref = np.zeros(3)
     for s in toy_sites:
-        j = s.eval_jacobian(x)
-        r = s.eval_residual(x)
+        r, j = terms_at(s, x)
         a_ref += j.T @ j
         b_ref += j.T @ r
     assert np.allclose(a, a_ref, atol=1e-14)
@@ -86,7 +95,7 @@ def _loop_normal_system(sites, x):
     a = np.zeros((x.size, x.size))
     b = np.zeros(x.size)
     for site in sites:
-        res, jac = site_terms(site, x)
+        res, jac = terms_at(site, x)
         a += jac.T @ jac
         b += jac.T @ res
     return a, b
@@ -133,7 +142,7 @@ def test_grouped_normal_system_bit_identical_on_psse_sites(grid30, true30, n_sit
     assert all(site.batch is sites[0].batch for site in sites)
     points = _psse_points(grid30, 12, n_sites)
     # all calls first: a result must not alias another call's
-    results = [normal_system(sites, x) for x in points]
+    results = [normal_system(sites, *evaluated(sites[0], x)) for x in points]
     for x, got in zip(points, results):
         _assert_bit_identical(got, _loop_normal_system(sites, x))
 
@@ -142,13 +151,14 @@ def test_a_list_that_is_not_one_whole_site_list_is_rejected(grid30, true30):
     # a reordering, subsets, a mix of two lists over one model, and no sites
     sites, other = _psse_sites(grid30, true30, 7, 2), _psse_sites(grid30, true30, 7, 2)
     x = _psse_points(grid30, 1, 11)[0]
+    f, jac = evaluated(sites[0], x)
     for bad in (sites[::-1], sites[1:], sites[2:5], [sites[3], sites[0]], sites[:3] + other[3:], []):
-        with pytest.raises(InvalidArgumentError, match="whole site list|one iterate per site"):
-            normal_system(bad, x)
+        with pytest.raises(InvalidArgumentError, match="whole site list"):
+            normal_system(bad, f, jac)
         with pytest.raises(InvalidArgumentError, match="whole site list|one iterate per site"):
             agent_systems(bad, np.tile(x, (len(bad), 1)))
         with pytest.raises(InvalidArgumentError, match="whole site list"):
-            list(stack_rows(bad, np.tile(x, (max(len(bad), 1), 1))))
+            list(evaluate(bad, np.tile(x, (max(len(bad), 1), 1))))
 
 
 def test_grouped_normal_system_reads_the_batch_not_the_closures(grid30, true30):
@@ -161,7 +171,7 @@ def test_grouped_normal_system_reads_the_batch_not_the_closures(grid30, true30):
 
     wrapped = [replace(site, eval_residual=never, eval_jacobian=never) for site in sites]
     x = _psse_points(grid30, 1, 5)[0]
-    _assert_bit_identical(normal_system(wrapped, x), _loop_normal_system(sites, x))
+    _assert_bit_identical(normal_system(wrapped, *evaluated(sites[0], x)), _loop_normal_system(sites, x))
 
 
 @pytest.mark.parametrize("row_counts", [[2, 5, 3, 5, 2, 7], [1], [6, 6, 6], [4, 1, 9]])
@@ -169,7 +179,7 @@ def test_grouped_normal_system_bit_identical_on_uneven_toy_sites(row_counts):
     sites = _uneven_sites(row_counts)
     rng = np.random.default_rng(len(row_counts))
     for x in rng.normal(size=(6, 4)):
-        _assert_bit_identical(normal_system(sites, x), _loop_normal_system(sites, x))
+        _assert_bit_identical(normal_system(sites, *evaluated(sites[0], x)), _loop_normal_system(sites, x))
 
 
 def test_agent_systems_equal_normal_system_at_each_iterate(grid30, true30):
@@ -186,35 +196,74 @@ def test_agent_systems_equal_normal_system_at_each_iterate(grid30, true30):
     # all calls first: a result must not alias another call's
     for sites, xs, (a, b, *_) in calls:
         for i, x in enumerate(xs):
-            _assert_bit_identical((a[i], b[i]), normal_system(sites, x))
+            _assert_bit_identical((a[i], b[i]), normal_system(sites, *evaluated(sites[0], x)))
     results = [arr for _, _, result in calls for arr in result]
     assert not any(np.shares_memory(p, q) for p, q in itertools.combinations(results, 2))
 
 
-def test_build_sites_memo_serves_every_site_at_every_row_of_the_last_stack():
+def test_evaluate_makes_one_model_call_per_run():
+    # an elementwise model, so a stacked call gives each row's single-state bits
     rng = np.random.default_rng(9)
-    a, z = rng.normal(size=(5, 3)), rng.normal(size=5)
+    cols, w, z = np.array([0, 2, 1, 0, 2]), rng.normal(size=5), rng.normal(size=5)
     site_rows = [np.array([0, 3]), np.array([4, 1, 2])]
-    calls = []
 
     def model(x):
-        calls.append(x.shape)
-        return np.sin(x @ a.T), np.cos(x @ a.T)[..., None] * a
+        return w * np.sin(x[..., cols]), (w * np.cos(x[..., cols]))[..., None] * np.eye(3)[cols]
 
-    sites = build_sites(model, 3, site_rows, z)
-    xs = rng.normal(size=(3, 3))
-    f, jac = sites[0].batch.model(xs)
-    for x, f_x, jac_x in zip(xs, f, jac):
-        for site, rows in zip(sites, site_rows):
-            _assert_bit_identical(
-                (site.eval_residual(x), site.eval_jacobian(x)), (z[rows] - f_x[rows], -jac_x[rows])
-            )
-    assert calls == [(3, 3)]
-    # a state off the stack is evaluated alone and takes the memo's place
-    sites[1].eval_residual(xs[0] + 1.0)
-    sites[0].eval_jacobian(xs[0] + 1.0)
-    sites[0].eval_residual(xs[0])
-    assert calls == [(3, 3), (3,), (3,)]
+    calls = []
+    sites = recording_model(build_sites(model, 3, site_rows, z), calls)
+    d = rng.normal(size=(5, 3))
+    d[0, 1] = 0.0
+    signed = d[0].copy()
+    signed[1] = -0.0  # equal to d[0] in value, not in bytes
+    xs = np.stack([d[0], d[1], d[0], signed, d[2], d[3], d[3], d[4]])
+    rows = list(evaluate(sites, xs))
+    # runs of at most MODEL_SLICE distinct rows, each evaluated in one call
+    assert MODEL_SLICE == 3
+    assert [c.tobytes() for c in calls] == [
+        np.stack([d[0], d[1], signed]).tobytes(), np.stack([d[2], d[3], d[4]]).tobytes()
+    ]
+    assert [i for i, _, _ in rows] == list(range(len(xs)))
+    for i, f, jac in rows:
+        _assert_bit_identical((f, jac), model(xs[i]))
+        for site, rows_i in zip(sites, site_rows):
+            _assert_bit_identical(site_terms(site, f, jac), (z[rows_i] - f[rows_i], -jac[rows_i]))
+
+
+def test_site_terms_and_sums_never_call_the_model(toy_sites):
+    # after the one evaluation, every per-site quantity is read from its arrays
+    model, calls = toy_sites[0].batch.model, []
+
+    def once(x):
+        if calls:
+            raise AssertionError("model called again")
+        calls.append(x)
+        return model(x)
+
+    sites = over_model(toy_sites, once)
+    x = np.array([0.3, -0.2, 0.5])
+    ((_, f, jac),) = evaluate(sites, x[None])
+    want_f, want_jac = model(x)
+    for site, fresh in zip(sites, toy_sites):
+        _assert_bit_identical(site_terms(site, f, jac), site_terms(fresh, want_f, want_jac))
+        (row, val), (want_row, want_val) = (
+            local_init_info(site, f, jac), local_init_info(fresh, want_f, want_jac)
+        )
+        _assert_bit_identical([row], [want_row])
+        assert val == want_val
+    assert objective(sites, f) == objective(toy_sites, want_f)
+    _assert_bit_identical(normal_system(sites, f, jac), normal_system(toy_sites, want_f, want_jac))
+    _assert_bit_identical([_stacked_jacobian(sites, jac)], [_stacked_jacobian(toy_sites, want_jac)])
+
+
+def test_evaluate_yields_read_only_arrays(toy_sites):
+    xs = np.random.default_rng(3).normal(size=(5, 3))
+    xs[3] = xs[1]
+    for _, f, jac in evaluate(toy_sites, xs):
+        for arr in (f, jac):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 def test_solve_normal_rejects_singular():
@@ -331,8 +380,8 @@ def test_solve_normal_solves():
 def test_exact_descent_is_newton_direction(toy_sites):
     # the normal system's solution is the least-squares step of the stacked linearization
     x = np.array([0.1, 0.0, -0.4])
-    d = solve_normal(*normal_system(toy_sites, x))
-    res, jac = (np.concatenate(parts) for parts in zip(*(site_terms(s, x) for s in toy_sites)))
+    d = solve_normal(*normal_system(toy_sites, *evaluated(toy_sites[0], x)))
+    res, jac = (np.concatenate(parts) for parts in zip(*(terms_at(s, x) for s in toy_sites)))
     assert np.allclose(d, np.linalg.lstsq(jac, res, rcond=None)[0], atol=1e-10)
 
 
@@ -341,8 +390,9 @@ def test_centralized_step_respects_box(toy_sites):
     x = np.zeros(3)
     x1, _ = centralized_gn_solve(toy_sites, tight, x, alpha=1.0, tol=1e-12, max_iter=1)
     assert tight.contains(x1)
-    assert np.array_equal(x1, project(x - solve_normal(*normal_system(toy_sites, x)), tight))
-    assert not np.array_equal(x1, x - solve_normal(*normal_system(toy_sites, x)))
+    step = solve_normal(*normal_system(toy_sites, *evaluated(toy_sites[0], x)))
+    assert np.array_equal(x1, project(x - step, tight))
+    assert not np.array_equal(x1, x - step)
     with pytest.raises(InvalidArgumentError):
         centralized_gn_solve(toy_sites, tight, x, alpha=0.0)
     with pytest.raises(InvalidArgumentError):
@@ -366,24 +416,28 @@ def test_objective_adds_left_to_right(monkeypatch, compensated):
     sites = sites_from_blocks(
         1, [lambda x, r=r: np.array([r]) for r in [1e8, 1.0, 1.0]], [lambda x: np.ones((1, 1))] * 3
     )
-    assert objective(sites, np.zeros(1)) == 1e16
+    assert objective(sites, evaluated(sites[0], np.zeros(1))[0]) == 1e16
 
 
 def test_finite_diff_matches_analytic(toy_sites):
     x = np.array([0.2, -0.7, 0.33])
     for s in toy_sites:
         fd = finite_diff_jacobian(s, x, h=1e-6)
-        an = s.eval_jacobian(x)
+        an = terms_at(s, x)[1]
         assert np.max(np.abs(fd - an)) <= 1e-7 * max(1.0, np.max(np.abs(an)))
     with pytest.raises(InvalidArgumentError):
         finite_diff_jacobian(toy_sites[0], x, h=0.0)
 
 
 def test_state_length_checked(toy_sites):
+    # evaluate takes a nonempty stack of states of the problem's length
+    for bad in (np.zeros((1, 5)), np.zeros(3), np.zeros((0, 3)), np.zeros((1, 1, 3))):
+        with pytest.raises(InvalidArgumentError, match="stack of states"):
+            list(evaluate(toy_sites, bad))
     with pytest.raises(InvalidArgumentError):
-        normal_system(toy_sites, np.zeros(5))
+        stationarity_residual(toy_sites, np.zeros(5))
     with pytest.raises(InvalidArgumentError):
-        normal_system([], np.zeros(3))
+        normal_system([], *evaluated(toy_sites[0], np.zeros(3)))
     with pytest.raises(InvalidArgumentError):
         agent_systems(toy_sites, np.zeros((3, 5)))
     with pytest.raises(InvalidArgumentError):
@@ -411,7 +465,7 @@ def test_estimate_constants_reference_point(toy_sites, toy_box):
         toy_sites, toy_box, n_samples=8, rng_seed=2, reference_x=x_star
     )
     ref_norm = np.sqrt(
-        sum(float(np.sum(np.asarray(s.eval_residual(x_star)) ** 2)) for s in toy_sites)
+        sum(float(np.sum(terms_at(s, x_star)[0] ** 2)) for s in toy_sites)
     )
     assert pc.epsilon_min == pytest.approx(ref_norm, rel=1e-12)
 
@@ -431,7 +485,7 @@ def test_estimate_constants_omega_majorizes_observed_pairs(toy_sites, toy_box):
     pc = estimate_constants(toy_sites, toy_box, n_samples=10, rng_seed=4)
     rng = np.random.default_rng(5)
     xs = rng.uniform(toy_box.lower, toy_box.upper, size=(6, 3))
-    stacked = [np.vstack([s.eval_jacobian(x) for s in toy_sites]) for x in xs]
+    stacked = [np.vstack([terms_at(s, x)[1] for s in toy_sites]) for x in xs]
     # omega was fitted on a richer sample of the same box; fresh in-box pairs
     # should rarely exceed it, and never wildly
     for i in range(len(xs)):
@@ -445,9 +499,7 @@ def test_estimate_constants_omega_majorizes_observed_pairs(toy_sites, toy_box):
 
 def brute_force_omega(sites, points):
     """Lipschitz oracle: one spectral norm for every pair of points."""
-    jacobians = [
-        np.vstack([np.asarray(s.eval_jacobian(x), dtype=float) for s in sites]) for x in points
-    ]
+    jacobians = [np.vstack([terms_at(s, x)[1] for s in sites]) for x in points]
     omega = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -486,22 +538,17 @@ def test_estimate_constants_omega_of_a_linear_site_needs_no_pairwise_norm(toy_bo
     assert pc.omega == brute_force_omega(linear, sample_points(toy_box, 50, 6)) == 0.0
 
 
-def test_estimate_constants_evaluates_each_visited_point_once(toy_sites, toy_box, monkeypatch):
+def test_estimate_constants_evaluates_each_visited_point_once(toy_sites, toy_box):
     # on this seed the sweep visits three pairs over five distinct points;
-    # the sample loop first reads each sampled point's Jacobian once, in order
-    from gossipgn import core
-
+    # the sample loop first evaluates the sampled points once, in order, in
+    # slices of MODEL_SLICE
     calls = []
-
-    def stacked_jacobian(sites, x):
-        calls.append(x.tobytes())
-        return stacked(sites, x)
-
-    stacked = core._stacked_jacobian
-    monkeypatch.setattr(core, "_stacked_jacobian", stacked_jacobian)
-    pc = estimate_constants(toy_sites, toy_box, n_samples=20, rng_seed=0)
-    assert calls[:20] == [x.tobytes() for x in sample_points(toy_box, 20, 0)]
-    assert len(calls[20:]) == len(set(calls[20:])) == 5
+    pc = estimate_constants(recording_model(toy_sites, calls), toy_box, n_samples=20, rng_seed=0)
+    n_slices = math.ceil(20 / MODEL_SLICE)
+    assert np.concatenate(calls[:n_slices]).tobytes() == np.stack(sample_points(toy_box, 20, 0)).tobytes()
+    swept = [x.tobytes() for x in calls[n_slices:]]
+    assert [len(x) for x in calls[n_slices:]] == [1] * 5
+    assert len(swept) == len(set(swept)) == 5
     assert pc.omega == brute_force_omega(toy_sites, sample_points(toy_box, 20, 0))
 
 
@@ -524,7 +571,7 @@ def test_estimate_constants_omega_equals_brute_force_on_case30(grid30, true30):
     tight_a, tight_b = leaf_only(0.0), leaf_only(0.7)
 
     def stacked_jacobian(x):
-        return np.vstack([s.eval_jacobian(x) for s in sites])
+        return np.vstack([terms_at(s, x)[1] for s in sites])
 
     diff = stacked_jacobian(tight_a) - stacked_jacobian(tight_b)
     assert np.linalg.matrix_rank(diff) == 1

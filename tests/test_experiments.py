@@ -1,6 +1,10 @@
 import csv
 import filecmp
 import math
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +29,7 @@ from gossipgn.psse import streaming_snapshots
 from gossipgn.psse.grid import vector_to_state
 from gossipgn.psse.measurements import full_measurement_vector
 
-from conftest import CASE2_TEXT
+from conftest import CASE2_TEXT, terms_at
 
 
 def tiny_mapping(**overrides):
@@ -198,6 +202,40 @@ def test_malformed_yaml(tmp_path):
             load_config(path)
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e-6", 1e-6), ("1E-6", 1e-6), ("1.0e6", 1e6), ("1e+2", 100.0), ("+1.5E-3", 1.5e-3),
+     (".5e1", 5.0), ("1.0e-6", 1e-6)],
+)
+def test_exponent_floats_load_as_floats(tmp_path, text, value):
+    # YAML 1.1 reads all but the last spelling as a string
+    path = tmp_path / "c.yaml"
+    path.write_text(f"sigma2: {text}\nridge: {text}\n")
+    cfg = load_config(path)
+    assert type(cfg.sigma2) is float and cfg.sigma2 == value
+    assert type(cfg.ridge) is float and cfg.ridge == value
+
+
+def test_exponent_floats_leave_ints_quoted_strings_and_non_finite_values_as_they_were(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text("seed: 10\nmax_updates: 7\n")
+    cfg = load_config(path)
+    assert type(cfg.seed) is int and cfg.seed == 10 and cfg.max_updates == 7
+    for text, message in (
+        ('sigma2: "1e-6"', "sigma2: expected a finite number, got '1e-6'"),
+        ("sigma2: '1e-6'", "sigma2: expected a finite number, got '1e-6'"),
+        ("max_updates: 1e1", "max_updates: expected an integer, got 10.0"),
+        ("sigma2: .inf", "sigma2: expected a finite number, got inf"),
+        ("sigma2: .nan", "sigma2: expected a finite number, got nan"),
+        ("sigma2: 1e999", "sigma2: expected a finite number, got inf"),
+    ):
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+    # the process-wide safe loader keeps YAML 1.1's reading
+    assert yaml.safe_load("sigma2: 1e-6") == {"sigma2": "1e-6"}
+
+
 # --- experiment runner --------------------------------------------------------
 
 
@@ -358,9 +396,32 @@ def test_a_run_keeps_only_the_last_snapshot_s_sites(tmp_path):
     grid = problem.grid
     f = full_measurement_vector(grid, vector_to_state(problem.x0, grid.n_buses, grid.slack_bus))
     for site, rows in zip(result.repetitions[0].sites, problem.site_rows):
-        res = site.eval_residual(problem.x0)
+        res = site.eval_residual(f)
         assert np.array_equal(res, last[rows] - f[rows])
         assert not np.array_equal(res, first[rows] - f[rows])
+
+
+def test_a_certificate_run_leaves_numpy_ma_unloaded(tmp_path):
+    # a 1-D np.unique imports numpy.ma on numpy 2.4: about 10 ms and 1.6 MB once
+    # per process. 31 updates of 2 agents give the certificate more iterates
+    # than CERTIFICATE_MAX_POINTS, so it thins them as well as bounding pairs.
+    import gossipgn
+
+    env = {**os.environ, "PYTHONPATH": str(Path(gossipgn.__file__).parents[1])}
+
+    def loads_numpy_ma(code: str) -> bool:
+        out = subprocess.run(
+            [sys.executable, "-c", f"{code}; import sys; print('numpy.ma' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        return out.splitlines()[-1] == "True"
+
+    if loads_numpy_ma("import numpy"):
+        pytest.skip("import numpy alone loads numpy.ma")
+    mapping = tiny_mapping(max_updates=30, stop_tol=1e-15, output_dir=str(tmp_path / "o"))
+    path = write_config(tmp_path / "c.yaml", mapping)
+    assert not loads_numpy_ma(f"from gossipgn.cli import main; assert main(['run', {path!r}]) == 0")
+    assert (tmp_path / "o" / "summary.txt").read_text().count("certificate.applicable=") == 1
 
 
 def test_centralized_rows_carry_network_totals(tmp_path):
@@ -383,8 +444,7 @@ def test_centralized_rows_carry_network_totals(tmp_path):
         val = 0.0
         grad = np.zeros(x.size)
         for site in sites:
-            res = np.asarray(site.eval_residual(x), dtype=float)
-            jac = np.asarray(site.eval_jacobian(x), dtype=float)
+            res, jac = terms_at(site, x)
             val += float(res @ res)
             grad += jac.T @ res
         assert float(row["val"]) == val

@@ -36,7 +36,7 @@ from gossipgn.psse import (
     streaming_snapshots,
 )
 
-from conftest import make_toy_sites, sites_from_blocks
+from conftest import evaluated, make_toy_sites, recording_model, sites_from_blocks, terms_at
 
 
 def _toy_setup(n_sites=3, seed=0):
@@ -56,8 +56,7 @@ def _site_metrics(sites, x):
     vals = np.empty(len(sites))
     grads = np.empty(len(sites))
     for i, site in enumerate(sites):
-        res = np.asarray(site.eval_residual(x[i]), dtype=float)
-        jac = np.asarray(site.eval_jacobian(x[i]), dtype=float)
+        res, jac = terms_at(site, x[i])
         vals[i] = float(res @ res)
         grads[i] = float(np.linalg.norm(jac.T @ res))
     return vals, grads
@@ -96,7 +95,7 @@ def test_info_vector_payload_roundtrip():
         jac = rng.normal(size=(n + 2, n))
         res = rng.normal(size=n + 2)
         (site,) = sites_from_blocks(n, [lambda x, res=res: res], [lambda x, jac=jac: jac])
-        row, _ = local_init_info(site, np.zeros(n))
+        row, _ = local_init_info(site, *evaluated(site, np.zeros(n)))
         h, hm = jac.T @ res, jac.T @ jac
         assert row.shape == (n * (n + 1),)
         assert np.array_equal(row[:n], h)
@@ -109,9 +108,8 @@ def test_info_vector_payload_roundtrip():
 def test_local_init_info_matches_normal_blocks():
     sites, _, _ = _toy_setup()
     x = np.array([0.4, -0.1, 0.2])
-    row, val = local_init_info(sites[0], x)
-    j = sites[0].eval_jacobian(x)
-    r = sites[0].eval_residual(x)
+    row, val = local_init_info(sites[0], *evaluated(sites[0], x))
+    r, j = terms_at(sites[0], x)
     assert row.shape == (3 * 4,)
     assert np.allclose(row[:3], j.T @ r, atol=1e-14)
     assert np.allclose(row[3:].reshape((3, 3), order="F"), j.T @ j, atol=1e-14)
@@ -162,7 +160,7 @@ def test_ggn_run_projects_onto_tight_box():
     )
     traj = ggn_run(sites, tight, gc, cfg, x0)
     # oracle: the unprojected step after the update's one CSE round
-    rows = np.stack([local_init_info(s, x0)[0] for s in sites])
+    rows = np.stack([local_init_info(s, *evaluated(s, x0))[0] for s in sites])
     mixed = gossip_round(rows, build_cse_weights(3, 0.4))
     step = x0 - surrogate_descent(mixed, 0.0)
     assert not np.all(np.abs(step) <= 1e-3)  # the projection is active
@@ -171,9 +169,9 @@ def test_ggn_run_projects_onto_tight_box():
 
 def test_perfect_mixing_discrepancy_vanishes():
     sites, _, x0 = _toy_setup(n_sites=4)
-    rows = np.stack([local_init_info(s, x0)[0] for s in sites])
+    rows = np.stack([local_init_info(s, *evaluated(s, x0))[0] for s in sites])
     mixed = surrogate_descent(np.tile(rows.mean(axis=0), (4, 1)), 0.0)
-    exact = np.stack([solve_normal(*normal_system(sites, x0))] * 4)
+    exact = np.stack([solve_normal(*normal_system(sites, *evaluated(sites[0], x0)))] * 4)
     disc = descent_discrepancy(mixed, exact)
     assert np.all(disc <= 1e-10)
 
@@ -364,8 +362,7 @@ def _discrepancies_per_agent(sites, xs, mixed, ridge):
             d_mixed = _solve_one(hm, h)
             a, b = np.zeros((n_u, n_u)), np.zeros(n_u)
             for site in sites:
-                res = np.asarray(site.eval_residual(x), dtype=float)
-                jac = np.asarray(site.eval_jacobian(x), dtype=float)
+                res, jac = terms_at(site, x)
                 a += jac.T @ jac
                 b += jac.T @ res
             d_exact = _solve_one(a, b)
@@ -495,7 +492,7 @@ def test_singular_full_system_records_nan_discrepancy():
         max_updates=2, stop_tol=1e-15, ridge=1e-3,
     )
     with pytest.raises(SingularSystemError):
-        solve_normal(*normal_system(sites, np.zeros(2)))
+        solve_normal(*normal_system(sites, *evaluated(sites[0], np.zeros(2))))
     descents = []
 
     def recording_descent(payloads, ridge):
@@ -511,25 +508,69 @@ def test_singular_full_system_records_nan_discrepancy():
     assert np.all(np.isfinite(descents))
 
 
-def test_centralized_gauss_newton_assembles_one_normal_system_per_iterate(monkeypatch):
-    sites, box, x0 = _toy_setup()
-    calls = []
+def test_one_singular_full_system_leaves_only_its_agent_nan():
+    # site 0 sees x[0], sites 1 and 2 see x[1]^2: the full normal matrix is
+    # singular exactly where x[1] = 0, at agent 0's start and at no other
+    sites = sites_from_blocks(
+        2,
+        [lambda x: np.array([x[0] - 1.0]), lambda x: np.array([x[1] ** 2 - 1.0]),
+         lambda x: np.array([x[1] ** 2 - 4.0])],
+        [lambda x: np.array([[1.0, 0.0]])] + [lambda x: np.array([[0.0, 2.0 * x[1]]])] * 2,
+    )
+    starts = np.array([[0.0, 0.0], [0.5, 1.5], [0.0, 1.5]])
+    gc = GossipConfig(kind="cse", beta=0.5)
+    cfg = GgnConfig(
+        alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),
+        max_updates=2, stop_tol=1e-15, ridge=1e-3,
+    )
+    descents = []
 
-    def counting_normal_system(sites, x):
-        calls.append(np.array(x))
-        return normal_system(sites, x)
+    def recording_descent(payloads, ridge):
+        descents.append(surrogate_descent(payloads, ridge))
+        return descents[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ggn, "surrogate_descent", recording_descent)
+        traj = ggn_run(sites, BoxSet.cube(2, 5.0), gc, cfg, starts)
+    assert np.isnan(traj.discrepancies[0, 0])
+    assert np.isfinite(traj.discrepancies[0, 1:]).all()
+    assert np.isfinite(traj.discrepancies[1]).all()  # agent 0 has left x[1] = 0
+    # every other discrepancy is its agent's own exact solve, bit for bit
+    for k, mixed in enumerate(descents):
+        for i, x in enumerate(traj.iterates[k]):
+            a, b = normal_system(sites, *evaluated(sites[0], x))
+            try:
+                exact = solve_normal(a, b, context="exact descent")
+            except SingularSystemError:
+                assert np.isnan(traj.discrepancies[k, i])
+                continue
+            assert traj.discrepancies[k, i] == float(np.linalg.norm(mixed[i] - exact))
+
+
+def test_centralized_gauss_newton_assembles_one_normal_system_per_iterate(monkeypatch):
+    # and evaluates each iterate once: the run's objective reads the same f
+    sites, box, x0 = _toy_setup()
+    states, calls = [], []
+    sites = recording_model(sites, states)
+
+    def counting_normal_system(sites, f, jac):
+        calls.append(np.array(f))
+        return normal_system(sites, f, jac)
 
     monkeypatch.setattr(core, "normal_system", counting_normal_system)
     # a negative tolerance never stops the solve: 4 steps make 5 iterates
     x, _ = centralized_gn_solve(sites, box, x0, tol=-1.0, max_iter=4)
-    assert len(calls) == 5
-    assert np.array_equal(calls[-1], x)
+    assert len(calls) == len(states) == 5
+    assert np.array_equal(states[-1], x[None])
+    assert np.array_equal(calls[-1], evaluated(sites[0], x)[0])
 
+    states.clear()
     calls.clear()
     cfg = GgnConfig(alpha=0.8, schedule=ExchangeSchedule(), max_updates=4, stop_tol=1e-15)
     traj = centralized_run(sites, box, cfg, x0)
     assert traj.n_updates == 4
-    assert np.array_equal(np.stack(calls), traj.iterates[:, 0])
+    assert np.array_equal(np.concatenate(states), traj.iterates[:, 0])
+    assert np.array_equal(np.stack(calls), [evaluated(sites[0], x)[0] for x in traj.iterates[:, 0]])
     assert np.array_equal(traj.exchange_counts, np.zeros(4, dtype=int))
     assert traj.discrepancies is None
 
@@ -557,7 +598,7 @@ def _oracle_ggn_run(sites, box, gossip_config, ggn_config, x0, seed):
     iterates, vals, grads, discrepancies, counts, eta = [x], [], [], [], [], np.inf
 
     def init_info(x):
-        rows = [local_init_info(site, xi) for site, xi in zip(sites, x)]
+        rows = [local_init_info(site, *evaluated(site, xi)) for site, xi in zip(sites, x)]
         vals.append([val for _, val in rows])
         grads.append([float(np.linalg.norm(row[:n_u])) for row, _ in rows])
         return np.stack([row for row, _ in rows])
@@ -565,7 +606,7 @@ def _oracle_ggn_run(sites, box, gossip_config, ggn_config, x0, seed):
     for k in range(ggn_config.max_updates):
         ell = ggn_config.schedule.exchanges_at(k)
         payloads = init_info(x)
-        systems = [normal_system(sites, xi) for xi in x]
+        systems = [normal_system(sites, *evaluated(sites[0], xi)) for xi in x]
         exact = solve_normal(np.stack([a for a, _ in systems]), np.stack([b for _, b in systems]))
         for _ in range(ell):
             weights = cse if cse is not None else _oracle_ure_round(gossip_config, n_agents, rng)
@@ -627,7 +668,7 @@ def test_agent_systems_own_products_equal_local_init_info(kind, grid30, true30):
     xs[2] = xs[1]
     _, _, gram, grad, vals = core.agent_systems(sites, xs)
     for i, site in enumerate(sites):
-        row, val = local_init_info(site, xs[i])
+        row, val = local_init_info(site, *evaluated(site, xs[i]))
         assert np.array_equal(np.concatenate([grad[i], gram[i].flatten(order="F")]), row)
         assert vals[i] == val
 

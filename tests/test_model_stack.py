@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gossipgn.core import normal_system, site_terms
-from gossipgn.psse import measurements
+from gossipgn.core import evaluate, normal_system, site_terms
 from gossipgn.psse.grid import (
     GridModel,
     PowerState,
@@ -217,48 +216,33 @@ def _psse_sites(grid: GridModel, true_state: PowerState, n_sites: int):
     return build_nlls_sites(grid, site_rows, z)
 
 
-def test_stack_call_memoizes_every_row_read_only(grid30, true30):
+def test_evaluated_rows_equal_the_single_state_model(grid30, true30):
+    # a stack with repeated rows: each row's arrays are the per-state model's
+    # bits, and a repeated row within a run shares its first row's arrays
     sites = _psse_sites(grid30, true30, 3)
-    model = sites[0].batch.model
-    xs = _random_stack(grid30, 3, np.random.default_rng(1), True)
-    f, jac = model(xs)
-    assert f.shape == (3, 224) and jac.shape == (3, 224, grid30.n_unknowns)
-    for i, x in enumerate(xs):
-        f_i, jac_i = model(x)
-        assert np.shares_memory(f_i, f) and np.shares_memory(jac_i, jac)
-        for arr in (f_i, jac_i):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-        want_f, want_jac = per_state_model(grid30, x)
+    distinct = _random_stack(grid30, 5, np.random.default_rng(1), True)
+    xs = distinct[[0, 1, 0, 2, 3, 3, 4]]
+    rows = list(evaluate(sites, xs))
+    assert [i for i, _, _ in rows] == list(range(len(xs)))
+    for i, f_i, jac_i in rows:
+        assert f_i.shape == (224,) and jac_i.shape == (224, grid30.n_unknowns)
+        assert not f_i.flags.writeable and not jac_i.flags.writeable
+        want_f, want_jac = per_state_model(grid30, xs[i])
         assert_same_bits(f_i, want_f)
         assert_same_bits(jac_i, want_jac)
+    for first, repeat in ((0, 2), (4, 5)):
+        assert np.shares_memory(rows[first][1], rows[repeat][1])
+        assert np.shares_memory(rows[first][2], rows[repeat][2])
 
 
-def test_site_terms_and_normal_system_read_stack_rows_as_one_iterate_calls(grid30, true30):
-    stacked = _psse_sites(grid30, true30, 3)
-    fresh = _psse_sites(grid30, true30, 3)
+def test_site_terms_and_normal_system_of_evaluated_rows_equal_one_state_calls(grid30, true30):
+    sites = _psse_sites(grid30, true30, 3)
     xs = _random_stack(grid30, 3, np.random.default_rng(2), True)
-    stacked[0].batch.model(xs)
-    want = []
-    for x in xs:
-        # a fresh site list evaluates each iterate alone
-        fresh[0].batch.model(flat_start_vector(grid30))
-        want.append(
-            ([site_terms(s, x) for s in fresh], normal_system(fresh, x))
-        )
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            measurements, "full_measurement_jacobian",
-            lambda *args: calls.append(args) or full_measurement_jacobian(*args),
-        )
-        for x, (terms, (a, b)) in zip(xs, want):
-            for site, (res, jac) in zip(stacked, terms):
-                got_res, got_jac = site_terms(site, x)
-                assert_same_bits(got_res, res)
-                assert_same_bits(got_jac, jac)
-            got_a, got_b = normal_system(stacked, x)
-            assert_same_bits(got_a, a)
-            assert_same_bits(got_b, b)
-    assert calls == []  # every read hit the stack's memo
+    for i, f, jac in evaluate(sites, xs):
+        # the model evaluated at this iterate alone
+        alone = sites[0].batch.model(xs[i])
+        for site in sites:
+            for got, want in zip(site_terms(site, f, jac), site_terms(site, *alone)):
+                assert_same_bits(got, want)
+        for got, want in zip(normal_system(sites, f, jac), normal_system(sites, *alone)):
+            assert_same_bits(got, want)

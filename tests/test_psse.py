@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from gossipgn.core import stationarity_residual
+from gossipgn.core import evaluate, site_terms, stationarity_residual
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.psse import build_grid_model, load_case
 from gossipgn.psse.grid import (
@@ -35,6 +35,7 @@ from conftest import (
     oracle_flows,
     oracle_injections,
     random_states,
+    terms_at,
 )
 
 
@@ -97,44 +98,51 @@ def test_branch_arrays_are_read_only_and_match_a_fresh_grid(grid30, true30):
             assert np.array_equal(evaluate(grid30, state), evaluate(fresh, state))
 
 
-def test_sites_share_a_one_iterate_memo(grid30, true30):
+def test_site_outputs_are_fresh_copies(grid30, true30):
     site_rows = partition_sites(grid30, 3)
     z = streaming_snapshots(grid30, true30, 1e-4, 1, 5)[0]
     sites = build_nlls_sites(grid30, site_rows, z)
     x = state_to_vector(true30, grid30.slack_bus)
     y = flat_start_vector(grid30)
-
-    def fresh(point, i):
+    evaluations = {}
+    for name, point in (("x", x), ("y", y)):
+        ((_, f, jac),) = evaluate(sites, point[None])
+        evaluations[name] = f, jac
+    want = {}
+    for name, point in (("x", x), ("y", y)):
         state = vector_to_state(point, grid30.n_buses, grid30.slack_bus)
-        rows = site_rows[i]
-        return (
-            z[rows] - full_measurement_vector(grid30, state)[rows],
-            -full_measurement_jacobian(grid30, state)[rows],
-        )
+        f, jac = full_measurement_vector(grid30, state), full_measurement_jacobian(grid30, state)
+        want[name] = [(z[rows] - f[rows], -jac[rows]) for rows in site_rows]
 
-    # x, then y, then x again, interleaved across sites
-    for point, i in [(x, 0), (y, 0), (x, 1), (y, 2), (y, 1), (x, 2), (x, 0), (y, 0)]:
-        want_res, want_jac = fresh(point, i)
-        res = sites[i].eval_residual(point)
-        jac = sites[i].eval_jacobian(point)
-        assert np.array_equal(res, want_res)
-        assert np.array_equal(jac, want_jac)
+    # x, then y, then x again, interleaved across sites: a write to one read
+    # changes neither the evaluated arrays nor any later read
+    for name, i in [("x", 0), ("y", 0), ("x", 1), ("y", 2), ("y", 1), ("x", 2), ("x", 0), ("y", 0)]:
+        f, jac = evaluations[name]
+        res, jac_i = site_terms(sites[i], f, jac)
+        assert np.array_equal(res, want[name][i][0])
+        assert np.array_equal(jac_i, want[name][i][1])
+        assert not np.shares_memory(res, f) and not np.shares_memory(jac_i, jac)
         res[:] = 1e6
-        jac[:] = 1e6
-        assert np.array_equal(sites[i].eval_residual(point), want_res)
-        assert np.array_equal(sites[i].eval_jacobian(point), want_jac)
+        jac_i[:] = 1e6
+        assert np.array_equal(sites[i].eval_residual(f), want[name][i][0])
+        assert np.array_equal(sites[i].eval_jacobian(jac), want[name][i][1])
 
 
-def test_shared_model_memo_is_read_only(grid30, true30):
+def test_shared_model_is_pure(grid30, true30):
+    # the sites' model holds no state: each call returns fresh arrays, and a
+    # write to them changes no later call
     z = streaming_snapshots(grid30, true30, 1e-4, 1, 5)[0]
     sites = build_nlls_sites(grid30, partition_sites(grid30, 3), z)
     x = state_to_vector(true30, grid30.slack_bus)
-    want = sites[0].eval_residual(x)
-    for arr in sites[0].batch.model(x):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[:] = 0
-    assert np.array_equal(sites[0].eval_residual(x), want)
+    model = sites[0].batch.model
+    first = model(x)
+    want = [arr.copy() for arr in first]
+    for arr in first:
+        arr[:] = 0.0
+    second = model(x)
+    for got, arr, expected in zip(second, first, want):
+        assert not np.shares_memory(got, arr)
+        assert np.array_equal(got, expected)
 
 
 def test_full_vector_is_injections_then_flows(grid30, true30):
@@ -229,7 +237,7 @@ def test_jacobian_matches_finite_differences(grid30, true30):
     points.append(flat_start_vector(grid30))
     for site in sites:
         for x in points:
-            analytic = site.eval_jacobian(x)
+            analytic = terms_at(site, x)[1]
             fd = finite_diff_jacobian(site, x, 1e-6)
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(analytic - fd)) / scale <= 1e-6
@@ -321,7 +329,7 @@ def test_site_jacobian_is_minus_selected_rows(grid30, true30):
     x = state_to_vector(true30, grid30.slack_bus)
     full = full_measurement_jacobian(grid30, true30)
     for site, rows in zip(sites, site_rows):
-        assert np.array_equal(site.eval_jacobian(x), -full[rows])
+        assert np.array_equal(terms_at(site, x)[1], -full[rows])
 
 
 def test_sites_reject_a_measurement_vector_of_the_wrong_length(grid30, true30):
@@ -363,7 +371,7 @@ def test_noise_free_measurements_exact(grid30, true30):
     sites = build_nlls_sites(grid30, site_rows, z)
     x_true = state_to_vector(true30, grid30.slack_bus)
     for s, rows in zip(sites, site_rows):
-        assert np.array_equal(s.eval_residual(x_true), np.zeros(rows.size))
+        assert np.array_equal(terms_at(s, x_true)[0], np.zeros(rows.size))
     assert stationarity_residual(sites, x_true) <= 1e-10
 
 
