@@ -441,9 +441,10 @@ def centralized_gn_solve(
             return x, stationarity
 
 
-# Pairs per chunk of _spectral_bounds. On case30 (1,090 pattern entries,
-# 3,692 same-row products) its buffers take about 2.6 MB at this size; from
-# 16 to 256 pairs the bound's time barely moves.
+# Pairs per chunk of _spectral_bounds. On case30 (1,090 pattern entries)
+# each of a chunk's temporaries takes about 0.3 MB at this size. The bound
+# over 6,555 case30 pairs takes about the same time from 16 to 64 pairs per
+# chunk, and about twice as long at 8 or 256.
 BOUND_CHUNK = 32
 
 
@@ -453,45 +454,21 @@ def _nonzeros(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat, jac.ravel()[flat]
 
 
-def _same_row_products(
-    rows: np.ndarray, cols: np.ndarray, n_cols: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The products that form the upper triangle of D^T D on a pattern.
-
-    rows and cols give the pattern's entries in row-major order. Returns
-    the positions (left, right) of every pair of entries in one row with
-    left <= right, sorted by their column pair (a, b); the start of each
-    column pair's run; and its weight in ||D^T D||_F^2, 2 off the diagonal
-    and 1 on it.
-    """
-    row_end = np.cumsum(np.bincount(rows))[rows]
-    per_entry = row_end - np.arange(rows.size)
-    left = np.repeat(np.arange(rows.size), per_entry)
-    block_start = np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
-    right = left + np.arange(left.size) - block_start
-    key = cols[left] * n_cols + cols[right]
-    order = np.argsort(key, kind="stable")
-    left, right, key = left[order], right[order], key[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    weights = np.where(left[starts] == right[starts], 1.0, 2.0)
-    return left, right, starts, weights
-
-
 def _spectral_bounds(
     nonzeros: list[tuple[np.ndarray, np.ndarray]],
     n_cols: int,
     pair_i: np.ndarray,
     pair_j: np.ndarray,
 ) -> np.ndarray:
-    """||D^T D||_F^(1/2) for D = J_i - J_j of each pair (pair_i[k], pair_j[k]),
-    an upper bound on ||D||_2 (Golub & Van Loan, Matrix Computations, sec.
-    2.3). nonzeros[i] is J_i's _nonzeros, and every J_i has n_cols columns.
+    """max_a ((|D|^T |D| 1)_a)^(1/2) for D = J_i - J_j of each pair (pair_i[k],
+    pair_j[k]), an upper bound on ||D||_2 since ||D||_2^2 = rho(D^T D) <=
+    || |D|^T |D| ||_inf (Horn & Johnson, Matrix Analysis, Thms 5.6.9 and
+    6.1.1). nonzeros[i] is J_i's _nonzeros, and every J_i has n_cols columns.
 
     The J_i are compressed to the union of their nonzero patterns, and
-    (D^T D)[a, b] is the sum of D[r, a] D[r, b] over the rows r holding both
-    a and b in that pattern, so only same-row products are formed. Pairs go
-    BOUND_CHUNK at a time through buffers allocated once: fresh temporaries
-    for every chunk cost page faults.
+    (|D|^T |D| 1)_a is the sum over D's column a of each entry times its
+    row's sum, so each chunk of BOUND_CHUNK pairs takes two segment sums over
+    the pattern: its rows in row-major order, then its columns.
     """
     pattern = np.sort(np.concatenate([flat for flat, _ in nonzeros]))
     pattern = pattern[np.diff(pattern, prepend=-1) != 0]
@@ -501,25 +478,19 @@ def _spectral_bounds(
     bounds = np.zeros(pair_i.size)
     if not pattern.size:
         return bounds
-    left, right, starts, weights = _same_row_products(*np.divmod(pattern, n_cols), n_cols)
-    chunk = min(BOUND_CHUNK, pair_i.size)
-    diff, other = np.empty((chunk, pattern.size)), np.empty((chunk, pattern.size))
-    products, factors = np.empty((chunk, left.size)), np.empty((chunk, left.size))
-    gram = np.empty((chunk, starts.size))
-    for start in range(0, pair_i.size, chunk):
-        stop = min(start + chunk, pair_i.size)
-        n = stop - start
-        # mode="clip" lets take write into out unbuffered; every index is valid
-        np.take(values, pair_i[start:stop], axis=0, out=diff[:n], mode="clip")
-        np.take(values, pair_j[start:stop], axis=0, out=other[:n], mode="clip")
-        np.subtract(diff[:n], other[:n], out=diff[:n])
-        np.take(diff[:n], left, axis=1, out=products[:n], mode="clip")
-        np.take(diff[:n], right, axis=1, out=factors[:n], mode="clip")
-        np.multiply(products[:n], factors[:n], out=products[:n])
-        np.add.reduceat(products[:n], starts, axis=1, out=gram[:n])
-        np.multiply(gram[:n], gram[:n], out=gram[:n])
-        np.matmul(gram[:n], weights, out=bounds[start:stop])
-    return np.sqrt(np.sqrt(bounds, out=bounds), out=bounds)
+    rows, cols = np.divmod(pattern, n_cols)
+    new_row = np.diff(rows, prepend=-1) != 0
+    by_col = np.argsort(cols, kind="stable")
+    row_of = (np.cumsum(new_row) - 1)[by_col]
+    row_starts = np.flatnonzero(new_row)
+    col_starts = np.flatnonzero(np.diff(cols[by_col], prepend=-1))
+    for start in range(0, pair_i.size, BOUND_CHUNK):
+        stop = start + BOUND_CHUNK
+        d = np.abs(values[pair_i[start:stop]] - values[pair_j[start:stop]])
+        row_sums = np.add.reduceat(d, row_starts, axis=1)
+        weighted = d[:, by_col] * row_sums[:, row_of]
+        bounds[start:stop] = np.add.reduceat(weighted, col_starts, axis=1).max(axis=1)
+    return np.sqrt(bounds, out=bounds)
 
 
 def _stacked_jacobian(sites: list[SiteModel], jac: np.ndarray) -> np.ndarray:
@@ -545,14 +516,16 @@ def estimate_constants(
     and rank_deficient_sample = True rather than as an error.
 
     omega comes from an exact pruned sweep over all pairs of points rather
-    than one SVD per pair. Since ||D||_2 <= ||D^T D||_F^(1/2) for D = J_i - J_j,
-    pairs are visited by that bound (over ||x_i - x_j||), largest first, and
-    the sweep stops at the first pair whose bound is at most the running
-    maximum: no later pair can exceed it. The bound is taken on the sampled
-    Jacobians' nonzeros (see _spectral_bounds), which are all the sweep
-    keeps of them; each visited point's Jacobian is evaluated again, once.
-    The visited ratios use the same expression as a brute-force sweep, so
-    omega is bit-identical to the brute-force maximum.
+    than one SVD per pair. Pairs are visited by a row-sum bound on ||D||_2
+    for D = J_i - J_j (over ||x_i - x_j||), largest first, and the sweep
+    stops at the first pair whose bound is at most the running maximum: no
+    later pair can exceed it. The bound is taken on the sampled Jacobians'
+    nonzeros (see _spectral_bounds), which are all the sweep keeps of them;
+    each visited point's Jacobian is evaluated again, once. A visited pair
+    takes its SVD only if the tighter ||D^T D||_F^(1/2) on the dense D
+    exceeds the running maximum too. The ratios use the same expression as
+    a brute-force sweep, so omega is bit-identical to the brute-force
+    maximum.
     """
     if n_samples < 2:
         raise InvalidArgumentError("need at least 2 samples")
@@ -582,8 +555,9 @@ def estimate_constants(
         sigma_min = min(sigma_min, smallest)
 
     # Pruned omega sweep (see the docstring). The slack absorbs rounding when
-    # D has rank one and the bound is tight, and the bound's distances, taken
-    # a row of pairs at a time, may differ from the exact ones in the last
+    # a bound is tight (D's nonzeros in one column for the row-sum bound, D
+    # of rank one for the Frobenius one), and the bound's distances, taken a
+    # row of pairs at a time, may differ from the exact ones in the last
     # ulps. Coincident points keep a -inf bound and are never visited.
     pair_i, pair_j = np.triu_indices(len(points), k=1)
     dxs = np.concatenate(
@@ -599,8 +573,11 @@ def estimate_constants(
         if bounds[k] * (1.0 + 1e-9) <= omega:
             break
         i, j = int(pair_i[k]), int(pair_j[k])
-        dj = float(np.linalg.norm(jacobian_at(i) - jacobian_at(j), 2))
-        omega = max(omega, dj / float(np.linalg.norm(points[i] - points[j])))
+        d = jacobian_at(i) - jacobian_at(j)
+        dx = float(np.linalg.norm(points[i] - points[j]))
+        if np.sqrt(np.linalg.norm(d.T @ d)) * (1.0 + 1e-9) <= omega * dx:
+            continue
+        omega = max(omega, float(np.linalg.norm(d, 2)) / dx)
 
     if reference_x is not None:
         eps_min = float(np.sqrt(objective(sites, _evaluate_at(sites, reference_x)[0])))

@@ -212,11 +212,6 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
     )
 
 
-def parse_matpower_case(text: str) -> GridModel:
-    """Parse case text straight into the electrical model."""
-    return build_grid_model(mp.parse_matpower_text(text))
-
-
 @dataclass(frozen=True)
 class PowerState:
     """Bus voltage phasors, angles in radians and magnitudes per unit: (N,) or a (..., N) stack."""
@@ -240,12 +235,6 @@ class PowerState:
 
     def complex_voltages(self) -> np.ndarray:
         return self.v * np.exp(1j * self.theta)
-
-
-def state_to_vector(state: PowerState, slack_bus: int) -> np.ndarray:
-    """Unknown vector: angles of all non-slack buses, then all magnitudes."""
-    keep = np.arange(state.n_buses) != slack_bus
-    return np.concatenate([state.theta[keep], state.v])
 
 
 def vector_to_state(x: np.ndarray, n_buses: int, slack_bus: int) -> PowerState:

@@ -3,8 +3,9 @@
 The oracles below deliberately recompute injections and flows from
 complex phasor algebra, separate from the package's trigonometric
 evaluators, so agreement between the two is meaningful. The
-central-difference Jacobian, grid equality and the consensus envelope
-are checked only by tests, so they live here rather than in the package.
+central-difference Jacobian, grid equality, the consensus envelope, the
+case-text parser and the state-to-vector map are used only by tests, so
+they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from gossipgn.psse import (
     load_case,
     newton_power_flow,
 )
+from gossipgn.psse import matpower as mp
 
 
 def oracle_injections(grid: GridModel, state: PowerState) -> np.ndarray:
@@ -93,6 +95,17 @@ def finite_diff_jacobian(site: SiteModel, x: np.ndarray, h: float) -> np.ndarray
         gm = terms_at(site, x - step)[0]
         cols.append((gp - gm) / (2.0 * h))
     return np.column_stack(cols)
+
+
+def parse_matpower_case(text: str) -> GridModel:
+    """Parse case text straight into the electrical model."""
+    return build_grid_model(mp.parse_matpower_text(text))
+
+
+def state_to_vector(state: PowerState, slack_bus: int) -> np.ndarray:
+    """Unknown vector: angles of all non-slack buses, then all magnitudes."""
+    keep = np.arange(state.n_buses) != slack_bus
+    return np.concatenate([state.theta[keep], state.v])
 
 
 def grids_equal(a: GridModel, b: GridModel) -> bool:

@@ -51,6 +51,7 @@ from conftest import (
     oracle_flows,
     oracle_injections,
     random_states,
+    state_to_vector,
     terms_at,
 )
 
@@ -140,8 +141,6 @@ def test_c02_jacobian_finite_difference(grid30, true30):
     site_rows = partition_sites(grid30, 1)
     z = streaming_snapshots(grid30, true30, 0.0, 1, 0)[0]
     site = build_nlls_sites(grid30, site_rows, z)[0]
-    from gossipgn.psse.grid import state_to_vector
-
     worst = 0.0
     for state in random_states(grid30, 20, seed=5):
         x = state_to_vector(state, grid30.slack_bus)

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import gossipgn.psse
 from gossipgn.cli import main
 from gossipgn.errors import CaseParseError, UnsupportedFeatureError
-from gossipgn.psse.grid import parse_matpower_case
+
+from conftest import parse_matpower_case
 
 DATA = Path(gossipgn.psse.__file__).resolve().parent / "data"
 CASE_TEXTS = [(DATA / name).read_text() for name in ("case2.m", "case30.m")]

@@ -29,7 +29,7 @@ from gossipgn.core import (
 )
 from gossipgn.errors import InvalidArgumentError, SingularSystemError
 from gossipgn.ggn import local_init_info
-from gossipgn.psse.grid import make_box, state_to_vector
+from gossipgn.psse.grid import make_box
 from gossipgn.psse.measurements import (
     build_nlls_sites,
     partition_sites,
@@ -42,6 +42,7 @@ from conftest import (
     over_model,
     recording_model,
     sites_from_blocks,
+    state_to_vector,
     terms_at,
 )
 
@@ -586,6 +587,21 @@ def test_estimate_constants_omega_equals_brute_force_on_case30(grid30, true30):
     assert oracle == tight_ratio
 
 
+def test_estimate_constants_checks_each_candidate_pair_before_its_svd(grid30, true30, monkeypatch):
+    # the row-sum bound leaves 274 candidate pairs on these 115 points; the
+    # per-pair ||D^T D||_F^(1/2) check leaves 9 of them for an exact 2-norm
+    sites = _psse_sites(grid30, true30, 3, 0)
+    norm, exact = np.linalg.norm, []
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        exact.append(ord == 2)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    estimate_constants(sites, make_box(30), n_samples=115, rng_seed=2)
+    assert sum(exact) == 9
+
+
 _entries = st.integers(-10**6, 10**6).map(lambda k: k / 1000.0)
 
 
@@ -633,8 +649,8 @@ def test_spectral_bounds_equal_the_dense_bound_over_many_chunks():
     pair_i, pair_j = np.triu_indices(len(mats), k=1)
     bounds = _spectral_bounds([_nonzeros(m) for m in mats], 5, pair_i, pair_j)
     for bound, i, j in zip(bounds, pair_i, pair_j):
-        d = mats[i] - mats[j]
-        assert bound == pytest.approx(np.sqrt(np.linalg.norm(d.T @ d)), rel=1e-14, abs=0.0)
+        d = np.abs(mats[i] - mats[j])
+        assert bound == pytest.approx(np.sqrt(np.max(d.T @ d @ np.ones(5))), rel=1e-14, abs=0.0)
 
 
 def test_spectral_bound_on_signed_zeros_and_zero_differences():
@@ -646,3 +662,7 @@ def test_spectral_bound_on_signed_zeros_and_zero_differences():
     assert pair_bound(a, a.copy()) == 0.0
     assert pair_bound(signed, a) == 0.0
     assert pair_bound(np.zeros((2, 3)), np.full((2, 3), -0.0)) == 0.0
+    # nonzeros in one column only: the bound is tight, as on case30's rank-one pair
+    column = np.zeros((4, 3))
+    column[:, 1] = [0.5, -2.0, 0.0, 3.0]
+    assert pair_bound(column, np.zeros_like(column)) == pytest.approx(np.linalg.norm(column, 2), rel=1e-15)

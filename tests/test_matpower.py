@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gossipgn.errors import CaseParseError, UnsupportedFeatureError
-from gossipgn.psse.grid import build_grid_model, parse_matpower_case
+from gossipgn.psse.grid import build_grid_model
 from gossipgn.psse.matpower import (
     load_case,
     parse_matpower_text,
@@ -13,7 +13,7 @@ from gossipgn.psse.matpower import (
     scale_loads,
 )
 
-from conftest import CASE2_TEXT, grids_equal
+from conftest import CASE2_TEXT, grids_equal, parse_matpower_case
 
 
 def _fmt(x: float) -> str:

@@ -14,7 +14,6 @@ from gossipgn.psse.grid import (
     load_true_state,
     make_box,
     newton_power_flow,
-    state_to_vector,
     vector_to_state,
 )
 from gossipgn.psse.measurements import (
@@ -35,6 +34,7 @@ from conftest import (
     oracle_flows,
     oracle_injections,
     random_states,
+    state_to_vector,
     terms_at,
 )
 
@@ -180,9 +180,7 @@ def test_zero_admittance_grid_all_zero():
 
 
 def test_flat_profile_no_charging_carries_nothing():
-    from gossipgn.psse.grid import parse_matpower_case
-
-    from conftest import CASE2_TEXT
+    from conftest import CASE2_TEXT, parse_matpower_case
 
     grid = parse_matpower_case(CASE2_TEXT.replace("0.01 0.1 0.02", "0.01 0.1 0"))
     flat = PowerState(theta=np.zeros(2), v=np.ones(2))
