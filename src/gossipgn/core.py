@@ -17,7 +17,6 @@ gossiping agent its exact system and its own site's terms together.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -448,33 +447,33 @@ def centralized_gn_solve(
 BOUND_CHUNK = 32
 
 
-def _nonzeros(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices and the values of jac's nonzero entries."""
+def _add_nonzeros(
+    values: np.ndarray, pattern: np.ndarray, k: int, jac: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write jac's nonzeros into row k of values, whose columns are the sorted flat
+    indices in pattern, after widening both by a zero column per new nonzero."""
     flat = np.flatnonzero(jac)
-    return flat, jac.ravel()[flat]
+    new = flat[np.isin(flat, pattern, assume_unique=True, invert=True)]
+    if new.size:
+        at = np.searchsorted(pattern, new)
+        values, pattern = np.insert(values, at, 0.0, axis=1), np.insert(pattern, at, new)
+    values[k, np.searchsorted(pattern, flat)] = jac.ravel()[flat]
+    return values, pattern
 
 
 def _spectral_bounds(
-    nonzeros: list[tuple[np.ndarray, np.ndarray]],
-    n_cols: int,
-    pair_i: np.ndarray,
-    pair_j: np.ndarray,
+    values: np.ndarray, pattern: np.ndarray, n_cols: int, pair_i: np.ndarray, pair_j: np.ndarray
 ) -> np.ndarray:
     """max_a ((|D|^T |D| 1)_a)^(1/2) for D = J_i - J_j of each pair (pair_i[k],
     pair_j[k]), an upper bound on ||D||_2 since ||D||_2^2 = rho(D^T D) <=
     || |D|^T |D| ||_inf (Horn & Johnson, Matrix Analysis, Thms 5.6.9 and
-    6.1.1). nonzeros[i] is J_i's _nonzeros, and every J_i has n_cols columns.
+    6.1.1). Every J_i has n_cols columns and its nonzeros at flat indices in
+    the sorted pattern; values[i] holds its entries there (see _add_nonzeros).
 
-    The J_i are compressed to the union of their nonzero patterns, and
     (|D|^T |D| 1)_a is the sum over D's column a of each entry times its
     row's sum, so each chunk of BOUND_CHUNK pairs takes two segment sums over
     the pattern: its rows in row-major order, then its columns.
     """
-    pattern = np.sort(np.concatenate([flat for flat, _ in nonzeros]))
-    pattern = pattern[np.diff(pattern, prepend=-1) != 0]
-    values = np.zeros((len(nonzeros), pattern.size))
-    for row, (flat, vals) in zip(values, nonzeros):
-        row[np.searchsorted(pattern, flat)] = vals
     bounds = np.zeros(pair_i.size)
     if not pattern.size:
         return bounds
@@ -519,13 +518,13 @@ def estimate_constants(
     than one SVD per pair. Pairs are visited by a row-sum bound on ||D||_2
     for D = J_i - J_j (over ||x_i - x_j||), largest first, and the sweep
     stops at the first pair whose bound is at most the running maximum: no
-    later pair can exceed it. The bound is taken on the sampled Jacobians'
-    nonzeros (see _spectral_bounds), which are all the sweep keeps of them;
-    each visited point's Jacobian is evaluated again, once. A visited pair
-    takes its SVD only if the tighter ||D^T D||_F^(1/2) on the dense D
-    exceeds the running maximum too. The ratios use the same expression as
-    a brute-force sweep, so omega is bit-identical to the brute-force
-    maximum.
+    later pair can exceed it. The sweep keeps only the sampled Jacobians'
+    nonzeros, gathered as each point is evaluated (see _add_nonzeros): the
+    bound is taken on them, and a visited pair's dense D is scattered from
+    them, equal to J_i - J_j but for the sign of zeros. D takes its SVD only
+    if the tighter ||D^T D||_F^(1/2) exceeds the running maximum too. The
+    ratios use the same expression as a brute-force sweep, so omega is
+    bit-identical to the brute-force maximum.
     """
     if n_samples < 2:
         raise InvalidArgumentError("need at least 2 samples")
@@ -539,13 +538,13 @@ def estimate_constants(
     sigma_min = np.inf
     sigma_max = 0.0
     rank_deficient = False
-    nonzeros = []
-    for _, f, jac in evaluate(sites, points):
+    values, pattern = np.zeros((len(points), 0)), np.zeros(0, dtype=np.intp)
+    for k, f, jac in evaluate(sites, points):
         g_norm = float(np.sqrt(objective(sites, f)))
         eps_max = max(eps_max, g_norm)
         eps_min_seen = min(eps_min_seen, g_norm)
         jac = _stacked_jacobian(sites, jac)
-        nonzeros.append(_nonzeros(jac))
+        values, pattern = _add_nonzeros(values, pattern, k, jac)
         svals = np.linalg.svd(jac, compute_uv=False)
         sigma_max = max(sigma_max, float(svals[0]))
         smallest = float(svals[-1]) if jac.shape[0] >= jac.shape[1] else 0.0
@@ -564,16 +563,16 @@ def estimate_constants(
         [np.linalg.norm(points[i + 1:] - points[i], axis=1) for i in range(len(points) - 1)]
     )
     bounds = np.divide(
-        _spectral_bounds(nonzeros, jac.shape[1], pair_i, pair_j), dxs,
+        _spectral_bounds(values, pattern, jac.shape[1], pair_i, pair_j), dxs,
         out=np.full(pair_i.size, -np.inf), where=dxs != 0.0,
     )
-    jacobian_at = functools.cache(lambda i: _stacked_jacobian(sites, _evaluate_at(sites, points[i])[1]))
+    d = np.zeros(jac.shape)  # every entry outside pattern stays 0
     omega = 0.0
     for k in np.argsort(-bounds, kind="stable").tolist():
         if bounds[k] * (1.0 + 1e-9) <= omega:
             break
         i, j = int(pair_i[k]), int(pair_j[k])
-        d = jacobian_at(i) - jacobian_at(j)
+        d.put(pattern, values[i] - values[j])
         dx = float(np.linalg.norm(points[i] - points[j]))
         if np.sqrt(np.linalg.norm(d.T @ d)) * (1.0 + 1e-9) <= omega * dx:
             continue

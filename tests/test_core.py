@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from gossipgn.core import (
     COND_CAP,
     MODEL_SLICE,
     BoxSet,
-    _nonzeros,
+    _add_nonzeros,
     _spectral_bounds,
     _stacked_jacobian,
     agent_systems,
@@ -525,7 +526,7 @@ def test_estimate_constants_omega_equals_brute_force_on_toy(toy_sites, toy_box, 
 
 def test_estimate_constants_omega_of_a_linear_site_needs_no_pairwise_norm(toy_box):
     # a constant Jacobian bounds every pair by 0 = omega, so the sweep stops
-    # at once; a visited pair would evaluate two Jacobians again
+    # at once and takes no pairwise norm
     a = np.random.default_rng(2).normal(size=(4, 3))
     calls = []
 
@@ -539,18 +540,44 @@ def test_estimate_constants_omega_of_a_linear_site_needs_no_pairwise_norm(toy_bo
     assert pc.omega == brute_force_omega(linear, sample_points(toy_box, 50, 6)) == 0.0
 
 
-def test_estimate_constants_evaluates_each_visited_point_once(toy_sites, toy_box):
-    # on this seed the sweep visits three pairs over five distinct points;
-    # the sample loop first evaluates the sampled points once, in order, in
-    # slices of MODEL_SLICE
+def test_estimate_constants_evaluates_each_point_once(toy_sites, toy_box):
+    # the sample loop evaluates the sampled points once, in order, in slices
+    # of MODEL_SLICE; on this seed the sweep then visits three pairs over five
+    # distinct points, each D scattered from the kept nonzeros, not evaluated
     calls = []
     pc = estimate_constants(recording_model(toy_sites, calls), toy_box, n_samples=20, rng_seed=0)
-    n_slices = math.ceil(20 / MODEL_SLICE)
-    assert np.concatenate(calls[:n_slices]).tobytes() == np.stack(sample_points(toy_box, 20, 0)).tobytes()
-    swept = [x.tobytes() for x in calls[n_slices:]]
-    assert [len(x) for x in calls[n_slices:]] == [1] * 5
-    assert len(swept) == len(set(swept)) == 5
+    assert len(calls) == math.ceil(20 / MODEL_SLICE)
+    assert np.concatenate(calls).tobytes() == np.stack(sample_points(toy_box, 20, 0)).tobytes()
     assert pc.omega == brute_force_omega(toy_sites, sample_points(toy_box, 20, 0))
+
+
+def test_estimate_constants_over_a_pattern_that_grows(toy_box):
+    # J[1, 0] = max(x_0, 0) is exactly 0 at the first three sampled points and
+    # nonzero at later ones, so the kept pattern widens after its first row,
+    # by a column inside it. Every J is far from 0 while omega is at most 1,
+    # so a row or column lost in the widening would show in omega
+    a = 10.0 * np.random.default_rng(4).normal(size=(4, 3))
+    a[1, 0] = 0.0
+    bump = np.zeros(4)
+    bump[1] = 1.0
+
+    def residual(x):
+        return a @ x + 0.5 * max(x[0], 0.0) ** 2 * bump
+
+    def jacobian(x):
+        jac = a.copy()
+        jac[1, 0] = max(x[0], 0.0)
+        return jac
+
+    sites = sites_from_blocks(3, [residual], [jacobian])
+    points = sample_points(toy_box, 12, 2)
+    assert [x[0] > 0.0 for x in points[:4]] == [False, False, False, True]
+    pc = estimate_constants(sites, toy_box, n_samples=12, rng_seed=2)
+    assert pc.omega == brute_force_omega(sites, points) > 0.0
+    svals = [np.linalg.svd(jacobian(x), compute_uv=False) for x in points]
+    assert pc.sigma_max == max(s[0] for s in svals)
+    assert pc.sigma_min == min(s[-1] for s in svals)
+    assert pc.epsilon_max == max(float(np.linalg.norm(residual(x))) for x in points)
 
 
 def test_estimate_constants_omega_equals_brute_force_on_case30(grid30, true30):
@@ -602,13 +629,36 @@ def test_estimate_constants_checks_each_candidate_pair_before_its_svd(grid30, tr
     assert sum(exact) == 9
 
 
+def test_estimate_constants_keeps_one_compressed_copy_of_the_sample(grid30, true30):
+    # the same 115 points: the kept nonzeros take 1.0 MB (1,090 per point) and
+    # one chunk of the bound about 1.2 MB, so the traced peak reads 2.9 MB;
+    # each point's flat indices and values kept beside them (2.0 MB), or a
+    # dense 0.1 MB Jacobian kept per reached point, would cross the bound
+    sites = _psse_sites(grid30, true30, 3, 0)
+    tracemalloc.start()
+    try:
+        estimate_constants(sites, make_box(30), n_samples=115, rng_seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 _entries = st.integers(-10**6, 10**6).map(lambda k: k / 1000.0)
 
 
+def compressed(mats):
+    """(values, pattern) of the matrices, gathered one row at a time as
+    estimate_constants gathers its sample Jacobians."""
+    values, pattern = np.zeros((len(mats), 0)), np.zeros(0, dtype=np.intp)
+    for k, m in enumerate(mats):
+        values, pattern = _add_nonzeros(values, pattern, k, m)
+    return values, pattern
+
+
 def pair_bound(a, b):
-    """_spectral_bounds of the one pair (a, b), the matrices compressed as
-    estimate_constants compresses its sample Jacobians."""
-    bounds = _spectral_bounds([_nonzeros(a), _nonzeros(b)], a.shape[1], np.array([0]), np.array([1]))
+    """_spectral_bounds of the one pair (a, b)."""
+    bounds = _spectral_bounds(*compressed([a, b]), a.shape[1], np.array([0]), np.array([1]))
     return float(bounds[0])
 
 
@@ -647,7 +697,7 @@ def test_spectral_bounds_equal_the_dense_bound_over_many_chunks():
     rng = np.random.default_rng(8)
     mats = rng.normal(size=(40, 9, 5)) * (rng.random(size=(40, 9, 5)) < 0.3)
     pair_i, pair_j = np.triu_indices(len(mats), k=1)
-    bounds = _spectral_bounds([_nonzeros(m) for m in mats], 5, pair_i, pair_j)
+    bounds = _spectral_bounds(*compressed(mats), 5, pair_i, pair_j)
     for bound, i, j in zip(bounds, pair_i, pair_j):
         d = np.abs(mats[i] - mats[j])
         assert bound == pytest.approx(np.sqrt(np.max(d.T @ d @ np.ones(5))), rel=1e-14, abs=0.0)
