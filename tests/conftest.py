@@ -4,19 +4,23 @@ The oracles below deliberately recompute injections and flows from
 complex phasor algebra, separate from the package's trigonometric
 evaluators, so agreement between the two is meaningful. The
 central-difference Jacobian, grid equality, the consensus envelope, the
-case-text parser and the state-to-vector map are used only by tests, so
-they live here rather than in the package.
+trajectory check of the convergence-to-a-ball guarantee, the case-text
+parser and the state-to-vector map are used only by tests, so they live
+here rather than in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from gossipgn.analysis import ConvergenceCertificate
 from gossipgn.core import BoxSet, SiteModel, build_sites, site_terms
 from gossipgn.errors import InvalidArgumentError
+from gossipgn.ggn import Trajectory
 from gossipgn.gossip import PairwiseRound, WeightMatrix, lambda_eta
 from gossipgn.psse import (
     GridModel,
@@ -145,6 +149,113 @@ def consensus_envelope_ratios(
         deviation = float(np.max(np.abs(product - 1.0 / n_agents)))
         ratios[t] = deviation / (coefficient * rate ** (t + 1))
     return ratios
+
+
+_LIMSUP_TOL = 1e-6  # verify_contraction_to_ball's allowance on the tail radius
+_RECURSION_SLACK = 1e-9  # and its relative round-off allowance per recursion step
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """One checked inequality: observed against theoretical."""
+
+    bound_name: str
+    theoretical_value: float
+    observed_value: float
+    satisfied: bool
+    margin: float
+    applicable: bool = True
+    reason: str = ""
+
+
+@dataclass(frozen=True)
+class ContractionReport:
+    """Three-part trace check of the convergence-to-a-ball guarantee.
+
+    initial_check: all starting errors inside the outer radius;
+    limsup_check: tail errors within the inner radius plus tolerance;
+    recursion_check: every per-step error obeys the quadratic recursion
+    with the run's own recorded descent discrepancy as perturbation.
+    """
+
+    initial_check: BoundReport
+    limsup_check: BoundReport
+    recursion_check: BoundReport
+    n_recursion_violations: int
+    all_satisfied: bool
+
+
+def verify_contraction_to_ball(
+    trajectory: Trajectory,
+    reference_x_star: np.ndarray,
+    certificate: ConvergenceCertificate,
+    alpha: float,
+) -> ContractionReport:
+    """Check the run against the certificate built for it; alpha is the
+    run's damping, the value build_certificate received."""
+    x_star = np.asarray(reference_x_star, dtype=float)
+    errors = np.linalg.norm(trajectory.iterates - x_star, axis=2)  # (K+1, I)
+    n_updates = trajectory.n_updates
+
+    if certificate.radii_defined:
+        init_obs = float(errors[0].max())
+        init_ok = init_obs < certificate.rho_max
+        initial = BoundReport(
+            "initial_error_inside_outer_radius",
+            theoretical_value=certificate.rho_max, observed_value=init_obs,
+            satisfied=init_ok,
+            margin=certificate.rho_max - init_obs,
+            reason="" if init_ok else "start outside the contraction region: precondition for the guarantee unmet",
+        )
+        if init_ok:
+            tail_start = max(0, n_updates - max(1, n_updates // 4))
+            tail_obs = float(errors[tail_start + 1 :].max()) if n_updates > 0 else float(errors[0].max())
+            theo = certificate.rho_min + _LIMSUP_TOL
+            limsup = BoundReport(
+                "tail_error_inside_inner_radius",
+                theoretical_value=theo, observed_value=tail_obs,
+                satisfied=tail_obs <= theo, margin=theo - tail_obs,
+            )
+        else:
+            # no convergence claim is in force, so the tail bound is vacuous
+            limsup = BoundReport(
+                "tail_error_inside_inner_radius", math.nan, math.nan, False,
+                math.nan, applicable=False,
+                reason="initial error outside rho_max: no tail claim made",
+            )
+    else:
+        reason = "equilibrium radii undefined"
+        initial = BoundReport("initial_error_inside_outer_radius", math.nan, math.nan,
+                              False, math.nan, applicable=False, reason=reason)
+        limsup = BoundReport("tail_error_inside_inner_radius", math.nan, math.nan,
+                             False, math.nan, applicable=False, reason=reason)
+
+    t1, t2 = certificate.T1, certificate.T2
+    violations = 0
+    worst_excess = -math.inf
+    for k in range(n_updates):
+        rhs = (
+            t1 * errors[k] ** 2
+            + t2 * errors[k]
+            + alpha * trajectory.discrepancies[k]
+        )
+        excess = errors[k + 1] - rhs - _RECURSION_SLACK * (1.0 + rhs)
+        violations += int(np.sum(excess > 0.0))
+        worst_excess = max(worst_excess, float(excess.max()))
+    recursion = BoundReport(
+        "per_step_error_recursion",
+        theoretical_value=0.0, observed_value=worst_excess,
+        satisfied=violations == 0, margin=-worst_excess,
+    )
+
+    checks = [initial, limsup, recursion]
+    all_ok = all(c.satisfied for c in checks if c.applicable) and any(
+        c.applicable for c in checks
+    )
+    return ContractionReport(
+        initial_check=initial, limsup_check=limsup, recursion_check=recursion,
+        n_recursion_violations=violations, all_satisfied=all_ok,
+    )
 
 
 def random_states(grid: GridModel, n: int, seed: int) -> list[PowerState]:

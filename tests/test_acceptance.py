@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from gossipgn.analysis import verify_contraction_to_ball
 from gossipgn.config import config_from_mapping
 from gossipgn.core import normal_system, solve_normal, project
 from gossipgn.experiments import (
@@ -53,6 +52,7 @@ from conftest import (
     random_states,
     state_to_vector,
     terms_at,
+    verify_contraction_to_ball,
 )
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gossipgn.analysis import (
-    build_certificate,
-    admissible_alpha,
-    equilibrium_radii,
-    gossip_error_scale,
-    min_exchanges_plan,
-    perturbation_bound,
-    recursion_constants,
-    verify_contraction_to_ball,
-)
+from gossipgn.analysis import ConvergenceCertificate, build_certificate, equilibrium_radii
 from gossipgn.core import BoxSet, ProblemConstants, agent_systems, centralized_gn_solve
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.ggn import ExchangeSchedule, GgnConfig, ggn_run
 from gossipgn.gossip import GossipConfig
 
-from conftest import sites_from_blocks, terms_at
+from conftest import sites_from_blocks, terms_at, verify_contraction_to_ball
 
 
 def make_pc(eps_max=1.0, eps_min=0.1, s_min=1.0, s_max=2.0, omega=1.0):
@@ -29,37 +21,30 @@ def make_pc(eps_max=1.0, eps_min=0.1, s_min=1.0, s_max=2.0, omega=1.0):
     )
 
 
+def certify(
+    pc, n_agents=3, n_unknowns=2, eta=0.3, alpha=0.9, xi=0.25, schedule_kind="incrementing"
+):
+    return build_certificate(pc, n_agents, n_unknowns, eta, alpha, xi, schedule_kind)
+
+
 def test_t1_formula():
     pc = make_pc(omega=2.0, s_min=1.0)
-    t1, _ = recursion_constants(pc, alpha=0.5)
-    assert t1 == pytest.approx(0.5)
+    assert certify(pc, alpha=0.5).T1 == pytest.approx(0.5)
 
 
 def test_t2_alpha_one_drops_first_term():
     pc = make_pc(omega=3.0, s_min=2.0, s_max=5.0, eps_min=0.7)
-    _, t2 = recursion_constants(pc, alpha=1.0)
-    assert t2 == pytest.approx(math.sqrt(2) * 3.0 * 0.7 / 4.0)
+    assert certify(pc, alpha=1.0).T2 == pytest.approx(math.sqrt(2) * 3.0 * 0.7 / 4.0)
 
 
 def test_t2_zero_residual_quadratic_regime():
-    pc = make_pc(eps_min=0.0)
-    _, t2 = recursion_constants(pc, alpha=1.0)
-    assert t2 == 0.0
-
-
-def test_recursion_constants_epsilon_override():
-    pc = make_pc(eps_min=0.5)
-    _, t2a = recursion_constants(pc, alpha=1.0)
-    _, t2b = recursion_constants(pc, alpha=1.0, epsilon_min=0.25)
-    assert t2b == pytest.approx(t2a / 2)
-    with pytest.raises(InvalidArgumentError):
-        recursion_constants(pc, alpha=0.0)
+    assert certify(make_pc(eps_min=0.0), alpha=1.0).T2 == 0.0
 
 
 def test_admissible_alpha_examples():
-    assert admissible_alpha(make_pc(s_min=1.0, s_max=1.0)) == 0.0
-    assert admissible_alpha(make_pc(s_min=1.0, s_max=6.0)) == pytest.approx(0.5)
-    assert admissible_alpha(make_pc(s_min=1.0, s_max=2.5)) == 0.0
+    assert certify(make_pc(s_min=1.0, s_max=1.0)).alpha_lower == 0.0
+    assert certify(make_pc(s_min=1.0, s_max=6.0)).alpha_lower == pytest.approx(0.5)
+    assert certify(make_pc(s_min=1.0, s_max=2.5)).alpha_lower == 0.0
 
 
 def test_equilibrium_radii_frozen_quadratic():
@@ -103,7 +88,7 @@ def test_equilibrium_radii_nan_kappa():
 
 def test_gossip_error_scale_direct_evaluation():
     pc = make_pc(eps_max=1.0, s_max=2.0)
-    c = gossip_error_scale(pc, n_agents=3, n_unknowns=2, eta=0.15)
+    c = certify(pc, n_agents=3, n_unknowns=2, eta=0.15).C
     l0 = 2
     expected = (
         2 * 3 * 2.0 * math.sqrt(3 * (1.0**2 + 2 * 2.0**2))
@@ -113,77 +98,78 @@ def test_gossip_error_scale_direct_evaluation():
 
 
 def test_gossip_error_scale_single_agent_undefined():
-    assert math.isnan(gossip_error_scale(make_pc(), 1, 2, 0.5))
+    assert math.isnan(certify(make_pc(), n_agents=1, eta=0.5).C)
 
 
 def test_gossip_error_scale_diverges_near_one():
     pc = make_pc()
-    c_far = gossip_error_scale(pc, 3, 2, 0.5)
-    c_near = gossip_error_scale(pc, 3, 2, 1 - 1e-9)
+    c_far = certify(pc, eta=0.5).C
+    c_near = certify(pc, eta=1 - 1e-9).C
     assert c_near > 1e6 * c_far
     with pytest.raises(InvalidArgumentError):
-        gossip_error_scale(pc, 3, 2, 1.0)
+        certify(pc, eta=1.0)
 
 
 def test_min_exchanges_lambda_infty_geometric_sum():
     pc = make_pc()
-    plan = min_exchanges_plan(
-        pc, n_agents=3, gossip_scale=10.0, lambda_eta_val=0.5, xi=0.25,
-        schedule_kind="incrementing",
-    )
-    assert plan.lambda_infty == pytest.approx(2.0)
-    assert plan.c1 == pytest.approx(2 * (1 + pc.sigma_max * pc.epsilon_max / pc.sigma_min**2))
-    assert plan.c2 == pytest.approx(3 / pc.sigma_min**2)
-    assert not plan.divergent
+    # rate (1 - eta^2)^(1/2) = 1/2 over three agents
+    cert = certify(pc, n_agents=3, eta=math.sqrt(0.75))
+    assert cert.lambda_eta_val == pytest.approx(0.5)
+    assert cert.lambda_infty == pytest.approx(2.0)
+    assert cert.C1 == pytest.approx(2 * (1 + pc.sigma_max * pc.epsilon_max / pc.sigma_min**2))
+    assert cert.C2 == pytest.approx(3 / pc.sigma_min**2)
+    assert not cert.conditional
 
 
 def test_min_exchanges_log_identity():
-    # xi chosen as 4 D lambda: the ceiling lands exactly on 1
+    # xi chosen as 4 D lambda^m: the ceiling lands exactly on m
     pc = make_pc()
-    lam = 0.5
-    probe = min_exchanges_plan(pc, 3, 10.0, lam, 0.25, "incrementing")
-    xi = 4 * probe.d * lam
-    if 0 < xi < 0.5:
-        plan = min_exchanges_plan(pc, 3, 10.0, lam, xi, "incrementing")
-        assert plan.ell_min == 1
-    else:
-        # rescale the gossip term so the synthetic xi is admissible
-        scale = 0.2 / xi * 10.0
-        probe = min_exchanges_plan(pc, 3, scale, lam, 0.25, "incrementing")
-        xi = 4 * probe.d * lam
-        plan = min_exchanges_plan(pc, 3, scale, lam, xi, "incrementing")
-        assert plan.ell_min == 1
+    probe = certify(pc)
+    m = int(probe.ell_min) + 3  # keeps xi below the probe's 0.25
+    cert = certify(pc, xi=4 * probe.D * probe.lambda_eta_val**m)
+    assert (cert.D, cert.lambda_eta_val) == (probe.D, probe.lambda_eta_val)
+    assert cert.ell_min == m
 
 
 def test_min_exchanges_constant_schedule_divergent():
-    plan = min_exchanges_plan(make_pc(), 3, 10.0, 0.9, 0.25, "constant")
-    assert plan.divergent
-    assert math.isinf(plan.lambda_infty)
-    assert math.isinf(plan.d)
-    assert math.isinf(plan.ell_min)
+    cert = certify(make_pc(), schedule_kind="constant")
+    assert cert.conditional
+    assert math.isinf(cert.lambda_infty)
+    assert math.isinf(cert.D)
+    assert math.isinf(cert.ell_min)
+    assert math.isnan(cert.kappa)
 
 
 def test_perturbation_bound_frozen():
-    assert perturbation_bound(2.0, 10.0, 0.9, 20.0) == pytest.approx(80.0 * 0.9**21)
+    cert = certify(make_pc())
+    assert cert.kappa == pytest.approx(
+        4.0 * cert.C1 * cert.D * cert.lambda_eta_val ** (cert.ell_min + 1.0), rel=1e-12
+    )
 
 
 def test_perturbation_bound_limits():
-    assert perturbation_bound(2.0, 10.0, 0.9, 1e6) == pytest.approx(0.0, abs=1e-300)
-    # doubling the budget: kappa(2l+1)/kappa(l) = lambda^(l+1)
-    lam, ell = 0.8, 7.0
-    ratio = perturbation_bound(1.0, 1.0, lam, 2 * ell + 1) / perturbation_bound(1.0, 1.0, lam, ell)
-    assert ratio == pytest.approx(lam ** (ell + 1))
+    # ell_min is the least budget with 4 D rate^ell <= xi, so kappa <= C1 xi rate,
+    # and one exchange fewer would leave 4 D rate^(ell - 1) above xi
+    for xi in (0.25, 1e-6, 1e-300):
+        cert = certify(make_pc(), xi=xi)
+        rate = cert.lambda_eta_val
+        assert 0.0 < cert.kappa <= cert.C1 * xi * rate * (1 + 1e-9)
+        assert 4.0 * cert.D * rate ** (cert.ell_min - 1.0) > xi
 
 
 def test_kappa_monotone_in_ell_and_radii_monotone_in_kappa():
     rng = np.random.default_rng(9)
     for _ in range(100):
-        c1 = float(rng.uniform(0.1, 5.0))
-        d = float(rng.uniform(0.1, 50.0))
-        lam = float(rng.uniform(0.05, 0.95))
-        ells = np.sort(rng.uniform(0, 40, size=3))
-        kappas = [perturbation_bound(c1, d, lam, e) for e in ells]
-        assert kappas[0] > kappas[1] > kappas[2]
+        pc = make_pc(
+            eps_max=float(rng.uniform(0.1, 2.0)), s_min=float(rng.uniform(0.5, 1.0)),
+            s_max=float(rng.uniform(1.0, 3.0)), omega=float(rng.uniform(0.1, 2.0)),
+        )
+        eta = float(rng.uniform(0.05, 0.95))
+        n_agents = int(rng.integers(2, 6))
+        # a lower xi buys a larger exchange budget and a smaller perturbation
+        certs = [certify(pc, n_agents=n_agents, eta=eta, xi=xi) for xi in (0.4, 4e-4, 4e-7)]
+        assert certs[0].ell_min < certs[1].ell_min < certs[2].ell_min
+        assert certs[0].kappa > certs[1].kappa > certs[2].kappa
 
         t1 = float(rng.uniform(0.01, 1.0))
         t2 = float(rng.uniform(0.0, 0.8))
@@ -340,10 +326,11 @@ def test_build_certificate_multi_agent_pipeline():
     assert cert.L0 == 2
     assert cert.lambda_eta_val == pytest.approx((1 - 0.3**2) ** 0.5)
     assert cert.C == pytest.approx(
-        gossip_error_scale(pc, 3, 2, 0.3), rel=1e-12
+        2 * 3 * 2.0 * math.sqrt(3 * (0.2**2 + 2 * 2.0**2)) * (1 + 0.3**-2) / (1 - 0.3**2),
+        rel=1e-12,
     )
     assert cert.kappa == pytest.approx(
-        perturbation_bound(cert.C1, cert.D, cert.lambda_eta_val, cert.ell_min), rel=1e-12
+        4.0 * cert.C1 * cert.D * cert.lambda_eta_val ** (cert.ell_min + 1.0), rel=1e-12
     )
     assert not cert.conditional
     assert cert.xi == 0.25
@@ -357,3 +344,79 @@ def test_build_certificate_validates_xi():
                 make_pc(), n_agents=n_agents, n_unknowns=2, eta=0.3, alpha=0.9, xi=0.7,
                 schedule_kind="incrementing",
             )
+
+
+_INCREMENTING_PC = make_pc(eps_max=0.2, eps_min=0.01, s_min=1.5, s_max=2.0, omega=0.1)
+_nan, _inf = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        pytest.param(
+            (make_pc(), 1, 3, 0.5, 1.0, 0.25, "incrementing"),
+            ConvergenceCertificate(
+                eta_observed=0.5, T1=0.5, T2=0.14142135623730953, rho_min=0.0,
+                rho_max=1.7171572875253809, kappa=0.0, alpha_lower=0.0, C=_nan, C1=_nan,
+                C2=_nan, D=_nan, lambda_eta_val=_nan, L0=0, ell_min=0.0, lambda_infty=_nan,
+                xi=0.25, radii_defined=True, conditional=False,
+            ),
+            id="one_agent",
+        ),
+        pytest.param(
+            (_INCREMENTING_PC, 3, 2, 0.3, 0.9, 0.25, "incrementing"),
+            ConvergenceCertificate(
+                eta_observed=0.3, T1=0.030000000000000002, T2=0.13389901875828253,
+                rho_min=0.5709878892802481, rho_max=28.299044818777, kappa=0.5386137289906874,
+                alpha_lower=0.0, C=784.3546831948105, C1=2.3555555555555556,
+                C2=1.3333333333333333, D=29569.89943682588, lambda_eta_val=0.9539392014169457,
+                L0=2, ell_min=278.0, lambda_infty=21.7104355712994, xi=0.25,
+                radii_defined=True, conditional=False,
+            ),
+            id="incrementing_radii_defined",
+        ),
+        pytest.param(
+            (_INCREMENTING_PC, 3, 2, 0.3, 0.9, 0.25, "constant"),
+            ConvergenceCertificate(
+                eta_observed=0.3, T1=0.030000000000000002, T2=0.13389901875828253,
+                rho_min=_nan, rho_max=_nan, kappa=_nan, alpha_lower=0.0, C=784.3546831948105,
+                C1=2.3555555555555556, C2=1.3333333333333333, D=_inf,
+                lambda_eta_val=0.9539392014169457, L0=2, ell_min=_inf, lambda_infty=_inf,
+                xi=0.25, radii_defined=False, conditional=True,
+            ),
+            id="constant_conditional",
+        ),
+        pytest.param(
+            (make_pc(eps_min=0.0, s_max=6.0, omega=10.0), 3, 2, 0.3, 1.0, 0.25, "incrementing"),
+            ConvergenceCertificate(
+                eta_observed=0.3, T1=5.0, T2=0.0, rho_min=_nan, rho_max=_nan,
+                kappa=3.2121815952965944, alpha_lower=0.5, C=7090.341520779838, C1=14.0,
+                C2=3.0, D=2327509440.8374057, lambda_eta_val=0.9539392014169457, L0=2,
+                ell_min=517.0, lambda_infty=21.7104355712994, xi=0.25, radii_defined=False,
+                conditional=False,
+            ),
+            id="negative_discriminant",
+        ),
+    ],
+)
+def test_build_certificate_golden(args, want):
+    # repr literals of every field; the arithmetic is pure-Python floats, so
+    # they hold exactly on any platform
+    got = build_certificate(*args)
+    for field in dataclasses.fields(ConvergenceCertificate):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert g == w or (math.isnan(g) and math.isnan(w)), (field.name, g, w)
+
+
+@pytest.mark.parametrize(
+    "pc, overrides, message",
+    [
+        (make_pc(s_min=0.0), {}, "sigma_min"),
+        (make_pc(), {"alpha": 0.0}, "alpha"),
+        (make_pc(), {"n_agents": 0}, "n_agents"),
+    ],
+    ids=["sigma_min", "alpha", "n_agents"],
+)
+def test_build_certificate_validates_its_inputs(pc, overrides, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        certify(pc, **overrides)

@@ -1041,6 +1041,23 @@ def test_cli_run_where_no_exchange_mixes_exits_0(tmp_path, capsys):
     assert "certificate.applicable=false" in capsys.readouterr().out.splitlines()
 
 
+
+@pytest.mark.parametrize("verb", ["run", "certify"])
+def test_cli_run_and_certify_where_the_consensus_rate_rounds_to_1_exit_0(tmp_path, capsys, verb):
+    # 12 CSE sites mix with eta = 0.3 / 11, and eta^11 ~ 6e-18 is below half an
+    # ulp of 1, so lambda_eta(eta, 12) is exactly 1.0
+    path = write_config(tmp_path / "c.yaml", {
+        "case_path": "case30", "sites": 12, "protocol": {"kind": "cse", "beta": 0.3},
+        "max_updates": 2, "repetitions": 1, "output_dir": str(tmp_path / "o"),
+    })
+    assert main([verb, path]) == 0
+    summary = read_summary(tmp_path / "o" / "summary.txt")
+    assert summary["certificate.applicable"] == "false"
+    assert "lambda_eta rounds to 1.0" in summary["certificate.reason"]
+    assert not any(key.startswith("constants.") for key in summary)
+    if verb == "certify":
+        assert "certificate.applicable=false" in capsys.readouterr().out.splitlines()
+
 CERTIFICATE_NAMES = (
     "applicable", "eta_observed", "T1", "T2", "rho_min", "rho_max", "kappa",
     "alpha_lower", "C", "C1", "C2", "D", "lambda_eta_val", "L0", "ell_min",
