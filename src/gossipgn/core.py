@@ -333,10 +333,11 @@ def solve_normal(a: np.ndarray, b: np.ndarray, context: str = "normal equations"
     and tau = c ||sym||_F / COND_CAP (see _cholesky_shift, c > 2), a Cholesky
     factorization of sym - tau I that succeeds proves lambda_min(sym) above
     lambda_max(sym) / COND_CAP (Golub & Van Loan, Matrix Computations, sec.
-    4.2). Only the systems it cannot certify (_uncertified) are decided by
-    their spectrum, with eigvalsh. The solution is np.linalg.solve(a, b)
-    either way, so tau only picks which systems eigvalsh decides: its bits
-    reach no output.
+    4.2). Each system is certified on its own (_factorizes), so no stack
+    of sym or of factors is held beside a. Only the systems it cannot
+    certify are decided by their spectrum, with eigvalsh. The solution is
+    np.linalg.solve(a, b) either way, so tau only picks which systems
+    eigvalsh decides: its bits reach no output.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -349,7 +350,10 @@ def solve_normal(a: np.ndarray, b: np.ndarray, context: str = "normal equations"
         idx = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise SingularSystemError(f"{label(idx)}: normal matrix or right-hand side is not finite")
 
-    for idx in _uncertified(a):
+    shift = _cholesky_shift(a.shape[-1])
+    for idx in np.ndindex(a.shape[:-2]):
+        if _factorizes(a[idx], shift):
+            continue
         eigvals = np.linalg.eigvalsh((a[idx] + a[idx].T) / 2.0)
         lo, hi = float(eigvals[0]), float(eigvals[-1])
         if hi <= 0.0 or lo <= 0.0 or hi / lo > COND_CAP:
@@ -360,26 +364,17 @@ def solve_normal(a: np.ndarray, b: np.ndarray, context: str = "normal equations"
     return np.linalg.solve(a, b[..., None])[..., 0]
 
 
-def _uncertified(a: np.ndarray) -> list[tuple]:
-    """The indices of the systems in a whose Cholesky factorization of
-    sym - tau I fails (see solve_normal). sym is formed in one (..., n, n)
-    buffer, tau from one fused sum of squares, and the buffer is freed
-    before solve_normal solves."""
-    shifted = np.add(a, np.swapaxes(a, -1, -2))
+def _factorizes(m: np.ndarray, shift: float) -> bool:
+    """Whether sym - tau I factorizes, with sym = (m + m^T) / 2 formed in one
+    (n, n) buffer and tau = shift ||sym||_F / COND_CAP from one fused sum of
+    squares."""
+    shifted = np.add(m, m.T)
     shifted *= 0.5
-    frobenius = np.sqrt(np.einsum("...ij,...ij->...", shifted, shifted))
-    diagonal = np.einsum("...ii->...i", shifted)  # a writeable view
-    diagonal -= (_cholesky_shift(a.shape[-1]) * frobenius / COND_CAP)[..., None]
+    frobenius = np.sqrt(np.einsum("ij,ij->", shifted, shifted))
+    diagonal = np.einsum("ii->i", shifted)  # a writeable view
+    diagonal -= shift * frobenius / COND_CAP
     try:
         np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return [idx for idx in np.ndindex(a.shape[:-2]) if not _factorizes(shifted[idx])]
-    return []
-
-
-def _factorizes(m: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return False
     return True

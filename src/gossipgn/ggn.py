@@ -149,7 +149,8 @@ def surrogate_descent(payloads: np.ndarray, ridge: float) -> np.ndarray:
         raise InvalidArgumentError("payload length is not N_u*(N_u+1)")
     h = payloads[:, :n_u]
     hm = payloads[:, n_u:].reshape(n_rows, n_u, n_u)
-    hm = (hm + hm.transpose(0, 2, 1)) / 2.0
+    hm = np.add(hm, hm.transpose(0, 2, 1))  # a new buffer: payloads is never written
+    hm /= 2.0
     if ridge != 0.0:
         diagonal = np.einsum("kii->ki", hm)  # a writeable view
         diagonal += ridge * np.trace(hm, axis1=1, axis2=2)[:, None] / n_u
@@ -256,6 +257,7 @@ def ggn_run(
             payloads = gossip_round(payloads, weights, out=payloads)
 
         descent_stack = surrogate_descent(payloads, ggn_config.ridge)
+        del payloads  # spent: the next init_step allocates its own
         discrepancies.append(descent_discrepancy(descent_stack, exact))
         x_new = np.clip(x - ggn_config.alpha * descent_stack, box.lower, box.upper)
         step_max = max(float(np.linalg.norm(step)) for step in x_new - x)

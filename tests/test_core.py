@@ -29,8 +29,9 @@ from gossipgn.core import (
     stationarity_residual,
 )
 from gossipgn.errors import InvalidArgumentError, SingularSystemError
-from gossipgn.ggn import local_init_info
-from gossipgn.psse.grid import make_box
+from gossipgn.ggn import ExchangeSchedule, GgnConfig, ggn_run, local_init_info
+from gossipgn.gossip import GossipConfig
+from gossipgn.psse.grid import flat_start_vector, make_box
 from gossipgn.psse.measurements import (
     build_nlls_sites,
     partition_sites,
@@ -288,9 +289,17 @@ def test_solve_normal_rejects_non_finite():
 
 
 def test_solve_normal_stack_error_names_the_system():
-    stack = np.stack([np.eye(2), np.diag([1.0, 1e-15]), np.eye(2)])
-    with pytest.raises(SingularSystemError, match="^ctx 1: .*condition number"):
-        solve_normal(stack, np.ones((3, 2)), context="ctx")
+    # each system is certified on its own: the first, a middle and the last
+    # of 30 is named, and a (3, 2) stack of stacks names both indices
+    for singular in (0, 15, 29):
+        stack = np.tile(np.eye(2), (30, 1, 1))
+        stack[singular] = np.diag([1.0, 1e-15])
+        with pytest.raises(SingularSystemError, match=f"^ctx {singular}: .*condition number"):
+            solve_normal(stack, np.ones((30, 2)), context="ctx")
+    stack = np.tile(np.eye(2), (3, 2, 1, 1))
+    stack[2, 1] = np.diag([1.0, 1e-15])
+    with pytest.raises(SingularSystemError, match="^ctx 2,1: .*condition number"):
+        solve_normal(stack, np.ones((3, 2, 2)), context="ctx")
 
 
 def test_solve_normal_batched_equals_per_matrix_calls():
@@ -642,6 +651,27 @@ def test_estimate_constants_keeps_one_compressed_copy_of_the_sample(grid30, true
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_ggn_run_holds_one_system_stack_at_a_time(grid30, true30):
+    # 30 case30 URE sites, 3 updates: the traced peak read 5.15e6 bytes while
+    # solve_normal factored the whole stack next to a symmetrized copy of it,
+    # the surrogate symmetrize took two temporaries and the spent payload
+    # stack lived into the next update; with each system certified on its
+    # own, one symmetrize buffer and the spent stack released it reads 4.10e6
+    sites = _psse_sites(grid30, true30, 30, 0)
+    config = GgnConfig(
+        alpha=1.0, schedule=ExchangeSchedule("constant", 30), max_updates=3, stop_tol=1e-12, ridge=1e-4
+    )
+    gossip = GossipConfig(kind="ure", beta=0.5, link_failure_prob=0.3)
+    tracemalloc.start()
+    try:
+        run = ggn_run(sites, make_box(30), gossip, config, flat_start_vector(grid30), rng=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.n_updates == 3
+    assert peak < 4.6e6
 
 
 _entries = st.integers(-10**6, 10**6).map(lambda k: k / 1000.0)

@@ -144,6 +144,35 @@ def test_surrogate_descent_zero_information_stays_put():
     assert np.all(d[1] > 0.0)
 
 
+def test_surrogate_descent_leaves_its_payloads_unchanged_and_matches_the_two_temporary_route():
+    # H is symmetrized in one new buffer written in place: the caller's stack,
+    # here a view into a wider array, must keep its bits, and the step must
+    # equal (hm + hm^T) / 2.0 formed in two temporaries, bit for bit
+    rng = np.random.default_rng(28)
+    for n, count, ridge in ((59, 30, 1e-4), (5, 7, 1e-8), (1, 3, 0.5)):
+        rows = []
+        for _ in range(count):
+            jac = rng.normal(size=(n + 3, n))
+            hm = jac.T @ jac + 1e-9 * rng.normal(size=(n, n))  # not exactly symmetric
+            rows.append(_payload(jac.T @ rng.normal(size=n + 3), hm))
+        rows[count // 2] = np.zeros(n * (n + 1))  # no information: the zero step
+        wide = np.zeros((count, n * (n + 1) + 4))
+        wide[:, 2:-2] = rows
+        payloads = wide[:, 2:-2]
+        before = wide.copy()
+        got = surrogate_descent(payloads, ridge)
+        assert wide.tobytes() == before.tobytes()
+
+        h = payloads[:, :n]
+        hm = payloads[:, n:].reshape(count, n, n)
+        hm = (hm + hm.transpose(0, 2, 1)) / 2.0
+        np.einsum("kii->ki", hm)[...] += ridge * np.trace(hm, axis1=1, axis2=2)[:, None] / n
+        hm[~(h.any(axis=1) | hm.any(axis=(1, 2)))] = np.eye(n)
+        want = solve_normal(hm, h, context="agent")
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got[count // 2], np.zeros(n))
+
+
 def test_surrogate_descent_error_names_the_agent():
     rows = np.stack([_payload(np.ones(2), np.eye(2)), _payload(np.ones(2), np.diag([1.0, 0.0]))])
     with pytest.raises(SingularSystemError, match="agent 1"):
