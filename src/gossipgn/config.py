@@ -51,13 +51,10 @@ class ExperimentConfig:
     ridge: float = 1e-8
     sigma2: float = 1e-6
     snapshots: int = 1
-    load_scale: float = 1.0
     seed: int = 1
     repetitions: int = 20
     output_dir: str = "out"
     true_state_path: str | None = None
-    theta_max: float = 1.5707963267948966
-    v_max: float = 1.5
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
     certificate: CertificateConfig = field(default_factory=CertificateConfig)
 
@@ -79,14 +76,10 @@ class ExperimentConfig:
             raise ConfigError(f"sigma2: must be nonnegative and finite, got {self.sigma2}")
         if self.snapshots < 1:
             raise ConfigError("snapshots: must be >= 1")
-        if not 0.0 <= self.load_scale < math.inf:
-            raise ConfigError(f"load_scale: must be nonnegative and finite, got {self.load_scale}")
         if self.repetitions < 1:
             raise ConfigError("repetitions: must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed: must be a non-negative integer, got {self.seed}")
-        if not (0.0 < self.theta_max < math.inf and 0.0 < self.v_max < math.inf):
-            raise ConfigError("theta_max and v_max must be positive and finite")
         try:
             self.ggn_config()
         except InvalidArgumentError as exc:

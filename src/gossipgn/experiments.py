@@ -43,7 +43,6 @@ from .psse import (
     mse_metrics,
     newton_power_flow,
     partition_sites,
-    scale_loads,
     streaming_snapshots,
 )
 
@@ -74,8 +73,6 @@ class ProblemSetup:
 
 def build_problem(config: ExperimentConfig) -> ProblemSetup:
     case = load_case(config.case_path)
-    if config.load_scale != 1.0:
-        case = scale_loads(case, config.load_scale)
     grid = build_grid_model(case)
     if config.sites > grid.n_buses:
         raise ConfigError(f"sites: {config.sites} exceeds the case's {grid.n_buses} buses")
@@ -84,7 +81,7 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
     else:
         true_state = newton_power_flow(grid)
     site_rows = partition_sites(grid, config.sites)
-    box = make_box(grid.n_buses, config.theta_max, config.v_max)
+    box = make_box(grid.n_buses)
     x0 = flat_start_vector(grid)
     m_total = measurement_count(grid)
     return ProblemSetup(
@@ -539,8 +536,7 @@ def compare_algorithms(
 ) -> ComparisonResult:
     """Run both algorithms on the identical instance; tabulate by exchanges."""
     for field_name in (
-        "case_path", "sigma2", "seed", "sites", "load_scale", "snapshots",
-        "true_state_path", "theta_max", "v_max",
+        "case_path", "sigma2", "seed", "sites", "snapshots", "true_state_path",
     ):
         a, b = getattr(config_ggn, field_name), getattr(config_diffusion, field_name)
         if a != b:

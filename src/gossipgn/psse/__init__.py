@@ -9,7 +9,7 @@ from .grid import (
     make_box,
     newton_power_flow,
 )
-from .matpower import load_case, scale_loads
+from .matpower import load_case
 from .measurements import (
     build_nlls_sites,
     measurement_count,
@@ -31,6 +31,5 @@ __all__ = [
     "mse_metrics",
     "newton_power_flow",
     "partition_sites",
-    "scale_loads",
     "streaming_snapshots",
 ]

@@ -248,10 +248,10 @@ def vector_to_state(x: np.ndarray, n_buses: int, slack_bus: int) -> PowerState:
     return PowerState(theta=theta, v=x[..., n_buses - 1 :].copy())
 
 
-def make_box(n_buses: int, theta_max: float = np.pi / 2, v_max: float = 1.5) -> BoxSet:
-    """Feasible set for the unknown vector: |angle| <= theta_max, 0 <= V <= v_max."""
-    lower = np.concatenate([np.full(n_buses - 1, -theta_max), np.zeros(n_buses)])
-    upper = np.concatenate([np.full(n_buses - 1, theta_max), np.full(n_buses, v_max)])
+def make_box(n_buses: int) -> BoxSet:
+    """Feasible set for the unknown vector: |angle| <= pi/2, 0 <= V <= 1.5."""
+    lower = np.concatenate([np.full(n_buses - 1, -np.pi / 2), np.zeros(n_buses)])
+    upper = np.concatenate([np.full(n_buses - 1, np.pi / 2), np.full(n_buses, 1.5)])
     return BoxSet(lower=lower, upper=upper)
 
 
@@ -348,7 +348,7 @@ def load_true_state(path: str | Path, n_buses: int) -> PowerState:
     theta = np.full(n_buses, np.nan)
     v = np.full(n_buses, np.nan)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read true-state file {path}: {exc.strerror}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -151,16 +151,6 @@ def parse_matpower_text(text: str) -> MatpowerCase:
         gen=as_array(tables["gen"], GEN_COLS),
         branch=as_array(tables["branch"], BRANCH_COLS),
     )
-
-
-def scale_loads(case: MatpowerCase, factor: float) -> MatpowerCase:
-    """Uniformly scale all bus active and reactive loads."""
-    if factor < 0:
-        raise CaseParseError("load scale factor must be nonnegative")
-    bus = case.bus.copy()
-    bus[:, BUS_PD] *= factor
-    bus[:, BUS_QD] *= factor
-    return replace(case, bus=bus)
 
 
 def load_case(source: str | Path) -> MatpowerCase:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -165,9 +166,6 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
         (GgnConfig, "stop_tol"),
         (DiffusionConfig, "step_scale"),
         (ExperimentConfig, "sigma2"),
-        (ExperimentConfig, "load_scale"),
-        (ExperimentConfig, "theta_max"),
-        (ExperimentConfig, "v_max"),
     ],
 )
 def test_non_finite_config_values_fail_when_built(owner, name, value):
@@ -625,7 +623,7 @@ def test_compare_rejects_mismatched_instances(tmp_path):
 
 @pytest.mark.parametrize(
     "field_name, value",
-    [("true_state_path", "truth.csv"), ("theta_max", 1.0), ("v_max", 1.2)],
+    [("true_state_path", "truth.csv")],
 )
 def test_compare_rejects_configs_that_build_different_instances(
     tmp_path, capsys, field_name, value
@@ -662,14 +660,19 @@ def test_cli_exit_config(tmp_path, capsys):
 
 
 def test_cli_exit_config_on_removed_partition_key(tmp_path, capsys):
-    # the site partition is always contiguous, so the key no longer exists
-    path = write_config(
-        tmp_path / "c.yaml",
-        tiny_mapping(partition="contiguous", output_dir=str(tmp_path / "o")),
-    )
-    assert main(["run", path]) == 2
-    assert "partition: unknown key" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    # the site partition is always contiguous, the loads are the case's own and
+    # the box is fixed, so none of these keys exists
+    for key, value in (
+        ("partition", "contiguous"), ("load_scale", 1.0), ("theta_max", 1.5707963267948966),
+        ("v_max", 1.5),
+    ):
+        path = write_config(
+            tmp_path / f"{key}.yaml",
+            tiny_mapping(**{key: value}, output_dir=str(tmp_path / "o")),
+        )
+        assert main(["run", path]) == 2
+        assert f"config error: {key}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 # values of the wrong type or non-finite, each named by its field path
@@ -682,9 +685,6 @@ WRONG_TYPE_PROBES = [
     ("case_path", 5),
     ("true_state_path", 5),
     ("sites", 2.5),
-    ("theta_max", math.inf),
-    ("v_max", math.inf),
-    ("load_scale", math.inf),
     ("sigma2", math.inf),
     ("ridge", math.inf),
     ("stop_tol", math.inf),
@@ -898,9 +898,15 @@ def test_cli_exit_unsupported(tmp_path, capsys):
 
 
 def test_cli_exit_numeric(tmp_path, capsys):
+    # bus 2 loaded 100-fold: the power flow for the true state has no solution
+    case = resources.files("gossipgn.psse").joinpath("data/case2.m").read_text(encoding="utf-8")
+    old, new = "2\t1\t50\t20\t", "2\t1\t5000\t2000\t"
+    assert old in case
+    case_path = tmp_path / "heavy.m"
+    case_path.write_text(case.replace(old, new))
     path = write_config(
         tmp_path / "c.yaml",
-        tiny_mapping(load_scale=100.0, output_dir=str(tmp_path / "o")),
+        tiny_mapping(case_path=str(case_path), output_dir=str(tmp_path / "o")),
     )
     assert main(["run", path]) == 5
     assert "numerical failure" in capsys.readouterr().err

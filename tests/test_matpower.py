@@ -10,7 +10,6 @@ from gossipgn.psse.matpower import (
     load_case,
     parse_matpower_text,
     MatpowerCase,
-    scale_loads,
 )
 
 from conftest import CASE2_TEXT, grids_equal, parse_matpower_case
@@ -208,18 +207,6 @@ def test_duplicate_bus_ids_rejected():
 def test_slack_count_enforced():
     with pytest.raises(CaseParseError, match="exactly one slack"):
         parse_matpower_case(_edited("2 1 21.7", "2 3 21.7"))
-
-
-def test_scale_loads():
-    case = parse_matpower_text(CASE2_TEXT)
-    scaled = scale_loads(case, 1.5)
-    assert scaled.bus[1, 2] == pytest.approx(21.7 * 1.5)
-    assert scaled.bus[1, 3] == pytest.approx(12.7 * 1.5)
-    # other columns untouched, original unmodified
-    assert scaled.bus[1, 0] == case.bus[1, 0]
-    assert case.bus[1, 2] == pytest.approx(21.7)
-    with pytest.raises(CaseParseError):
-        scale_loads(case, -0.1)
 
 
 def test_comments_and_extras_ignored():

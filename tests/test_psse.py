@@ -446,9 +446,10 @@ def test_box_and_flat_start(grid30):
     box = make_box(grid30.n_buses)
     x0 = flat_start_vector(grid30)
     assert box.contains(x0)
-    assert np.all(box.lower[: grid30.n_buses - 1] == -np.pi / 2)
-    assert np.all(box.lower[grid30.n_buses - 1 :] == 0.0)
-    assert np.all(box.upper[grid30.n_buses - 1 :] == 1.5)
+    # the bounds are the box's constants bit for bit: |angle| <= pi/2, 0 <= V <= 1.5
+    n = grid30.n_buses
+    assert box.lower.tobytes() == np.array([-1.5707963267948966] * (n - 1) + [0.0] * n).tobytes()
+    assert box.upper.tobytes() == np.array([1.5707963267948966] * (n - 1) + [1.5] * n).tobytes()
     assert np.array_equal(x0[: grid30.n_buses - 1], np.zeros(29))
     assert np.array_equal(x0[grid30.n_buses - 1 :], np.ones(30))
 
@@ -459,6 +460,17 @@ def test_true_state_roundtrip(tmp_path, true30, grid30):
     back = load_true_state(path, grid30.n_buses)
     assert np.array_equal(back.theta, true30.theta)
     assert np.array_equal(back.v, true30.v)
+
+
+@pytest.mark.parametrize("header", [True, False], ids=["header", "no_header"])
+def test_true_state_reads_a_utf8_byte_order_mark(tmp_path, header):
+    # spreadsheet tools start a UTF-8 CSV with a byte-order mark
+    rows = ["bus,theta,v"] * header + ["1,0.0,1.0", "2,-0.1,0.95"]
+    path = tmp_path / "truth.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + ("\n".join(rows) + "\n").encode("utf-8"))
+    state = load_true_state(path, 2)
+    assert np.array_equal(state.theta, [0.0, -0.1])
+    assert np.array_equal(state.v, [1.0, 0.95])
 
 
 @pytest.mark.parametrize("column", [0, 1, 2], ids=["bus", "theta", "v"])
