@@ -11,8 +11,7 @@ with ``G`` and ``g`` the stacked Jacobian/residual, assembled here by summing
 per-site normal-equation contributions so that any row partition of the same
 problem yields the same direction. build_sites makes every site list, as rows
 of one shared model; evaluate hands out that model's f and J at each state, and
-every per-site quantity is a slice of them. agent_systems gives every
-gossiping agent its exact system and its own site's terms together.
+every per-site quantity is a slice of them.
 """
 
 from __future__ import annotations
@@ -233,76 +232,26 @@ def site_terms(site: SiteModel, f: np.ndarray, jac: np.ndarray) -> tuple[np.ndar
     return site.eval_residual(f), site.eval_jacobian(jac)
 
 
-def _site_products(
-    batch: SiteBatch, f: np.ndarray, jac: np.ndarray, products: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> None:
-    """Write every site's G_i^T G_i, G_i^T g_i and ||g_i||^2 at the state of
-    the model's f and J into the (I, n, n), (I, n) and (I,) stacks of
-    products, in site order.
+def normal_system(sites: list[SiteModel], f: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble A = sum_i G_i^T G_i and b = sum_i G_i^T g_i at the state of
+    the model's f and J.
 
-    Each group of the batch takes its products in one stacked matmul on
-    blocks gathered from f and J, which gives the bits of a site-by-site
+    Each group of the batch takes its sites' products in one stacked matmul
+    on blocks gathered from f and J, which gives the bits of a site-by-site
     loop since each block is C-contiguous with the site's own shape (padded
-    or strided blocks round differently).
+    or strided blocks round differently). The products are summed in site
+    order from +0.0, so the result is bit-identical to accumulating
+    G_i^T G_i and G_i^T g_i site by site.
     """
-    gram, grad, sq = products
+    batch, n = _check_sites(sites), sites[0].n_unknowns
+    gram, grad = np.empty((len(sites), n, n)), np.empty((len(sites), n))
     for positions, rows, values in batch.groups:
         # -g_i and -G_i: negation is exact, so their products are G_i's
         res, blocks = f[rows] - values, jac[rows]
         blocks_t = blocks.transpose(0, 2, 1)
         gram[positions] = blocks_t @ blocks
         grad[positions] = (blocks_t @ res[..., None])[..., 0]
-        sq[positions] = (res[:, None, :] @ res[..., None])[:, 0, 0]
-
-
-def normal_system(sites: list[SiteModel], f: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble A = sum_i G_i^T G_i and b = sum_i G_i^T g_i at the state of
-    the model's f and J.
-
-    The per-site products (_site_products) are summed in site order from
-    +0.0, so the result is bit-identical to accumulating G_i^T G_i and
-    G_i^T g_i site by site.
-    """
-    batch, n = _check_sites(sites), sites[0].n_unknowns
-    gram, grad = np.empty((len(sites), n, n)), np.empty((len(sites), n))
-    _site_products(batch, f, jac, (gram, grad, np.empty(len(sites))))
     return np.add.reduce(gram, axis=0, initial=0.0), np.add.reduce(grad, axis=0, initial=0.0)
-
-
-def agent_systems(
-    sites: list[SiteModel], xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each agent's exact normal system at its own iterate, and its own
-    site's products there.
-
-    Agent i holds site i and iterate xs[i], a row of the (I, N_u) stack xs.
-    Returns the (I, n, n) and (I, n) stacks of A_i and b_i, each equal to
-    normal_system at xs[i] bit for bit, then site i's G_i^T G_i, G_i^T g_i
-    and ||g_i||^2 at xs[i] as (I, n, n), (I, n) and (I,) stacks. The rows
-    are read through evaluate, so the model is evaluated once per distinct
-    row, and an agent at the previous agent's iterate, byte for byte, reuses
-    its sums. Every iterate's per-site products go into one set of stacks
-    allocated for the call; no result aliases them.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if not sites or xs.ndim != 2 or len(xs) != len(sites):
-        raise InvalidArgumentError(f"need one iterate per site, got shape {xs.shape}")
-    batch, (n_sites, n) = sites[0].batch, xs.shape
-    a, b = np.empty((n_sites, n, n)), np.empty((n_sites, n))
-    gram, grad, sq = np.empty((n_sites, n, n)), np.empty((n_sites, n)), np.empty(n_sites)
-    products = np.empty((n_sites, n, n)), np.empty((n_sites, n)), np.empty(n_sites)
-    last_key = None
-    for i, f, jac in evaluate(sites, xs):
-        key = xs[i].tobytes()
-        if key == last_key:
-            a[i], b[i] = a[i - 1], b[i - 1]
-        else:
-            _site_products(batch, f, jac, products)
-            np.add.reduce(products[0], axis=0, initial=0.0, out=a[i])
-            np.add.reduce(products[1], axis=0, initial=0.0, out=b[i])
-            last_key = key
-        gram[i], grad[i], sq[i] = products[0][i], products[1][i], products[2][i]
-    return a, b, gram, grad, sq
 
 
 def _cholesky_shift(n: int) -> float:

@@ -469,8 +469,10 @@ def run_failure_sweep(
         raise InvalidArgumentError("failure sweep needs at least one failure probability")
     base_dir = resolve_output_dir(config, env_output_dir)
     # GossipConfig rejects a p outside [0, 1), and two p sharing a directory would
-    # overwrite one run with the other: every p is checked before the first run
-    protocols = [replace(config.protocol, link_failure_prob=float(p)) for p in p_values]
+    # overwrite one run with the other: every p is checked before the first run.
+    # Adding 0.0 turns -0.0 into 0.0, so 0 and -0 share p_0.
+    p_values = [float(p) + 0.0 for p in p_values]
+    protocols = [replace(config.protocol, link_failure_prob=p) for p in p_values]
     names = [f"p_{p:g}" for p in p_values]
     shared = sorted({name for name in names if names.count(name) > 1})
     if shared:
@@ -488,7 +490,7 @@ def run_failure_sweep(
         vals, mses = columns["val"][final], columns["mse_v"][final]
         table.append(
             {
-                "p": float(p),
+                "p": p,
                 "final_val_max": float(vals.max()),
                 "final_val_mean": float(vals.mean()),
                 "final_mse_v_mean": float(mses.mean()),

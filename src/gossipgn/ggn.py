@@ -229,15 +229,19 @@ def ggn_run(
 
     def init_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Payload stack and exact directions at the agents' iterates x;
-        # records val and grad there. core.agent_systems gives each agent's
-        # exact system with its own site's products, which the payload row
-        # lays out as local_init_info does. All exact systems are solved together.
-        a, b, gram, grad, vals_now = core.agent_systems(sites, x)
-        blocks = np.empty((n_agents, n_u + 1, n_u))  # h, then the columns of H
-        blocks[:, 0], blocks[:, 1:] = grad, gram.transpose(0, 2, 1)
-        payloads = blocks.reshape(n_agents, -1)
+        # records val and grad there. An agent at the previous agent's
+        # iterate, byte for byte, reuses its exact system. All exact systems
+        # are solved together.
+        payloads, vals_now = np.empty((n_agents, n_u * (n_u + 1))), np.empty(n_agents)
+        a, b = np.empty((n_agents, n_u, n_u)), np.empty((n_agents, n_u))
+        for i, f, jac in core.evaluate(sites, x):
+            payloads[i], vals_now[i] = local_init_info(sites[i], f, jac)
+            if i and x[i].tobytes() == x[i - 1].tobytes():
+                a[i], b[i] = a[i - 1], b[i - 1]
+            else:
+                a[i], b[i] = core.normal_system(sites, f, jac)
         vals.append(vals_now)
-        grads.append([float(np.linalg.norm(h)) for h in grad])
+        grads.append([float(np.linalg.norm(row[:n_u])) for row in payloads])
         try:
             return payloads, solve_normal(a, b, context="exact descent")
         except SingularSystemError:

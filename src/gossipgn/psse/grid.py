@@ -203,6 +203,13 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
     bad = np.flatnonzero(~np.isfinite(ybus).all(axis=1))
     if bad.size:
         raise CaseParseError(f"bus row {bad[0] + 1}: summed admittance is not finite")
+    # a bus that no branch joins to another bus has no power flow and no estimate
+    reached = {end for f, t, *_ in kept if f != t for end in (f, t)}
+    unreached = [i for i in range(n) if i not in reached]
+    if unreached:
+        raise UnsupportedFeatureError(
+            f"bus {bus_ids[unreached[0]]}: no in-service branch joins it to another bus"
+        )
 
     branches = BranchArrays.of(*(list(zip(*kept)) or [()] * 5), n_buses=n)
     return GridModel(

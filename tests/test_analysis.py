@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from gossipgn.analysis import ConvergenceCertificate, build_certificate, equilibrium_radii
-from gossipgn.core import BoxSet, ProblemConstants, agent_systems, centralized_gn_solve
+from gossipgn.core import BoxSet, ProblemConstants, centralized_gn_solve, normal_system
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.ggn import ExchangeSchedule, GgnConfig, ggn_run
 from gossipgn.gossip import GossipConfig
 
-from conftest import sites_from_blocks, terms_at, verify_contraction_to_ball
+from conftest import evaluated, sites_from_blocks, terms_at, verify_contraction_to_ball
 
 
 def make_pc(eps_max=1.0, eps_min=0.1, s_min=1.0, s_max=2.0, omega=1.0):
@@ -203,11 +203,12 @@ def surrogate_mismatch(sites, xs):
     nu_delta / I and nu_Delta / I times the third."""
     n_agents = len(sites)
     xs = np.asarray(xs, dtype=float)
-    a_full, b_full, hm_own, h_own, _ = agent_systems(sites, xs)
-    h_bar = np.mean(h_own, axis=0)
-    hm_bar = np.mean(hm_own, axis=0)
-    delta = np.array([np.linalg.norm(h_bar - b / n_agents) for b in b_full])
-    big_delta = np.array([np.linalg.norm(hm_bar - a / n_agents, ord=2) for a in a_full])
+    exact = [normal_system(sites, *evaluated(sites[0], x)) for x in xs]
+    own = [terms_at(site, x) for site, x in zip(sites, xs)]
+    h_bar = np.mean([jac.T @ res for res, jac in own], axis=0)
+    hm_bar = np.mean([jac.T @ jac for _, jac in own], axis=0)
+    delta = np.array([np.linalg.norm(h_bar - b / n_agents) for _, b in exact])
+    big_delta = np.array([np.linalg.norm(hm_bar - a / n_agents, ord=2) for a, _ in exact])
     disagreement = np.array([sum(np.linalg.norm(x - xj) for xj in xs) for x in xs])
     return delta, big_delta, disagreement
 

@@ -566,10 +566,17 @@ def test_failure_sweep_checks_every_p_before_the_first_run(tmp_path):
     for p_values, message in (
         ([0.0, 1.5], "1.5 outside"),
         ([0.1234567, 0.1234568], "share the output directory p_0.123457"),
+        ([0.0, -0.0], "share the output directory p_0$"),
     ):
         with pytest.raises(InvalidArgumentError, match=message):
             run_failure_sweep(ure, p_values)
         assert not list((tmp_path / "sweep").glob("p_*"))
+
+
+def test_failure_sweep_runs_minus_zero_as_zero(tmp_path):
+    sweep = run_failure_sweep(config_from_mapping(sweep_mapping(tmp_path)), [-0.0])
+    assert [path.name for path in (tmp_path / "sweep").glob("p_*")] == ["p_0"]
+    assert [row["p"] for row in read_rows(sweep.table_path)] == ["0.0"]
 
 
 def test_compare_algorithms_outputs(tmp_path):
@@ -897,13 +904,40 @@ def test_cli_exit_unsupported(tmp_path, capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
+PACKAGED_CASE2 = resources.files("gossipgn.psse").joinpath("data/case2.m").read_text(encoding="utf-8")
+CASE2_BUS_2 = "\t2\t1\t50\t20\t0\t0\t1\t1\t0\t132\t1\t1.1\t0.9;\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, bus",
+    [
+        (CASE2_BUS_2, CASE2_BUS_2 + "\t3\t1\t10\t5\t0\t0\t1\t1\t0\t132\t1\t1.1\t0.9;\n", 3),
+        ("\t0\t0\t1\t-360", "\t0\t0\t0\t-360", 1),
+    ],
+    ids=["third_bus", "branch_out_of_service"],
+)
+def test_cli_exit_unsupported_on_a_bus_no_branch_reaches(tmp_path, capsys, old, new, bus):
+    # such a case has no power flow: it fails at the parser, before any output
+    assert PACKAGED_CASE2.count(old) == 1
+    case_path = tmp_path / "unreached.m"
+    case_path.write_text(PACKAGED_CASE2.replace(old, new))
+    path = write_config(
+        tmp_path / "c.yaml",
+        tiny_mapping(case_path=str(case_path), output_dir=str(tmp_path / "o")),
+    )
+    assert main(["run", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"unsupported: bus {bus}: no in-service branch joins it to another bus")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_exit_numeric(tmp_path, capsys):
     # bus 2 loaded 100-fold: the power flow for the true state has no solution
-    case = resources.files("gossipgn.psse").joinpath("data/case2.m").read_text(encoding="utf-8")
     old, new = "2\t1\t50\t20\t", "2\t1\t5000\t2000\t"
-    assert old in case
+    assert old in PACKAGED_CASE2
     case_path = tmp_path / "heavy.m"
-    case_path.write_text(case.replace(old, new))
+    case_path.write_text(PACKAGED_CASE2.replace(old, new))
     path = write_config(
         tmp_path / "c.yaml",
         tiny_mapping(case_path=str(case_path), output_dir=str(tmp_path / "o")),

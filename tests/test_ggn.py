@@ -687,21 +687,6 @@ def test_ggn_run_equals_the_per_agent_oracle(name, grid30, true30):
     _assert_same_trajectory(ggn_run(sites, box, gc, cfg, x0, rng=5), want)
 
 
-@pytest.mark.parametrize("kind", ["psse", "toy"])
-def test_agent_systems_own_products_equal_local_init_info(kind, grid30, true30):
-    if kind == "psse":
-        sites, _, x0 = _psse_setup(grid30, true30, n_sites=7)
-    else:
-        sites, _, x0 = _toy_setup(n_sites=4)
-    xs = x0 + 0.05 * np.random.default_rng(8).normal(size=(len(sites), x0.size))
-    xs[2] = xs[1]
-    _, _, gram, grad, vals = core.agent_systems(sites, xs)
-    for i, site in enumerate(sites):
-        row, val = local_init_info(site, *evaluated(site, xs[i]))
-        assert np.array_equal(np.concatenate([grad[i], gram[i].flatten(order="F")]), row)
-        assert vals[i] == val
-
-
 def _first_init_step_stacks(mp, stacks):
     """The model evaluations recorded in stacks before the first gossip round."""
     first_step = []

@@ -112,6 +112,28 @@ def test_out_of_service_branch_dropped():
     assert grid.n_branches == 1
 
 
+THIRD_BUS = "    3 1 10 5 0 0 1 1.0 0 135 1 1.1 0.9;\n"
+SELF_LOOP = "    3 3 0.01 0.1 0.02 130 130 130 0 0 1 -360 360;\n"
+
+
+@pytest.mark.parametrize(
+    "text, bus",
+    [
+        (_edited("0.9;\n];", "0.9;\n" + THIRD_BUS + "];"), 3),
+        (_edited("130 0 0 1 -360", "130 0 0 0 -360"), 1),
+        (
+            _edited("0.9;\n];", "0.9;\n" + THIRD_BUS + "];").replace("360;\n];", "360;\n" + SELF_LOOP + "];"),
+            3,
+        ),
+    ],
+    ids=["third_bus", "branch_out_of_service", "self_loop"],
+)
+def test_a_bus_no_branch_reaches_is_rejected(text, bus):
+    # a bus outside the network has no power flow: the parser says so, not a singular solve
+    with pytest.raises(UnsupportedFeatureError, match=f"^bus {bus}: no in-service branch joins it"):
+        parse_matpower_case(text)
+
+
 def test_phase_shift_rejected():
     with pytest.raises(UnsupportedFeatureError, match="phase-shifting"):
         parse_matpower_case(_edited("130 0 0 1 -360", "130 0 30 1 -360"))
