@@ -54,7 +54,6 @@ class ExperimentConfig:
     seed: int = 1
     repetitions: int = 20
     output_dir: str = "out"
-    true_state_path: str | None = None
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
     certificate: CertificateConfig = field(default_factory=CertificateConfig)
 
@@ -86,16 +85,16 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-_EXPECTED = {int: "an integer", float: "a finite number", str: "a string", type(None): "null"}
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _accepts(options: tuple, value) -> bool:
-    """Whether a YAML value may fill a field of one of the types in options."""
+def _accepts(kind: type, value) -> bool:
+    """Whether a YAML value may fill a field of type kind."""
     if isinstance(value, bool):
         return False
-    if float in options:
+    if kind is float:
         return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    return isinstance(value, options)
+    return isinstance(value, kind)
 
 
 def _build(cls, data, path: str):
@@ -103,8 +102,8 @@ def _build(cls, data, path: str):
 
     Keys must be cls's fields, each value of its annotated type: a mapping
     for a dataclass section, a non-bool int for int, a finite int or float
-    for float, a str for str, and also null for `str | None`. The rules cls
-    checks itself surface as ConfigError under the field path.
+    for float and a str for str, so null fills no field. The rules cls checks
+    itself surface as ConfigError under the field path.
     """
     prefix = f"{path}." if path else ""
     if not isinstance(data, dict):
@@ -117,11 +116,8 @@ def _build(cls, data, path: str):
             raise ConfigError(f"{name}: unknown key")
         if dataclasses.is_dataclass(hints[key]):
             value = _build(hints[key], value, name)
-        else:
-            options = typing.get_args(hints[key]) or (hints[key],)
-            if not _accepts(options, value):
-                expected = " or ".join(_EXPECTED[kind] for kind in options)
-                raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+        elif not _accepts(hints[key], value):
+            raise ConfigError(f"{name}: expected {_EXPECTED[hints[key]]}, got {value!r}")
         kwargs[key] = value
     try:
         return cls(**kwargs)

@@ -37,7 +37,6 @@ from .psse import (
     build_nlls_sites,
     flat_start_vector,
     load_case,
-    load_true_state,
     make_box,
     measurement_count,
     mse_metrics,
@@ -76,10 +75,7 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
     grid = build_grid_model(case)
     if config.sites > grid.n_buses:
         raise ConfigError(f"sites: {config.sites} exceeds the case's {grid.n_buses} buses")
-    if config.true_state_path:
-        true_state = load_true_state(config.true_state_path, grid.n_buses)
-    else:
-        true_state = newton_power_flow(grid)
+    true_state = newton_power_flow(grid)
     site_rows = partition_sites(grid, config.sites)
     box = make_box(grid.n_buses)
     x0 = flat_start_vector(grid)
@@ -537,9 +533,7 @@ def compare_algorithms(
     env_output_dir: str | None = None,
 ) -> ComparisonResult:
     """Run both algorithms on the identical instance; tabulate by exchanges."""
-    for field_name in (
-        "case_path", "sigma2", "seed", "sites", "snapshots", "true_state_path",
-    ):
+    for field_name in ("case_path", "sigma2", "seed", "sites", "snapshots"):
         a, b = getattr(config_ggn, field_name), getattr(config_diffusion, field_name)
         if a != b:
             raise InvalidArgumentError(

@@ -5,7 +5,6 @@ from .grid import (
     PowerState,
     build_grid_model,
     flat_start_vector,
-    load_true_state,
     make_box,
     newton_power_flow,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "build_nlls_sites",
     "flat_start_vector",
     "load_case",
-    "load_true_state",
     "make_box",
     "measurement_count",
     "mse_metrics",

@@ -10,9 +10,7 @@ transformers would break the symmetry and are rejected.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -203,12 +201,30 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
     bad = np.flatnonzero(~np.isfinite(ybus).all(axis=1))
     if bad.size:
         raise CaseParseError(f"bus row {bad[0] + 1}: summed admittance is not finite")
-    # a bus that no branch joins to another bus has no power flow and no estimate
-    reached = {end for f, t, *_ in kept if f != t for end in (f, t)}
-    unreached = [i for i in range(n) if i not in reached]
-    if unreached:
+    # a bus that no branch path joins to the slack bus has no power flow and no
+    # estimate: label each bus with its island's root by union-find
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for f, t, *_ in kept:
+        root[find(f)] = find(t)
+    island = np.array([find(i) for i in range(n)])
+    sizes = np.bincount(island, minlength=n)[island]
+    lone = np.flatnonzero(sizes == 1)
+    if lone.size:
         raise UnsupportedFeatureError(
-            f"bus {bus_ids[unreached[0]]}: no in-service branch joins it to another bus"
+            f"bus {bus_ids[lone[0]]}: no in-service branch joins it to another bus"
+        )
+    cut = np.flatnonzero(island != island[slack])
+    if cut.size:
+        raise UnsupportedFeatureError(
+            f"bus {bus_ids[cut[0]]}: its island of {sizes[cut[0]]} buses has no "
+            "in-service branch path to the slack bus"
         )
 
     branches = BranchArrays.of(*(list(zip(*kept)) or [()] * 5), n_buses=n)
@@ -348,42 +364,3 @@ def newton_power_flow(grid: GridModel) -> PowerState:
         va[pvpq] -= dx[: pvpq.size]
         vm[pq] -= dx[pvpq.size :]
     raise PowerFlowError(f"power flow did not converge in {_POWER_FLOW_MAX_ITER} iterations")
-
-
-def load_true_state(path: str | Path, n_buses: int) -> PowerState:
-    """Read a (bus, theta, V) table; angles are radians, bus ids 1-based, each once."""
-    theta = np.full(n_buses, np.nan)
-    v = np.full(n_buses, np.nan)
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InvalidArgumentError(f"cannot read true-state file {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidArgumentError(
-            f"true-state file {path} is not UTF-8: {exc.reason} at byte {exc.start}"
-        ) from exc
-    for line_no, row in enumerate(rows, start=1):
-        if not row or row[0].strip().lower() == "bus":
-            continue
-        if len(row) < 3:
-            raise InvalidArgumentError(f"true-state row needs 3 fields: {row!r}")
-        try:
-            fields = [float(f) for f in row[:3]]
-        except ValueError:
-            fields = [np.nan]  # reported as not finite below
-        if not np.all(np.isfinite(fields)):
-            msg = f"true-state line {line_no}: bus, theta and v must be finite numbers"
-            raise InvalidArgumentError(f"{msg}, got {row[:3]!r}")
-        bus = fields[0]
-        if bus != int(bus) or not 1 <= bus <= n_buses:
-            raise InvalidArgumentError(
-                f"true-state line {line_no}: bus id must be an integer in 1..{n_buses}, got {row[0]!r}"
-            )
-        idx = int(bus) - 1
-        if not np.isnan(theta[idx]):
-            raise InvalidArgumentError(f"true-state line {line_no}: bus {idx + 1} appears twice")
-        theta[idx], v[idx] = fields[1], fields[2]
-    if np.any(np.isnan(theta)) or np.any(np.isnan(v)):
-        raise InvalidArgumentError("true-state file does not cover every bus")
-    return PowerState(theta=theta, v=v)

@@ -98,12 +98,14 @@ def test_load_config_roundtrip(tmp_path):
     )
 
 
-def test_float_fields_take_ints_and_optional_fields_take_null():
-    cfg = config_from_mapping(
-        {"alpha": 1, "protocol": {"link_failure_prob": 0}, "true_state_path": None}
-    )
+def test_float_fields_take_ints():
+    cfg = config_from_mapping({"alpha": 1, "protocol": {"link_failure_prob": 0}})
     assert cfg.alpha == 1 and cfg.protocol.link_failure_prob == 0
-    assert cfg.true_state_path is None
+
+
+def test_no_field_takes_null():
+    with pytest.raises(ConfigError, match=r"^case_path: expected a string, got None$"):
+        config_from_mapping({"case_path": None})
 
 
 def test_empty_config_gives_defaults(tmp_path):
@@ -630,7 +632,7 @@ def test_compare_rejects_mismatched_instances(tmp_path):
 
 @pytest.mark.parametrize(
     "field_name, value",
-    [("true_state_path", "truth.csv")],
+    [("case_path", "case30"), ("sigma2", 1e-4), ("sites", 1), ("snapshots", 2)],
 )
 def test_compare_rejects_configs_that_build_different_instances(
     tmp_path, capsys, field_name, value
@@ -667,11 +669,12 @@ def test_cli_exit_config(tmp_path, capsys):
 
 
 def test_cli_exit_config_on_removed_partition_key(tmp_path, capsys):
-    # the site partition is always contiguous, the loads are the case's own and
-    # the box is fixed, so none of these keys exists
+    # the site partition is always contiguous, the loads are the case's own, the
+    # box is fixed and the true state is the case's power flow, so none of these
+    # keys exists
     for key, value in (
         ("partition", "contiguous"), ("load_scale", 1.0), ("theta_max", 1.5707963267948966),
-        ("v_max", 1.5),
+        ("v_max", 1.5), ("true_state_path", "truth.csv"),
     ):
         path = write_config(
             tmp_path / f"{key}.yaml",
@@ -690,7 +693,6 @@ WRONG_TYPE_PROBES = [
     ("exchanges.base", 2.5),
     ("repetitions", 1.5),
     ("case_path", 5),
-    ("true_state_path", 5),
     ("sites", 2.5),
     ("sigma2", math.inf),
     ("ridge", math.inf),
@@ -804,20 +806,6 @@ def test_cli_exit_case_error_on_bad_numbers(tmp_path, capsys, old, new):
     assert "case error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
-def test_cli_exit_bad_true_state(tmp_path, capsys, bad):
-    truth = tmp_path / "truth.csv"
-    truth.write_text(f"bus,theta,v\n1,0.0,1.0\n2,{bad},0.98\n")
-    path = write_config(
-        tmp_path / "c.yaml",
-        tiny_mapping(true_state_path=str(truth), output_dir=str(tmp_path / "o")),
-    )
-    assert main(["run", path]) == 1
-    err = capsys.readouterr().err
-    assert "true-state line 3" in err
-    assert "Traceback" not in err
-
-
 def test_cli_exit_config_on_a_config_path_that_is_a_directory(tmp_path, capsys):
     assert main(["run", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -837,29 +825,13 @@ def test_cli_exit_case_error_on_a_case_path_that_is_a_directory(tmp_path, capsys
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory"])
-def test_cli_exit_on_an_unreadable_true_state_path(tmp_path, capsys, kind):
-    truth = tmp_path / "truth"
-    if kind == "directory":
-        truth.mkdir()
-    path = write_config(
-        tmp_path / "c.yaml",
-        tiny_mapping(true_state_path=str(truth), output_dir=str(tmp_path / "o")),
-    )
-    assert main(["run", path]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read true-state file {truth}")
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize(
     "field, code, prefix",
     [
         ("config", 2, "config error: config file"),
         ("case_path", 3, "case error: case file"),
-        ("true_state_path", 1, "error: true-state file"),
     ],
-    ids=["config", "case", "true_state"],
+    ids=["config", "case"],
 )
 def test_cli_exit_on_a_non_utf8_input(tmp_path, capsys, field, code, prefix):
     bad = tmp_path / "bad.bin"
@@ -928,6 +900,29 @@ def test_cli_exit_unsupported_on_a_bus_no_branch_reaches(tmp_path, capsys, old, 
     assert main(["run", path]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"unsupported: bus {bus}: no in-service branch joins it to another bus")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_exit_unsupported_on_an_island_without_the_slack_bus(tmp_path, capsys):
+    # buses 3 and 4 are joined only to each other: no power flow reaches them
+    bus_row = "\t{}\t1\t10\t5\t0\t0\t1\t1\t0\t132\t1\t1.1\t0.9;\n"
+    branch = "\t1\t2\t0.01\t0.1\t0.02\t100\t100\t100\t0\t0\t1\t-360\t360;\n"
+    assert PACKAGED_CASE2.count(CASE2_BUS_2) == PACKAGED_CASE2.count(branch) == 1
+    islanded = PACKAGED_CASE2.replace(
+        CASE2_BUS_2, CASE2_BUS_2 + bus_row.format(3) + bus_row.format(4)
+    ).replace(branch, branch + branch.replace("\t1\t2\t", "\t3\t4\t"))
+    case_path = tmp_path / "islands.m"
+    case_path.write_text(islanded)
+    path = write_config(
+        tmp_path / "c.yaml",
+        tiny_mapping(case_path=str(case_path), output_dir=str(tmp_path / "o")),
+    )
+    assert main(["run", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "unsupported: bus 3: its island of 2 buses has no in-service branch path to the slack bus"
+    )
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

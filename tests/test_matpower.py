@@ -134,6 +134,19 @@ def test_a_bus_no_branch_reaches_is_rejected(text, bus):
         parse_matpower_case(text)
 
 
+def test_an_island_without_the_slack_bus_is_rejected():
+    # buses 3 and 4 reach each other but neither reaches the slack bus 1
+    fourth_bus = THIRD_BUS.replace("    3 ", "    4 ", 1)
+    joined = SELF_LOOP.replace("    3 3 ", "    3 4 ", 1)
+    text = _edited("0.9;\n];", "0.9;\n" + THIRD_BUS + fourth_bus + "];")
+    text = text.replace("360;\n];", "360;\n" + joined + "];")
+    message = "^bus 3: its island of 2 buses has no in-service branch path to the slack bus$"
+    with pytest.raises(UnsupportedFeatureError, match=message):
+        parse_matpower_case(text)
+    # one more branch from bus 2 to bus 4 joins the island to the network
+    parse_matpower_case(text.replace("360;\n];", "360;\n" + joined.replace("    3 4 ", "    2 4 ") + "];"))
+
+
 def test_phase_shift_rejected():
     with pytest.raises(UnsupportedFeatureError, match="phase-shifting"):
         parse_matpower_case(_edited("130 0 0 1 -360", "130 0 30 1 -360"))

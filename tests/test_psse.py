@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from gossipgn.psse.grid import (
     GridModel,
     PowerState,
     flat_start_vector,
-    load_true_state,
     make_box,
     newton_power_flow,
     vector_to_state,
@@ -37,14 +34,6 @@ from conftest import (
     state_to_vector,
     terms_at,
 )
-
-
-def save_true_state(path, state: PowerState) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bus", "theta", "v"])
-        for i in range(state.n_buses):
-            writer.writerow([i + 1, repr(float(state.theta[i])), repr(float(state.v[i]))])
 
 
 # --- measurement functions against the complex-arithmetic oracles -----------
@@ -452,54 +441,6 @@ def test_box_and_flat_start(grid30):
     assert box.upper.tobytes() == np.array([1.5707963267948966] * (n - 1) + [1.5] * n).tobytes()
     assert np.array_equal(x0[: grid30.n_buses - 1], np.zeros(29))
     assert np.array_equal(x0[grid30.n_buses - 1 :], np.ones(30))
-
-
-def test_true_state_roundtrip(tmp_path, true30, grid30):
-    path = tmp_path / "truth.csv"
-    save_true_state(path, true30)
-    back = load_true_state(path, grid30.n_buses)
-    assert np.array_equal(back.theta, true30.theta)
-    assert np.array_equal(back.v, true30.v)
-
-
-@pytest.mark.parametrize("header", [True, False], ids=["header", "no_header"])
-def test_true_state_reads_a_utf8_byte_order_mark(tmp_path, header):
-    # spreadsheet tools start a UTF-8 CSV with a byte-order mark
-    rows = ["bus,theta,v"] * header + ["1,0.0,1.0", "2,-0.1,0.95"]
-    path = tmp_path / "truth.csv"
-    path.write_bytes(b"\xef\xbb\xbf" + ("\n".join(rows) + "\n").encode("utf-8"))
-    state = load_true_state(path, 2)
-    assert np.array_equal(state.theta, [0.0, -0.1])
-    assert np.array_equal(state.v, [1.0, 0.95])
-
-
-@pytest.mark.parametrize("column", [0, 1, 2], ids=["bus", "theta", "v"])
-@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
-def test_true_state_rejects_bad_fields(tmp_path, true30, grid30, column, bad):
-    path = tmp_path / "truth.csv"
-    save_true_state(path, true30)
-    lines = path.read_text().splitlines()
-    fields = lines[4].split(",")
-    fields[column] = bad
-    lines[4] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InvalidArgumentError, match="line 5"):
-        load_true_state(path, grid30.n_buses)
-
-
-@pytest.mark.parametrize(
-    "rows, line",
-    [
-        (["1.9,0.0,1.0", "2,0.1,0.9"], 2),  # a fractional bus id
-        (["1,0.0,1.0", "2,0.1,0.9", "2,0.2,0.8"], 4),  # a repeated bus
-    ],
-    ids=["fractional", "repeated"],
-)
-def test_true_state_rejects_bad_bus_ids(tmp_path, rows, line):
-    path = tmp_path / "truth.csv"
-    path.write_text("\n".join(["bus,theta,v"] + rows) + "\n")
-    with pytest.raises(InvalidArgumentError, match=f"line {line}"):
-        load_true_state(path, 2)
 
 
 def test_mse_metrics_examples(grid30, true30):
