@@ -3,11 +3,11 @@
 Every guarantee the method carries reduces to a handful of scalar
 constants: the error-recursion coefficients (T1, T2), the equilibrium
 radii of that recursion, the geometric gossip-error scale C with its
-consensus rate, the exchange-budget constants (C1, C2, D, ell_min) and
-the resulting perturbation bound kappa. build_certificate evaluates them
-all, in that order, from estimated problem constants. Constants obtained by
-sampling make the certificate empirical rather than a priori; reports say
-which.
+consensus rate (in log form, so the rate keeps its digits on any network
+size), the exchange-budget constants (C1, C2, D, ell_min) and the resulting
+perturbation bound kappa. build_certificate evaluates them all, in that
+order, from estimated problem constants. Constants obtained by sampling
+make the certificate empirical rather than a priori; reports say which.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .core import ProblemConstants
 from .errors import InvalidArgumentError
-from .gossip import lambda_eta
+from .gossip import log_lambda_eta
 
 _CEIL_SLACK = 1e-9  # absorbs round-off when xi sits exactly on a power of the rate
 
@@ -113,9 +113,10 @@ def build_certificate(
     ceil(log(xi / 4D) / log(rate)), with D = C C2 (nu lambda_infty C1 C2 + 1),
     makes the perturbation kappa = 4 C1 D rate^(ell_min + 1) small. An
     incrementing schedule sums the geometric tail to lambda_infty =
-    1/(1 - rate); a constant one has no finite tail, so D, ell_min and
-    lambda_infty are infinite, kappa is NaN and the certificate is
-    conditional. The caller guarantees lambda_eta(eta, n_agents) < 1.
+    1/(1 - rate), every power of the rate taken from log(rate). Where no
+    finite budget exists (a constant schedule, or C or D beyond the float
+    range) D, ell_min and lambda_infty are infinite, kappa is NaN and the
+    certificate is conditional.
 
     Single-agent runs are centralized: the gossip constants degenerate
     (C, D undefined) and the perturbation is exactly zero. The connectivity
@@ -130,36 +131,39 @@ def build_certificate(
         math.sqrt(2.0) * alpha * pc.omega * pc.epsilon_min / pc.sigma_min**2
     )
     alpha_lower = max(1.0 - 3.0 * pc.sigma_min / pc.sigma_max, 0.0)
-    conditional = False
     if n_agents == 1:
-        c = rate = c1 = c2 = d = lambda_infty = math.nan
+        c = log_rate = c1 = c2 = d = lambda_infty = math.nan
         ell_min = kappa = 0.0
     else:
-        rate = lambda_eta(eta, n_agents)  # checks eta and n_agents
+        log_rate = log_lambda_eta(eta, n_agents)  # checks eta and n_agents
         l0 = n_agents - 1
+        try:
+            growth = eta ** (-l0)
+        except OverflowError:
+            growth = math.inf
         c = (
             2.0 * n_agents * pc.sigma_max
             * math.sqrt(n_agents * (pc.epsilon_max**2 + n_unknowns * pc.sigma_max**2))
-            * (1.0 + eta ** (-l0)) / (1.0 - eta**l0)
+            * (1.0 + growth) / (1.0 - eta**l0)
         )
         c1 = 2.0 * (1.0 + pc.sigma_max * pc.epsilon_max / pc.sigma_min**2)
         c2 = n_agents / pc.sigma_min**2
-        if schedule_kind == "constant":
-            conditional = True
-            lambda_infty = d = ell_min = math.inf
-            kappa = math.nan
-        else:
-            lambda_infty = 1.0 / (1.0 - rate)
+        lambda_infty = d = ell_min = math.inf
+        kappa = math.nan
+        if schedule_kind != "constant" and log_rate < 0.0:
+            tail = -1.0 / math.expm1(log_rate)
             nu = max(pc.nu_delta, pc.nu_Delta)
-            d = c * c2 * (nu * lambda_infty * c1 * c2 + 1.0)
-            ratio = math.log(xi / (4.0 * d)) / math.log(rate)
-            ell_min = float(max(0, math.ceil(ratio - _CEIL_SLACK)))
-            kappa = 4.0 * c1 * d * rate ** (ell_min + 1.0)
+            scale = c * c2 * (nu * tail * c1 * c2 + 1.0)
+            ratio = (math.log(xi) - math.log(4.0 * scale)) / log_rate
+            if ratio < math.inf:  # false where C, D or the ratio overflowed
+                lambda_infty, d = tail, scale
+                ell_min = float(max(0, math.ceil(ratio - _CEIL_SLACK)))
+                kappa = 4.0 * c1 * d * math.exp((ell_min + 1.0) * log_rate)
     radii = equilibrium_radii(t1, t2, alpha, kappa)
     return ConvergenceCertificate(
         eta_observed=eta, T1=t1, T2=t2, rho_min=radii.rho_min, rho_max=radii.rho_max,
         kappa=kappa, alpha_lower=alpha_lower, C=c, C1=c1, C2=c2, D=d,
-        lambda_eta_val=rate, L0=n_agents - 1, ell_min=ell_min,
+        lambda_eta_val=math.exp(log_rate), L0=n_agents - 1, ell_min=ell_min,
         lambda_infty=lambda_infty, xi=xi, radii_defined=radii.defined,
-        conditional=conditional,
+        conditional=math.isinf(ell_min),
     )

@@ -29,7 +29,6 @@ from .core import (
 )
 from .errors import ConfigError, GossipGnError, InvalidArgumentError
 from .ggn import Trajectory, centralized_run, diffusion_baseline_run, ggn_run
-from .gossip import lambda_eta
 from .psse import (
     GridModel,
     PowerState,
@@ -368,13 +367,6 @@ def _certificate_summary(
             "certificate.applicable": False,
             "certificate.reason": f"eta_observed={eta} is outside (0, 1): "
             "no exchange mixed two agents, so the consensus rate is undefined",
-        }
-    if traj.n_agents > 1 and lambda_eta(eta, traj.n_agents) == 1.0:
-        return {
-            "certificate.applicable": False,
-            "certificate.reason": "the consensus rate lambda_eta rounds to 1.0 at "
-            f"eta_observed={eta} over {traj.n_agents} agents, so the gossip error has no "
-            "geometric decay to budget exchanges against",
         }
     pc, cert = certificate_for_run(
         last.sites, problem.box, last.trajectories,

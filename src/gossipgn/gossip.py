@@ -13,6 +13,7 @@ whatever payload is being mixed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ class WeightMatrix:
     """The dense CSE mixing matrix, symmetric and doubly stochastic.
 
     eta is the smallest nonzero entry; it feeds the geometric consensus-rate
-    bound (lambda_eta below).
+    bound (log_lambda_eta below).
     """
 
     entries: np.ndarray
@@ -195,12 +196,12 @@ def gossip_round(
     return out
 
 
-def lambda_eta(eta: float, n_agents: int) -> float:
-    """Geometric consensus rate (1 - eta^L0)^(1/L0) with L0 = I - 1."""
+def log_lambda_eta(eta: float, n_agents: int) -> float:
+    """Log of the consensus rate (1 - eta^L0)^(1/L0), L0 = I - 1: it keeps its
+    digits where 1 - eta^L0 rounds to 1.0, and reads 0.0 once eta^L0 underflows."""
     l0 = n_agents - 1
     if not 0.0 < eta < 1.0:
         raise InvalidArgumentError("eta must lie in (0, 1)")
     if l0 < 1:
         raise InvalidArgumentError("need n_agents >= 2")
-    return float((1.0 - eta**l0) ** (1.0 / l0))
-
+    return math.log1p(-(eta**l0)) / l0

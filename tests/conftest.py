@@ -21,7 +21,7 @@ from gossipgn.analysis import ConvergenceCertificate
 from gossipgn.core import BoxSet, SiteModel, build_sites, site_terms
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.ggn import Trajectory
-from gossipgn.gossip import PairwiseRound, WeightMatrix, lambda_eta
+from gossipgn.gossip import PairwiseRound, WeightMatrix, log_lambda_eta
 from gossipgn.psse import (
     GridModel,
     PowerState,
@@ -136,18 +136,18 @@ def consensus_envelope_ratios(
 ) -> np.ndarray:
     """Per round t, the largest entrywise |[W(t)...W(1)]_ij - 1/I| over the
     geometric consensus envelope 2 (1 + eta^-L0) / (1 - eta^L0) * rate^t,
-    with L0 = I - 1 and rate = lambda_eta (Boyd et al., "Randomized Gossip
-    Algorithms", IEEE Trans. IT 2006). Every ratio is at most 1 when the
-    products stay inside the envelope."""
+    with L0 = I - 1 and rate = exp(log_lambda_eta) (Boyd et al., "Randomized
+    Gossip Algorithms", IEEE Trans. IT 2006). Every ratio is at most 1 when
+    the products stay inside the envelope."""
     l0 = n_agents - 1
-    rate = lambda_eta(eta, n_agents)
+    log_rate = log_lambda_eta(eta, n_agents)
     coefficient = 2.0 * (1.0 + eta ** (-l0)) / (1.0 - eta**l0)
     product = np.eye(n_agents)
     ratios = np.empty(len(rounds))
     for t, wm in enumerate(rounds):
         product = wm.entries @ product
         deviation = float(np.max(np.abs(product - 1.0 / n_agents)))
-        ratios[t] = deviation / (coefficient * rate ** (t + 1))
+        ratios[t] = deviation / (coefficient * math.exp((t + 1) * log_rate))
     return ratios
 
 

@@ -31,7 +31,7 @@ from gossipgn.gossip import (
     build_cse_weights,
     check_weight_matrix,
     gossip_round,
-    lambda_eta,
+    log_lambda_eta,
     sample_ure_round,
 )
 from gossipgn.psse.measurements import (
@@ -290,7 +290,7 @@ def test_c07_discrepancy_decay_rate(c6_result):
     assert np.all(discs[1:] <= discs[:-1] * 1.05)
     slope = np.polyfit(np.arange(1, 21), np.log(discs), 1)[0]
     fitted_rate = float(np.exp(slope))
-    bound = lambda_eta(0.15, 3) + 0.05
+    bound = math.exp(log_lambda_eta(0.15, 3)) + 0.05
     assert fitted_rate <= bound, (fitted_rate, bound)
     print(f"criterion 7: PASS - discrepancy decays monotonically, fitted rate "
           f"{fitted_rate:.4f} <= lambda_eta + 0.05 = {bound:.4f}")

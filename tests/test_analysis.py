@@ -8,7 +8,7 @@ from gossipgn.analysis import ConvergenceCertificate, build_certificate, equilib
 from gossipgn.core import BoxSet, ProblemConstants, centralized_gn_solve, normal_system
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.ggn import ExchangeSchedule, GgnConfig, ggn_run
-from gossipgn.gossip import GossipConfig
+from gossipgn.gossip import GossipConfig, log_lambda_eta
 
 from conftest import evaluated, sites_from_blocks, terms_at, verify_contraction_to_ball
 
@@ -337,6 +337,37 @@ def test_build_certificate_multi_agent_pipeline():
     assert cert.xi == 0.25
 
 
+@pytest.mark.parametrize("n_agents", [2, 3, 11, 12, 30, 120, 300, 1100])
+def test_build_certificate_on_any_network_size(n_agents):
+    # from 12 agents at eta = 0.3 / (I - 1), 1 - eta^L0 rounds to 1.0; past
+    # ~120, eta^-L0 overflows and eta^L0 underflows. None of it may raise.
+    xi = 0.25
+    for eta in (1e-3, 0.3 / (n_agents - 1), 0.5):
+        for schedule_kind in ("constant", "incrementing"):
+            cert = certify(make_pc(), n_agents=n_agents, eta=eta, xi=xi,
+                           schedule_kind=schedule_kind)
+            if math.isinf(cert.ell_min):
+                assert cert.conditional
+                assert math.isinf(cert.D) and math.isinf(cert.lambda_infty)
+                assert math.isnan(cert.kappa)
+                continue
+            assert schedule_kind == "incrementing" and not cert.conditional
+            # the budget invariant of test_perturbation_bound_limits, with the
+            # rate in log form; past 2^53 a float cannot tell ell - 1 from ell,
+            # so there 4 D rate^(ell - 1) meets xi only to rounding
+            log_rate = log_lambda_eta(eta, n_agents)
+            assert 0.0 < cert.kappa <= cert.C1 * xi * math.exp(log_rate) * (1 + 1e-9)
+            slack = 1e-12 if cert.ell_min > 2.0**53 else 0.0
+            assert 4.0 * cert.D * math.exp((cert.ell_min - 1.0) * log_rate) > xi * (1 - slack)
+
+
+def test_lambda_infty_keeps_its_digits_where_the_rate_rounds_to_1():
+    # 11 agents at eta = 0.03: eta^10 ~ 5.9e-16, so 1/(1 - rate) is
+    # L0 / eta^L0 up to a relative eta^L0 / 2
+    cert = certify(make_pc(), n_agents=11, eta=0.03)
+    assert cert.lambda_infty == pytest.approx(10 / 0.03**10, rel=1e-12)
+
+
 def test_build_certificate_validates_xi():
     # a single agent plans no exchanges, so only build_certificate reads its xi
     for n_agents in (1, 3):
@@ -368,7 +399,7 @@ _nan, _inf = math.nan, math.inf
             (_INCREMENTING_PC, 3, 2, 0.3, 0.9, 0.25, "incrementing"),
             ConvergenceCertificate(
                 eta_observed=0.3, T1=0.030000000000000002, T2=0.13389901875828253,
-                rho_min=0.5709878892802481, rho_max=28.299044818777, kappa=0.5386137289906874,
+                rho_min=0.5709878892802472, rho_max=28.299044818777, kappa=0.5386137289906866,
                 alpha_lower=0.0, C=784.3546831948105, C1=2.3555555555555556,
                 C2=1.3333333333333333, D=29569.89943682588, lambda_eta_val=0.9539392014169457,
                 L0=2, ell_min=278.0, lambda_infty=21.7104355712994, xi=0.25,
@@ -391,7 +422,7 @@ _nan, _inf = math.nan, math.inf
             (make_pc(eps_min=0.0, s_max=6.0, omega=10.0), 3, 2, 0.3, 1.0, 0.25, "incrementing"),
             ConvergenceCertificate(
                 eta_observed=0.3, T1=5.0, T2=0.0, rho_min=_nan, rho_max=_nan,
-                kappa=3.2121815952965944, alpha_lower=0.5, C=7090.341520779838, C1=14.0,
+                kappa=3.2121815952965886, alpha_lower=0.5, C=7090.341520779838, C1=14.0,
                 C2=3.0, D=2327509440.8374057, lambda_eta_val=0.9539392014169457, L0=2,
                 ell_min=517.0, lambda_infty=21.7104355712994, xi=0.25, radii_defined=False,
                 conditional=False,

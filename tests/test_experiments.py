@@ -1077,21 +1077,33 @@ def test_cli_run_where_no_exchange_mixes_exits_0(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("schedule", ["constant", "incrementing"])
 @pytest.mark.parametrize("verb", ["run", "certify"])
-def test_cli_run_and_certify_where_the_consensus_rate_rounds_to_1_exit_0(tmp_path, capsys, verb):
-    # 12 CSE sites mix with eta = 0.3 / 11, and eta^11 ~ 6e-18 is below half an
-    # ulp of 1, so lambda_eta(eta, 12) is exactly 1.0
+def test_cli_run_and_certify_on_12_cse_sites_exit_0(tmp_path, capsys, verb, schedule):
+    # 12 CSE sites mix with eta = 0.3 / 11, and 1 - eta^11 rounds to 1.0; the
+    # certificate takes the rate in log form, so it still budgets exchanges
     path = write_config(tmp_path / "c.yaml", {
         "case_path": "case30", "sites": 12, "protocol": {"kind": "cse", "beta": 0.3},
+        "exchanges": {"kind": schedule, "base": 3},
         "max_updates": 2, "repetitions": 1, "output_dir": str(tmp_path / "o"),
     })
     assert main([verb, path]) == 0
     summary = read_summary(tmp_path / "o" / "summary.txt")
-    assert summary["certificate.applicable"] == "false"
-    assert "lambda_eta rounds to 1.0" in summary["certificate.reason"]
-    assert not any(key.startswith("constants.") for key in summary)
+    assert summary["certificate.applicable"] == "true"
+    assert summary["certificate.L0"] == "11"
+    assert [key for key in summary if key.startswith("constants.")] == [
+        f"constants.{name}" for name in CONSTANT_NAMES
+    ]
+    if schedule == "constant":
+        assert summary["certificate.conditional"] == "true"
+        assert summary["certificate.ell_min"] == "inf"
+    else:
+        assert summary["certificate.conditional"] == "false"
+        assert math.isfinite(float(summary["certificate.ell_min"]))
+        assert math.isfinite(float(summary["certificate.lambda_infty"]))
     if verb == "certify":
-        assert "certificate.applicable=false" in capsys.readouterr().out.splitlines()
+        assert "certificate.applicable=true" in capsys.readouterr().out.splitlines()
+
 
 CERTIFICATE_NAMES = (
     "applicable", "eta_observed", "T1", "T2", "rho_min", "rho_max", "kappa",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from gossipgn.gossip import (
     build_cse_weights,
     check_weight_matrix,
     gossip_round,
-    lambda_eta,
+    log_lambda_eta,
     min_nonzero_entry,
     sample_ure_round,
 )
@@ -143,16 +145,18 @@ def test_ure_link_failure_gives_identity_sometimes():
 
 def test_lambda_eta_values():
     # eta=0.5, two agents, L=1: L0=1, lambda = 1 - 0.5
-    assert lambda_eta(0.5, 2) == pytest.approx(0.5)
-    val = lambda_eta(0.15, 3)
-    assert val == pytest.approx((1 - 0.15**2) ** 0.5)
-    assert 0.0 < val < 1.0
+    assert log_lambda_eta(0.5, 2) == pytest.approx(math.log(0.5))
+    val = log_lambda_eta(0.15, 3)
+    assert val == pytest.approx(0.5 * math.log(1 - 0.15**2))
+    assert val < 0.0
+    # 12 agents at eta = 0.03: 1 - eta^11 rounds to 1.0, its log does not
+    assert log_lambda_eta(0.03, 12) == pytest.approx(-(0.03**11) / 11, rel=1e-15)
     with pytest.raises(InvalidArgumentError):
-        lambda_eta(0.0, 3)
+        log_lambda_eta(0.0, 3)
     with pytest.raises(InvalidArgumentError):
-        lambda_eta(1.0, 3)
+        log_lambda_eta(1.0, 3)
     with pytest.raises(InvalidArgumentError):
-        lambda_eta(0.5, 1)
+        log_lambda_eta(0.5, 1)
 
 
 def test_min_nonzero_entry():
@@ -175,7 +179,7 @@ def test_consensus_contraction_report_holds():
         w = build_cse_weights(n, beta)
         ratios = consensus_envelope_ratios([w] * 30, eta=w.eta, n_agents=n)
         assert ratios.max() <= 1.0
-        assert lambda_eta(w.eta, n) < 1.0
+        assert log_lambda_eta(w.eta, n) < 0.0
 
 
 def test_gossip_config_validation():
