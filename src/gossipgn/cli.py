@@ -147,6 +147,10 @@ def main(argv: list[str] | None = None) -> int:
     except GossipGnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OTHER
+    except MemoryError as exc:
+        # e.g. records for a diffusion.total_exchanges too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_OTHER
 
 
 if __name__ == "__main__":

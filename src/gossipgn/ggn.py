@@ -295,33 +295,36 @@ def diffusion_baseline_run(
 ) -> Trajectory:
     """First-order baseline: one mixing plus one local gradient step per
     exchange, x_i <- P[sum_j W_ij x_j - alpha_l G_i^T(x_i) g_i(x_i)] with
-    alpha_l = step_scale / l. Each exchange is one update."""
+    alpha_l = step_scale / l. Each exchange is one update, so the records
+    are allocated once, before the first exchange, and filled row by row."""
     n_agents = len(sites)
     x = _start_stack(x0, n_agents, box)
     rounds = _rounds(gossip_config, n_agents, np.random.default_rng(rng))
-    iterates = [x.copy()]
-    vals, grads = [], []
+    total = diffusion_config.total_exchanges
+    iterates = np.empty((total + 1, *x.shape))
+    vals = np.empty((total + 1, n_agents))
+    grads = np.empty((total + 1, n_agents))
+    iterates[0] = x
 
-    def gradients(x: np.ndarray) -> np.ndarray:
-        # G_i^T(x_i) g_i(x_i) per agent; records val and grad at x
+    def gradients(x: np.ndarray, k: int) -> np.ndarray:
+        # G_i^T(x_i) g_i(x_i) per agent; records val and grad at x = iterates[k]
         terms = [site_terms(sites[i], f, jac) for i, f, jac in core.evaluate(sites, x)]
         stack = np.stack([jac.T @ res for res, jac in terms])
-        vals.append([float(res @ res) for res, _ in terms])
-        grads.append([float(np.linalg.norm(g)) for g in stack])
+        vals[k] = [float(res @ res) for res, _ in terms]
+        grads[k] = [float(np.linalg.norm(g)) for g in stack]
         return stack
 
-    total = diffusion_config.total_exchanges
     for ell, weights in enumerate(itertools.islice(rounds, total), start=1):
         alpha_ell = diffusion_config.step_scale / ell
         mixed = gossip_round(x, weights)
-        x = np.clip(mixed - alpha_ell * gradients(x), box.lower, box.upper)
-        iterates.append(x.copy())
+        x = np.clip(mixed - alpha_ell * gradients(x, ell - 1), box.lower, box.upper)
+        iterates[ell] = x
 
-    gradients(x)
+    gradients(x, total)
     return Trajectory(
-        iterates=np.stack(iterates),
-        vals=np.asarray(vals),
-        grads=np.asarray(grads),
+        iterates=iterates,
+        vals=vals,
+        grads=grads,
         exchange_counts=np.ones(total, dtype=int),
     )
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -13,12 +14,14 @@ import numpy as np
 import pytest
 import yaml
 
+from gossipgn import cli
 from gossipgn.cli import main
 from gossipgn.config import ExperimentConfig, config_from_mapping, load_config
 from gossipgn.errors import ConfigError, InvalidArgumentError
 from gossipgn.ggn import DiffusionConfig, ExchangeSchedule, GgnConfig
 from gossipgn.gossip import GossipConfig
 from gossipgn.experiments import (
+    CSV_BLOCK_ROWS,
     CSV_COLUMNS,
     compare_algorithms,
     mean_rows,
@@ -363,15 +366,38 @@ def test_mean_rows_of_uneven_repetitions():
 
 def test_write_metrics_csv_formats_each_column_type(tmp_path):
     path = tmp_path / "t.csv"
-    write_metrics_csv(path, {
+    columns = {
         "name": np.array(["a", "b"]),
         "count": np.array([3, -4]),
         "value": np.array([0.1, 1e-300]),
         "edge": np.array([-0.0, np.nan]),
         "ok": np.array([True, False]),
-    })
-    lines = [b"name,count,value,edge,ok", b"a,3,0.1,-0.0,1", b"b,-4,1e-300,nan,0"]
-    assert path.read_bytes() == b"\r\n".join(lines) + b"\r\n"
+    }
+    rows = [b"a,3,0.1,-0.0,1", b"b,-4,1e-300,nan,0"]
+    # the two rows, then the columns tiled past a block boundary
+    for n_rows in (2, CSV_BLOCK_ROWS + 3):
+        write_metrics_csv(path, {name: np.resize(a, n_rows) for name, a in columns.items()})
+        lines = [b"name,count,value,edge,ok", *(rows[r % 2] for r in range(n_rows))]
+        assert path.read_bytes() == b"\r\n".join(lines) + b"\r\n"
+
+
+def test_write_metrics_csv_holds_one_block_of_cells_at_a_time(tmp_path):
+    # 20,000 rows of 12 str, int, bool and float columns: converting the whole
+    # table to Python cells at once traces about 8.6 MB
+    n_rows, rng = 20_000, np.random.default_rng(0)
+    columns = {"run_id": np.array([f"r{i % 7:03d}" for i in range(n_rows)])}
+    columns.update({f"int{k}": rng.integers(-10**6, 10**6, n_rows) for k in range(4)})
+    columns["ok"] = rng.random(n_rows) < 0.5
+    columns.update({f"float{k}": rng.standard_normal(n_rows) for k in range(6)})
+    tracemalloc.start()
+    try:
+        write_metrics_csv(tmp_path / "t.csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with open(tmp_path / "t.csv", newline="") as fh:
+        assert sum(1 for _ in csv.reader(fh)) == n_rows + 1
 
 
 def test_centralized_algorithm_runs(tmp_path):
@@ -973,6 +999,22 @@ def test_cli_exit_when_the_output_directory_cannot_be_created(tmp_path, capsys, 
     assert err.startswith(f"error: cannot create output directory {blocker}")
     assert "Traceback" not in err
     assert blocker.is_file()
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [MemoryError("Unable to allocate 1.26 PiB for an array with shape (10000000001, 3, 59)"), MemoryError()],
+)
+def test_cli_exit_on_memory_error(tmp_path, capsys, monkeypatch, exc):
+    # stands in for diffusion records too large to allocate; no test allocates them
+    def out_of_memory(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_run", out_of_memory)
+    assert main(["run", str(tmp_path / "d.yaml")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {str(exc) or 'out of memory'}\n"
+    assert "Traceback" not in err
 
 
 def test_cli_sweep_and_parse_errors(tmp_path, capsys):

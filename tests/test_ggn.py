@@ -333,7 +333,9 @@ def test_diffusion_baseline_run_shapes():
     sites, box, x0 = _toy_setup()
     gc = GossipConfig(kind="cse", beta=0.4)
     traj = diffusion_baseline_run(sites, box, gc, DiffusionConfig(0.1, 20), x0)
-    assert traj.iterates.shape == (21, 3, 3)
+    for record, shape in [(traj.iterates, (21, 3, 3)), (traj.vals, (21, 3)), (traj.grads, (21, 3))]:
+        assert record.shape == shape
+        assert record.dtype == np.float64 and record.flags.c_contiguous
     assert all(box.contains(traj.iterates[t][i]) for t in range(21) for i in range(3))
     # every exchange is one update; only GGN records discrepancies and a rate
     assert traj.n_updates == 20
