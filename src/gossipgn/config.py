@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -93,7 +94,7 @@ def _accepts(kind: type, value) -> bool:
     if isinstance(value, bool):
         return False
     if kind is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 
@@ -102,8 +103,8 @@ def _build(cls, data, path: str):
 
     Keys must be cls's fields, each value of its annotated type: a mapping
     for a dataclass section, a non-bool int for int, a finite int or float
-    for float and a str for str, so null fills no field. The rules cls checks
-    itself surface as ConfigError under the field path.
+    for float, stored as a float, and a str for str, so null fills no field.
+    The rules cls checks itself surface as ConfigError under the field path.
     """
     prefix = f"{path}." if path else ""
     if not isinstance(data, dict):
@@ -118,7 +119,7 @@ def _build(cls, data, path: str):
             value = _build(hints[key], value, name)
         elif not _accepts(hints[key], value):
             raise ConfigError(f"{name}: expected {_EXPECTED[hints[key]]}, got {value!r}")
-        kwargs[key] = value
+        kwargs[key] = float(value) if hints[key] is float else value
     try:
         return cls(**kwargs)
     except InvalidArgumentError as exc:

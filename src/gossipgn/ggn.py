@@ -27,14 +27,7 @@ import numpy as np
 from . import core
 from .core import BoxSet, SiteModel, objective, project, site_terms, solve_normal
 from .errors import InvalidArgumentError, SingularSystemError
-from .gossip import (
-    GossipConfig,
-    PairwiseRound,
-    WeightMatrix,
-    build_cse_weights,
-    gossip_round,
-    sample_ure_round,
-)
+from .gossip import CseRound, GossipConfig, PairwiseRound, gossip_round, sample_ure_round
 
 SCHEDULE_KINDS = ("constant", "incrementing")
 
@@ -114,11 +107,11 @@ def _start_stack(x0: np.ndarray, n_agents: int, box: BoxSet) -> np.ndarray:
 
 def _rounds(
     gossip_config: GossipConfig, n_agents: int, rng: np.random.Generator
-) -> Iterator[WeightMatrix | PairwiseRound]:
-    """Each exchange's matrix in turn: the CSE matrix on the complete graph over
+) -> Iterator[CseRound | PairwiseRound]:
+    """Each exchange's round in turn: one CSE round on the complete graph over
     the agents every time, or a fresh URE round drawn from rng."""
     if gossip_config.kind == "cse":
-        return itertools.repeat(build_cse_weights(n_agents, gossip_config.beta))
+        return itertools.repeat(CseRound(n_agents, gossip_config.beta))
     return (sample_ure_round(gossip_config, n_agents, rng) for _ in itertools.count())
 
 

@@ -1,14 +1,15 @@
-"""Gossip weight matrices and exchange rounds over the network the sites form.
+"""Gossip exchange rounds over the network the sites form.
 
 The agents are the sites, and any two of them can exchange. CSE (coordinated
 static exchange) mixes every agent every round with one fixed matrix, the
-Laplacian weights W = I - (beta/(I-1)) L of the complete graph, written in
-closed form. URE (uncoordinated random exchange) wakes one random agent per
-round, which averages pairwise with a uniformly drawn partner; every other
-agent idles. A pairwise round is held as its pair and beta alone, and builds
-its dense matrix only when `entries` is read. Both kinds are symmetric and
-doubly stochastic, so each exchange preserves the network average of
-whatever payload is being mixed.
+Laplacian weights W = I - (beta/(I-1)) L of the complete graph. URE
+(uncoordinated random exchange) wakes one random agent per round, which
+averages pairwise with a uniformly drawn partner; every other agent idles.
+A round is held as its parameters alone, a CSE round as its agent count and
+beta and a pairwise round as its pair and beta, and builds its dense matrix
+afresh each time `entries` is read. Both kinds are symmetric and doubly
+stochastic by their closed forms, so each exchange preserves the network
+average of whatever payload is being mixed.
 """
 
 from __future__ import annotations
@@ -20,29 +21,47 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-STOCHASTIC_TOL = 1e-12
 PROTOCOLS = ("cse", "ure")
 
 
 @dataclass(frozen=True)
-class WeightMatrix:
-    """The dense CSE mixing matrix, symmetric and doubly stochastic.
+class CseRound:
+    """One CSE round, W = I - (beta/(I-1)) L on the complete graph of I agents.
 
-    eta is the smallest nonzero entry; it feeds the geometric consensus-rate
-    bound (log_lambda_eta below).
+    In closed form: beta/(I-1) off the diagonal and 1 - (beta/(I-1))(I-1)
+    on it. One agent has no one to mix with, so its W is the identity.
     """
 
-    entries: np.ndarray
-    eta: float
+    n_agents: int
+    beta: float
 
     def __post_init__(self):
-        w = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", w)
-        check_weight_matrix(w)
+        if self.n_agents < 1:
+            raise InvalidArgumentError("need at least one agent")
+        if not 0.0 < self.beta < 1.0:
+            raise InvalidArgumentError(f"beta: must lie in (0, 1), got {self.beta}")
+
+    def _weights(self) -> tuple[float, float]:
+        """W's off-diagonal and diagonal entries."""
+        if self.n_agents == 1:
+            return 0.0, 1.0
+        off = self.beta / (self.n_agents - 1)
+        return off, 1.0 - off * (self.n_agents - 1)
 
     @property
-    def n_agents(self) -> int:
-        return self.entries.shape[0]
+    def eta(self) -> float:
+        """The smallest nonzero entry of W, the smaller positive one of its two
+        values: the diagonal rounds to 0 for some beta near 1, and beta/(I-1)
+        underflows to 0 for beta near 0, which leaves the identity."""
+        return min(w for w in self._weights() if w > 0.0)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense I x I matrix W, built on each read."""
+        off, diagonal = self._weights()
+        w = np.full((self.n_agents, self.n_agents), off)
+        np.fill_diagonal(w, diagonal)
+        return w
 
 
 @dataclass(frozen=True)
@@ -80,23 +99,6 @@ class PairwiseRound:
         return w
 
 
-def check_weight_matrix(w: np.ndarray, tol: float = STOCHASTIC_TOL) -> None:
-    """Raise when w is not symmetric, nonnegative, doubly stochastic."""
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise InvalidArgumentError("weight matrix must be square")
-    if np.any(w < -tol):
-        raise InvalidArgumentError("weight matrix has negative entries")
-    if np.max(np.abs(w - w.T)) > tol:
-        raise InvalidArgumentError("weight matrix not symmetric")
-    if np.max(np.abs(w.sum(axis=0) - 1.0)) > tol or np.max(np.abs(w.sum(axis=1) - 1.0)) > tol:
-        raise InvalidArgumentError("weight matrix not doubly stochastic")
-
-
-def min_nonzero_entry(w: np.ndarray) -> float:
-    nz = w[w > 0.0]
-    return float(nz.min()) if nz.size else 0.0
-
-
 @dataclass(frozen=True)
 class GossipConfig:
     """Protocol parameters for one experiment: the config's `protocol:` section.
@@ -118,23 +120,6 @@ class GossipConfig:
             raise InvalidArgumentError(f"beta: must lie in (0, 1), got {self.beta}")
         if not 0.0 <= self.link_failure_prob < 1.0:
             raise InvalidArgumentError(f"link_failure_prob: {self.link_failure_prob} outside [0, 1)")
-
-
-def build_cse_weights(n_agents: int, beta: float) -> WeightMatrix:
-    """Laplacian weights W = I - (beta/(I-1)) L of the complete graph on the agents.
-
-    In closed form: beta/(I-1) off the diagonal and 1 - (beta/(I-1))(I-1)
-    on it. One agent has no one to mix with, so its matrix is the identity.
-    beta is a GossipConfig's, which lies in (0, 1).
-    """
-    if n_agents < 1:
-        raise InvalidArgumentError("need at least one agent")
-    if n_agents == 1:
-        return WeightMatrix(entries=np.eye(1), eta=1.0)
-    off = beta / (n_agents - 1)
-    entries = np.full((n_agents, n_agents), off)
-    np.fill_diagonal(entries, 1.0 - off * (n_agents - 1))
-    return WeightMatrix(entries=entries, eta=min_nonzero_entry(entries))
 
 
 def sample_ure_round(
@@ -166,24 +151,25 @@ def sample_ure_round(
 
 
 def gossip_round(
-    payloads: np.ndarray, weights: WeightMatrix | PairwiseRound, out: np.ndarray | None = None
+    payloads: np.ndarray, weights: CseRound | PairwiseRound, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Apply one exchange: row i of the result is sum_j W_ij payload_j.
 
     payloads is an (I x N_H) array (one row per agent). The arithmetic mean
     across agents is preserved because the columns of W sum to one. A CSE
-    round returns a fresh W @ payloads. A pairwise round (Boyd et al.,
-    "Randomized Gossip Algorithms", 2006) recomputes only its two rows: it
-    writes into out, which may be payloads itself to mix the stack in
-    place, and with out=None into a copy of payloads. Both new rows are
-    formed from the old ones before either is written.
+    round ignores out and returns a fresh W @ payloads, W built from its
+    closed form. A pairwise round (Boyd et al., "Randomized Gossip
+    Algorithms", 2006) recomputes only its two rows: it writes into out,
+    which may be payloads itself to mix the stack in place, and with
+    out=None into a copy of payloads. Both new rows are formed from the old
+    ones before either is written.
     """
     p = np.asarray(payloads, dtype=float)
     if p.ndim != 2 or p.shape[0] != weights.n_agents:
         raise InvalidArgumentError(
             f"payload stack shape {p.shape} does not match {weights.n_agents} agents"
         )
-    if isinstance(weights, WeightMatrix):
+    if isinstance(weights, CseRound):
         return weights.entries @ p
     if out is None:
         out = p.copy()

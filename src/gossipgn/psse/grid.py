@@ -147,7 +147,7 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
     gen_v = np.full(n, np.nan)
     gen_p = np.zeros(n)
     for row_no, row in enumerate(case.gen):
-        if row.shape[0] > mp.GEN_STATUS and row[mp.GEN_STATUS] <= 0:
+        if row[mp.GEN_STATUS] <= 0:
             continue
         b = int(gen_buses[row_no])
         if b not in index_of:
@@ -165,23 +165,20 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
     kept = []  # (f, t, y_eff, shunt_f, shunt_t) of each branch in service
     ybus = np.zeros((n, n), dtype=complex)
     for row_no, row in enumerate(case.branch):
-        if row.shape[0] > mp.BR_STATUS and row[mp.BR_STATUS] == 0:
+        if row[mp.BR_STATUS] == 0:
             continue
         fb, tb = int(ends[0][row_no]), int(ends[1][row_no])
         if fb not in index_of or tb not in index_of:
             raise CaseParseError(f"branch row {row_no + 1} references unknown bus")
         f, t = index_of[fb], index_of[tb]
         r, x, b_chg = row[mp.BR_R], row[mp.BR_X], row[mp.BR_B]
-        shift = row[mp.BR_SHIFT] if row.shape[0] > mp.BR_SHIFT else 0.0
-        if shift != 0.0:
+        if row[mp.BR_SHIFT] != 0.0:
             raise UnsupportedFeatureError(
                 f"branch row {row_no + 1}: phase-shifting transformers are not supported"
             )
         if r == 0.0 and x == 0.0:
             raise CaseParseError(f"branch row {row_no + 1} has zero impedance")
-        tau = row[mp.BR_TAP] if row.shape[0] > mp.BR_TAP else 0.0
-        if tau == 0.0:
-            tau = 1.0
+        tau = row[mp.BR_TAP] or 1.0
         ys = 1.0 / (r + 1j * x)
         y_eff = ys / tau
         total = ys + 0.5j * b_chg

@@ -3,10 +3,10 @@
 The oracles below deliberately recompute injections and flows from
 complex phasor algebra, separate from the package's trigonometric
 evaluators, so agreement between the two is meaningful. The
-central-difference Jacobian, grid equality, the consensus envelope, the
-trajectory check of the convergence-to-a-ball guarantee, the case-text
-parser and the state-to-vector map are used only by tests, so they live
-here rather than in the package.
+central-difference Jacobian, grid equality, the weight-matrix checks, the
+consensus envelope, the trajectory check of the convergence-to-a-ball
+guarantee, the case-text parser and the state-to-vector map are used only
+by tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from gossipgn.analysis import ConvergenceCertificate
 from gossipgn.core import BoxSet, SiteModel, build_sites, site_terms
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.ggn import Trajectory
-from gossipgn.gossip import PairwiseRound, WeightMatrix, log_lambda_eta
+from gossipgn.gossip import CseRound, PairwiseRound, log_lambda_eta
 from gossipgn.psse import (
     GridModel,
     PowerState,
@@ -131,8 +131,26 @@ def grids_equal(a: GridModel, b: GridModel) -> bool:
     )
 
 
+def check_weight_matrix(w: np.ndarray, tol: float = 1e-12) -> None:
+    """Raise when w is not square, nonnegative, symmetric and doubly stochastic to tol."""
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise InvalidArgumentError("weight matrix must be square")
+    if np.any(w < -tol):
+        raise InvalidArgumentError("weight matrix has negative entries")
+    if np.max(np.abs(w - w.T)) > tol:
+        raise InvalidArgumentError("weight matrix not symmetric")
+    if np.max(np.abs(w.sum(axis=0) - 1.0)) > tol or np.max(np.abs(w.sum(axis=1) - 1.0)) > tol:
+        raise InvalidArgumentError("weight matrix not doubly stochastic")
+
+
+def min_nonzero_entry(w: np.ndarray) -> float:
+    """The smallest positive entry of w, 0.0 when it has none: eta by scan."""
+    nz = w[w > 0.0]
+    return float(nz.min()) if nz.size else 0.0
+
+
 def consensus_envelope_ratios(
-    rounds: list[WeightMatrix | PairwiseRound], eta: float, n_agents: int
+    rounds: list[CseRound | PairwiseRound], eta: float, n_agents: int
 ) -> np.ndarray:
     """Per round t, the largest entrywise |[W(t)...W(1)]_ij - 1/I| over the
     geometric consensus envelope 2 (1 + eta^-L0) / (1 - eta^L0) * rate^t,

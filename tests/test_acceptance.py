@@ -27,9 +27,8 @@ from gossipgn.ggn import (
     ggn_run,
 )
 from gossipgn.gossip import (
+    CseRound,
     GossipConfig,
-    build_cse_weights,
-    check_weight_matrix,
     gossip_round,
     log_lambda_eta,
     sample_ure_round,
@@ -44,6 +43,7 @@ from gossipgn.psse.measurements import (
 )
 
 from conftest import (
+    check_weight_matrix,
     consensus_envelope_ratios,
     evaluated,
     finite_diff_jacobian,
@@ -161,7 +161,7 @@ def test_c03_consensus_conservation():
         n = int(rng.integers(2, 11))
         beta = float(rng.uniform(0.05, 0.95))
         if r % 2 == 0:
-            w = build_cse_weights(n, beta)
+            w = CseRound(n, beta)
         else:
             w = sample_ure_round(GossipConfig(kind="ure", beta=beta), n, rng)
         check_weight_matrix(w.entries, tol=1e-12)
@@ -183,7 +183,7 @@ def test_c04_consensus_contraction_envelope():
     for _ in range(50):
         n = int(rng.integers(2, 11))
         beta = float(rng.uniform(0.1, 0.9))
-        w = build_cse_weights(n, beta)
+        w = CseRound(n, beta)
         max_ratio = float(consensus_envelope_ratios([w] * 50, eta=w.eta, n_agents=n).max())
         assert max_ratio <= 1.0, (n, beta, max_ratio)
         worst_ratio = max(worst_ratio, max_ratio)
@@ -229,7 +229,7 @@ def test_c05_centralized_reduction(grid30, true30):
     site_rows4 = partition_sites(grid30, 4)
     z4 = streaming_snapshots(grid30, true30, 1e-6, 1, 3)[0]
     sites4 = build_nlls_sites(grid30, site_rows4, z4)
-    w = build_cse_weights(4, beta=0.75)
+    w = CseRound(4, beta=0.75)
     assert np.all(w.entries == 0.25)
     traj4 = ggn_run(
         sites4, box,

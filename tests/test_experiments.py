@@ -101,9 +101,25 @@ def test_load_config_roundtrip(tmp_path):
     )
 
 
-def test_float_fields_take_ints():
+def test_float_fields_take_ints(tmp_path):
     cfg = config_from_mapping({"alpha": 1, "protocol": {"link_failure_prob": 0}})
     assert cfg.alpha == 1 and cfg.protocol.link_failure_prob == 0
+    assert type(cfg.alpha) is float and type(cfg.protocol.link_failure_prob) is float
+    # an int and its float write the same summary, wall clock apart
+    summaries = []
+    for one, zero in ((1, 0), (1.0, 0.0)):
+        mapping = tiny_mapping(
+            alpha=one, sigma2=zero, protocol={"kind": "cse", "beta": 0.4, "link_failure_prob": zero},
+            output_dir=str(tmp_path / f"o{one!r}"),
+        )
+        summary = read_summary(run_experiment(config_from_mapping(mapping), with_certificate=False).summary_path)
+        del summary["wall_clock_s"]
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["alpha"] == "1.0" and summaries[0]["sigma2"] == "0.0"
+    # an int no float can hold is not a finite number
+    with pytest.raises(ConfigError, match=r"^sigma2: expected a finite number, got 1000"):
+        config_from_mapping({"sigma2": 10**400})
 
 
 def test_no_field_takes_null():

@@ -25,7 +25,7 @@ from gossipgn.ggn import (
     local_init_info,
     surrogate_descent,
 )
-from gossipgn.gossip import GossipConfig, PairwiseRound, build_cse_weights, gossip_round
+from gossipgn.gossip import CseRound, GossipConfig, PairwiseRound, gossip_round
 
 from gossipgn.psse import (
     build_nlls_sites,
@@ -190,7 +190,7 @@ def test_ggn_run_projects_onto_tight_box():
     traj = ggn_run(sites, tight, gc, cfg, x0)
     # oracle: the unprojected step after the update's one CSE round
     rows = np.stack([local_init_info(s, *evaluated(s, x0))[0] for s in sites])
-    mixed = gossip_round(rows, build_cse_weights(3, 0.4))
+    mixed = gossip_round(rows, CseRound(3, 0.4))
     step = x0 - surrogate_descent(mixed, 0.0)
     assert not np.all(np.abs(step) <= 1e-3)  # the projection is active
     assert np.array_equal(traj.iterates[1], np.clip(step, tight.lower, tight.upper))
@@ -625,7 +625,7 @@ def _oracle_ggn_run(sites, box, gossip_config, ggn_config, x0, seed):
     n_agents, n_u = len(sites), box.dim
     x = np.stack([core.project(row, box) for row in np.broadcast_to(x0, (n_agents, n_u))])
     rng = np.random.default_rng(seed)
-    cse = build_cse_weights(n_agents, gossip_config.beta) if gossip_config.kind == "cse" else None
+    cse = CseRound(n_agents, gossip_config.beta) if gossip_config.kind == "cse" else None
     iterates, vals, grads, discrepancies, counts, eta = [x], [], [], [], [], np.inf
 
     def init_info(x):

@@ -5,18 +5,15 @@ import pytest
 
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.gossip import (
+    CseRound,
     GossipConfig,
     PairwiseRound,
-    WeightMatrix,
-    build_cse_weights,
-    check_weight_matrix,
     gossip_round,
     log_lambda_eta,
-    min_nonzero_entry,
     sample_ure_round,
 )
 
-from conftest import consensus_envelope_ratios
+from conftest import check_weight_matrix, consensus_envelope_ratios, min_nonzero_entry
 
 
 def _laplacian_cse(n, beta):
@@ -43,22 +40,36 @@ def _dense_pairwise(n, i, j, beta):
 
 
 def test_cse_weights_full_graph_exact():
-    w = build_cse_weights(4, beta=0.75)
+    w = CseRound(4, beta=0.75)
     assert np.all(w.entries == 0.25)
     assert w.eta == 0.25
 
 
 def test_cse_closed_form_equals_laplacian_construction_bitwise():
+    # 5e-324/(I-1) underflows to 0 at I >= 3, leaving the identity with eta 1;
+    # at nextafter(1, 0) the diagonal rounds to 0 at some I, leaving eta off it
     rng = np.random.default_rng(5)
+    edges = [5e-324, float(np.nextafter(1.0, 0.0))]
     for n in range(1, 41):
-        for beta in rng.uniform(0.0, 1.0, size=25):
-            w = build_cse_weights(n, float(beta))
+        for beta in [*rng.uniform(0.0, 1.0, size=25), *edges]:
+            w = CseRound(n, float(beta))
             oracle, eta = _laplacian_cse(n, float(beta))
             assert np.array_equal(w.entries.view(np.int64), oracle.view(np.int64)), (n, beta)
             assert np.array_equal(np.float64(w.eta).view(np.int64), np.float64(eta).view(np.int64))
-    assert build_cse_weights(1, 0.3).eta == 1.0
+    assert CseRound(1, 0.3).eta == 1.0
+    assert CseRound(3, 5e-324).eta == 1.0
+    assert CseRound(4, float(np.nextafter(1.0, 0.0))).entries[0, 0] == 0.0
     with pytest.raises(InvalidArgumentError, match="at least one agent"):
-        build_cse_weights(0, 0.3)
+        CseRound(0, 0.3)
+    for beta in (0.0, 1.0, 1.5):
+        with pytest.raises(InvalidArgumentError, match="beta"):
+            CseRound(4, beta)
+
+
+def test_cse_entries_are_built_on_each_read():
+    w = CseRound(3, 0.3)
+    w.entries[0, 0] = 5.0
+    assert np.array_equal(w.entries, CseRound(3, 0.3).entries)
 
 
 def test_cse_weights_are_doubly_stochastic():
@@ -66,7 +77,7 @@ def test_cse_weights_are_doubly_stochastic():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         beta = float(rng.uniform(0.05, 0.95))
-        w = build_cse_weights(n, beta)
+        w = CseRound(n, beta)
         check_weight_matrix(w.entries)
 
 
@@ -111,14 +122,14 @@ def test_pairwise_round_mixes_without_reading_entries():
 def test_gossip_round_preserves_mean():
     rng = np.random.default_rng(1)
     payloads = rng.normal(size=(5, 7))
-    w = build_cse_weights(5, beta=0.4)
+    w = CseRound(5, beta=0.4)
     mixed = gossip_round(payloads, w)
     assert np.allclose(mixed.mean(axis=0), payloads.mean(axis=0), atol=1e-13)
 
 
 def test_gossip_round_identity_on_consensus():
     payloads = np.tile(np.array([1.0, -2.0, 3.0]), (4, 1))
-    w = build_cse_weights(4, beta=0.6)
+    w = CseRound(4, beta=0.6)
     assert np.allclose(gossip_round(payloads, w), payloads, atol=1e-14)
 
 
@@ -159,24 +170,12 @@ def test_lambda_eta_values():
         log_lambda_eta(0.5, 1)
 
 
-def test_min_nonzero_entry():
-    m = np.array([[0.7, 0.3, 0.0], [0.3, 0.4, 0.3], [0.0, 0.3, 0.7]])
-    assert min_nonzero_entry(m) == pytest.approx(0.3)
-
-
-def test_weight_matrix_validation():
-    with pytest.raises(InvalidArgumentError):
-        WeightMatrix(entries=np.array([[0.9, 0.2], [0.1, 0.8]]), eta=0.1)
-    with pytest.raises(InvalidArgumentError):
-        WeightMatrix(entries=np.array([[1.2, -0.2], [-0.2, 1.2]]), eta=0.2)
-
-
 def test_consensus_contraction_report_holds():
     rng = np.random.default_rng(11)
     for _ in range(10):
         n = int(rng.integers(2, 8))
         beta = float(rng.uniform(0.1, 0.9))
-        w = build_cse_weights(n, beta)
+        w = CseRound(n, beta)
         ratios = consensus_envelope_ratios([w] * 30, eta=w.eta, n_agents=n)
         assert ratios.max() <= 1.0
         assert log_lambda_eta(w.eta, n) < 0.0
@@ -228,7 +227,7 @@ def test_pairwise_round_in_place_equals_copying_round(pair, beta):
 def test_cse_round_ignores_out_and_keeps_its_input():
     payloads = np.random.default_rng(4).normal(size=(5, 7))
     before = payloads.copy()
-    w = build_cse_weights(5, beta=0.4)
+    w = CseRound(5, beta=0.4)
     mixed = gossip_round(payloads, w, out=payloads)
     assert mixed is not payloads
     assert np.array_equal(payloads, before)
@@ -263,7 +262,7 @@ def test_pairwise_round_near_dense_at_other_beta():
 
 def test_rounds_carry_their_pair():
     assert PairwiseRound(5, (3, 1), beta=0.5).pair == (3, 1)
-    assert not hasattr(build_cse_weights(4, beta=0.5), "pair")  # applied densely
+    assert not hasattr(CseRound(4, beta=0.5), "pair")  # applied densely
     cfg = GossipConfig(kind="ure", beta=0.5, link_failure_prob=0.5)
     rng = np.random.default_rng(8)
     rounds = [sample_ure_round(cfg, 6, rng) for _ in range(50)]

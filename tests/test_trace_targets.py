@@ -36,12 +36,12 @@ def test_traced_target_resolves_to_a_callable(module_name, attr):
 
 def test_gossip_round_hook_reads_every_round_type():
     # the hook reads weights.entries of every round it sees, dense or pairwise
-    from gossipgn.gossip import PairwiseRound, build_cse_weights, gossip_round
+    from gossipgn.gossip import CseRound, PairwiseRound, gossip_round
 
     tracer = TRACING.Tracer()
     traced = tracer.span("gossip.round", gossip_round, TRACING.AFTER_HOOKS["gossip.round"])
     payloads = np.arange(12.0).reshape(4, 3)
-    for weights in (build_cse_weights(4, 0.3), PairwiseRound(4, (0, 2), 0.5), PairwiseRound(4, (), 0.5)):
+    for weights in (CseRound(4, 0.3), PairwiseRound(4, (0, 2), 0.5), PairwiseRound(4, (), 0.5)):
         traced(payloads, weights)
     assert TRACING.span_table(tracer.spans)["gossip.round"]["calls"] == 3
     assert tracer.counts["gossip.effective_rounds"] == 2
