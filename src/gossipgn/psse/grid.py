@@ -46,9 +46,6 @@ class BranchArrays:
     def of(f, t, ys, sh_f, sh_t, n_buses: int) -> "BranchArrays":
         f, t = np.asarray(f, dtype=int), np.asarray(t, dtype=int)
         ys, sh_f, sh_t = (np.asarray(a, dtype=complex) for a in (ys, sh_f, sh_t))
-        out = np.flatnonzero((np.minimum(f, t) < 0) | (np.maximum(f, t) >= n_buses))
-        if out.size:
-            raise InvalidArgumentError(f"branch {out[0]} has an endpoint out of range")
         rows = np.arange(f.size)
         yf = np.zeros((f.size, n_buses), dtype=complex)
         yt = np.zeros((f.size, n_buses), dtype=complex)
@@ -74,17 +71,6 @@ class GridModel:
     gen_v_setpoint: np.ndarray   # nan where no generator
     gen_p: np.ndarray        # per-unit active injection from generators
     ybus: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.n_buses < 2:
-            raise InvalidArgumentError("a grid needs at least 2 buses")
-        if self.branches.yf.shape[1] != self.n_buses:
-            raise InvalidArgumentError("branch arrays do not match the bus count")
-        if not 0 <= self.slack_bus < self.n_buses:
-            raise InvalidArgumentError("slack bus out of range")
-        asym = float(np.max(np.abs(self.ybus - self.ybus.T))) if self.ybus.size else 0.0
-        if asym > 1e-9:
-            raise InvalidArgumentError("assembled admittance matrix is not symmetric")
 
     @property
     def n_branches(self) -> int:
@@ -115,7 +101,7 @@ def _integer_column(
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_grid_model(case: MatpowerCase) -> GridModel:
-    """The electrical model of a case, in per unit.
+    """The electrical model of a case, in per unit, and the one check of it.
 
     Floating-point errors are silenced here and every derived quantity is
     checked to be finite instead, so a bad number fails as CaseParseError
@@ -161,6 +147,9 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
         gen_p[i] += row[mp.GEN_PG] / case.base_mva
         if not np.isfinite(gen_p[i]):
             raise CaseParseError(f"generator row {row_no + 1}: Pg in per unit is not finite")
+    # a PV bus without an in-service generator has no voltage setpoint: it is
+    # solved as PQ, as MATPOWER's bustypes does
+    types = np.where((types == PV_BUS) & np.isnan(gen_v), PQ_BUS, types)
 
     kept = []  # (f, t, y_eff, shunt_f, shunt_t) of each branch in service
     ybus = np.zeros((n, n), dtype=complex)
@@ -198,6 +187,11 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
     bad = np.flatnonzero(~np.isfinite(ybus).all(axis=1))
     if bad.size:
         raise CaseParseError(f"bus row {bad[0] + 1}: summed admittance is not finite")
+    isolated = np.flatnonzero(types == ISOLATED_BUS)
+    if isolated.size:
+        raise UnsupportedFeatureError(
+            f"bus {bus_ids[isolated[0]]}: bus type 4 (isolated) is not supported"
+        )
     # a bus that no branch path joins to the slack bus has no power flow and no
     # estimate: label each bus with its island's root by union-find
     root = list(range(n))
@@ -294,26 +288,18 @@ def diagonals(d: np.ndarray) -> np.ndarray:
 
 
 def complex_injection_derivatives(
-    ybus: np.ndarray, v_complex: np.ndarray, v_unit: np.ndarray | None = None
+    ybus: np.ndarray, v_complex: np.ndarray, v_unit: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """d(complex bus power)/d(angle), d(.)/d(magnitude) as dense (..., N, N) matrices.
 
-    v_unit carries the angle phasors e^{j theta}. Callers that know the
-    polar state should pass them so the derivatives stay defined when a
-    magnitude sits at the lower box edge V = 0 (where v_complex loses the
-    angle information). Without v_unit they are recovered from v_complex,
-    which requires strictly positive magnitudes.
+    v_complex holds the bus voltages V e^{j theta} and v_unit their angle
+    phasors e^{j theta}. The phasors are passed, not recovered from
+    v_complex, so the derivatives stay defined at the lower box edge V = 0,
+    where v_complex carries no angle.
     """
     ibus = matvec(ybus, v_complex)
     diag_v = diagonals(v_complex)
     diag_i = diagonals(ibus)
-    if v_unit is None:
-        vm = np.abs(v_complex)
-        if np.any(vm == 0.0):
-            raise InvalidArgumentError(
-                "zero voltage magnitude: pass v_unit to keep derivatives defined"
-            )
-        v_unit = v_complex / vm
     diag_norm = diagonals(v_unit)
     ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
     ds_dvm = diag_v @ np.conj(ybus @ diag_norm) + np.conj(diag_i) @ diag_norm
@@ -344,11 +330,9 @@ def newton_power_flow(grid: GridModel) -> PowerState:
         s_calc = v_c * np.conj(grid.ybus @ v_c)
         mismatch = s_calc - s_spec
         f_vec = np.concatenate([mismatch[pvpq].real, mismatch[pq].imag])
-        if f_vec.size == 0:
-            return PowerState(theta=va, v=vm)
         if float(np.max(np.abs(f_vec))) <= _POWER_FLOW_TOL:
             return PowerState(theta=va, v=vm)
-        ds_dva, ds_dvm = complex_injection_derivatives(grid.ybus, v_c)
+        ds_dva, ds_dvm = complex_injection_derivatives(grid.ybus, v_c, v_c / np.abs(v_c))
         j11 = ds_dva[np.ix_(pvpq, pvpq)].real
         j12 = ds_dvm[np.ix_(pvpq, pq)].real
         j21 = ds_dva[np.ix_(pq, pvpq)].imag

@@ -61,8 +61,6 @@ def line_flows(grid: GridModel, state: PowerState) -> np.ndarray:
         raise InvalidArgumentError("state size does not match grid")
     n_br = grid.n_branches
     out = np.zeros(state.theta.shape[:-1] + (4 * n_br,))
-    if n_br == 0:
-        return out
     br = grid.branches
     f, t, sh_f, sh_t = br.f, br.t, br.sh_f, br.sh_t
     g, b = br.ys.real, br.ys.imag
@@ -133,11 +131,10 @@ def full_measurement_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
 
     put(slice(0, n), ds_dva.real, ds_dvm.real)
     put(slice(n, 2 * n), ds_dva.imag, ds_dvm.imag)
-    if n_br:
-        (dsf_dva, dsf_dvm), (dst_dva, dst_dvm) = _branch_flow_derivatives(grid, state)
-        for base, part in ((2 * n, np.real), (2 * n + 2 * n_br, np.imag)):
-            put(slice(base, base + 2 * n_br, 2), part(dsf_dva), part(dsf_dvm))
-            put(slice(base + 1, base + 2 * n_br, 2), part(dst_dva), part(dst_dvm))
+    (dsf_dva, dsf_dvm), (dst_dva, dst_dvm) = _branch_flow_derivatives(grid, state)
+    for base, part in ((2 * n, np.real), (2 * n + 2 * n_br, np.imag)):
+        put(slice(base, base + 2 * n_br, 2), part(dsf_dva), part(dsf_dvm))
+        put(slice(base + 1, base + 2 * n_br, 2), part(dst_dva), part(dst_dvm))
     # every row is written above
     return jac
 

@@ -1,10 +1,14 @@
 """Property test: malformed case text fails at the parser with a toolkit error.
 
 Mutated case2/case30 text, and case text with non-finite numbers, either
-parses into a grid model with a finite admittance matrix or raises
-CaseParseError or UnsupportedFeatureError; the CLI maps those two to exits
-3 and 4. A numpy RuntimeWarning (overflow, invalid cast) escaping parse and
-build fails the property too: it marks a value that slipped past the checks.
+raises CaseParseError or UnsupportedFeatureError, or parses into a grid
+model that holds what the model code takes without a check: at least two
+buses, a slack index in range, a finite and exactly symmetric admittance
+matrix, branch arrays of the bus count with every end in range, bus types
+1 to 3, and a voltage setpoint at every PV bus. The CLI maps the two
+errors to exits 3 and 4. A numpy RuntimeWarning (overflow, invalid cast)
+escaping parse and build fails the property too: it marks a value that
+slipped past the checks.
 """
 
 import tempfile
@@ -96,14 +100,21 @@ def non_finite_case(draw):
 
 
 def _parse_outcome(text: str):
-    """None when the text parses into a finite model, else the toolkit error class raised."""
+    """None when the text parses into a model that holds the invariants, else
+    the toolkit error class raised."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             grid = parse_matpower_case(text)
     except TOOLKIT_ERRORS as exc:
         return type(exc)
-    assert np.isfinite(grid.ybus).all()
+    n, br = grid.n_buses, grid.branches
+    assert n >= 2 and 0 <= grid.slack_bus < n
+    assert np.isfinite(grid.ybus).all() and np.array_equal(grid.ybus, grid.ybus.T)
+    assert br.yf.shape == br.yt.shape == (grid.n_branches, n)
+    assert np.all((br.f >= 0) & (br.f < n) & (br.t >= 0) & (br.t < n))
+    assert set(grid.bus_types.tolist()) <= {1, 2, 3}
+    assert np.isfinite(grid.gen_v_setpoint[grid.bus_types == 2]).all()
     return None
 
 

@@ -946,6 +946,25 @@ def test_cli_exit_unsupported_on_a_bus_no_branch_reaches(tmp_path, capsys, old, 
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_exit_unsupported_on_a_bus_of_type_4(tmp_path, capsys):
+    # a connected bus typed 4 (isolated) has no role in the power flow: it fails
+    # at the parser, before any output
+    assert PACKAGED_CASE2.count(CASE2_BUS_2) == 1
+    case_path = tmp_path / "isolated_type.m"
+    case_path.write_text(
+        PACKAGED_CASE2.replace(CASE2_BUS_2, CASE2_BUS_2.replace("\t2\t1\t", "\t2\t4\t"))
+    )
+    path = write_config(
+        tmp_path / "c.yaml",
+        tiny_mapping(case_path=str(case_path), output_dir=str(tmp_path / "o")),
+    )
+    assert main(["run", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported: bus 2: bus type 4 (isolated) is not supported")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_exit_unsupported_on_an_island_without_the_slack_bus(tmp_path, capsys):
     # buses 3 and 4 are joined only to each other: no power flow reaches them
     bus_row = "\t{}\t1\t10\t5\t0\t0\t1\t1\t0\t132\t1\t1.1\t0.9;\n"

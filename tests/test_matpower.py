@@ -279,7 +279,8 @@ def test_integer_field_ranges():
         parse_matpower_case(_edited("2 1 21.7", "0 1 21.7"))
     with pytest.raises(CaseParseError, match="generator row 1: bus 1.5"):
         parse_matpower_case(_edited("1 40 0", "1.5 40 0"))
-    assert parse_matpower_case(_edited("2 1 21.7", "2 4 21.7")).bus_types.tolist() == [3, 4]
+    with pytest.raises(UnsupportedFeatureError, match=r"^bus 2: bus type 4 \(isolated\) is not supported"):
+        parse_matpower_case(_edited("2 1 21.7", "2 4 21.7"))
 
 
 def test_subnormal_base_mva_fails_as_case_error():

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from conftest import (
     grids_equal,
     oracle_flows,
     oracle_injections,
+    parse_matpower_case,
     random_states,
     state_to_vector,
     terms_at,
@@ -169,7 +172,7 @@ def test_zero_admittance_grid_all_zero():
 
 
 def test_flat_profile_no_charging_carries_nothing():
-    from conftest import CASE2_TEXT, parse_matpower_case
+    from conftest import CASE2_TEXT
 
     grid = parse_matpower_case(CASE2_TEXT.replace("0.01 0.1 0.02", "0.01 0.1 0"))
     flat = PowerState(theta=np.zeros(2), v=np.ones(2))
@@ -421,6 +424,23 @@ def test_newton_power_flow_balances_loads(grid30, true30):
     assert true30.theta[grid30.slack_bus] == 0.0
     assert np.all(true30.v > 0.9) and np.all(true30.v < 1.12)
     assert np.max(np.abs(true30.theta)) < 0.5
+
+
+def test_a_pv_bus_without_an_in_service_generator_is_solved_as_pq():
+    # as MATPOWER's bustypes: case30's bus 2 with its generator out of service
+    # solves as the same case with bus 2 typed PQ, bit for bit
+    text = resources.files("gossipgn.psse").joinpath("data/case30.m").read_text(encoding="utf-8")
+    gen_2, bus_2 = "\t2\t40\t50\t50\t-40\t1.043\t100\t1\t", "\t2\t2\t21.7\t"
+    assert text.count(gen_2) == text.count(bus_2) == 1
+    gen_out = text.replace(gen_2, gen_2.replace("\t100\t1\t", "\t100\t0\t"))
+    grid_out = parse_matpower_case(gen_out)
+    grid_pq = parse_matpower_case(gen_out.replace(bus_2, "\t2\t1\t21.7\t"))
+    got, want = newton_power_flow(grid_out), newton_power_flow(grid_pq)
+    assert np.array_equal(got.theta, want.theta)
+    assert np.array_equal(got.v, want.v)
+    assert got.v[1] == pytest.approx(1.0221879563057026, abs=1e-12)
+    assert grid_out.bus_types.tolist() == grid_pq.bus_types.tolist()
+    assert grid_out.bus_types[1] == 1
 
 
 def test_state_vector_roundtrip(grid30, true30):
