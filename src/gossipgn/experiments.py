@@ -83,6 +83,9 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
     site_rows = partition_sites(grid, config.sites)
     box = make_box(grid.n_buses)
     x0 = flat_start_vector(grid)
+    # every repetition reads these
+    for arr in (true_state.theta, true_state.v, x0):
+        arr.setflags(write=False)
     m_total = measurement_count(grid)
     return ProblemSetup(
         grid=grid, true_state=true_state, site_rows=site_rows, box=box, x0=x0,
@@ -111,7 +114,7 @@ def _trajectory_columns(
     descent_discrepancy 0.0."""
     n_updates, n_agents = traj.vals.shape
     n_rows = n_updates * n_agents
-    mse_v, mse_theta, _, _ = mse_metrics(traj.iterates.reshape(n_rows, -1), true_state, slack_bus)
+    mse_v, mse_theta = mse_metrics(traj.iterates.reshape(n_rows, -1), true_state, slack_bus)
     discrepancies = np.zeros((n_updates, n_agents))
     if traj.discrepancies is not None:
         discrepancies[1:] = traj.discrepancies

@@ -61,16 +61,15 @@ class BranchArrays:
 
 @dataclass(frozen=True, eq=False)
 class GridModel:
-    name: str
+    """The electrical model of a case; every model evaluation reads its read-only arrays."""
+
     n_buses: int
     branches: BranchArrays
     slack_bus: int
     bus_types: np.ndarray
-    loads: np.ndarray        # complex Pd + jQd, per unit
-    bus_shunts: np.ndarray   # complex Gs + jBs, per unit
+    s_spec: np.ndarray           # specified injection sum(Pg + jQg) - (Pd + jQd), per unit
     gen_v_setpoint: np.ndarray   # nan where no generator
-    gen_p: np.ndarray        # per-unit active injection from generators
-    ybus: np.ndarray = field(repr=False)
+    ybus: np.ndarray = field(repr=False)   # bus shunts included
 
     @property
     def n_branches(self) -> int:
@@ -131,7 +130,7 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
         raise CaseParseError(f"bus row {bad[0] + 1}: load or shunt in per unit is not finite")
 
     gen_v = np.full(n, np.nan)
-    gen_p = np.zeros(n)
+    gen_s = np.zeros(n, dtype=complex)
     for row_no, row in enumerate(case.gen):
         if row[mp.GEN_STATUS] <= 0:
             continue
@@ -144,9 +143,9 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
             )
         i = index_of[b]
         gen_v[i] = row[mp.GEN_VG]
-        gen_p[i] += row[mp.GEN_PG] / case.base_mva
-        if not np.isfinite(gen_p[i]):
-            raise CaseParseError(f"generator row {row_no + 1}: Pg in per unit is not finite")
+        gen_s[i] += complex(row[mp.GEN_PG], row[mp.GEN_QG]) / case.base_mva
+        if not np.isfinite(gen_s[i]):
+            raise CaseParseError(f"generator row {row_no + 1}: Pg or Qg in per unit is not finite")
     # a PV bus without an in-service generator has no voltage setpoint: it is
     # solved as PQ, as MATPOWER's bustypes does
     types = np.where((types == PV_BUS) & np.isnan(gen_v), PQ_BUS, types)
@@ -187,6 +186,10 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
     bad = np.flatnonzero(~np.isfinite(ybus).all(axis=1))
     if bad.size:
         raise CaseParseError(f"bus row {bad[0] + 1}: summed admittance is not finite")
+    if np.isnan(gen_v[slack]):
+        raise UnsupportedFeatureError(
+            f"bus {bus_ids[slack]}: the slack bus has no in-service generator"
+        )
     isolated = np.flatnonzero(types == ISOLATED_BUS)
     if isolated.size:
         raise UnsupportedFeatureError(
@@ -218,11 +221,13 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
             "in-service branch path to the slack bus"
         )
 
-    branches = BranchArrays.of(*(list(zip(*kept)) or [()] * 5), n_buses=n)
+    # MATPOWER's makeSbus: the shunts are in ybus, the rest is specified
+    s_spec = gen_s - loads.real - 1j * loads.imag
+    for arr in (types, s_spec, gen_v, ybus):
+        arr.setflags(write=False)
     return GridModel(
-        name=case.name, n_buses=n, branches=branches, slack_bus=slack,
-        bus_types=types, loads=loads, bus_shunts=shunts,
-        gen_v_setpoint=gen_v, gen_p=gen_p, ybus=ybus,
+        n_buses=n, branches=BranchArrays.of(*zip(*kept), n_buses=n), slack_bus=slack,
+        bus_types=types, s_spec=s_spec, gen_v_setpoint=gen_v, ybus=ybus,
     )
 
 
@@ -307,11 +312,11 @@ def complex_injection_derivatives(
 
 
 def newton_power_flow(grid: GridModel) -> PowerState:
-    """Solve the conventional power flow for the case's specified loads.
+    """Solve the conventional power flow for the grid's specified injection.
 
-    PV buses hold the generator voltage setpoint and active injection; the
-    slack bus holds its setpoint voltage at angle zero. Converges on the
-    infinity norm of the power mismatch.
+    PQ buses hold s_spec, PV buses the generator voltage setpoint and the
+    real part of s_spec; the slack bus holds its setpoint voltage at angle
+    zero. Converges on the infinity norm of the power mismatch.
     """
     n = grid.n_buses
     types = grid.bus_types
@@ -323,12 +328,11 @@ def newton_power_flow(grid: GridModel) -> PowerState:
     has_gen = ~np.isnan(grid.gen_v_setpoint)
     vm[has_gen] = grid.gen_v_setpoint[has_gen]
     va = np.zeros(n)
-    s_spec = grid.gen_p - grid.loads.real - 1j * grid.loads.imag
 
     for _ in range(_POWER_FLOW_MAX_ITER):
         v_c = vm * np.exp(1j * va)
         s_calc = v_c * np.conj(grid.ybus @ v_c)
-        mismatch = s_calc - s_spec
+        mismatch = s_calc - grid.s_spec
         f_vec = np.concatenate([mismatch[pvpq].real, mismatch[pq].imag])
         if float(np.max(np.abs(f_vec))) <= _POWER_FLOW_TOL:
             return PowerState(theta=va, v=vm)

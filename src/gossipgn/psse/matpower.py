@@ -1,10 +1,11 @@
 """Reader for the MATPOWER case subset this package understands.
 
-Supported content: a `function mpc = <name>` header, `mpc.baseMVA`, and the
-`mpc.bus`, `mpc.gen`, `mpc.branch` matrices with MATLAB `%` comments. Rows
-are whitespace-separated numbers, optionally ending in `;`. Anything the
-electrical model cannot represent (phase-shifting transformers) is rejected
-by the grid builder, not silently dropped.
+Read content: `mpc.baseMVA` and the `mpc.bus`, `mpc.gen`, `mpc.branch`
+matrices, with MATLAB `%` comments. Rows are whitespace-separated numbers,
+optionally ending in `;`. Every other line (the `function mpc = <name>`
+header, `mpc.version`, `mpc.gencost`) is ignored. Anything the electrical
+model cannot represent (phase-shifting transformers) is rejected by the grid
+builder, not silently dropped.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ BRANCH_COLS = 11
 
 # column offsets (MATPOWER v2 layout)
 BUS_I, BUS_TYPE, BUS_PD, BUS_QD, BUS_GS, BUS_BS = 0, 1, 2, 3, 4, 5
-GEN_BUS, GEN_PG, GEN_VG, GEN_STATUS = 0, 1, 5, 7
+GEN_BUS, GEN_PG, GEN_QG, GEN_VG, GEN_STATUS = 0, 1, 2, 5, 7
 BR_F, BR_T, BR_R, BR_X, BR_B, BR_TAP, BR_SHIFT, BR_STATUS = 0, 1, 2, 3, 4, 8, 9, 10
 
 
@@ -33,7 +34,6 @@ BR_F, BR_T, BR_R, BR_X, BR_B, BR_TAP, BR_SHIFT, BR_STATUS = 0, 1, 2, 3, 4, 8, 9,
 class MatpowerCase:
     """Raw numeric tables of one case, still in MATPOWER units."""
 
-    name: str
     base_mva: float
     bus: np.ndarray
     gen: np.ndarray
@@ -53,7 +53,6 @@ class MatpowerCase:
             raise CaseParseError("baseMVA must be positive")
 
 
-_HEADER_RE = re.compile(r"function\s+mpc\s*=\s*(\w+)")
 _SCALAR_RE = re.compile(r"mpc\.baseMVA\s*=\s*([^;\s]+)\s*;?")
 _TABLE_RE = re.compile(r"mpc\.(bus|gen|branch)\s*=\s*\[")
 
@@ -64,7 +63,6 @@ def _strip_comment(line: str) -> str:
 
 
 def parse_matpower_text(text: str) -> MatpowerCase:
-    name = "case"
     base_mva = None
     tables: dict[str, list[list[float]]] = {}
     current: str | None = None
@@ -99,10 +97,6 @@ def parse_matpower_text(text: str) -> MatpowerCase:
                 current = None
             continue
 
-        m = _HEADER_RE.search(line)
-        if m:
-            name = m.group(1)
-            continue
         m = _SCALAR_RE.search(line)
         if m:
             try:
@@ -124,9 +118,6 @@ def parse_matpower_text(text: str) -> MatpowerCase:
             if rest.strip():
                 raise CaseParseError("table rows must start on the following line", line_no)
             continue
-        if line.startswith("mpc."):
-            # tolerated extras (version string, gencost, names): ignored
-            continue
 
     if current is not None:
         raise CaseParseError(f"unterminated mpc.{current} table (missing ])")
@@ -145,7 +136,6 @@ def parse_matpower_text(text: str) -> MatpowerCase:
         return np.asarray(rows, dtype=float)
 
     return MatpowerCase(
-        name=name,
         base_mva=base_mva,
         bus=as_array(tables["bus"], BUS_COLS),
         gen=as_array(tables["gen"], GEN_COLS),

@@ -197,20 +197,16 @@ def build_nlls_sites(
 
 def mse_metrics(
     estimates: np.ndarray, true_state: PowerState, slack_bus: int
-) -> tuple[np.ndarray, np.ndarray, float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent mean squared error of V and theta over all N buses.
 
     estimates: (I, 2N-1) stack of unknown vectors. The slack angle is
     pinned in both the estimate and the truth, so it contributes zero.
-    Returns (per-agent V, per-agent theta, global V mean, global theta mean).
+    Returns (per-agent V, per-agent theta).
     """
     estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
-    n = true_state.n_buses
-    if estimates.shape[1] != 2 * n - 1:
-        raise InvalidArgumentError("estimate width does not match the grid")
-    states = vector_to_state(estimates, n, slack_bus)
+    states = vector_to_state(estimates, true_state.n_buses, slack_bus)
     # errors squared in place, in the state's fresh arrays: a trajectory's stack is large
     for err, truth in ((states.v, true_state.v), (states.theta, true_state.theta)):
         np.square(np.subtract(err, truth, out=err), out=err)
-    mse_v, mse_th = states.v.mean(axis=1), states.theta.mean(axis=1)
-    return mse_v, mse_th, float(mse_v.mean()), float(mse_th.mean())
+    return states.v.mean(axis=1), states.theta.mean(axis=1)

@@ -115,18 +115,15 @@ def state_to_vector(state: PowerState, slack_bus: int) -> np.ndarray:
 def grids_equal(a: GridModel, b: GridModel) -> bool:
     """Every field and branch array equal; unset generator setpoints (nan) match."""
     return (
-        a.name == b.name
-        and a.n_buses == b.n_buses
+        a.n_buses == b.n_buses
         and all(
             np.array_equal(x, y)
             for x, y in zip(vars(a.branches).values(), vars(b.branches).values())
         )
         and a.slack_bus == b.slack_bus
         and np.array_equal(a.bus_types, b.bus_types)
-        and np.array_equal(a.loads, b.loads)
-        and np.array_equal(a.bus_shunts, b.bus_shunts)
+        and np.array_equal(a.s_spec, b.s_spec)
         and np.array_equal(a.gen_v_setpoint, b.gen_v_setpoint, equal_nan=True)
-        and np.array_equal(a.gen_p, b.gen_p)
         and np.array_equal(a.ybus, b.ybus)
     )
 

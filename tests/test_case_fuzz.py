@@ -5,10 +5,10 @@ raises CaseParseError or UnsupportedFeatureError, or parses into a grid
 model that holds what the model code takes without a check: at least two
 buses, a slack index in range, a finite and exactly symmetric admittance
 matrix, branch arrays of the bus count with every end in range, bus types
-1 to 3, and a voltage setpoint at every PV bus. The CLI maps the two
-errors to exits 3 and 4. A numpy RuntimeWarning (overflow, invalid cast)
-escaping parse and build fails the property too: it marks a value that
-slipped past the checks.
+1 to 3, a voltage setpoint at every PV bus and at the slack bus, and
+read-only arrays. The CLI maps the two errors to exits 3 and 4. A numpy
+RuntimeWarning (overflow, invalid cast) escaping parse and build fails the
+property too: it marks a value that slipped past the checks.
 """
 
 import tempfile
@@ -37,6 +37,7 @@ CHARS = "0123456789.-+eE;[]=% \tnaifx\n"
 CASE2 = CASE_TEXTS[0]
 PHASE_SHIFTED = CASE2.replace("\t0\t0\t1\t-360", "\t0\t30\t1\t-360")
 UNTERMINATED = CASE2.rsplit("];", 1)[0]
+SLACK_GEN_OUT = CASE2.replace("\t100\t1\t200\t", "\t100\t0\t200\t")
 
 
 def _numeric_fields(lines: list[str]) -> list[tuple[int, int]]:
@@ -115,11 +116,15 @@ def _parse_outcome(text: str):
     assert np.all((br.f >= 0) & (br.f < n) & (br.t >= 0) & (br.t < n))
     assert set(grid.bus_types.tolist()) <= {1, 2, 3}
     assert np.isfinite(grid.gen_v_setpoint[grid.bus_types == 2]).all()
+    assert np.isfinite(grid.gen_v_setpoint[grid.slack_bus])
+    arrays = [*vars(br).values(), *(v for v in vars(grid).values() if isinstance(v, np.ndarray))]
+    assert not any(arr.flags.writeable for arr in arrays)
     return None
 
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_case())
+@example(text=SLACK_GEN_OUT)
 def test_mutated_case_text_raises_only_toolkit_errors(text):
     _parse_outcome(text)
 
@@ -153,3 +158,4 @@ def test_cli_maps_case_errors_to_exit_codes(tmp_path, capsys, text):
 def test_pinned_examples_reach_both_error_classes():
     assert _parse_outcome(PHASE_SHIFTED) is UnsupportedFeatureError
     assert _parse_outcome(UNTERMINATED) is CaseParseError
+    assert _parse_outcome(SLACK_GEN_OUT) is UnsupportedFeatureError

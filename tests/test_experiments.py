@@ -23,6 +23,7 @@ from gossipgn.gossip import GossipConfig
 from gossipgn.experiments import (
     CSV_BLOCK_ROWS,
     CSV_COLUMNS,
+    build_problem,
     compare_algorithms,
     mean_rows,
     run_experiment,
@@ -443,6 +444,16 @@ def test_a_run_keeps_only_the_last_snapshot_s_sites(tmp_path):
         assert not np.array_equal(res, first[rows] - f[rows])
 
 
+def test_the_problem_shares_read_only_arrays_across_repetitions():
+    # every repetition starts from x0 and scores against the true state: a
+    # write to one of them would change every later repetition
+    problem = build_problem(config_from_mapping(tiny_mapping()))
+    for arr in (problem.true_state.theta, problem.true_state.v, problem.x0, problem.grid.ybus):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_a_certificate_run_leaves_numpy_ma_unloaded(tmp_path):
     # a 1-D np.unique imports numpy.ma on numpy 2.4: about 10 ms and 1.6 MB once
     # per process. 31 updates of 2 agents give the certificate more iterates
@@ -727,32 +738,39 @@ def test_cli_exit_config_on_removed_partition_key(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
-# values of the wrong type or non-finite, each named by its field path
-WRONG_TYPE_PROBES = [
-    ("protocol.beta", "abc"),
-    ("seed", "abc"),
-    ("max_updates", 2.5),
-    ("exchanges.base", 2.5),
-    ("repetitions", 1.5),
-    ("case_path", 5),
-    ("sites", 2.5),
-    ("sigma2", math.inf),
-    ("ridge", math.inf),
-    ("stop_tol", math.inf),
-    ("repetitions", True),
+# values of the wrong type, non-finite or out of range, each named by its
+# field path and followed by the start of its message
+BAD_VALUE_PROBES = [
+    ("protocol.beta", "abc", "expected"),
+    ("seed", "abc", "expected"),
+    ("max_updates", 2.5, "expected"),
+    ("exchanges.base", 2.5, "expected"),
+    ("repetitions", 1.5, "expected"),
+    ("case_path", 5, "expected"),
+    ("sites", 2.5, "expected"),
+    ("sigma2", math.inf, "expected"),
+    ("ridge", math.inf, "expected"),
+    ("stop_tol", math.inf, "expected"),
+    ("repetitions", True, "expected"),
+    ("certificate.xi", 0.7, "must lie in (0, 1/2), got 0.7"),
+    ("certificate.n_samples", 1, "must be >= 2, got 1"),
+    ("sites", 0, "must be >= 1"),
+    ("snapshots", 0, "must be >= 1"),
+    ("max_updates", 0, "must be >= 1, got 0"),
 ]
 
 
 @pytest.mark.parametrize(
-    "field_path, value", WRONG_TYPE_PROBES, ids=[f"{p}={v!r}" for p, v in WRONG_TYPE_PROBES]
+    "field_path, value, message", BAD_VALUE_PROBES,
+    ids=[f"{p}={v!r}" for p, v, _ in BAD_VALUE_PROBES],
 )
-def test_cli_exit_config_on_wrong_type_or_non_finite(tmp_path, capsys, field_path, value):
+def test_cli_exit_config_on_wrong_type_or_non_finite(tmp_path, capsys, field_path, value, message):
     mapping = tiny_mapping(output_dir=str(tmp_path / "o"))
     section, _, key = field_path.rpartition(".")
     (mapping[section] if section else mapping)[key] = value
     path = write_config(tmp_path / "c.yaml", mapping)
     assert main(["run", path]) == 2
-    assert f"config error: {field_path}: expected" in capsys.readouterr().err
+    assert f"config error: {field_path}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -826,26 +844,47 @@ def test_cli_exit_case_error(tmp_path, capsys):
     assert "case error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "old, new",
-    [
-        ("0.01 0.1 0.02", "0.01 nan 0.02"),
-        ("0.01 0.1 0.02", "0.01 inf 0.02"),
-        ("2 1 21.7", "2 1 nan"),
-        ("50 -40 1.0 100", "50 -40 0 100"),
-    ],
-    ids=["x_nan", "x_inf", "pd_nan", "vg_zero"],
-)
-def test_cli_exit_case_error_on_bad_numbers(tmp_path, capsys, old, new):
-    assert old in CASE2_TEXT
+CASE2_BRANCH = "    1 2 0.01 0.1 0.02 130 130 130 0 0 1 -360 360;\n"
+# each case edit, and the start of the case error it raises
+CASE_ERROR_EDITS = {
+    "x_nan": ([("0.01 0.1 0.02", "0.01 nan 0.02")], "line 12: non-finite number"),
+    "x_inf": ([("0.01 0.1 0.02", "0.01 inf 0.02")], "line 12: non-finite number"),
+    "pd_nan": ([("2 1 21.7", "2 1 nan")], "line 6: non-finite number"),
+    "vg_zero": ([("50 -40 1.0 100", "50 -40 0 100")], "generator row 1: voltage setpoint Vg"),
+    "base_mva_zero": ([("mpc.baseMVA = 100;", "mpc.baseMVA = 0;")], "baseMVA must be positive"),
+    "rows_on_the_bracket_line": (
+        [("mpc.bus = [\n", "mpc.bus = [")], "line 4: table rows must start on the following line"
+    ),
+    # each number is finite, but Pg / baseMVA overflows
+    "pg_overflow": (
+        [("mpc.baseMVA = 100;", "mpc.baseMVA = 1e-300;"), ("1 40 0 50", "1 1e300 0 50")],
+        "generator row 1: Pg or Qg in per unit is not finite",
+    ),
+    # each branch's admittance is finite, but their sum overflows
+    "summed_admittance_overflow": (
+        [(CASE2_BRANCH, 2 * CASE2_BRANCH.replace("0.01 0.1", "0 1e-308"))],
+        "bus row 1: summed admittance is not finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("edits, message", CASE_ERROR_EDITS.values(), ids=list(CASE_ERROR_EDITS))
+def test_cli_exit_case_error_on_bad_numbers(tmp_path, capsys, edits, message):
+    text = CASE2_TEXT
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
     case_path = tmp_path / "bad.m"
-    case_path.write_text(CASE2_TEXT.replace(old, new))
+    case_path.write_text(text)
     path = write_config(
         tmp_path / "c.yaml",
         tiny_mapping(case_path=str(case_path), output_dir=str(tmp_path / "o")),
     )
     assert main(["run", path]) == 3
-    assert "case error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"case error: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_exit_config_on_a_config_path_that_is_a_directory(tmp_path, capsys):
@@ -927,8 +966,9 @@ CASE2_BUS_2 = "\t2\t1\t50\t20\t0\t0\t1\t1\t0\t132\t1\t1.1\t0.9;\n"
     [
         (CASE2_BUS_2, CASE2_BUS_2 + "\t3\t1\t10\t5\t0\t0\t1\t1\t0\t132\t1\t1.1\t0.9;\n", 3),
         ("\t0\t0\t1\t-360", "\t0\t0\t0\t-360", 1),
+        ("\t1\t2\t0.01\t0.1\t0.02\t100\t100\t100\t0\t0\t1\t-360\t360;\n", "", 1),
     ],
-    ids=["third_bus", "branch_out_of_service"],
+    ids=["third_bus", "branch_out_of_service", "empty_branch_table"],
 )
 def test_cli_exit_unsupported_on_a_bus_no_branch_reaches(tmp_path, capsys, old, new, bus):
     # such a case has no power flow: it fails at the parser, before any output
@@ -961,6 +1001,23 @@ def test_cli_exit_unsupported_on_a_bus_of_type_4(tmp_path, capsys):
     assert main(["run", path]) == 4
     err = capsys.readouterr().err
     assert err.startswith("unsupported: bus 2: bus type 4 (isolated) is not supported")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_exit_unsupported_on_a_slack_bus_without_an_in_service_generator(tmp_path, capsys):
+    # the slack bus has no voltage setpoint to hold: it fails at the parser, before any output
+    old = "\t100\t1\t200\t"
+    assert PACKAGED_CASE2.count(old) == 1
+    case_path = tmp_path / "slack_gen_out.m"
+    case_path.write_text(PACKAGED_CASE2.replace(old, "\t100\t0\t200\t"))
+    path = write_config(
+        tmp_path / "c.yaml",
+        tiny_mapping(case_path=str(case_path), output_dir=str(tmp_path / "o")),
+    )
+    assert main(["run", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported: bus 1: the slack bus has no in-service generator")
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

@@ -23,7 +23,7 @@ def _fmt(x: float) -> str:
 
 
 def serialize_case(case: MatpowerCase) -> str:
-    out = [f"function mpc = {case.name}", "mpc.version = '2';", ""]
+    out = ["function mpc = serialized", "mpc.version = '2';", ""]
     out.append(f"mpc.baseMVA = {_fmt(case.base_mva)};")
     for key in ("bus", "gen", "branch"):
         table = getattr(case, key)
@@ -145,6 +145,21 @@ def test_an_island_without_the_slack_bus_is_rejected():
         parse_matpower_case(text)
     # one more branch from bus 2 to bus 4 joins the island to the network
     parse_matpower_case(text.replace("360;\n];", "360;\n" + joined.replace("    3 4 ", "    2 4 ") + "];"))
+
+
+def test_a_slack_bus_without_an_in_service_generator_is_rejected():
+    # with no generator the slack bus has no voltage setpoint to hold
+    gen_out = _edited("1.0 100 1 80", "1.0 100 0 80")
+    message = "^bus 1: the slack bus has no in-service generator$"
+    with pytest.raises(UnsupportedFeatureError, match=message):
+        parse_matpower_case(gen_out)
+    # it comes after every case error and before the type-4 and island checks
+    with pytest.raises(CaseParseError, match="zero impedance"):
+        parse_matpower_case(gen_out.replace("0.01 0.1 0.02", "0 0 0.02"))
+    with pytest.raises(UnsupportedFeatureError, match=message):
+        parse_matpower_case(gen_out.replace("2 1 21.7", "2 4 21.7"))
+    with pytest.raises(UnsupportedFeatureError, match=message):
+        parse_matpower_case(gen_out.replace("130 0 0 1 -360", "130 0 0 0 -360"))
 
 
 def test_phase_shift_rejected():
