@@ -56,27 +56,23 @@ def power_injections(grid: GridModel, state: PowerState) -> np.ndarray:
 
 
 def line_flows(grid: GridModel, state: PowerState) -> np.ndarray:
-    """Branch flows, both ends: P block then Q block (see module header)."""
+    """Branch flows, both ends: P block then Q block (see module header).
+
+    The reverse end is the forward formula with (f, t, sh_f) swapped for
+    (t, f, sh_t).
+    """
     if state.n_buses != grid.n_buses:
         raise InvalidArgumentError("state size does not match grid")
     n_br = grid.n_branches
-    out = np.zeros(state.theta.shape[:-1] + (4 * n_br,))
+    out = np.empty(state.theta.shape[:-1] + (4 * n_br,))
     br = grid.branches
-    f, t, sh_f, sh_t = br.f, br.t, br.sh_f, br.sh_t
     g, b = br.ys.real, br.ys.imag
     v, theta = state.v, state.theta
-    d_ft = theta[..., f] - theta[..., t]
-    vf, vt = v[..., f], v[..., t]
-
-    p_fwd = vf**2 * (g + sh_f.real) - vf * vt * (g * np.cos(d_ft) + b * np.sin(d_ft))
-    q_fwd = -(vf**2) * (b + sh_f.imag) - vf * vt * (g * np.sin(d_ft) - b * np.cos(d_ft))
-    p_rev = vt**2 * (g + sh_t.real) - vt * vf * (g * np.cos(-d_ft) + b * np.sin(-d_ft))
-    q_rev = -(vt**2) * (b + sh_t.imag) - vt * vf * (g * np.sin(-d_ft) - b * np.cos(-d_ft))
-
-    out[..., 0 : 2 * n_br : 2] = p_fwd
-    out[..., 1 : 2 * n_br : 2] = p_rev
-    out[..., 2 * n_br : 4 * n_br : 2] = q_fwd
-    out[..., 2 * n_br + 1 : 4 * n_br : 2] = q_rev
+    for k, (a, o, sh) in enumerate(((br.f, br.t, br.sh_f), (br.t, br.f, br.sh_t))):
+        d, va, vo = theta[..., a] - theta[..., o], v[..., a], v[..., o]
+        p = va**2 * (g + sh.real) - va * vo * (g * np.cos(d) + b * np.sin(d))
+        q = -(va**2) * (b + sh.imag) - va * vo * (g * np.sin(d) - b * np.cos(d))
+        out[..., k : 2 * n_br : 2], out[..., 2 * n_br + k :: 2] = p, q
     return out
 
 
@@ -85,40 +81,22 @@ def full_measurement_vector(grid: GridModel, state: PowerState) -> np.ndarray:
     return np.concatenate([power_injections(grid, state), line_flows(grid, state)], axis=-1)
 
 
-def _branch_flow_derivatives(grid: GridModel, state: PowerState):
-    """d(complex flow)/d(angle, magnitude) for each branch end, dense."""
+def full_measurement_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
+    """d(f)/d(unknowns) for the full measurement vector, (..., M, 2N - 1).
+
+    The phasors are formed once per call and shared by the injection block
+    and both branch ends; each end is MATPOWER's dSbr_dV, its incidence
+    products Cf diag(V) taken as rows of the shared dense diagonals.
+    """
+    if state.n_buses != grid.n_buses:
+        raise InvalidArgumentError("state size does not match grid")
     n, n_br = grid.n_buses, grid.n_branches
     br = grid.branches
-    v_c = state.complex_voltages()
-    # unit phasors straight from the angles: defined even at V = 0 box edge
-    norm = np.exp(1j * state.theta)
-
-    diag_v = diagonals(v_c)
-    diag_norm = diagonals(norm)
-    rows = np.arange(n_br)
-
-    def one_end(y_end: np.ndarray, end: np.ndarray):
-        i_end = matvec(y_end, v_c)
-        conj_diag_i = np.conj(diagonals(i_end))
-        diag_v_end = diagonals(v_c[..., end])
-        c_v = np.zeros(v_c.shape[:-1] + (n_br, n), dtype=complex)
-        c_v[..., rows, end] = v_c[..., end]
-        c_norm = np.zeros(v_c.shape[:-1] + (n_br, n), dtype=complex)
-        c_norm[..., rows, end] = norm[..., end]
-        ds_dva = 1j * (conj_diag_i @ c_v - diag_v_end @ np.conj(y_end @ diag_v))
-        ds_dvm = diag_v_end @ np.conj(y_end @ diag_norm) + conj_diag_i @ c_norm
-        return ds_dva, ds_dvm
-
-    return one_end(br.yf, br.f), one_end(br.yt, br.t)
-
-
-def full_measurement_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
-    """d(f)/d(unknowns) for the full measurement vector, (..., M, 2N - 1)."""
-    n, n_br = grid.n_buses, grid.n_branches
-    v_c = state.complex_voltages()
-    ds_dva, ds_dvm = complex_injection_derivatives(
-        grid.ybus, v_c, v_unit=np.exp(1j * state.theta)
-    )
+    # unit phasors straight from the angles: defined even at the V = 0 box edge
+    unit = np.exp(1j * state.theta)
+    v_c = state.v * unit
+    ds_dva, ds_dvm = complex_injection_derivatives(grid.ybus, v_c, v_unit=unit)
+    diag_v, diag_unit = diagonals(v_c), diagonals(unit)
 
     # the angle columns drop the slack bus, whose angle is not an unknown
     keep = np.arange(n) != grid.slack_bus
@@ -131,10 +109,15 @@ def full_measurement_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
 
     put(slice(0, n), ds_dva.real, ds_dvm.real)
     put(slice(n, 2 * n), ds_dva.imag, ds_dvm.imag)
-    (dsf_dva, dsf_dvm), (dst_dva, dst_dvm) = _branch_flow_derivatives(grid, state)
-    for base, part in ((2 * n, np.real), (2 * n + 2 * n_br, np.imag)):
-        put(slice(base, base + 2 * n_br, 2), part(dsf_dva), part(dsf_dvm))
-        put(slice(base + 1, base + 2 * n_br, 2), part(dst_dva), part(dst_dvm))
+    for k, (y_end, end) in enumerate(((br.yf, br.f), (br.yt, br.t))):
+        conj_diag_i = np.conj(diagonals(matvec(y_end, v_c)))
+        diag_v_end = diagonals(v_c[..., end])
+        # np.take keeps the end's rows C-contiguous, like every other BLAS operand here
+        end_v, end_unit = np.take(diag_v, end, axis=-2), np.take(diag_unit, end, axis=-2)
+        by_angle = 1j * (conj_diag_i @ end_v - diag_v_end @ np.conj(y_end @ diag_v))
+        by_magnitude = diag_v_end @ np.conj(y_end @ diag_unit) + conj_diag_i @ end_unit
+        for base, part in ((2 * n + k, np.real), (2 * n + 2 * n_br + k, np.imag)):
+            put(slice(base, base + 2 * n_br, 2), part(by_angle), part(by_magnitude))
     # every row is written above
     return jac
 

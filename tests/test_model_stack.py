@@ -9,6 +9,8 @@ the agents one by one.
 
 from __future__ import annotations
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,13 @@ from gossipgn.core import evaluate, normal_system, site_terms
 from gossipgn.psse.grid import (
     GridModel,
     PowerState,
+    build_grid_model,
     complex_injection_derivatives,
     flat_start_vector,
     make_box,
     vector_to_state,
 )
+from gossipgn.psse.matpower import parse_matpower_text
 from gossipgn.psse.measurements import (
     build_nlls_sites,
     full_measurement_jacobian,
@@ -180,18 +184,34 @@ def _assert_stack_matches_per_state(grid: GridModel, xs: np.ndarray) -> None:
         assert_same_bits(ds_dvm[i], want_dvm)
 
 
+@pytest.fixture(scope="module")
+def grids(grid30, grid2) -> dict[str, GridModel]:
+    """The packaged cases, and case30 with its slack bus row moved to sixth
+    place, so that the slack bus index is 5 rather than 0."""
+    text = resources.files("gossipgn.psse").joinpath("data/case30.m").read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    first = lines.index("mpc.bus = [\n") + 1
+    lines.insert(first + 5, lines.pop(first))
+    moved = build_grid_model(parse_matpower_text("".join(lines)))
+    assert moved.slack_bus == 5
+    return {"case30": grid30, "case2": grid2, "case30_slack5": moved}
+
+
+CASES = ["case30", "case2", "case30_slack5"]
+
+
 @pytest.mark.parametrize("n_states", [1, 2, 3, 7, 30])
-@pytest.mark.parametrize("which", ["case30", "case2"])
-def test_stacked_model_equals_per_state_formulas_bitwise(which, n_states, grid30, grid2):
-    grid = grid30 if which == "case30" else grid2
+@pytest.mark.parametrize("which", CASES)
+def test_stacked_model_equals_per_state_formulas_bitwise(which, n_states, grids):
+    grid = grids[which]
     rng = np.random.default_rng(100 * n_states + len(which))
     for near_flat in (True, False):
         _assert_stack_matches_per_state(grid, _random_stack(grid, n_states, rng, near_flat))
 
 
-@pytest.mark.parametrize("which", ["case30", "case2"])
-def test_stacked_model_at_box_edges_equals_per_state_formulas(which, grid30, grid2):
-    grid = grid30 if which == "case30" else grid2
+@pytest.mark.parametrize("which", CASES)
+def test_stacked_model_at_box_edges_equals_per_state_formulas(which, grids):
+    grid = grids[which]
     xs = _box_edge_stack(grid)
     _assert_stack_matches_per_state(grid, xs)
     assert np.isfinite(full_measurement_jacobian(grid, vector_to_state(
@@ -199,9 +219,9 @@ def test_stacked_model_at_box_edges_equals_per_state_formulas(which, grid30, gri
     ))).all()
 
 
-@pytest.mark.parametrize("which", ["case30", "case2"])
-def test_one_state_is_the_unstacked_case(which, grid30, grid2):
-    grid = grid30 if which == "case30" else grid2
+@pytest.mark.parametrize("which", CASES)
+def test_one_state_is_the_unstacked_case(which, grids):
+    grid = grids[which]
     rng = np.random.default_rng(7)
     for x in [*_random_stack(grid, 3, rng, False), *_box_edge_stack(grid)]:
         state = vector_to_state(x, grid.n_buses, grid.slack_bus)

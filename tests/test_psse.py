@@ -159,6 +159,14 @@ def test_measurement_count_ieee30(grid30):
     assert measurement_count(grid30) == 2 * 30 + 4 * 41 == 224
 
 
+def test_model_functions_reject_a_state_of_another_bus_count(grid30):
+    for n_buses in (29, 31):
+        state = PowerState(theta=np.zeros(n_buses), v=np.ones(n_buses))
+        for model in (power_injections, line_flows, full_measurement_vector, full_measurement_jacobian):
+            with pytest.raises(InvalidArgumentError, match="state size does not match grid"):
+                model(grid30, state)
+
+
 # --- hand-checkable special cases --------------------------------------------
 
 
