@@ -103,6 +103,7 @@ def build_certificate(
     alpha: float,
     xi: float,
     schedule_kind: str,
+    interval: int = 1,
 ) -> ConvergenceCertificate:
     """Evaluate the paper's chain of sufficient conditions from problem constants.
 
@@ -118,9 +119,11 @@ def build_certificate(
     range) D, ell_min and lambda_infty are infinite, kappa is NaN and the
     certificate is conditional.
 
-    Single-agent runs are centralized: the gossip constants degenerate
-    (C, D undefined) and the perturbation is exactly zero. The connectivity
-    interval L is taken as 1, so L0 = I - 1.
+    The gossip constants take L0 = (I - 1) B for the run's connectivity
+    interval B (see gossip.connectivity_interval), B = 1 for CSE, whose every
+    round is the complete graph. Single-agent runs are centralized: the
+    gossip constants degenerate (C, D undefined), the perturbation is
+    exactly zero and L0 = 0.
     """
     if not 0.0 < xi < 0.5:
         raise InvalidArgumentError("xi must lie in (0, 1/2)")
@@ -131,12 +134,12 @@ def build_certificate(
         math.sqrt(2.0) * alpha * pc.omega * pc.epsilon_min / pc.sigma_min**2
     )
     alpha_lower = max(1.0 - 3.0 * pc.sigma_min / pc.sigma_max, 0.0)
+    l0 = (n_agents - 1) * interval
     if n_agents == 1:
         c = log_rate = c1 = c2 = d = lambda_infty = math.nan
         ell_min = kappa = 0.0
     else:
-        log_rate = log_lambda_eta(eta, n_agents)  # checks eta and n_agents
-        l0 = n_agents - 1
+        log_rate = log_lambda_eta(eta, n_agents, interval)  # checks eta, n_agents and interval
         try:
             growth = eta ** (-l0)
         except OverflowError:
@@ -163,7 +166,7 @@ def build_certificate(
     return ConvergenceCertificate(
         eta_observed=eta, T1=t1, T2=t2, rho_min=radii.rho_min, rho_max=radii.rho_max,
         kappa=kappa, alpha_lower=alpha_lower, C=c, C1=c1, C2=c2, D=d,
-        lambda_eta_val=math.exp(log_rate), L0=n_agents - 1, ell_min=ell_min,
+        lambda_eta_val=math.exp(log_rate), L0=l0, ell_min=ell_min,
         lambda_infty=lambda_infty, xi=xi, radii_defined=radii.defined,
         conditional=math.isinf(ell_min),
     )

@@ -17,7 +17,7 @@ every per-site quantity is a slice of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -216,6 +216,22 @@ def project(x: np.ndarray, box: BoxSet) -> np.ndarray:
             f"state length {x.shape} does not match box dimension {box.lower.shape}"
         )
     return np.clip(x, box.lower, box.upper)
+
+
+def component_roots(n_nodes: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Each node's connected component in the graph of n_nodes nodes and the
+    (a, b) edges, labelled by the component's union-find root node."""
+    root = list(range(n_nodes))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for a, b in edges:
+        root[find(a)] = find(b)
+    return np.array([find(i) for i in range(n_nodes)])
 
 
 def _check_sites(sites: list[SiteModel]) -> SiteBatch:
@@ -436,6 +452,15 @@ def _spectral_bounds(
     return np.sqrt(bounds, out=bounds)
 
 
+# estimate_constants treats two points as one when they lie within this
+# distance of each other relative to the larger norm. A Jacobian difference
+# carries the model's rounding error, about eps ||J||, so over a distance d its
+# ratio carries about eps ||J|| / d: below sqrt(eps) ||x|| that error can pass
+# sqrt(eps) ||J|| / ||x||, the scale of the ratios themselves (the step-size
+# argument of finite differences; Nocedal & Wright, Numerical Optimization, 8.1).
+COINCIDENT_DISTANCE = float(np.sqrt(np.finfo(float).eps))
+
+
 def _stacked_jacobian(sites: list[SiteModel], jac: np.ndarray) -> np.ndarray:
     return np.vstack([site.eval_jacobian(jac) for site in sites])
 
@@ -456,7 +481,10 @@ def estimate_constants(
     the smallest sampled residual norm stands in). extra_points are appended
     to the sample set so callers can pin trajectory iterates into the
     estimate. A rank-deficient sampled Jacobian is reported as sigma_min = 0
-    and rank_deficient_sample = True rather than as an error.
+    and rank_deficient_sample = True rather than as an error. Before any
+    point is evaluated, every point within COINCIDENT_DISTANCE of an earlier
+    one, relative to the larger of the two norms, is dropped: its ratios
+    would be rounding noise over a vanishing distance.
 
     omega comes from an exact pruned sweep over all pairs of points rather
     than one SVD per pair. Pairs are visited by a row-sum bound on ||D||_2
@@ -476,6 +504,16 @@ def estimate_constants(
     points = rng.uniform(box.lower, box.upper, size=(n_samples, box.dim))
     if extra_points is not None and len(extra_points):
         points = np.vstack([points, np.asarray(extra_points, dtype=float)])
+    pair_i, pair_j = np.triu_indices(len(points), k=1)
+    dxs = np.concatenate(
+        [np.linalg.norm(points[i + 1:] - points[i], axis=1) for i in range(len(points) - 1)]
+    )
+    norms = np.linalg.norm(points, axis=1)
+    keep = np.ones(len(points), dtype=bool)
+    keep[pair_j[dxs <= COINCIDENT_DISTANCE * np.maximum(norms[pair_i], norms[pair_j])]] = False
+    kept_pairs, renumber = keep[pair_i] & keep[pair_j], np.cumsum(keep) - 1
+    points, dxs = points[keep], dxs[kept_pairs]
+    pair_i, pair_j = renumber[pair_i[kept_pairs]], renumber[pair_j[kept_pairs]]
 
     eps_max = 0.0
     eps_min_seen = np.inf
@@ -501,15 +539,8 @@ def estimate_constants(
     # a bound is tight (D's nonzeros in one column for the row-sum bound, D
     # of rank one for the Frobenius one), and the bound's distances, taken a
     # row of pairs at a time, may differ from the exact ones in the last
-    # ulps. Coincident points keep a -inf bound and are never visited.
-    pair_i, pair_j = np.triu_indices(len(points), k=1)
-    dxs = np.concatenate(
-        [np.linalg.norm(points[i + 1:] - points[i], axis=1) for i in range(len(points) - 1)]
-    )
-    bounds = np.divide(
-        _spectral_bounds(values, pattern, jac.shape[1], pair_i, pair_j), dxs,
-        out=np.full(pair_i.size, -np.inf), where=dxs != 0.0,
-    )
+    # ulps. No distance is 0: coincident points are gone.
+    bounds = _spectral_bounds(values, pattern, jac.shape[1], pair_i, pair_j) / dxs
     d = np.zeros(jac.shape)  # every entry outside pattern stays 0
     omega = 0.0
     for k in np.argsort(-bounds, kind="stable").tolist():

@@ -29,6 +29,7 @@ from .core import (
 )
 from .errors import ConfigError, GossipGnError, InvalidArgumentError
 from .ggn import Trajectory, centralized_run, diffusion_baseline_run, ggn_run
+from .gossip import connectivity_interval
 from .psse import (
     GridModel,
     PowerState,
@@ -269,6 +270,7 @@ def certificate_for_run(
     xi: float,
     n_samples: int,
     rng_seed: int,
+    interval: int,
 ) -> tuple[ProblemConstants, ConvergenceCertificate | None]:
     """Estimate constants over an envelope of the observed iterates.
 
@@ -276,13 +278,10 @@ def certificate_for_run(
     reference point, slightly padded and clipped to the feasible box, so
     the resulting Lipschitz and spectral constants majorize what the
     recorded trajectories actually traversed. Iterates, the reference and
-    segment midpoints enter the pairwise Lipschitz sweep directly, each
-    distinct point once: a point equal byte for byte to an earlier one (the
-    agents' shared start, the reference's own midpoint) adds only pairs
-    whose ratios the sweep already has, so it is dropped. The
-    certificate covers the last trajectory's agents at its eta_observed, and
-    is None when a sampled Jacobian is rank deficient: its recursion constants divide by
-    sigma_min, which is then 0.
+    segment midpoints enter the pairwise Lipschitz sweep directly. The
+    certificate covers the last trajectory's agents at its eta_observed and
+    connectivity interval, and is None when a sampled Jacobian is rank
+    deficient: its recursion constants divide by sigma_min, which is then 0.
     """
     points = [np.asarray(x_ref, dtype=float)]
     for traj in trajectories:
@@ -294,10 +293,6 @@ def certificate_for_run(
         pts = pts[pick[np.diff(pick, prepend=-1) != 0]]  # pick is sorted
     midpoints = 0.5 * (pts + pts[0])
     extra = np.vstack([pts, midpoints])
-    firsts: dict[bytes, int] = {}
-    for k, row in enumerate(extra):
-        firsts.setdefault(row.tobytes(), k)
-    extra = extra[list(firsts.values())]
 
     span = pts.max(axis=0) - pts.min(axis=0)
     pad = 0.05 * span + 1e-4
@@ -314,7 +309,7 @@ def certificate_for_run(
     last = trajectories[-1]
     cert = build_certificate(
         pc, n_agents=last.n_agents, n_unknowns=box.dim, eta=last.eta_observed, alpha=alpha,
-        xi=xi, schedule_kind=schedule_kind,
+        xi=xi, schedule_kind=schedule_kind, interval=interval,
     )
     return pc, cert
 
@@ -375,17 +370,26 @@ def _certificate_summary(
     traj = last.trajectories[-1]
     eta = traj.eta_observed
     # a single agent's certificate has no gossip, so it reads no rate
-    if traj.n_agents > 1 and not 0.0 < eta < 1.0:
-        return {
-            "certificate.applicable": False,
-            "certificate.reason": f"eta_observed={eta} is outside (0, 1): "
-            "no exchange mixed two agents, so the consensus rate is undefined",
-        }
+    interval = 1
+    if traj.n_agents > 1:
+        if not 0.0 < eta < 1.0:
+            return {
+                "certificate.applicable": False,
+                "certificate.reason": f"eta_observed={eta} is outside (0, 1): "
+                "no exchange mixed two agents, so the consensus rate is undefined",
+            }
+        interval = connectivity_interval(traj.n_agents, traj.exchange_pairs)
+        if interval is None:
+            return {
+                "certificate.applicable": False,
+                "certificate.reason": "the run has no connectivity interval: for no window "
+                "length B does every aligned window of B exchanges join all agents",
+            }
     pc, cert = certificate_for_run(
         last.sites, problem.box, last.trajectories,
         last.references[-1], alpha=config.alpha, schedule_kind=config.exchanges.kind,
         xi=config.certificate.xi, n_samples=config.certificate.n_samples,
-        rng_seed=config.seed,
+        rng_seed=config.seed, interval=interval,
     )
     constants = _section("constants", pc)
     if cert is None:

@@ -172,8 +172,10 @@ class Trajectory:
     final stack; vals and grads hold ||g_i||^2 and ||G_i^T g_i|| at each
     iterates[k][i]. exchange_counts[k] is update k's number of gossip
     exchanges. Only GGN records discrepancies[k], each agent's descent
-    discrepancy at update k, and eta_observed, the smallest nonzero weight of
-    any exchange matrix drawn.
+    discrepancy at update k, eta_observed, the smallest nonzero weight of
+    any exchange matrix drawn, and exchange_pairs, each exchange's pair in
+    order: () for a failed URE round, None for a CSE round, which joins all
+    agents.
     """
 
     iterates: np.ndarray
@@ -182,6 +184,7 @@ class Trajectory:
     exchange_counts: np.ndarray
     discrepancies: np.ndarray | None = None
     eta_observed: float = math.nan
+    exchange_pairs: tuple[tuple[int, ...] | None, ...] | None = None
 
     @property
     def n_updates(self) -> int:
@@ -219,6 +222,7 @@ def ggn_run(
     discrepancies = []
     exchange_counts = []
     eta_observed = np.inf
+    pairs = []
 
     def init_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Payload stack and exact directions at the agents' iterates x;
@@ -251,6 +255,7 @@ def ggn_run(
         payloads, exact = init_step(x)
         for weights in itertools.islice(rounds, ell_k):
             eta_observed = min(eta_observed, weights.eta)
+            pairs.append(weights.pair if isinstance(weights, PairwiseRound) else None)
             payloads = gossip_round(payloads, weights, out=payloads)
 
         descent_stack = surrogate_descent(payloads, ggn_config.ridge)
@@ -275,6 +280,7 @@ def ggn_run(
         exchange_counts=np.asarray(exchange_counts, dtype=int),
         discrepancies=np.stack(discrepancies),
         eta_observed=float(eta_observed),
+        exchange_pairs=tuple(pairs),
     )
 
 

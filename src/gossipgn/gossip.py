@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from .core import component_roots
 from .errors import InvalidArgumentError
 
 PROTOCOLS = ("cse", "ure")
@@ -182,12 +184,40 @@ def gossip_round(
     return out
 
 
-def log_lambda_eta(eta: float, n_agents: int) -> float:
-    """Log of the consensus rate (1 - eta^L0)^(1/L0), L0 = I - 1: it keeps its
-    digits where 1 - eta^L0 rounds to 1.0, and reads 0.0 once eta^L0 underflows."""
-    l0 = n_agents - 1
+def connectivity_interval(
+    n_agents: int, pairs: Sequence[tuple[int, ...] | None]
+) -> int | None:
+    """B, the smallest window length for which the union graph of every
+    complete aligned window pairs[kB:(k+1)B] joins all n_agents, or None when
+    no length does. pairs holds a run's exchanges in order: a URE round's
+    pair, () for a failed round, which joins no one, and None for a CSE round,
+    which joins everyone. A trailing window shorter than B is not checked.
+    """
+
+    def joins_all(window) -> bool:
+        if None in window:
+            return True
+        roots = component_roots(n_agents, [pair for pair in window if pair])
+        return bool((roots == roots[0]).all())
+
+    # every window's union graph is part of the whole run's
+    if not pairs or not joins_all(pairs):
+        return None
+    return next(
+        b for b in range(1, len(pairs) + 1)
+        if all(joins_all(pairs[s : s + b]) for s in range(0, len(pairs) - b + 1, b))
+    )
+
+
+def log_lambda_eta(eta: float, n_agents: int, interval: int = 1) -> float:
+    """Log of the consensus rate (1 - eta^L0)^(1/L0), L0 = (I - 1) B for the
+    connectivity interval B (Nedić & Ozdaglar, "Distributed Subgradient
+    Methods for Multi-Agent Optimization", IEEE TAC 2009): it keeps its
+    digits where 1 - eta^L0 rounds to 1.0, and reads 0.0 once eta^L0
+    underflows."""
+    l0 = (n_agents - 1) * interval
     if not 0.0 < eta < 1.0:
         raise InvalidArgumentError("eta must lie in (0, 1)")
-    if l0 < 1:
-        raise InvalidArgumentError("need n_agents >= 2")
+    if n_agents < 2 or interval < 1:
+        raise InvalidArgumentError("need n_agents >= 2 and interval >= 1")
     return math.log1p(-(eta**l0)) / l0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import BoxSet
+from ..core import BoxSet, component_roots
 from ..errors import CaseParseError, InvalidArgumentError, PowerFlowError, UnsupportedFeatureError
 from . import matpower as mp
 from .matpower import MatpowerCase
@@ -196,18 +196,8 @@ def build_grid_model(case: MatpowerCase) -> GridModel:
             f"bus {bus_ids[isolated[0]]}: bus type 4 (isolated) is not supported"
         )
     # a bus that no branch path joins to the slack bus has no power flow and no
-    # estimate: label each bus with its island's root by union-find
-    root = list(range(n))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for f, t, *_ in kept:
-        root[find(f)] = find(t)
-    island = np.array([find(i) for i in range(n)])
+    # estimate: label each bus with its island's root
+    island = component_roots(n, ((f, t) for f, t, *_ in kept))
     sizes = np.bincount(island, minlength=n)[island]
     lone = np.flatnonzero(sizes == 1)
     if lone.size:
@@ -252,9 +242,6 @@ class PowerState:
     def n_buses(self) -> int:
         return self.theta.shape[-1]
 
-    def complex_voltages(self) -> np.ndarray:
-        return self.v * np.exp(1j * self.theta)
-
 
 def vector_to_state(x: np.ndarray, n_buses: int, slack_bus: int) -> PowerState:
     """The state of an unknown vector, or the states of a (..., 2N - 1) stack."""
@@ -293,21 +280,19 @@ def diagonals(d: np.ndarray) -> np.ndarray:
 
 
 def complex_injection_derivatives(
-    ybus: np.ndarray, v_complex: np.ndarray, v_unit: np.ndarray
+    ybus: np.ndarray, v_complex: np.ndarray, diag_v: np.ndarray, diag_unit: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """d(complex bus power)/d(angle), d(.)/d(magnitude) as dense (..., N, N) matrices.
 
-    v_complex holds the bus voltages V e^{j theta} and v_unit their angle
-    phasors e^{j theta}. The phasors are passed, not recovered from
-    v_complex, so the derivatives stay defined at the lower box edge V = 0,
-    where v_complex carries no angle.
+    v_complex holds the bus voltages V e^{j theta}, and diag_v and diag_unit
+    are the diagonals of v_complex and of the angle phasors e^{j theta}, as
+    the caller forms them for its own products. The phasors are passed, not
+    recovered from v_complex, so the derivatives stay defined at the lower
+    box edge V = 0, where v_complex carries no angle.
     """
-    ibus = matvec(ybus, v_complex)
-    diag_v = diagonals(v_complex)
-    diag_i = diagonals(ibus)
-    diag_norm = diagonals(v_unit)
+    diag_i = diagonals(matvec(ybus, v_complex))
     ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-    ds_dvm = diag_v @ np.conj(ybus @ diag_norm) + np.conj(diag_i) @ diag_norm
+    ds_dvm = diag_v @ np.conj(ybus @ diag_unit) + np.conj(diag_i) @ diag_unit
     return ds_dva, ds_dvm
 
 
@@ -336,7 +321,9 @@ def newton_power_flow(grid: GridModel) -> PowerState:
         f_vec = np.concatenate([mismatch[pvpq].real, mismatch[pq].imag])
         if float(np.max(np.abs(f_vec))) <= _POWER_FLOW_TOL:
             return PowerState(theta=va, v=vm)
-        ds_dva, ds_dvm = complex_injection_derivatives(grid.ybus, v_c, v_c / np.abs(v_c))
+        ds_dva, ds_dvm = complex_injection_derivatives(
+            grid.ybus, v_c, diagonals(v_c), diagonals(v_c / np.abs(v_c))
+        )
         j11 = ds_dva[np.ix_(pvpq, pvpq)].real
         j12 = ds_dvm[np.ix_(pvpq, pq)].real
         j21 = ds_dva[np.ix_(pq, pvpq)].imag

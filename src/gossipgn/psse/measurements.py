@@ -84,9 +84,10 @@ def full_measurement_vector(grid: GridModel, state: PowerState) -> np.ndarray:
 def full_measurement_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
     """d(f)/d(unknowns) for the full measurement vector, (..., M, 2N - 1).
 
-    The phasors are formed once per call and shared by the injection block
-    and both branch ends; each end is MATPOWER's dSbr_dV, its incidence
-    products Cf diag(V) taken as rows of the shared dense diagonals.
+    The phasors and their dense diagonals are formed once per call and
+    shared by the injection block and both branch ends; each end is
+    MATPOWER's dSbr_dV, its incidence products Cf diag(V) taken as rows of
+    the shared diagonals.
     """
     if state.n_buses != grid.n_buses:
         raise InvalidArgumentError("state size does not match grid")
@@ -95,8 +96,8 @@ def full_measurement_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
     # unit phasors straight from the angles: defined even at the V = 0 box edge
     unit = np.exp(1j * state.theta)
     v_c = state.v * unit
-    ds_dva, ds_dvm = complex_injection_derivatives(grid.ybus, v_c, v_unit=unit)
     diag_v, diag_unit = diagonals(v_c), diagonals(unit)
+    ds_dva, ds_dvm = complex_injection_derivatives(grid.ybus, v_c, diag_v, diag_unit)
 
     # the angle columns drop the slack bus, whose angle is not an unknown
     keep = np.arange(n) != grid.slack_bus

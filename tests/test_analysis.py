@@ -8,7 +8,7 @@ from gossipgn.analysis import ConvergenceCertificate, build_certificate, equilib
 from gossipgn.core import BoxSet, ProblemConstants, centralized_gn_solve, normal_system
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.ggn import ExchangeSchedule, GgnConfig, ggn_run
-from gossipgn.gossip import GossipConfig, log_lambda_eta
+from gossipgn.gossip import GossipConfig, connectivity_interval, log_lambda_eta
 
 from conftest import evaluated, sites_from_blocks, terms_at, verify_contraction_to_ball
 
@@ -335,6 +335,32 @@ def test_build_certificate_multi_agent_pipeline():
     )
     assert not cert.conditional
     assert cert.xi == 0.25
+
+
+def test_build_certificate_takes_l0_from_the_connectivity_interval():
+    # three agents whose exchanges join them all only over windows of B = 3
+    # (the failed round () and (0, 2) join two): L0 = (I - 1) B = 6 in the
+    # rate and in C
+    interval = connectivity_interval(3, [(0, 1), (1, 2), (), (0, 2), (0, 1), (1, 2)])
+    assert interval == 3
+    pc = make_pc(eps_max=0.2, eps_min=0.01, s_min=1.5, s_max=2.0, omega=0.1)
+    cert = build_certificate(
+        pc, n_agents=3, n_unknowns=2, eta=0.5, alpha=0.9, xi=0.25,
+        schedule_kind="incrementing", interval=interval,
+    )
+    assert cert.L0 == 6
+    assert cert.lambda_eta_val == math.exp(log_lambda_eta(0.5, 3, interval=3))
+    assert cert.lambda_eta_val == pytest.approx((1 - 0.5**6) ** (1 / 6), rel=1e-15)
+    assert cert.C == pytest.approx(
+        2 * 3 * 2.0 * math.sqrt(3 * (0.2**2 + 2 * 2.0**2)) * (1 + 0.5**-6) / (1 - 0.5**6),
+        rel=1e-12,
+    )
+    # B = 1 is the complete graph of CSE: the certificate of the parent form
+    one = build_certificate(pc, 3, 2, 0.5, 0.9, 0.25, "incrementing", interval=1)
+    assert one == build_certificate(pc, 3, 2, 0.5, 0.9, 0.25, "incrementing")
+    assert one.L0 == 2
+    # a single agent gossips nothing, whatever the interval
+    assert build_certificate(pc, 1, 2, 0.5, 0.9, 0.25, "incrementing", interval=3).L0 == 0
 
 
 @pytest.mark.parametrize("n_agents", [2, 3, 11, 12, 30, 120, 300, 1100])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gossipgn.core import (
+    COINCIDENT_DISTANCE,
     COND_CAP,
     MODEL_SLICE,
     BoxSet,
@@ -479,16 +480,22 @@ def test_estimate_constants_omega_majorizes_observed_pairs(toy_sites, toy_box):
             assert slope <= 3.0 * pc.omega
 
 
-def brute_force_omega(sites, points):
-    """Lipschitz oracle: one spectral norm for every pair of points."""
+def brute_force_omega(sites, points, coincident=COINCIDENT_DISTANCE):
+    """Lipschitz oracle: one spectral norm for every pair of points, after
+    dropping each point within `coincident` of an earlier one, relative to
+    the larger norm, as estimate_constants does; coincident=0 drops only
+    exact repeats."""
+    norm = np.linalg.norm
+    points = [
+        x for k, x in enumerate(points)
+        if all(norm(x - y) > coincident * max(norm(x), norm(y)) for y in points[:k])
+    ]
     jacobians = [np.vstack([terms_at(s, x)[1] for s in sites]) for x in points]
     omega = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            dx = float(np.linalg.norm(points[i] - points[j]))
-            if dx == 0.0:
-                continue
-            dj = float(np.linalg.norm(jacobians[i] - jacobians[j], 2))
+            dx = float(norm(points[i] - points[j]))
+            dj = float(norm(jacobians[i] - jacobians[j], 2))
             omega = max(omega, dj / dx)
     return omega
 
@@ -592,6 +599,24 @@ def test_estimate_constants_omega_equals_brute_force_on_case30(grid30, true30):
     assert pc.omega == oracle
     # the rank-one pair, where the pruning bound is tight, sets omega
     assert oracle == tight_ratio
+
+
+def test_estimate_constants_drops_a_point_one_ulp_from_an_earlier_one():
+    # J(x) = 1 + x. At x = 2^-53 the sum is a tie and rounds to 1; one ulp
+    # above, it rounds to 1 + 2^-52. That pair's ratio is 2^-52 / 2^-105 =
+    # 2^53, rounding noise, while every other pair reads about 1, the true
+    # Lipschitz constant
+    sites = sites_from_blocks(1, [lambda x: x + 0.5 * x**2], [lambda x: np.array([[1.0 + x[0]]])])
+    box = BoxSet(np.zeros(1), np.ones(1))
+    tie = 2.0**-53
+    extra = [np.array([tie]), np.array([np.nextafter(tie, 1.0)])]
+    points = sample_points(box, 6, 0, extra)
+    others = brute_force_omega(sites, points[:-1])
+    assert others == pytest.approx(1.0, rel=1e-12)
+    # without the rule, as before it, omega is the noise
+    assert brute_force_omega(sites, points, coincident=0.0) == 2.0**53
+    pc = estimate_constants(sites, box, n_samples=6, rng_seed=0, extra_points=extra)
+    assert pc.omega == others == brute_force_omega(sites, points)
 
 
 def test_estimate_constants_checks_each_candidate_pair_before_its_svd(grid30, true30, monkeypatch):

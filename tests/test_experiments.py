@@ -19,7 +19,7 @@ from gossipgn.cli import main
 from gossipgn.config import ExperimentConfig, config_from_mapping, load_config
 from gossipgn.errors import ConfigError, InvalidArgumentError
 from gossipgn.ggn import DiffusionConfig, ExchangeSchedule, GgnConfig
-from gossipgn.gossip import GossipConfig
+from gossipgn.gossip import GossipConfig, connectivity_interval, log_lambda_eta
 from gossipgn.experiments import (
     CSV_BLOCK_ROWS,
     CSV_COLUMNS,
@@ -1196,6 +1196,46 @@ def test_run_where_no_exchange_mixes_skips_the_certificate(tmp_path, monkeypatch
     summary = read_summary(result.summary_path)
     assert summary["certificate.applicable"] == "false"
     assert "eta_observed=1.0" in summary["certificate.reason"]
+    assert not any(key.startswith("constants.") for key in summary)
+
+
+def ure3_mapping(tmp_path, **overrides):
+    """Three URE sites on case30 at seed 1, one repetition."""
+    return tiny_mapping(**{
+        "case_path": "case30", "sites": 3, "protocol": {"kind": "ure", "beta": 0.3},
+        "exchanges": {"kind": "constant", "base": 3}, "max_updates": 15, "seed": 1,
+        "repetitions": 1, "certificate": {"n_samples": 24}, "output_dir": str(tmp_path / "o"),
+        **overrides,
+    })
+
+
+def test_ure_certificate_takes_the_connectivity_interval_of_the_run(tmp_path):
+    # no pairwise round joins all three agents; on these draws every aligned
+    # window of three exchanges does, so L0 = (I - 1) B = 6, not I - 1 = 2
+    result = run_experiment(config_from_mapping(ure3_mapping(tmp_path)))
+    traj = result.repetitions[-1].trajectories[-1]
+    assert len(traj.exchange_pairs) == 45
+    assert connectivity_interval(3, traj.exchange_pairs) == 3
+    summary = read_summary(result.summary_path)
+    assert summary["certificate.applicable"] == "true"
+    assert summary["certificate.L0"] == "6"
+    assert float(summary["certificate.lambda_eta_val"]) == math.exp(log_lambda_eta(0.3, 3, 3))
+
+
+def test_run_with_no_connectivity_interval_skips_the_certificate(tmp_path, monkeypatch):
+    # one exchange joins two of the three agents: no window joins all of them
+    from gossipgn import experiments
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("constants were estimated")
+
+    monkeypatch.setattr(experiments, "certificate_for_run", no_estimate)
+    mapping = ure3_mapping(tmp_path, exchanges={"kind": "constant", "base": 1}, max_updates=1)
+    result = run_experiment(config_from_mapping(mapping))
+    assert len(result.repetitions[0].trajectories[0].exchange_pairs) == 1
+    summary = read_summary(result.summary_path)
+    assert summary["certificate.applicable"] == "false"
+    assert "no connectivity interval" in summary["certificate.reason"]
     assert not any(key.startswith("constants.") for key in summary)
 
 

@@ -25,7 +25,7 @@ from gossipgn.ggn import (
     local_init_info,
     surrogate_descent,
 )
-from gossipgn.gossip import CseRound, GossipConfig, PairwiseRound, gossip_round
+from gossipgn.gossip import CseRound, GossipConfig, PairwiseRound, gossip_round, sample_ure_round
 
 from gossipgn.psse import (
     build_nlls_sites,
@@ -280,6 +280,24 @@ def test_ure_run_deterministic_under_seed():
     t2 = ggn_run(sites, box, gc, cfg, x0, rng=np.random.default_rng(42))
     assert np.array_equal(t1.iterates, t2.iterates)
     assert ggn_run(sites, box, gc, cfg, x0, rng=np.random.default_rng(43)) is not None
+
+
+def test_ggn_run_records_each_exchange_pair():
+    # the pairs are the URE rounds the run's generator draws, () for a failed
+    # one; a CSE round joins all agents and is recorded as None
+    sites, box, x0 = _toy_setup(n_sites=3)
+    cfg = GgnConfig(
+        alpha=0.5, schedule=ExchangeSchedule(kind="incrementing", base=2),
+        max_updates=4, stop_tol=1e-15, ridge=1e-6,
+    )
+    gc = GossipConfig(kind="ure", beta=0.5, link_failure_prob=0.4)
+    traj = ggn_run(sites, box, gc, cfg, x0, rng=5)
+    rng = np.random.default_rng(5)
+    drawn = tuple(sample_ure_round(gc, 3, rng).pair for _ in range(traj.exchange_counts.sum()))
+    assert traj.exchange_pairs == drawn
+    assert () in drawn and len(set(drawn)) > 2
+    cse = ggn_run(sites, box, GossipConfig(kind="cse", beta=0.4), cfg, x0)
+    assert cse.exchange_pairs == (None,) * cse.exchange_counts.sum()
 
 
 def test_ggn_run_requires_rng_for_ure():

@@ -8,6 +8,7 @@ from gossipgn.gossip import (
     CseRound,
     GossipConfig,
     PairwiseRound,
+    connectivity_interval,
     gossip_round,
     log_lambda_eta,
     sample_ure_round,
@@ -168,6 +169,27 @@ def test_lambda_eta_values():
         log_lambda_eta(1.0, 3)
     with pytest.raises(InvalidArgumentError):
         log_lambda_eta(0.5, 1)
+
+
+def test_connectivity_interval_of_hand_made_rounds():
+    # three agents: no window of one or two exchanges joins them all, since
+    # the failed round () and (0, 2) join only two; both aligned windows of
+    # three do, and the trailing window of one, (0, 1), is not checked
+    pairs = [(0, 1), (1, 2), (), (0, 2), (0, 1), (1, 2), (0, 1)]
+    assert connectivity_interval(3, pairs) == 3
+    # the one complete window of four joins all three; the trailing three
+    # exchanges, which join only two, are not checked
+    assert connectivity_interval(3, [(0, 1)] * 3 + [(1, 2)] + [(0, 1)] * 3) == 4
+    # a CSE round (None) joins everyone, so every CSE run has B = 1
+    assert connectivity_interval(3, [None] * 5) == 1
+    assert connectivity_interval(3, [(0, 1), None, (1, 2), None]) == 2
+    # an agent no exchange reaches, or no exchange at all: no interval
+    assert connectivity_interval(3, [(0, 1), (), (0, 1)]) is None
+    assert connectivity_interval(3, []) is None
+    assert connectivity_interval(2, [(0, 1), (), (), (), (0, 1)]) == 3
+    assert log_lambda_eta(0.5, 3, interval=3) == math.log1p(-(0.5**6)) / 6
+    with pytest.raises(InvalidArgumentError):
+        log_lambda_eta(0.5, 3, interval=0)
 
 
 def test_consensus_contraction_report_holds():

@@ -20,6 +20,7 @@ from gossipgn.psse.grid import (
     PowerState,
     build_grid_model,
     complex_injection_derivatives,
+    diagonals,
     flat_start_vector,
     make_box,
     vector_to_state,
@@ -82,8 +83,8 @@ def per_state_injection_derivatives(ybus, v_complex, v_unit):
 def per_state_branch_derivatives(grid: GridModel, state: PowerState):
     n, n_br = grid.n_buses, grid.n_branches
     br = grid.branches
-    v_c = state.complex_voltages()
     norm = np.exp(1j * state.theta)
+    v_c = state.v * norm
     diag_v = np.diag(v_c)
     diag_norm = np.diag(norm)
     rows = np.arange(n_br)
@@ -105,7 +106,7 @@ def per_state_branch_derivatives(grid: GridModel, state: PowerState):
 
 def per_state_jacobian(grid: GridModel, state: PowerState) -> np.ndarray:
     n, n_br = grid.n_buses, grid.n_branches
-    v_c = state.complex_voltages()
+    v_c = state.v * np.exp(1j * state.theta)
     ds_dva, ds_dvm = per_state_injection_derivatives(grid.ybus, v_c, np.exp(1j * state.theta))
     m_total = 2 * n + 4 * n_br
     dva = np.empty((m_total, n))
@@ -170,15 +171,16 @@ def _assert_stack_matches_per_state(grid: GridModel, xs: np.ndarray) -> None:
     jac = full_measurement_jacobian(grid, state)
     assert f.shape == (len(xs), 2 * grid.n_buses + 4 * grid.n_branches)
     assert jac.shape == f.shape + (xs.shape[1],)
-    v_c = state.complex_voltages()
-    ds_dva, ds_dvm = complex_injection_derivatives(grid.ybus, v_c, np.exp(1j * state.theta))
+    unit = np.exp(1j * state.theta)
+    v_c = state.v * unit
+    ds_dva, ds_dvm = complex_injection_derivatives(grid.ybus, v_c, diagonals(v_c), diagonals(unit))
     for i, x in enumerate(xs):
         f_i, jac_i = per_state_model(grid, x)
         assert_same_bits(f[i], f_i)
         assert_same_bits(jac[i], jac_i)
         one = vector_to_state(x, grid.n_buses, grid.slack_bus)
         want_dva, want_dvm = per_state_injection_derivatives(
-            grid.ybus, one.complex_voltages(), np.exp(1j * one.theta)
+            grid.ybus, one.v * np.exp(1j * one.theta), np.exp(1j * one.theta)
         )
         assert_same_bits(ds_dva[i], want_dva)
         assert_same_bits(ds_dvm[i], want_dvm)

@@ -86,7 +86,7 @@ def test_branch_arrays_are_read_only_and_match_a_fresh_grid(grid30, true30):
         with pytest.raises(ValueError):
             cached[0] = 0
     br = grid30.branches
-    v = true30.complex_voltages()
+    v = true30.v * np.exp(1j * true30.theta)
     want_from = br.ys * (v[br.f] - v[br.t]) + br.sh_f * v[br.f]
     assert np.allclose(br.yf @ v, want_from, rtol=1e-13, atol=1e-13)
     # the branch arrays assemble the bus admittance matrix: Cf' Yf + Ct' Yt + diag(shunts)
