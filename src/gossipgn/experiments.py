@@ -270,6 +270,7 @@ def certificate_for_run(
     xi: float,
     n_samples: int,
     rng_seed: int,
+    eta: float,
     interval: int,
 ) -> tuple[ProblemConstants, ConvergenceCertificate | None]:
     """Estimate constants over an envelope of the observed iterates.
@@ -279,8 +280,8 @@ def certificate_for_run(
     the resulting Lipschitz and spectral constants majorize what the
     recorded trajectories actually traversed. Iterates, the reference and
     segment midpoints enter the pairwise Lipschitz sweep directly. The
-    certificate covers the last trajectory's agents at its eta_observed and
-    connectivity interval, and is None when a sampled Jacobian is rank
+    certificate covers the last trajectory's agents at the eta and the
+    connectivity interval given, and is None when a sampled Jacobian is rank
     deficient: its recursion constants divide by sigma_min, which is then 0.
     """
     points = [np.asarray(x_ref, dtype=float)]
@@ -306,9 +307,8 @@ def certificate_for_run(
     )
     if not pc.assumption_holds():
         return pc, None
-    last = trajectories[-1]
     cert = build_certificate(
-        pc, n_agents=last.n_agents, n_unknowns=box.dim, eta=last.eta_observed, alpha=alpha,
+        pc, n_agents=trajectories[-1].n_agents, n_unknowns=box.dim, eta=eta, alpha=alpha,
         xi=xi, schedule_kind=schedule_kind, interval=interval,
     )
     return pc, cert
@@ -366,30 +366,34 @@ def _certificate_summary(
             "certificate.applicable": False,
             "certificate.reason": "the GGN convergence certificate does not cover the diffusion baseline",
         }
+    # one certificate covers every repetition's trajectories: the smallest
+    # eta and the largest B of them all, as a larger B only weakens the bound
+    # (a slower rate, a larger C); a centralized run records no rounds
     last = reps[-1]
-    traj = last.trajectories[-1]
-    eta = traj.eta_observed
+    trajectories = [traj for rep in reps for traj in rep.trajectories]
+    eta = min((w.eta for traj in trajectories for w in traj.rounds), default=np.nan)
     # a single agent's certificate has no gossip, so it reads no rate
     interval = 1
-    if traj.n_agents > 1:
+    if trajectories[-1].n_agents > 1:
         if not 0.0 < eta < 1.0:
             return {
                 "certificate.applicable": False,
                 "certificate.reason": f"eta_observed={eta} is outside (0, 1): "
                 "no exchange mixed two agents, so the consensus rate is undefined",
             }
-        interval = connectivity_interval(traj.n_agents, traj.exchange_pairs)
-        if interval is None:
+        intervals = [connectivity_interval(traj.n_agents, traj.rounds) for traj in trajectories]
+        if None in intervals:
             return {
                 "certificate.applicable": False,
                 "certificate.reason": "the run has no connectivity interval: for no window "
                 "length B does every aligned window of B exchanges join all agents",
             }
+        interval = max(intervals)
     pc, cert = certificate_for_run(
         last.sites, problem.box, last.trajectories,
         last.references[-1], alpha=config.alpha, schedule_kind=config.exchanges.kind,
         xi=config.certificate.xi, n_samples=config.certificate.n_samples,
-        rng_seed=config.seed, interval=interval,
+        rng_seed=config.seed, eta=eta, interval=interval,
     )
     constants = _section("constants", pc)
     if cert is None:

@@ -172,10 +172,9 @@ class Trajectory:
     final stack; vals and grads hold ||g_i||^2 and ||G_i^T g_i|| at each
     iterates[k][i]. exchange_counts[k] is update k's number of gossip
     exchanges. Only GGN records discrepancies[k], each agent's descent
-    discrepancy at update k, eta_observed, the smallest nonzero weight of
-    any exchange matrix drawn, and exchange_pairs, each exchange's pair in
-    order: () for a failed URE round, None for a CSE round, which joins all
-    agents.
+    discrepancy at update k, and rounds, the CseRound or PairwiseRound of
+    each exchange in order, from which a certificate reads eta and the
+    connectivity interval.
     """
 
     iterates: np.ndarray
@@ -183,8 +182,7 @@ class Trajectory:
     grads: np.ndarray
     exchange_counts: np.ndarray
     discrepancies: np.ndarray | None = None
-    eta_observed: float = math.nan
-    exchange_pairs: tuple[tuple[int, ...] | None, ...] | None = None
+    rounds: tuple[CseRound | PairwiseRound, ...] = ()
 
     @property
     def n_updates(self) -> int:
@@ -215,14 +213,13 @@ def ggn_run(
     n_agents = len(sites)
     x = _start_stack(x0, n_agents, box)
     n_u = x.shape[1]
-    rounds = _rounds(gossip_config, n_agents, np.random.default_rng(rng))
+    draws = _rounds(gossip_config, n_agents, np.random.default_rng(rng))
 
     iterates = [x]
     vals, grads = [], []
     discrepancies = []
     exchange_counts = []
-    eta_observed = np.inf
-    pairs = []
+    rounds = []
 
     def init_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Payload stack and exact directions at the agents' iterates x;
@@ -253,9 +250,8 @@ def ggn_run(
     for k in range(ggn_config.max_updates):
         ell_k = ggn_config.schedule.exchanges_at(k)
         payloads, exact = init_step(x)
-        for weights in itertools.islice(rounds, ell_k):
-            eta_observed = min(eta_observed, weights.eta)
-            pairs.append(weights.pair if isinstance(weights, PairwiseRound) else None)
+        for weights in itertools.islice(draws, ell_k):
+            rounds.append(weights)
             payloads = gossip_round(payloads, weights, out=payloads)
 
         descent_stack = surrogate_descent(payloads, ggn_config.ridge)
@@ -279,8 +275,7 @@ def ggn_run(
         grads=np.asarray(grads),
         exchange_counts=np.asarray(exchange_counts, dtype=int),
         discrepancies=np.stack(discrepancies),
-        eta_observed=float(eta_observed),
-        exchange_pairs=tuple(pairs),
+        rounds=tuple(rounds),
     )
 
 

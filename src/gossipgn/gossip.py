@@ -185,27 +185,27 @@ def gossip_round(
 
 
 def connectivity_interval(
-    n_agents: int, pairs: Sequence[tuple[int, ...] | None]
+    n_agents: int, rounds: Sequence[CseRound | PairwiseRound]
 ) -> int | None:
     """B, the smallest window length for which the union graph of every
-    complete aligned window pairs[kB:(k+1)B] joins all n_agents, or None when
-    no length does. pairs holds a run's exchanges in order: a URE round's
-    pair, () for a failed round, which joins no one, and None for a CSE round,
-    which joins everyone. A trailing window shorter than B is not checked.
+    complete aligned window rounds[kB:(k+1)B] joins all n_agents, or None
+    when no length does. rounds is a run's Trajectory.rounds: a CseRound
+    joins everyone, a PairwiseRound its pair and a failed one (pair ()) no
+    one. A trailing window shorter than B is not checked.
     """
 
     def joins_all(window) -> bool:
-        if None in window:
+        if any(isinstance(w, CseRound) for w in window):
             return True
-        roots = component_roots(n_agents, [pair for pair in window if pair])
+        roots = component_roots(n_agents, [w.pair for w in window if w.pair])
         return bool((roots == roots[0]).all())
 
     # every window's union graph is part of the whole run's
-    if not pairs or not joins_all(pairs):
+    if not rounds or not joins_all(rounds):
         return None
     return next(
-        b for b in range(1, len(pairs) + 1)
-        if all(joins_all(pairs[s : s + b]) for s in range(0, len(pairs) - b + 1, b))
+        b for b in range(1, len(rounds) + 1)
+        if all(joins_all(rounds[s : s + b]) for s in range(0, len(rounds) - b + 1, b))
     )
 
 

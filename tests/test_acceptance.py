@@ -302,10 +302,11 @@ def test_c08_error_recursion_holds(c6_result):
     all_trajs = [rep.trajectories[0] for rep in c6_result.repetitions]
     constants, cert = certificate_for_run(
         sites, c6_result.problem.box, all_trajs, rep0.references[0],
-        alpha=0.5, schedule_kind="constant", xi=0.25, n_samples=24, rng_seed=0, interval=1,
+        alpha=0.5, schedule_kind="constant", xi=0.25, n_samples=24, rng_seed=0,
+        eta=min(w.eta for traj in all_trajs for w in traj.rounds), interval=1,
     )
     assert constants.sigma_min > 0
-    assert cert.eta_observed == 0.15  # the CSE weight beta / (I - 1) of the last trajectory
+    assert cert.eta_observed == 0.15  # the CSE weight beta / (I - 1) of every round
     violations = 0
     pairs = 0
     for rep in c6_result.repetitions:

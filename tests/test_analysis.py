@@ -7,8 +7,9 @@ import pytest
 from gossipgn.analysis import ConvergenceCertificate, build_certificate, equilibrium_radii
 from gossipgn.core import BoxSet, ProblemConstants, centralized_gn_solve, normal_system
 from gossipgn.errors import InvalidArgumentError
+from gossipgn.experiments import certificate_for_run
 from gossipgn.ggn import ExchangeSchedule, GgnConfig, ggn_run
-from gossipgn.gossip import GossipConfig, connectivity_interval, log_lambda_eta
+from gossipgn.gossip import GossipConfig, PairwiseRound, connectivity_interval, log_lambda_eta
 
 from conftest import evaluated, sites_from_blocks, terms_at, verify_contraction_to_ball
 
@@ -341,7 +342,8 @@ def test_build_certificate_takes_l0_from_the_connectivity_interval():
     # three agents whose exchanges join them all only over windows of B = 3
     # (the failed round () and (0, 2) join two): L0 = (I - 1) B = 6 in the
     # rate and in C
-    interval = connectivity_interval(3, [(0, 1), (1, 2), (), (0, 2), (0, 1), (1, 2)])
+    pairs = [(0, 1), (1, 2), (), (0, 2), (0, 1), (1, 2)]
+    interval = connectivity_interval(3, [PairwiseRound(3, pair, 0.5) for pair in pairs])
     assert interval == 3
     pc = make_pc(eps_max=0.2, eps_min=0.01, s_min=1.5, s_max=2.0, omega=0.1)
     cert = build_certificate(
@@ -361,6 +363,32 @@ def test_build_certificate_takes_l0_from_the_connectivity_interval():
     assert one.L0 == 2
     # a single agent gossips nothing, whatever the interval
     assert build_certificate(pc, 1, 2, 0.5, 0.9, 0.25, "incrementing", interval=3).L0 == 0
+
+
+def test_every_sufficient_condition_holds_on_range_localization(range_localization):
+    # a nonlinear run on which the certificate makes its claim: alpha in
+    # (alpha_lower, 1], radii defined, a finite exchange budget that every
+    # update meets, a start inside rho_max, and the run inside the ball
+    sites, box, x0 = range_localization
+    x_ref, _ = centralized_gn_solve(sites, box, x0, alpha=1.0, tol=1e-12, max_iter=50)
+    alpha = 1.0
+    cfg = GgnConfig(
+        alpha=alpha, schedule=ExchangeSchedule("incrementing", 2100), max_updates=10, stop_tol=1e-12,
+    )
+    traj = ggn_run(sites, box, GossipConfig("cse", 0.3), cfg, x0)
+    _, cert = certificate_for_run(
+        sites, box, [traj], x_ref, alpha=alpha, schedule_kind="incrementing", xi=0.01,
+        n_samples=24, rng_seed=0, eta=min(w.eta for w in traj.rounds),
+        interval=connectivity_interval(3, traj.rounds),
+    )
+    assert cert.alpha_lower < alpha <= 1.0
+    assert cert.radii_defined
+    assert math.isfinite(cert.ell_min)
+    assert traj.exchange_counts.min() >= cert.ell_min
+    assert np.linalg.norm(traj.iterates[0] - x_ref, axis=1).max() < cert.rho_max
+    report = verify_contraction_to_ball(traj, x_ref, cert, alpha=alpha)
+    assert report.initial_check.applicable and report.limsup_check.applicable
+    assert report.all_satisfied
 
 
 @pytest.mark.parametrize("n_agents", [2, 3, 11, 12, 30, 120, 300, 1100])

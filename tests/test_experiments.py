@@ -9,6 +9,7 @@ import tracemalloc
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from gossipgn import cli
 from gossipgn.cli import main
 from gossipgn.config import ExperimentConfig, config_from_mapping, load_config
 from gossipgn.errors import ConfigError, InvalidArgumentError
-from gossipgn.ggn import DiffusionConfig, ExchangeSchedule, GgnConfig
-from gossipgn.gossip import GossipConfig, connectivity_interval, log_lambda_eta
+from gossipgn.core import ProblemConstants
+from gossipgn.ggn import DiffusionConfig, ExchangeSchedule, GgnConfig, Trajectory
+from gossipgn.gossip import GossipConfig, PairwiseRound, connectivity_interval, log_lambda_eta
 from gossipgn.experiments import (
     CSV_BLOCK_ROWS,
     CSV_COLUMNS,
@@ -1175,7 +1177,7 @@ def test_cli_run_diffusion_skips_certificate(tmp_path, capsys):
 
 
 def all_fail_mapping(tmp_path, seed):
-    """A case2 URE run whose every exchange fails on this seed (eta_observed = 1)."""
+    """A case2 URE run whose every exchange fails on this seed (every round's eta is 1)."""
     return tiny_mapping(
         protocol={"kind": "ure", "beta": 0.5, "link_failure_prob": 0.95},
         exchanges={"kind": "constant", "base": 1},
@@ -1192,7 +1194,7 @@ def test_run_where_no_exchange_mixes_skips_the_certificate(tmp_path, monkeypatch
 
     monkeypatch.setattr(experiments, "certificate_for_run", no_estimate)
     result = run_experiment(config_from_mapping(all_fail_mapping(tmp_path, seed)))
-    assert result.repetitions[0].trajectories[0].eta_observed == 1.0
+    assert {w.eta for w in result.repetitions[0].trajectories[0].rounds} == {1.0}
     summary = read_summary(result.summary_path)
     assert summary["certificate.applicable"] == "false"
     assert "eta_observed=1.0" in summary["certificate.reason"]
@@ -1214,8 +1216,8 @@ def test_ure_certificate_takes_the_connectivity_interval_of_the_run(tmp_path):
     # window of three exchanges does, so L0 = (I - 1) B = 6, not I - 1 = 2
     result = run_experiment(config_from_mapping(ure3_mapping(tmp_path)))
     traj = result.repetitions[-1].trajectories[-1]
-    assert len(traj.exchange_pairs) == 45
-    assert connectivity_interval(3, traj.exchange_pairs) == 3
+    assert len(traj.rounds) == 45
+    assert connectivity_interval(3, traj.rounds) == 3
     summary = read_summary(result.summary_path)
     assert summary["certificate.applicable"] == "true"
     assert summary["certificate.L0"] == "6"
@@ -1232,11 +1234,73 @@ def test_run_with_no_connectivity_interval_skips_the_certificate(tmp_path, monke
     monkeypatch.setattr(experiments, "certificate_for_run", no_estimate)
     mapping = ure3_mapping(tmp_path, exchanges={"kind": "constant", "base": 1}, max_updates=1)
     result = run_experiment(config_from_mapping(mapping))
-    assert len(result.repetitions[0].trajectories[0].exchange_pairs) == 1
+    assert len(result.repetitions[0].trajectories[0].rounds) == 1
     summary = read_summary(result.summary_path)
     assert summary["certificate.applicable"] == "false"
     assert "no connectivity interval" in summary["certificate.reason"]
     assert not any(key.startswith("constants.") for key in summary)
+
+
+def test_ure_certificate_takes_the_largest_interval_of_every_repetition(tmp_path):
+    # the five repetitions' runs have B = 3, 4, 4, 6, 5: one certificate for
+    # all of them takes B = 6, so L0 = 12, not the last repetition's 10
+    result = run_experiment(config_from_mapping({
+        "case_path": "case30", "sites": 3, "protocol": {"kind": "ure", "beta": 0.3},
+        "seed": 1, "repetitions": 5, "output_dir": str(tmp_path / "o"),
+    }))
+    intervals = [connectivity_interval(3, rep.trajectories[-1].rounds) for rep in result.repetitions]
+    assert intervals == [3, 4, 4, 6, 5]
+    summary = read_summary(result.summary_path)
+    assert summary["certificate.applicable"] == "true"
+    assert summary["certificate.L0"] == "12"
+    assert float(summary["certificate.lambda_eta_val"]) == math.exp(log_lambda_eta(0.3, 3, 6))
+
+
+def summary_of_round_logs(monkeypatch, reps):
+    """_certificate_summary over hand-made 3-agent repetitions, each a list of
+    trajectory round logs given as (beta, pairs); returns the summary and the
+    (eta, interval) of each certificate_for_run call, which yields no
+    certificate."""
+    from gossipgn import experiments
+
+    calls = []
+
+    def recorded(*args, eta, interval, **kwargs):
+        calls.append((eta, interval))
+        return ProblemConstants(1.0, 0.1, 0.0, 2.0, 1.0, 3.0, 4.0, True), None
+
+    monkeypatch.setattr(experiments, "certificate_for_run", recorded)
+    config = config_from_mapping(tiny_mapping(sites=3, protocol={"kind": "ure", "beta": 0.5}))
+    repetitions = [
+        experiments.RepetitionData(
+            run_id=f"r{r:03d}", references=[np.zeros(2)], reference_stationarities=[0.0],
+            sites=[], columns={}, trajectories=[
+                Trajectory(np.zeros((1, 3, 2)), np.zeros((1, 3)), np.zeros((1, 3)),
+                           np.zeros(0, dtype=int),
+                           rounds=tuple(PairwiseRound(3, pair, beta) for pair in pairs))
+                for beta, pairs in logs
+            ],
+        )
+        for r, logs in enumerate(reps)
+    ]
+    summary = experiments._certificate_summary(config, SimpleNamespace(box=None), repetitions)
+    return summary, calls
+
+
+def test_certificate_reads_every_repetitions_round_log(monkeypatch):
+    b4 = [(0, 1)] * 3 + [(1, 2)] + [(0, 1)] * 3  # B = 4
+    b2 = [(0, 1), (1, 2)] * 3  # B = 2
+    # the largest B and the smallest eta win, though the last log has B = 2
+    # and eta = 0.5
+    _, calls = summary_of_round_logs(monkeypatch, [[(0.2, b4)], [(0.5, b2)]])
+    assert calls == [(0.2, 4)]
+    _, calls = summary_of_round_logs(monkeypatch, [[(0.5, b2), (0.3, b2)], [(0.4, b4)]])
+    assert calls == [(0.3, 4)]
+    # one earlier trajectory that never joins agent 2 leaves the run with no interval
+    summary, calls = summary_of_round_logs(monkeypatch, [[(0.5, [(0, 1)] * 4), (0.5, b2)], [(0.5, b2)]])
+    assert calls == []
+    assert summary["certificate.applicable"] is False
+    assert "no connectivity interval" in summary["certificate.reason"]
 
 
 def test_cli_run_where_no_exchange_mixes_exits_0(tmp_path, capsys):

@@ -283,8 +283,8 @@ def test_ure_run_deterministic_under_seed():
 
 
 def test_ggn_run_records_each_exchange_pair():
-    # the pairs are the URE rounds the run's generator draws, () for a failed
-    # one; a CSE round joins all agents and is recorded as None
+    # the log holds each URE round the run's generator draws, in order, a
+    # failed one with pair (); a CSE run logs its one round at every exchange
     sites, box, x0 = _toy_setup(n_sites=3)
     cfg = GgnConfig(
         alpha=0.5, schedule=ExchangeSchedule(kind="incrementing", base=2),
@@ -293,11 +293,12 @@ def test_ggn_run_records_each_exchange_pair():
     gc = GossipConfig(kind="ure", beta=0.5, link_failure_prob=0.4)
     traj = ggn_run(sites, box, gc, cfg, x0, rng=5)
     rng = np.random.default_rng(5)
-    drawn = tuple(sample_ure_round(gc, 3, rng).pair for _ in range(traj.exchange_counts.sum()))
-    assert traj.exchange_pairs == drawn
-    assert () in drawn and len(set(drawn)) > 2
+    drawn = tuple(sample_ure_round(gc, 3, rng) for _ in range(traj.exchange_counts.sum()))
+    assert traj.rounds == drawn
+    pairs = {w.pair for w in drawn}
+    assert () in pairs and len(pairs) > 2
     cse = ggn_run(sites, box, GossipConfig(kind="cse", beta=0.4), cfg, x0)
-    assert cse.exchange_pairs == (None,) * cse.exchange_counts.sum()
+    assert cse.rounds == (CseRound(3, 0.4),) * cse.exchange_counts.sum()
 
 
 def test_ggn_run_requires_rng_for_ure():
@@ -355,11 +356,11 @@ def test_diffusion_baseline_run_shapes():
         assert record.shape == shape
         assert record.dtype == np.float64 and record.flags.c_contiguous
     assert all(box.contains(traj.iterates[t][i]) for t in range(21) for i in range(3))
-    # every exchange is one update; only GGN records discrepancies and a rate
+    # every exchange is one update; only GGN records discrepancies and rounds
     assert traj.n_updates == 20
     assert np.array_equal(traj.exchange_counts, np.ones(20, dtype=int))
     assert traj.discrepancies is None
-    assert math.isnan(traj.eta_observed)
+    assert traj.rounds == ()
 
 
 def test_diffusion_moves_toward_solution():
@@ -644,7 +645,7 @@ def _oracle_ggn_run(sites, box, gossip_config, ggn_config, x0, seed):
     x = np.stack([core.project(row, box) for row in np.broadcast_to(x0, (n_agents, n_u))])
     rng = np.random.default_rng(seed)
     cse = CseRound(n_agents, gossip_config.beta) if gossip_config.kind == "cse" else None
-    iterates, vals, grads, discrepancies, counts, eta = [x], [], [], [], [], np.inf
+    iterates, vals, grads, discrepancies, counts, rounds = [x], [], [], [], [], []
 
     def init_info(x):
         rows = [local_init_info(site, *evaluated(site, xi)) for site, xi in zip(sites, x)]
@@ -659,7 +660,7 @@ def _oracle_ggn_run(sites, box, gossip_config, ggn_config, x0, seed):
         exact = solve_normal(np.stack([a for a, _ in systems]), np.stack([b for _, b in systems]))
         for _ in range(ell):
             weights = cse if cse is not None else _oracle_ure_round(gossip_config, n_agents, rng)
-            eta = min(eta, weights.eta)
+            rounds.append(weights)
             payloads = gossip_round(payloads, weights)
         descent = surrogate_descent(payloads, ggn_config.ridge)
         discrepancies.append(descent_discrepancy(descent, exact))
@@ -673,7 +674,7 @@ def _oracle_ggn_run(sites, box, gossip_config, ggn_config, x0, seed):
     init_info(x)
     return Trajectory(
         np.stack(iterates), np.asarray(vals), np.asarray(grads), np.asarray(counts, dtype=int),
-        np.stack(discrepancies), float(eta),
+        np.stack(discrepancies), tuple(rounds),
     )
 
 
@@ -681,7 +682,7 @@ def _assert_same_trajectory(got, want):
     for name in ("iterates", "vals", "grads", "exchange_counts"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert np.array_equal(got.discrepancies, want.discrepancies, equal_nan=True)
-    assert got.eta_observed == want.eta_observed
+    assert got.rounds == want.rounds
 
 
 ORACLE_RUNS = {

@@ -171,22 +171,29 @@ def test_lambda_eta_values():
         log_lambda_eta(0.5, 1)
 
 
+def round_log(n_agents, pairs):
+    """Hand-made Trajectory.rounds: a pairwise round per pair, () a failed
+    one, and a CSE round for each None."""
+    return [CseRound(n_agents, 0.3) if pair is None else PairwiseRound(n_agents, pair, 0.5)
+            for pair in pairs]
+
+
 def test_connectivity_interval_of_hand_made_rounds():
     # three agents: no window of one or two exchanges joins them all, since
     # the failed round () and (0, 2) join only two; both aligned windows of
     # three do, and the trailing window of one, (0, 1), is not checked
     pairs = [(0, 1), (1, 2), (), (0, 2), (0, 1), (1, 2), (0, 1)]
-    assert connectivity_interval(3, pairs) == 3
+    assert connectivity_interval(3, round_log(3, pairs)) == 3
     # the one complete window of four joins all three; the trailing three
     # exchanges, which join only two, are not checked
-    assert connectivity_interval(3, [(0, 1)] * 3 + [(1, 2)] + [(0, 1)] * 3) == 4
-    # a CSE round (None) joins everyone, so every CSE run has B = 1
-    assert connectivity_interval(3, [None] * 5) == 1
-    assert connectivity_interval(3, [(0, 1), None, (1, 2), None]) == 2
+    assert connectivity_interval(3, round_log(3, [(0, 1)] * 3 + [(1, 2)] + [(0, 1)] * 3)) == 4
+    # a CSE round joins everyone, so every CSE run has B = 1
+    assert connectivity_interval(3, round_log(3, [None] * 5)) == 1
+    assert connectivity_interval(3, round_log(3, [(0, 1), None, (1, 2), None])) == 2
     # an agent no exchange reaches, or no exchange at all: no interval
-    assert connectivity_interval(3, [(0, 1), (), (0, 1)]) is None
+    assert connectivity_interval(3, round_log(3, [(0, 1), (), (0, 1)])) is None
     assert connectivity_interval(3, []) is None
-    assert connectivity_interval(2, [(0, 1), (), (), (), (0, 1)]) == 3
+    assert connectivity_interval(2, round_log(2, [(0, 1), (), (), (), (0, 1)])) == 3
     assert log_lambda_eta(0.5, 3, interval=3) == math.log1p(-(0.5**6)) / 6
     with pytest.raises(InvalidArgumentError):
         log_lambda_eta(0.5, 3, interval=0)
