@@ -23,26 +23,10 @@ _CEIL_SLACK = 1e-9  # absorbs round-off when xi sits exactly on a power of the r
 
 
 @dataclass(frozen=True)
-class EquilibriumRadii:
-    """Roots of rho = T1 rho^2 + T2 rho + alpha kappa, when they exist.
-
-    The recursion contracts between the two radii; outside them no claim
-    holds. defined is False when kappa is unavailable, the discriminant is
-    negative or the linear coefficient leaves no positive fixed point.
-    """
-
-    defined: bool
-    rho_min: float
-    rho_max: float
-
-
-_NO_RADII = EquilibriumRadii(defined=False, rho_min=math.nan, rho_max=math.nan)
-
-
-@dataclass(frozen=True)
 class ConvergenceCertificate:
     """The certificate.* section of summary.txt: one line per field, in
-    field order, after certificate.applicable."""
+    field order, after certificate.applicable. holds is true exactly when
+    unmet, the failed sufficient conditions (see build_certificate), is empty."""
 
     eta_observed: float
     T1: float
@@ -62,37 +46,42 @@ class ConvergenceCertificate:
     xi: float
     radii_defined: bool
     conditional: bool
-    estimated_constants: bool = True
+    estimated_constants: bool
+    holds: bool
+    unmet: str
 
 
-def equilibrium_radii(T1: float, T2: float, alpha: float, kappa: float) -> EquilibriumRadii:
+def equilibrium_radii(T1: float, T2: float, alpha: float, kappa: float) -> tuple[float, float]:
+    """(rho_min, rho_max), the roots of rho = T1 rho^2 + T2 rho + alpha kappa.
+
+    The recursion contracts between the two radii; outside them no claim
+    holds. Both are NaN where the recursion makes no claim: kappa is
+    unavailable (NaN), the discriminant is negative, T2 > 1, or T2 >= 1 on
+    the linear branch (T1 = 0), which leaves no positive fixed point.
+    """
     if T1 < 0.0 or T2 < 0.0:
         raise InvalidArgumentError("recursion coefficients must be nonnegative")
     if not 0.0 < alpha <= 1.0:
         raise InvalidArgumentError("alpha must lie in (0, 1]")
     if math.isnan(kappa):
-        return _NO_RADII
+        return math.nan, math.nan
     if kappa < 0.0:
         raise InvalidArgumentError("kappa must be nonnegative")
 
     if T1 == 0.0:
         # Linear recursion: single fixed point, contraction above it whenever T2 < 1.
         if T2 < 1.0:
-            return EquilibriumRadii(
-                defined=True, rho_min=alpha * kappa / (1.0 - T2), rho_max=math.inf
-            )
-        return _NO_RADII
+            return alpha * kappa / (1.0 - T2), math.inf
+        return math.nan, math.nan
     disc = (1.0 - T2) ** 2 - 4.0 * T1 * alpha * kappa
     # a negative discriminant means the perturbation is too large; T2 > 1
     # leaves no positive fixed point
     if disc < 0.0 or T2 > 1.0:
-        return _NO_RADII
+        return math.nan, math.nan
     if kappa == 0.0:
-        return EquilibriumRadii(defined=True, rho_min=0.0, rho_max=(1.0 - T2) / T1)
+        return 0.0, (1.0 - T2) / T1
     root = math.sqrt(disc)
-    rho_max = ((1.0 - T2) + root) / (2.0 * T1)
-    rho_min = 2.0 * alpha * kappa / ((1.0 - T2) + root)
-    return EquilibriumRadii(defined=True, rho_min=rho_min, rho_max=rho_max)
+    return 2.0 * alpha * kappa / ((1.0 - T2) + root), ((1.0 - T2) + root) / (2.0 * T1)
 
 
 def build_certificate(
@@ -104,6 +93,8 @@ def build_certificate(
     xi: float,
     schedule_kind: str,
     interval: int = 1,
+    fewest_exchanges: float = 0.0,
+    start_distance: float = math.inf,
 ) -> ConvergenceCertificate:
     """Evaluate the paper's chain of sufficient conditions from problem constants.
 
@@ -124,6 +115,14 @@ def build_certificate(
     round is the complete graph. Single-agent runs are centralized: the
     gossip constants degenerate (C, D undefined), the perturbation is
     exactly zero and L0 = 0.
+
+    unmet names, in this order, each sufficient condition the run fails:
+    alpha (outside (alpha_lower, 1]), radii (NaN from equilibrium_radii,
+    so radii_defined is false), schedule (constant), exchanges
+    (fewest_exchanges, the fewest of any update, below ell_min)
+    and start (start_distance, the farthest start iterate from the
+    reference, not inside rho_max). A single agent skips schedule and
+    exchanges. The defaults stand for no run: no exchanges, no start.
     """
     if not 0.0 < xi < 0.5:
         raise InvalidArgumentError("xi must lie in (0, 1/2)")
@@ -162,11 +161,19 @@ def build_certificate(
                 lambda_infty, d = tail, scale
                 ell_min = float(max(0, math.ceil(ratio - _CEIL_SLACK)))
                 kappa = 4.0 * c1 * d * math.exp((ell_min + 1.0) * log_rate)
-    radii = equilibrium_radii(t1, t2, alpha, kappa)
+    rho_min, rho_max = equilibrium_radii(t1, t2, alpha, kappa)
+    met = {
+        "alpha": alpha_lower < alpha <= 1.0,
+        "radii": not math.isnan(rho_min),
+        "schedule": n_agents == 1 or schedule_kind != "constant",
+        "exchanges": n_agents == 1 or fewest_exchanges >= ell_min,
+        "start": start_distance < rho_max,
+    }
+    unmet = ",".join(name for name, ok in met.items() if not ok)
     return ConvergenceCertificate(
-        eta_observed=eta, T1=t1, T2=t2, rho_min=radii.rho_min, rho_max=radii.rho_max,
+        eta_observed=eta, T1=t1, T2=t2, rho_min=rho_min, rho_max=rho_max,
         kappa=kappa, alpha_lower=alpha_lower, C=c, C1=c1, C2=c2, D=d,
         lambda_eta_val=math.exp(log_rate), L0=l0, ell_min=ell_min,
-        lambda_infty=lambda_infty, xi=xi, radii_defined=radii.defined,
-        conditional=math.isinf(ell_min),
+        lambda_infty=lambda_infty, xi=xi, radii_defined=met["radii"],
+        conditional=math.isinf(ell_min), estimated_constants=True, holds=not unmet, unmet=unmet,
     )

@@ -283,15 +283,17 @@ def certificate_for_run(
     certificate covers the last trajectory's agents at the eta and the
     connectivity interval given, and is None when a sampled Jacobian is rank
     deficient: its recursion constants divide by sigma_min, which is then 0.
+    Its verdict reads the fewest exchanges of any update and the largest
+    distance of any trajectory's start stack from x_ref.
     """
-    points = [np.asarray(x_ref, dtype=float)]
+    x_ref = np.asarray(x_ref, dtype=float)
+    points = [x_ref]
     for traj in trajectories:
         points.extend(traj.iterates.reshape(-1, traj.iterates.shape[-1]))
     pts = np.stack(points)
     if pts.shape[0] > CERTIFICATE_MAX_POINTS:
-        pick = np.linspace(0, pts.shape[0] - 1, CERTIFICATE_MAX_POINTS).astype(int)
-        pick[0] = 0  # always keep the reference
-        pts = pts[pick[np.diff(pick, prepend=-1) != 0]]  # pick is sorted
+        # the step exceeds 1, so the pick starts at the reference and repeats no point
+        pts = pts[np.linspace(0, pts.shape[0] - 1, CERTIFICATE_MAX_POINTS).astype(int)]
     midpoints = 0.5 * (pts + pts[0])
     extra = np.vstack([pts, midpoints])
 
@@ -303,13 +305,16 @@ def certificate_for_run(
 
     pc = estimate_constants(
         sites, env_box, n_samples=n_samples, rng_seed=rng_seed,
-        reference_x=np.asarray(x_ref, dtype=float), extra_points=extra,
+        reference_x=x_ref, extra_points=extra,
     )
     if not pc.assumption_holds():
         return pc, None
+    starts = np.concatenate([traj.iterates[0] for traj in trajectories])
     cert = build_certificate(
         pc, n_agents=trajectories[-1].n_agents, n_unknowns=box.dim, eta=eta, alpha=alpha,
         xi=xi, schedule_kind=schedule_kind, interval=interval,
+        fewest_exchanges=min((c for traj in trajectories for c in traj.exchange_counts), default=0),
+        start_distance=np.linalg.norm(starts - x_ref, axis=1).max(),
     )
     return pc, cert
 

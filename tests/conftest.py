@@ -360,17 +360,23 @@ def make_toy_sites(n_unknowns: int = 3, n_sites: int = 3, seed: int = 0):
     return sites_from_blocks(n_unknowns, residuals, jacobians)
 
 
-@pytest.fixture
-def range_localization():
-    """A nonlinear instance on which the certificate's sufficient conditions
-    can all hold: one unknown 2-D point at [1, 0.5], six anchors 10 from the
-    origin and 60 degrees apart, and the ranges ||x - a_m|| with noise of
-    sigma 0.01; site i holds the ranges of anchors 2i and 2i + 1. Returns
-    the sites, the box and a start 0.94 from the solution."""
+def range_anchors_and_ranges() -> tuple[np.ndarray, np.ndarray]:
+    """range_localization's six anchors, 10 from the origin and 60 degrees
+    apart, and its measured ranges ||[1, 0.5] - a_m|| with noise of sigma 0.01."""
     angles = np.arange(6) * np.pi / 3
     anchors = 10.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     ranges = np.linalg.norm(anchors - [1.0, 0.5], axis=1)
     ranges += 0.01 * np.random.default_rng(0).standard_normal(6)
+    return anchors, ranges
+
+
+@pytest.fixture
+def range_localization():
+    """A nonlinear instance on which the certificate's sufficient conditions
+    can all hold: one unknown 2-D point at [1, 0.5] and the ranges of
+    range_anchors_and_ranges; site i holds the ranges of anchors 2i and
+    2i + 1. Returns the sites, the box and a start 0.94 from the solution."""
+    anchors, ranges = range_anchors_and_ranges()
     residuals, jacobians = [], []
     for a, r in zip(anchors.reshape(3, 2, 2), ranges.reshape(3, 2)):
         residuals.append(lambda x, a=a, r=r: np.linalg.norm(x - a, axis=1) - r)

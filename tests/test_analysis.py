@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 
 from gossipgn.analysis import ConvergenceCertificate, build_certificate, equilibrium_radii
-from gossipgn.core import BoxSet, ProblemConstants, centralized_gn_solve, normal_system
+from gossipgn import experiments
+from gossipgn.core import (
+    BoxSet, ProblemConstants, centralized_gn_solve, estimate_constants, normal_system,
+)
 from gossipgn.errors import InvalidArgumentError
 from gossipgn.experiments import certificate_for_run
 from gossipgn.ggn import ExchangeSchedule, GgnConfig, ggn_run
 from gossipgn.gossip import GossipConfig, PairwiseRound, connectivity_interval, log_lambda_eta
 
-from conftest import evaluated, sites_from_blocks, terms_at, verify_contraction_to_ball
+from conftest import (
+    evaluated, range_anchors_and_ranges, sites_from_blocks, terms_at, verify_contraction_to_ball,
+)
 
 
 def make_pc(eps_max=1.0, eps_min=0.1, s_min=1.0, s_max=2.0, omega=1.0):
@@ -49,42 +54,41 @@ def test_admissible_alpha_examples():
 
 
 def test_equilibrium_radii_frozen_quadratic():
-    r = equilibrium_radii(T1=1.0, T2=0.0, alpha=1.0, kappa=0.09)
-    assert r.defined
-    assert r.rho_min == pytest.approx(0.1)
-    assert r.rho_max == pytest.approx(0.9)
+    rho_min, rho_max = equilibrium_radii(T1=1.0, T2=0.0, alpha=1.0, kappa=0.09)
+    assert not math.isnan(rho_min)
+    assert rho_min == pytest.approx(0.1)
+    assert rho_max == pytest.approx(0.9)
     # fixed-point identity at the smaller root
-    assert r.rho_min == pytest.approx(1.0 * r.rho_min**2 + 0.09)
+    assert rho_min == pytest.approx(1.0 * rho_min**2 + 0.09)
 
 
 def test_equilibrium_radii_kappa_zero():
-    r = equilibrium_radii(T1=2.0, T2=0.5, alpha=1.0, kappa=0.0)
-    assert r.defined
-    assert r.rho_min == 0.0
-    assert r.rho_max == pytest.approx((1 - 0.5) / 2.0)
+    rho_min, rho_max = equilibrium_radii(T1=2.0, T2=0.5, alpha=1.0, kappa=0.0)
+    assert not math.isnan(rho_min)
+    assert rho_min == 0.0
+    assert rho_max == pytest.approx((1 - 0.5) / 2.0)
 
 
 def test_equilibrium_radii_no_contraction():
-    r = equilibrium_radii(T1=1.0, T2=1.2, alpha=1.0, kappa=0.01)
-    assert not r.defined
-    assert math.isnan(r.rho_min)
-    r2 = equilibrium_radii(T1=5.0, T2=0.0, alpha=1.0, kappa=1.0)  # disc < 0
-    assert not r2.defined
+    rho_min, rho_max = equilibrium_radii(T1=1.0, T2=1.2, alpha=1.0, kappa=0.01)
+    assert math.isnan(rho_max)
+    assert math.isnan(rho_min)
+    rho_min2, rho_max2 = equilibrium_radii(T1=5.0, T2=0.0, alpha=1.0, kappa=1.0)  # disc < 0
+    assert math.isnan(rho_min2) and math.isnan(rho_max2)
 
 
 def test_equilibrium_radii_linear_branch():
-    r = equilibrium_radii(T1=0.0, T2=0.5, alpha=1.0, kappa=0.1)
-    assert r.defined
-    assert r.rho_min == pytest.approx(0.2)
-    assert math.isinf(r.rho_max)
-    r_bad = equilibrium_radii(T1=0.0, T2=1.0, alpha=1.0, kappa=0.1)
-    assert not r_bad.defined
+    rho_min, rho_max = equilibrium_radii(T1=0.0, T2=0.5, alpha=1.0, kappa=0.1)
+    assert not math.isnan(rho_min)
+    assert rho_min == pytest.approx(0.2)
+    assert math.isinf(rho_max)
+    bad_min, bad_max = equilibrium_radii(T1=0.0, T2=1.0, alpha=1.0, kappa=0.1)
+    assert math.isnan(bad_min) and math.isnan(bad_max)
 
 
 def test_equilibrium_radii_nan_kappa():
-    r = equilibrium_radii(T1=1.0, T2=0.0, alpha=1.0, kappa=math.nan)
-    assert not r.defined
-    assert math.isnan(r.rho_min) and math.isnan(r.rho_max)
+    rho_min, rho_max = equilibrium_radii(T1=1.0, T2=0.0, alpha=1.0, kappa=math.nan)
+    assert math.isnan(rho_min) and math.isnan(rho_max)
 
 
 def test_gossip_error_scale_direct_evaluation():
@@ -177,11 +181,11 @@ def test_kappa_monotone_in_ell_and_radii_monotone_in_kappa():
         alpha = float(rng.uniform(0.1, 1.0))
         kap_max = (1 - t2) ** 2 / (4 * t1 * alpha)
         k1, k2 = sorted(rng.uniform(0, kap_max * 0.98, size=2))
-        r1 = equilibrium_radii(t1, t2, alpha, k1)
-        r2 = equilibrium_radii(t1, t2, alpha, k2)
-        if r1.defined and r2.defined:
-            assert r1.rho_min <= r2.rho_min + 1e-12
-            assert r1.rho_max >= r2.rho_max - 1e-12
+        min1, max1 = equilibrium_radii(t1, t2, alpha, k1)
+        min2, max2 = equilibrium_radii(t1, t2, alpha, k2)
+        if not (math.isnan(min1) or math.isnan(min2)):
+            assert min1 <= min2 + 1e-12
+            assert max1 >= max2 - 1e-12
 
 
 def _linear_sites(n_agents=2, n_unknowns=2, seed=0, consistent=True):
@@ -241,8 +245,6 @@ def test_surrogate_mismatch_bounds_hold_on_run(toy_sites, toy_box):
         alpha=0.8, schedule=ExchangeSchedule(kind="constant", base=2),
         max_updates=6, stop_tol=1e-14, ridge=0.0,
     )
-    from gossipgn.core import estimate_constants
-
     traj = ggn_run(toy_sites, toy_box, gc, cfg, np.zeros(3))
     # constants measured over the region the iterates actually visited
     pts = traj.iterates.reshape(-1, 3)
@@ -259,8 +261,6 @@ def test_surrogate_mismatch_bounds_hold_on_run(toy_sites, toy_box):
 def test_verify_contraction_linear_centralized():
     sites, x_true = _linear_sites(n_agents=1, consistent=True)
     box = BoxSet.cube(2, 10.0)
-    from gossipgn.core import estimate_constants
-
     gc = GossipConfig(kind="cse", beta=0.5)
     cfg = GgnConfig(
         alpha=1.0, schedule=ExchangeSchedule(kind="constant", base=1),
@@ -295,8 +295,8 @@ def test_verify_contraction_precondition_unmet():
         schedule_kind="constant",
     )
     # shrink the region artificially so the start lies outside it
-    small = equilibrium_radii(cert.T1, cert.T2, 1.0, cert.kappa)
-    if not small.defined or small.rho_max > 1.0:
+    _, small_max = equilibrium_radii(cert.T1, cert.T2, 1.0, cert.kappa)
+    if math.isnan(small_max) or small_max > 1.0:
         import dataclasses
 
         cert = dataclasses.replace(cert, rho_max=0.5, rho_min=0.01, radii_defined=True)
@@ -365,30 +365,117 @@ def test_build_certificate_takes_l0_from_the_connectivity_interval():
     assert build_certificate(pc, 1, 2, 0.5, 0.9, 0.25, "incrementing", interval=3).L0 == 0
 
 
-def test_every_sufficient_condition_holds_on_range_localization(range_localization):
-    # a nonlinear run on which the certificate makes its claim: alpha in
-    # (alpha_lower, 1], radii defined, a finite exchange budget that every
-    # update meets, a start inside rho_max, and the run inside the ball
+def _range_localization_run(range_localization, monkeypatch):
+    """GGN on range_localization (CSE, alpha 1, 2,100 + k exchanges at update
+    k), its reference, and certificate_for_run's constants, certificate and
+    envelope box, the box it sampled."""
     sites, box, x0 = range_localization
     x_ref, _ = centralized_gn_solve(sites, box, x0, alpha=1.0, tol=1e-12, max_iter=50)
-    alpha = 1.0
     cfg = GgnConfig(
-        alpha=alpha, schedule=ExchangeSchedule("incrementing", 2100), max_updates=10, stop_tol=1e-12,
+        alpha=1.0, schedule=ExchangeSchedule("incrementing", 2100), max_updates=10, stop_tol=1e-12,
     )
     traj = ggn_run(sites, box, GossipConfig("cse", 0.3), cfg, x0)
-    _, cert = certificate_for_run(
-        sites, box, [traj], x_ref, alpha=alpha, schedule_kind="incrementing", xi=0.01,
+    envelopes = []
+
+    def recording(sites, env_box, **kwargs):
+        envelopes.append(env_box)
+        return estimate_constants(sites, env_box, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_constants", recording)
+    pc, cert = certificate_for_run(
+        sites, box, [traj], x_ref, alpha=1.0, schedule_kind="incrementing", xi=0.01,
         n_samples=24, rng_seed=0, eta=min(w.eta for w in traj.rounds),
         interval=connectivity_interval(3, traj.rounds),
     )
+    (env_box,) = envelopes
+    return traj, x_ref, pc, cert, env_box
+
+
+def test_every_sufficient_condition_holds_on_range_localization(range_localization, monkeypatch):
+    # a nonlinear run on which the certificate makes its claim: alpha in
+    # (alpha_lower, 1], radii defined, a finite exchange budget that every
+    # update meets, a start inside rho_max, and the run inside the ball
+    traj, x_ref, _, cert, _ = _range_localization_run(range_localization, monkeypatch)
+    alpha = 1.0
     assert cert.alpha_lower < alpha <= 1.0
     assert cert.radii_defined
     assert math.isfinite(cert.ell_min)
     assert traj.exchange_counts.min() >= cert.ell_min
     assert np.linalg.norm(traj.iterates[0] - x_ref, axis=1).max() < cert.rho_max
+    assert cert.holds and cert.unmet == ""
     report = verify_contraction_to_ball(traj, x_ref, cert, alpha=alpha)
     assert report.initial_check.applicable and report.limsup_check.applicable
     assert report.all_satisfied
+
+
+def test_range_localization_verdict_survives_proven_constants(range_localization, monkeypatch):
+    # omega and epsilon_max are sampled maxima, lower bounds on the suprema
+    # over the envelope box; on this fixture each constant has a closed-form
+    # bound, and the certificate built from the bounds holds too
+    traj, x_ref, pc, cert, env = _range_localization_run(range_localization, monkeypatch)
+    anchors, ranges = range_anchors_and_ranges()
+    # row m of J is u_m(x) = (x - a_m) / ||x - a_m||, whose derivative has norm
+    # 1 / ||x - a_m||; on the convex box ||J(x) - J(y)||_2 <= ||.||_F <=
+    # (sum_m 1 / r_m^2)^(1/2) ||x - y||, r_m the distance from a_m to the box.
+    # Unit rows give sigma_max <= ||J||_F = sqrt(6).
+    to_box = np.linalg.norm(anchors - np.clip(anchors, env.lower, env.upper), axis=1)
+    omega = math.sqrt(np.sum(1.0 / to_box**2))
+    sigma_max = math.sqrt(len(anchors))
+    # every point of the box lies within h, half a cell's diagonal, of a node of
+    # a 401 x 401 grid: by Weyl sigma_min falls at most omega h below the
+    # nodes' least, and the residual norm, sigma_max-Lipschitz, rises at most
+    # sigma_max h above their largest
+    axes = [np.linspace(lo, hi, 401) for lo, hi in zip(env.lower, env.upper)]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+    offsets = nodes - anchors
+    distances = np.linalg.norm(offsets, axis=2)
+    h = 0.5 * float(np.linalg.norm((env.upper - env.lower) / 400))
+    sigma_min = float(np.linalg.svd(offsets / distances[..., None], compute_uv=False)[:, -1].min())
+    sigma_min -= omega * h
+    epsilon_max = float(np.linalg.norm(distances - ranges, axis=1).max()) + sigma_max * h
+    assert pc.omega <= omega
+    assert pc.sigma_max <= sigma_max
+    assert pc.sigma_min >= sigma_min > 0.0
+    assert pc.epsilon_max <= epsilon_max
+
+    proven = ProblemConstants(
+        epsilon_max=epsilon_max, epsilon_min=pc.epsilon_min, sigma_min=sigma_min,
+        sigma_max=sigma_max, omega=omega,
+        nu_delta=omega * (epsilon_max + sigma_max), nu_Delta=2 * sigma_max * omega,
+    )
+    bound = build_certificate(
+        proven, n_agents=3, n_unknowns=2, eta=cert.eta_observed, alpha=1.0, xi=0.01,
+        schedule_kind="incrementing", interval=connectivity_interval(3, traj.rounds),
+        fewest_exchanges=traj.exchange_counts.min(),
+        start_distance=np.linalg.norm(traj.iterates[0] - x_ref, axis=1).max(),
+    )
+    assert bound.holds and bound.unmet == ""
+    assert verify_contraction_to_ball(traj, x_ref, bound, alpha=1.0).all_satisfied
+
+
+def test_build_certificate_verdict_names_each_unmet_condition():
+    pc = make_pc(eps_max=0.2, eps_min=0.01, s_min=1.5, s_max=2.0, omega=0.1)
+
+    def unmet(n_agents=3, alpha=0.9, schedule_kind="incrementing", **run):
+        cert = build_certificate(pc, n_agents, 2, 0.3, alpha, 0.25, schedule_kind, **run)
+        assert cert.holds == (cert.unmet == "")
+        return cert.unmet
+
+    ref = build_certificate(pc, 3, 2, 0.3, 0.9, 0.25, "incrementing")
+    met = {"fewest_exchanges": ref.ell_min, "start_distance": 0.5 * ref.rho_max}
+    assert unmet(**met) == ""
+    # the budget is met at ell_min exchanges, and the start must lie strictly inside rho_max
+    assert unmet(fewest_exchanges=ref.ell_min - 1, start_distance=met["start_distance"]) == "exchanges"
+    assert unmet(fewest_exchanges=ref.ell_min, start_distance=ref.rho_max) == "start"
+    # a certificate of constants alone shows no run: neither exchanges nor a start
+    assert unmet() == "exchanges,start"
+    # a constant schedule has no budget (ell_min = inf), hence no kappa and no radii
+    assert unmet(schedule_kind="constant", **met) == "radii,schedule,exchanges,start"
+    wide = make_pc(eps_max=0.2, eps_min=0.01, s_min=0.5, s_max=2.0, omega=0.1)  # alpha_lower 0.25
+    cert = build_certificate(wide, 3, 2, 0.3, 0.2, 0.25, "incrementing", **met)
+    assert cert.alpha_lower == 0.25 and cert.unmet.split(",")[0] == "alpha"
+    # a single agent gossips nothing: no schedule or exchange condition
+    assert unmet(n_agents=1, schedule_kind="constant", start_distance=0.0) == ""
 
 
 @pytest.mark.parametrize("n_agents", [2, 3, 11, 12, 30, 120, 300, 1100])
@@ -445,7 +532,8 @@ _nan, _inf = math.nan, math.inf
                 eta_observed=0.5, T1=0.5, T2=0.14142135623730953, rho_min=0.0,
                 rho_max=1.7171572875253809, kappa=0.0, alpha_lower=0.0, C=_nan, C1=_nan,
                 C2=_nan, D=_nan, lambda_eta_val=_nan, L0=0, ell_min=0.0, lambda_infty=_nan,
-                xi=0.25, radii_defined=True, conditional=False,
+                xi=0.25, radii_defined=True, conditional=False, estimated_constants=True,
+                holds=False, unmet="start",
             ),
             id="one_agent",
         ),
@@ -457,7 +545,8 @@ _nan, _inf = math.nan, math.inf
                 alpha_lower=0.0, C=784.3546831948105, C1=2.3555555555555556,
                 C2=1.3333333333333333, D=29569.89943682588, lambda_eta_val=0.9539392014169457,
                 L0=2, ell_min=278.0, lambda_infty=21.7104355712994, xi=0.25,
-                radii_defined=True, conditional=False,
+                radii_defined=True, conditional=False, estimated_constants=True, holds=False,
+                unmet="exchanges,start",
             ),
             id="incrementing_radii_defined",
         ),
@@ -468,7 +557,8 @@ _nan, _inf = math.nan, math.inf
                 rho_min=_nan, rho_max=_nan, kappa=_nan, alpha_lower=0.0, C=784.3546831948105,
                 C1=2.3555555555555556, C2=1.3333333333333333, D=_inf,
                 lambda_eta_val=0.9539392014169457, L0=2, ell_min=_inf, lambda_infty=_inf,
-                xi=0.25, radii_defined=False, conditional=True,
+                xi=0.25, radii_defined=False, conditional=True, estimated_constants=True,
+                holds=False, unmet="radii,schedule,exchanges,start",
             ),
             id="constant_conditional",
         ),
@@ -479,7 +569,8 @@ _nan, _inf = math.nan, math.inf
                 kappa=3.2121815952965886, alpha_lower=0.5, C=7090.341520779838, C1=14.0,
                 C2=3.0, D=2327509440.8374057, lambda_eta_val=0.9539392014169457, L0=2,
                 ell_min=517.0, lambda_infty=21.7104355712994, xi=0.25, radii_defined=False,
-                conditional=False,
+                conditional=False, estimated_constants=True, holds=False,
+                unmet="radii,exchanges,start",
             ),
             id="negative_discriminant",
         ),

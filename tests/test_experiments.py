@@ -1149,6 +1149,23 @@ def test_cli_certify_prints_certificate(tmp_path, capsys):
     assert any(line in printed for line in ("certificate.radii_defined=false", "certificate.radii_defined=true"))
 
 
+@pytest.mark.parametrize(
+    "mapping",
+    [{"repetitions": 2}, tiny_mapping(alpha=1.0e-320), tiny_mapping(ridge=1.0e300)],
+    ids=["case30_default", "case2_tiny_alpha", "case2_huge_ridge"],
+)
+def test_certify_says_the_guarantee_does_not_hold(tmp_path, capsys, mapping):
+    # each run's certificate applies, yet its damping lies below alpha_lower
+    # and its recursion has no radii (T2 = 819 on the default case30 config)
+    path = write_config(tmp_path / "c.yaml", {**mapping, "output_dir": str(tmp_path / "o")})
+    assert main(["certify", path]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "certificate.applicable=true" in printed
+    assert "certificate.holds=false" in printed
+    (unmet,) = [line for line in printed if line.startswith("certificate.unmet=")]
+    assert {"alpha", "radii"} <= set(unmet.removeprefix("certificate.unmet=").split(","))
+
+
 def test_cli_run_diffusion_skips_certificate(tmp_path, capsys):
     # the diffusion iterates reach the box faces on case30, where the sampled
     # Jacobian is rank deficient; the GGN certificate is not estimated at all
@@ -1346,7 +1363,8 @@ def test_cli_run_and_certify_on_12_cse_sites_exit_0(tmp_path, capsys, verb, sche
 CERTIFICATE_NAMES = (
     "applicable", "eta_observed", "T1", "T2", "rho_min", "rho_max", "kappa",
     "alpha_lower", "C", "C1", "C2", "D", "lambda_eta_val", "L0", "ell_min",
-    "lambda_infty", "xi", "radii_defined", "conditional", "estimated_constants",
+    "lambda_infty", "xi", "radii_defined", "conditional", "estimated_constants", "holds",
+    "unmet",
 )
 
 
